@@ -82,6 +82,7 @@ __all__ = [
     "NumericalError",
     "ObservationMask",
     "ObservedTree",
+    "ReproductionLaw",
     "ThetaEstimate",
     "ValidationError",
     "WaldTest",

@@ -55,13 +55,6 @@ def _build_parser() -> argparse.ArgumentParser:
     ver.add_argument("--config", required=True, help="experiment config JSON")
     ver.add_argument("--output", default=None, help="report JSON (default: stdout)")
     ver.add_argument("--replicate-csv", default=None, help="per-replicate statistics CSV")
-    ver.add_argument(
-        "--condition-on-survival",
-        type=int,
-        default=None,
-        choices=(0, 1),
-        help="override the config flag",
-    )
     return parser
 
 
@@ -191,10 +184,6 @@ def _cmd_gw(args) -> int:
 
 def _cmd_verify(args) -> int:
     cfg, checks = io.load_mc_config(args.config)
-    if args.condition_on_survival is not None:
-        from dataclasses import replace
-
-        cfg = replace(cfg, condition_on_survival=bool(args.condition_on_survival))
     unknown = [c for c in checks if c not in mc.CHECKS]
     if unknown:
         raise ValidationError(

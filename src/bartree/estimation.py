@@ -17,7 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bar import BarParams, ObservedTree
-from .errors import EstimationError, ValidationError
+from .errors import EstimationError, NumericalError, ValidationError
+from .gw import growth_rate_ratio
 
 # Column layout of the per-generation statistics table.
 _C0, _SX0, _SXX0 = 0, 1, 2          # even-daughter design sums
@@ -30,6 +31,7 @@ _TE2, _TEP = 18, 19                  # true-noise square / pair-product sums
 _NCOLS = 20
 
 _RIDGE_RTOL = 1e-10
+_DET_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -119,10 +121,11 @@ def _needs_ridge(block: np.ndarray) -> bool:
     return _lambda_min(block) < _RIDGE_RTOL * (1.0 + block[0, 0] + block[1, 1])
 
 
-def _solve2(m: np.ndarray, v: np.ndarray) -> np.ndarray:
+def solve2(m: np.ndarray, v: np.ndarray, what: str = "a 2x2 design block") -> np.ndarray:
+    """Cramer's rule for ``m x = v``; ``v`` may be a vector or a 2-row matrix."""
     det = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
-    if det <= 0.0:
-        raise EstimationError("singular 2x2 design block")
+    if abs(det) <= _DET_TOL:
+        raise NumericalError(f"singular system while computing {what}")
     return np.array(
         [
             (m[1, 1] * v[0] - m[0, 1] * v[1]) / det,
@@ -229,7 +232,7 @@ def _solve_level(cum_row: np.ndarray):
         s1 = s1 + np.eye(2)
     rhs0 = np.array([cum_row[_R0], cum_row[_R0X]])
     rhs1 = np.array([cum_row[_R1], cum_row[_R1X]])
-    theta = np.concatenate([_solve2(s0, rhs0), _solve2(s1, rhs1)])
+    theta = np.concatenate([solve2(s0, rhs0), solve2(s1, rhs1)])
     resid = np.concatenate([s0 @ theta[:2] - rhs0, s1 @ theta[2:] - rhs1])
     rel = float(np.linalg.norm(resid) / (1.0 + np.linalg.norm(np.concatenate([rhs0, rhs1]))))
     return theta, regularized, rel
@@ -253,12 +256,6 @@ def _residual_moments(frames, theta, upto):
             re2 @ ro2,
         )
     return [math.fsum(rows[:, j].tolist()) for j in range(4)]
-
-
-def _ratio_pi(mask, n: int) -> float:
-    children = sum(mask.generation_count(r) for r in range(1, n + 1))
-    parents = sum(mask.generation_count(r) for r in range(n))
-    return children / parents if parents else float("nan")
 
 
 def estimate_theta(tree: ObservedTree, n: int) -> ThetaEstimate:
@@ -315,7 +312,7 @@ def estimate_theta(tree: ObservedTree, n: int) -> ThetaEstimate:
         tau4_hat=tau4_hat,
         nu2_tau4_hat=nu2_tau4_hat,
         pbar_hat=pairs / t_star_parents,
-        pi_hat=_ratio_pi(tree.mask, n),
+        pi_hat=growth_rate_ratio(tree.mask, n),
         solve_residual=rel,
     )
 
@@ -392,7 +389,7 @@ def martingale_diagnostics(
         s1 = _block(row, _C1, _SX1, _SXX1)
         if _needs_ridge(s0) or _needs_ridge(s1):
             continue
-        v_path[level - 1] = float(m[:2] @ _solve2(s0, m[:2]) + m[2:] @ _solve2(s1, m[2:]))
+        v_path[level - 1] = float(m[:2] @ solve2(s0, m[:2]) + m[2:] @ solve2(s1, m[2:]))
         valid[level - 1] = True
 
     qsl = np.full(n, np.nan)

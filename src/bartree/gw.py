@@ -22,6 +22,10 @@ from .errors import ExtinctionError, NumericalError, ValidationError
 
 # Offspring outcomes (even count, odd count), fixed column order.
 OUTCOMES = ((0, 0), (1, 0), (0, 1), (1, 1))
+# (even child observed, odd child observed) for each outcome, by row
+_OUTCOME_FLAGS = np.array(OUTCOMES, dtype=bool)
+# offsets of the (even, odd) children: cell k has children 2k + _SIDES
+_SIDES = np.array([0, 1])
 
 _PROB_TOL = 1e-12
 
@@ -213,34 +217,44 @@ def _check_root_type(root_type: int) -> int:
 
 @dataclass
 class ObservationMask:
-    """Observed node ids of a partially observed binary tree.
+    """Observed cells of a partially observed binary tree.
 
-    ``generations[r]`` holds the ascending observed ids of generation
-    ``r``; the root (id 1) is always observed.  ``counts[r]`` are the
-    per-parity observed counts ``(even, odd)`` of generation ``r >= 1``;
-    the root is booked under its configured reproduction type.
-    Prefix closure holds by construction: an observed cell's mother is
-    observed.
+    The stored record is the Galton-Watson datum itself: ``offspring[r]``
+    is a boolean ``(G_r, 2)`` array giving, for each observed cell of
+    generation ``r < depth`` in ascending id order, whether its even
+    and its odd child are observed.  The root (id 1) is always
+    observed, and prefix closure holds by construction.
+
+    ``generations[r]`` (the ascending observed ids of generation ``r``)
+    and ``counts[r]`` (the per-parity observed counts ``(even, odd)``;
+    the root is booked under its configured reproduction type) are
+    derived from the flags once, at construction.
     """
 
     depth: int
     root_type: int
-    generations: list[np.ndarray]
-    counts: np.ndarray = field(default=None)
+    offspring: list[np.ndarray]
+    generations: list[np.ndarray] = field(init=False)
+    counts: np.ndarray = field(init=False)
 
     def __post_init__(self):
         tree.check_depth(self.depth)
         _check_root_type(self.root_type)
-        if len(self.generations) != self.depth + 1:
-            raise ValidationError("one id array per generation is required")
-        if self.counts is None:
-            counts = np.zeros((self.depth + 1, 2), dtype=np.int64)
-            counts[0, self.root_type] = 1
-            for r in range(1, self.depth + 1):
-                ids = self.generations[r]
-                even = int(np.count_nonzero(ids % 2 == 0))
-                counts[r] = (even, ids.size - even)
-            self.counts = counts
+        if len(self.offspring) != self.depth:
+            raise ValidationError("one offspring array per parent generation is required")
+        gens = [np.array([1], dtype=np.int64)]
+        counts = np.zeros((self.depth + 1, 2), dtype=np.int64)
+        counts[0, self.root_type] = 1
+        for r, flags in enumerate(self.offspring):
+            if flags.dtype != bool or flags.shape != (gens[r].size, 2):
+                raise ValidationError(
+                    f"generation {r}: offspring flags must be a boolean (cells, 2) array"
+                )
+            # parents ascend, so the flagged (2k, 2k + 1) pairs come out sorted
+            gens.append((2 * gens[r][:, None] + _SIDES)[flags])
+            counts[r + 1] = flags.sum(axis=0)
+        self.generations = gens
+        self.counts = counts
 
     @classmethod
     def from_ids(cls, ids, depth: int | None = None, root_type: int = 0) -> "ObservationMask":
@@ -258,18 +272,21 @@ class ObservationMask:
                 f"declared depth {depth} is below the deepest listed node (generation {max_gen})"
             )
         tree.check_depth(depth)
-        gens = []
-        for r in range(depth + 1):
-            lo, hi = tree.generation_range(r)
-            gens.append(arr[(arr >= lo) & (arr <= hi)])
         # prefix closure: every listed node's mother is listed
-        flat = set(arr.tolist())
-        for k in arr.tolist():
-            if k >= 2 and (k // 2) not in flat:
-                raise ValidationError(
-                    f"orphan observation: node {k} is listed but its mother {k // 2} is not"
-                )
-        return cls(depth=depth, root_type=root_type, generations=gens)
+        kids = arr[1:]
+        mothers = kids // 2
+        pos = np.searchsorted(arr, mothers)  # a mother sorts before its child
+        orphans = arr[pos] != mothers
+        if orphans.any():
+            k = int(kids[np.argmax(orphans)])
+            raise ValidationError(
+                f"orphan observation: node {k} is listed but its mother {k // 2} is not"
+            )
+        flags = np.zeros((arr.size, 2), dtype=bool)
+        flags[pos, kids & 1] = True
+        starts = np.searchsorted(arr, [tree.generation_range(r)[0] for r in range(depth + 1)])
+        offspring = [flags[starts[r]:starts[r + 1]] for r in range(depth)]
+        return cls(depth=depth, root_type=root_type, offspring=offspring)
 
     def ids(self) -> np.ndarray:
         return np.concatenate(self.generations)
@@ -292,19 +309,9 @@ class ObservationMask:
         ``generations[r]``: boolean observation flags and positions into
         ``generations[r + 1]`` (valid only where the flag is set).
         """
-        parents = self.generations[r]
-        kids = self.generations[r + 1]
-
-        def locate(child_ids):
-            if kids.size == 0 or parents.size == 0:
-                shape = parents.shape
-                return np.zeros(shape, dtype=bool), np.zeros(shape, dtype=np.int64)
-            pos = np.minimum(np.searchsorted(kids, child_ids), kids.size - 1)
-            return kids[pos] == child_ids, pos
-
-        has_e, pos_e = locate(2 * parents)
-        has_o, pos_o = locate(2 * parents + 1)
-        return has_e, pos_e, has_o, pos_o
+        flags = self.offspring[r]
+        pos = (np.cumsum(flags.ravel()) - 1).reshape(flags.shape)
+        return flags[:, 0], pos[:, 0], flags[:, 1], pos[:, 1]
 
     def pair_count(self, n: int) -> int:
         """Observed cells of generations ``0..n`` with both children observed."""
@@ -312,11 +319,7 @@ class ObservationMask:
             raise ValidationError(
                 f"pair counts up to generation {n} need mask depth {n + 1}"
             )
-        total = 0
-        for r in range(n + 1):
-            has_e, _, has_o, _ = self.child_positions(r)
-            total += int(np.count_nonzero(has_e & has_o))
-        return total
+        return sum(int(np.count_nonzero(self.offspring[r].all(axis=1))) for r in range(n + 1))
 
 
 def simulate_mask(
@@ -334,27 +337,23 @@ def simulate_mask(
     gen = rng.generator(seed, rng.MASK_STREAM)
     cum = law.cumulative()
 
-    gens = [np.array([1], dtype=np.int64)]
-    counts = np.zeros((depth + 1, 2), dtype=np.int64)
-    counts[0, root_type] = 1
-    for r in range(depth):
-        parents = gens[r]
-        if parents.size == 0:
-            gens.append(np.array([], dtype=np.int64))
+    offspring = []
+    types = np.array([root_type])
+    for _ in range(depth):
+        if types.size == 0:
+            offspring.append(np.zeros((0, 2), dtype=bool))
             continue
-        types = (parents % 2).astype(np.int64)
-        if r == 0:
-            types[0] = root_type
-        u = gen.random(parents.size)
-        outcome = (u[:, None] >= cum[types]).sum(axis=1)
-        has_even = (outcome == 1) | (outcome == 3)
-        has_odd = (outcome == 2) | (outcome == 3)
-        kids = np.sort(
-            np.concatenate([2 * parents[has_even], 2 * parents[has_odd] + 1])
-        )
-        gens.append(kids)
-        counts[r + 1] = (int(has_even.sum()), int(has_odd.sum()))
-    return ObservationMask(depth=depth, root_type=root_type, generations=gens, counts=counts)
+        u = gen.random(types.size)
+        flags = _OUTCOME_FLAGS[(u[:, None] >= cum[types, :3]).sum(axis=1)]
+        offspring.append(flags)
+        # flat index 2i + j marks child j of parent i; its type is j
+        types = np.flatnonzero(flags) & 1
+    return ObservationMask(depth=depth, root_type=root_type, offspring=offspring)
+
+
+def growth_rate_ratio(mask: ObservationMask, n: int) -> float:
+    """Observed children over observed parents through generation ``n >= 1``."""
+    return (mask.total_count(n) - 1) / mask.total_count(n - 1)
 
 
 @dataclass(frozen=True)
@@ -377,15 +376,13 @@ def estimate_pi(mask: ObservationMask, level: float = 0.95) -> GrowthRateEstimat
     n = mask.depth
     if n < 1 or mask.generation_count(1) == 0:
         raise ExtinctionError("mask is extinct at the root's children")
-    children_total = sum(mask.generation_count(r) for r in range(1, n + 1))
-    parents_total = sum(mask.generation_count(r) for r in range(n))
-    pi_hat = children_total / parents_total
+    parents_total = mask.total_count(n - 1)
+    pi_hat = growth_rate_ratio(mask, n)
 
     # per-parent offspring counts; their spread drives the CI width
     sq_sum = 0
-    for r in range(n):
-        has_e, _, has_o, _ = mask.child_positions(r)
-        y = has_e.astype(np.int64) + has_o.astype(np.int64)
+    for flags in mask.offspring:
+        y = flags.sum(axis=1)
         sq_sum += int((y * y).sum())
     var = max(sq_sum / parents_total - pi_hat * pi_hat, 0.0)
     se = math.sqrt(var / parents_total)

@@ -12,12 +12,10 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-import numpy as np
-
 from .bar import BarParams, NoiseParams, ObservedTree
 from .errors import LineageFormatError, ValidationError
 from .gw import ObservationMask, ReproductionLaw
-from .mc import McConfig
+from .mc import McConfig, jsonable
 
 MODEL_SCHEMA = "bartree-model-v1"
 MC_SCHEMA = "bartree-mc-v1"
@@ -207,6 +205,10 @@ def load_mc_config(path) -> tuple[McConfig, list[str]]:
         raise ValidationError(f"invalid JSON in {path}: {exc}") from exc
     if doc.get("schema") != MC_SCHEMA:
         raise ValidationError(f"expected schema {MC_SCHEMA!r}, got {doc.get('schema')!r}")
+    if doc.get("condition_on_survival", True) is not True:
+        raise ValidationError(
+            "condition_on_survival must be true: extinct replicates are always discarded"
+        )
     model = _require(doc, "model", "mc config")
     bar, noise, law = _model_from_dict(model, "mc config model")
     cfg = McConfig(
@@ -218,7 +220,6 @@ def load_mc_config(path) -> tuple[McConfig, list[str]]:
         seed=int(_require(doc, "seed", "mc config")),
         root_type=int(model.get("root_type", 0)),
         x1=float(model.get("x1", 0.0)),
-        condition_on_survival=bool(doc.get("condition_on_survival", True)),
         level=float(doc.get("level", 0.95)),
     )
     checks = doc.get("checks", list())
@@ -233,22 +234,10 @@ def load_mc_config(path) -> tuple[McConfig, list[str]]:
 
 def dump_report(doc: dict, path=None) -> str:
     """Serialise a report deterministically; write it when a path is given."""
-    text = json.dumps(_plain(doc), indent=2, sort_keys=True) + "\n"
+    text = json.dumps(jsonable(doc), indent=2, sort_keys=True) + "\n"
     if path is not None:
         Path(path).write_text(text)
     return text
-
-
-def _plain(obj):
-    if isinstance(obj, dict):
-        return {k: _plain(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_plain(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return _plain(obj.tolist())
-    if isinstance(obj, (np.floating, np.integer, np.bool_)):
-        return obj.item()
-    return obj
 
 
 def write_replicate_csv(rows: list[dict], path) -> None:

@@ -15,7 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bar import BarParams, NoiseParams, noise_moments
-from .errors import DegenerateModelError, NumericalError, ValidationError
+from .errors import DegenerateModelError, ValidationError
+from .estimation import solve2
 from .gw import GWSpectral
 
 _DET_TOL = 1e-12
@@ -28,18 +29,6 @@ def _require_supercritical(spectrum: GWSpectral) -> None:
         )
 
 
-def _solve2_checked(m: np.ndarray, v: np.ndarray, what: str) -> np.ndarray:
-    det = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
-    if abs(det) <= _DET_TOL:
-        raise NumericalError(f"singular system while computing {what}")
-    return np.array(
-        [
-            (m[1, 1] * v[0] - m[0, 1] * v[1]) / det,
-            (m[0, 0] * v[1] - m[1, 0] * v[0]) / det,
-        ]
-    )
-
-
 def first_moment_limits(bar: BarParams, spectrum: GWSpectral) -> np.ndarray:
     """Per-type limits of the normalised observed-value sums."""
     _require_supercritical(spectrum)
@@ -48,7 +37,7 @@ def first_moment_limits(bar: BarParams, spectrum: GWSpectral) -> np.ndarray:
     z = spectrum.left_eigenvector
     shrink = pt @ np.diag([bar.b, bar.d]) / pi
     rhs = pt @ np.array([bar.a * z[0], bar.c * z[1]])
-    return _solve2_checked(np.eye(2) - shrink, rhs, "first-moment limits")
+    return solve2(np.eye(2) - shrink, rhs, "first-moment limits")
 
 
 def second_moment_limits(
@@ -67,7 +56,7 @@ def second_moment_limits(
             (bar.c**2 + s2) * z[1] + 2.0 * bar.c * bar.d * h[1] / pi,
         ]
     )
-    return _solve2_checked(np.eye(2) - shrink, rhs, "second-moment limits")
+    return solve2(np.eye(2) - shrink, rhs, "second-moment limits")
 
 
 def pair_limits(
@@ -117,11 +106,6 @@ def _assert_pd(m: np.ndarray, name: str) -> None:
         raise DegenerateModelError(f"{name} is not positive definite: parameter pathology")
 
 
-def _inv2(m: np.ndarray) -> np.ndarray:
-    det = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
-    return np.array([[m[1, 1], -m[0, 1]], [-m[0, 1], m[0, 0]]]) / det
-
-
 def _inv_sqrt2(m: np.ndarray) -> np.ndarray:
     vals, vecs = np.linalg.eigh(m)
     return vecs @ np.diag(1.0 / np.sqrt(vals)) @ vecs.T
@@ -169,9 +153,10 @@ def limit_matrices(bar: BarParams, noise: NoiseParams, spectrum: GWSpectral) -> 
     _assert_pd(l1, "odd-daughter design limit")
 
     pi = spectrum.growth_rate
-    h = first_moment_limits(bar, spectrum)
-    k = second_moment_limits(bar, noise, spectrum, h)
-    pbar, h01, k01 = pair_limits(bar, noise, spectrum, h, k)
+    # design_limits lays out [[count, x], [x, x^2]]; read the moment limits back
+    h = np.array([l0[0, 1], l1[0, 1]])
+    k = np.array([l0[1, 1], l1[1, 1]])
+    pbar, h01, k01 = float(l01[0, 0]), float(l01[0, 1]), float(l01[1, 1])
 
     sigma = np.zeros((4, 4))
     sigma[:2, :2], sigma[2:, 2:] = l0, l1
@@ -180,7 +165,9 @@ def limit_matrices(bar: BarParams, noise: NoiseParams, spectrum: GWSpectral) -> 
     gamma[:2, 2:] = gamma[2:, :2] = noise.rho * l01
 
     sigma_inv = np.zeros((4, 4))
-    sigma_inv[:2, :2], sigma_inv[2:, 2:] = _inv2(l0), _inv2(l1)
+    inv0 = solve2(l0, np.eye(2), "the even-daughter design inverse")
+    inv1 = solve2(l1, np.eye(2), "the odd-daughter design inverse")
+    sigma_inv[:2, :2], sigma_inv[2:, 2:] = inv0, inv1
     theta_cov = sigma_inv @ gamma @ sigma_inv
     theta_cov = 0.5 * (theta_cov + theta_cov.T)
 
@@ -191,7 +178,7 @@ def limit_matrices(bar: BarParams, noise: NoiseParams, spectrum: GWSpectral) -> 
     rho_var = nu2tau4 - noise.rho**2
 
     half = _inv_sqrt2(l1) @ l01 @ _inv_sqrt2(l0)
-    full = _inv2(l1) @ l01 @ l01 @ _inv2(l0)
+    full = inv1 @ l01 @ l01 @ inv0
     return LimitMatrices(
         growth_rate=pi,
         left_eigenvector=spectrum.left_eigenvector,

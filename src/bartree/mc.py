@@ -24,7 +24,7 @@ from scipy import stats as scipy_stats
 from . import estimation, inference, limits
 from .bar import BarParams, NoiseParams, simulate_joint
 from .errors import DegenerateModelError, ValidationError
-from .gw import ReproductionLaw, spectral
+from .gw import OUTCOMES, ReproductionLaw, spectral
 
 _KS_THRESHOLD = 0.05
 _ZERO_TOL = 1e-12
@@ -42,7 +42,6 @@ class McConfig:
     seed: int
     root_type: int = 0
     x1: float = 0.0
-    condition_on_survival: bool = True
     level: float = 0.95
 
     def __post_init__(self):
@@ -62,17 +61,16 @@ class McConfig:
                 "family": self.noise.family,
             },
             "law": {
-                "type0": {f"{j0}{j1}": float(p) for (j0, j1), p in zip(
-                    ((0, 0), (1, 0), (0, 1), (1, 1)), self.law.probs[0])},
-                "type1": {f"{j0}{j1}": float(p) for (j0, j1), p in zip(
-                    ((0, 0), (1, 0), (0, 1), (1, 1)), self.law.probs[1])},
+                f"type{i}": {f"{j0}{j1}": float(p) for (j0, j1), p in zip(OUTCOMES, row)}
+                for i, row in enumerate(self.law.probs)
             },
             "depths": list(self.depths),
             "replicates": self.replicates,
             "seed": self.seed,
             "root_type": self.root_type,
             "x1": self.x1,
-            "condition_on_survival": self.condition_on_survival,
+            # a statement of policy: extinct replicates are always discarded
+            "condition_on_survival": True,
             "level": self.level,
         }
 
@@ -122,7 +120,7 @@ class McReport:
         return all(c.passed for c in self.checks if c.passed is not None)
 
     def to_dict(self) -> dict:
-        return _jsonable(
+        return jsonable(
             {
                 "schema": "bartree-mcreport-v1",
                 "check": self.check,
@@ -135,13 +133,14 @@ class McReport:
         )
 
 
-def _jsonable(obj: Any) -> Any:
+def jsonable(obj: Any) -> Any:
+    """Replace numpy arrays and scalars by plain Python values, recursively."""
     if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
+        return {k: jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
+        return [jsonable(v) for v in obj]
     if isinstance(obj, np.ndarray):
-        return _jsonable(obj.tolist())
+        return jsonable(obj.tolist())
     if isinstance(obj, (np.floating, np.integer, np.bool_)):
         return obj.item()
     return obj

@@ -16,15 +16,6 @@ from .errors import CapacityError, ValidationError
 MAX_DEPTH = 40
 
 
-def _check_node(k: int) -> None:
-    if k < 1:
-        raise ValidationError(f"node id must be >= 1, got {k}")
-    if k.bit_length() - 1 > MAX_DEPTH:
-        raise CapacityError(
-            f"node id {k} lies beyond the supported depth of {MAX_DEPTH} generations"
-        )
-
-
 def check_depth(n: int) -> None:
     """Validate a generation index against the fixed capacity."""
     if n < 0:
@@ -35,49 +26,7 @@ def check_depth(n: int) -> None:
         )
 
 
-def mother(k: int) -> int:
-    """Mother of cell ``k``, i.e. ``k // 2``.  The root has no mother."""
-    _check_node(k)
-    if k == 1:
-        raise ValidationError("node 1 is the root and has no mother")
-    return k // 2
-
-
-def children(k: int) -> tuple[int, int]:
-    """The (even, odd) children ``(2k, 2k + 1)`` of cell ``k``."""
-    _check_node(k)
-    if k.bit_length() > MAX_DEPTH:  # children would overflow the capacity
-        raise CapacityError(
-            f"children of node {k} exceed the supported depth of {MAX_DEPTH}"
-        )
-    return 2 * k, 2 * k + 1
-
-
-def generation_of(k: int) -> int:
-    """Generation index of cell ``k``: the exponent of its leading bit."""
-    _check_node(k)
-    return k.bit_length() - 1
-
-
-def node_type(k: int) -> int:
-    """Parity type of cell ``k``: 0 for even labels, 1 for odd ones."""
-    _check_node(k)
-    return k & 1
-
-
 def generation_range(n: int) -> tuple[int, int]:
     """Inclusive node-id bounds ``(2**n, 2**(n+1) - 1)`` of generation ``n``."""
     check_depth(n)
     return 1 << n, (1 << (n + 1)) - 1
-
-
-def generation_size(n: int) -> int:
-    """Number of cells in generation ``n`` of the complete tree."""
-    check_depth(n)
-    return 1 << n
-
-
-def tree_size(n: int) -> int:
-    """Number of cells in the complete tree up to generation ``n``."""
-    check_depth(n)
-    return (1 << (n + 1)) - 1

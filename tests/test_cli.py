@@ -344,7 +344,8 @@ def test_verify_deterministic(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
-def test_verify_condition_on_survival_override(tmp_path):
+def test_verify_rejects_survival_override(tmp_path, capsys):
+    # extinct replicates are always discarded: the policy is not a setting
     doc = {
         "schema": "bartree-mc-v1",
         "model": model_doc(),
@@ -352,16 +353,20 @@ def test_verify_condition_on_survival_override(tmp_path):
         "replicates": 10,
         "seed": 2,
         "checks": ["qsl"],
-        "condition_on_survival": True,
     }
-    cfg = tmp_path / "mc.json"
-    cfg.write_text(json.dumps(doc))
+    ok = tmp_path / "ok.json"
+    ok.write_text(json.dumps(dict(doc, condition_on_survival=True)))
     out = tmp_path / "r.json"
-    rc = run_cli(["verify", "--config", str(cfg), "--output", str(out),
-                  "--condition-on-survival", "0"])
-    assert rc == 0
-    report = json.loads(out.read_text())
-    assert report["reports"][0]["config"]["condition_on_survival"] is False
+    assert run_cli(["verify", "--config", str(ok), "--output", str(out)]) == 0
+    assert json.loads(out.read_text())["reports"][0]["config"]["condition_on_survival"] is True
+    for value in (False, "false"):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(dict(doc, condition_on_survival=value)))
+        capsys.readouterr()
+        assert run_cli(["verify", "--config", str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "condition_on_survival" in err
+    assert run_cli(["verify", "--config", str(ok), "--condition-on-survival", "0"]) == 2
 
 
 def test_threads_env_respected(tmp_path, monkeypatch, model_config):

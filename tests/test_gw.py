@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bartree import (
     ExtinctionError,
@@ -222,9 +223,57 @@ def test_from_ids_validation():
         ObservationMask.from_ids([2, 3])  # missing root
     with pytest.raises(ValidationError):
         ObservationMask.from_ids([1, 5])  # orphan: mother 2 missing
+    with pytest.raises(ValidationError):
+        ObservationMask(depth=1, root_type=0, offspring=[np.array([[1, 1]])])  # not boolean
+    with pytest.raises(ValidationError):  # generation 1 holds two cells, not one
+        ObservationMask(depth=2, root_type=0, offspring=[np.ones((1, 2), bool)] * 2)
     mask = ObservationMask.from_ids([1, 2, 3, 6], depth=3)
     assert mask.depth == 3
     assert mask.generation_count(2) == 1 and mask.generation_count(3) == 0
+
+
+MASK_LAWS = {
+    "full": ReproductionLaw.full_observation(),
+    "missing": ReproductionLaw.from_mean_matrix(MISSING_MEANS),  # growth rate 1.2
+    "dense": ReproductionLaw.from_mean_matrix([[0.95, 0.9], [0.9, 0.95]]),  # 1.85
+}
+
+
+@settings(deadline=None)
+@given(
+    law=st.sampled_from(sorted(MASK_LAWS)),
+    depth=st.integers(min_value=0, max_value=12),
+    root_type=st.integers(min_value=0, max_value=1),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    data=st.data(),
+)
+def test_offspring_flags_match_ids(law, depth, root_type, seed, data):
+    mask = simulate_mask(MASK_LAWS[law], depth, root_type=root_type, seed=seed)
+    back = ObservationMask.from_ids(mask.ids(), mask.depth, mask.root_type)
+    assert len(back.offspring) == len(mask.offspring) == depth
+    assert all(np.array_equal(a, b) for a, b in zip(mask.offspring, back.offspring))
+    assert all(np.array_equal(a, b) for a, b in zip(mask.generations, back.generations))
+    assert np.array_equal(mask.counts, back.counts)
+
+    # child positions against a search of the next generation's ids
+    for r in range(depth):
+        parents, kids = mask.generations[r], mask.generations[r + 1]
+        has_e, pos_e, has_o, pos_o = mask.child_positions(r)
+        for side, has, pos in ((0, has_e, pos_e), (1, has_o, pos_o)):
+            child = 2 * parents + side
+            assert np.array_equal(has, np.isin(child, kids))
+            assert np.array_equal(pos[has], np.searchsorted(kids, child[has]))
+
+    # dropping observed mothers leaves orphans; the smallest one is named
+    ids = set(mask.ids().tolist())
+    mothers = sorted(k for k in ids if k >= 2 and (2 * k in ids or 2 * k + 1 in ids))
+    if len(mothers) >= 2:
+        dropped = data.draw(st.sets(st.sampled_from(mothers), min_size=2))
+        kept = ids - dropped
+        orphan = min(k for k in kept if k >= 2 and k // 2 not in kept)
+        message = f"node {orphan} is listed but its mother {orphan // 2} is not"
+        with pytest.raises(ValidationError, match=message):
+            ObservationMask.from_ids(sorted(kept), depth, root_type)
 
 
 def test_pair_count():

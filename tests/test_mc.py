@@ -116,7 +116,7 @@ def test_limit_matrices_deviation_shrinks_with_depth():
 
 def test_extinction_accounting():
     law = ReproductionLaw.from_tables({"11": 0.75, "00": 0.25}, {"11": 0.75, "00": 0.25})
-    cfg = _cfg(law=law, depths=(10,), replicates=600, condition_on_survival=False)
+    cfg = _cfg(law=law, depths=(10,), replicates=600)
     report = mc_limit_matrices(cfg)
     assert report.extinct[10] + report.surviving[10] == 600
     frac = report.surviving[10] / 600

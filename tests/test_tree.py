@@ -1,32 +1,9 @@
 """Node-index arithmetic: exactness and capacity guards."""
 
 import pytest
-from hypothesis import given, strategies as st
 
 from bartree import CapacityError, ValidationError
-from bartree.tree import (
-    MAX_DEPTH,
-    children,
-    generation_of,
-    generation_range,
-    generation_size,
-    mother,
-    node_type,
-    tree_size,
-)
-
-
-def test_mother_examples():
-    assert mother(2) == 1
-    assert mother(7) == 3
-    with pytest.raises(ValidationError):
-        mother(1)
-
-
-def test_generation_examples():
-    assert generation_of(1) == 0
-    assert generation_of(8) == 3
-    assert generation_of(15) == 3
+from bartree.tree import MAX_DEPTH, generation_range
 
 
 def test_generation_range_examples():
@@ -43,39 +20,8 @@ def test_generation_range_capacity():
         generation_range(-1)
 
 
-def test_node_validation():
-    with pytest.raises(ValidationError):
-        generation_of(0)
-    with pytest.raises(CapacityError):
-        generation_of(2 ** (MAX_DEPTH + 1))
-
-
-def test_node_type_parity():
-    assert node_type(2) == 0
-    assert node_type(3) == 1
-    assert node_type(1) == 1  # label parity; the root's reproduction type is configured
-
-
-@given(st.integers(min_value=1, max_value=2**MAX_DEPTH - 1))
-def test_children_mother_roundtrip(k):
-    even, odd = children(k)
-    assert even == 2 * k and odd == 2 * k + 1
-    assert mother(even) == k and mother(odd) == k
-    assert generation_of(even) == generation_of(k) + 1
-    assert generation_of(odd) == generation_of(k) + 1
-
-
-@given(st.integers(min_value=2, max_value=2**MAX_DEPTH))
-def test_mother_drops_one_generation(k):
-    assert generation_of(mother(k)) == generation_of(k) - 1
-
-
-def test_generation_sizes_sum_to_tree_size():
-    for n in range(21):
-        assert sum(generation_size(r) for r in range(n + 1)) == tree_size(n)
-
-
 def test_generation_bounds_partition():
+    # a node's generation is the exponent of its leading bit
     lo, hi = generation_range(7)
-    assert generation_of(lo) == 7 and generation_of(hi) == 7
-    assert generation_of(lo - 1) == 6 and generation_of(hi + 1) == 8
+    assert lo.bit_length() - 1 == 7 and hi.bit_length() - 1 == 7
+    assert (lo - 1).bit_length() - 1 == 6 and (hi + 1).bit_length() - 1 == 8
