@@ -18,7 +18,7 @@ import numpy as np
 
 from . import rng, tree
 from .errors import ValidationError
-from .gw import ObservationMask, ReproductionLaw, simulate_mask
+from .gw import MaskForest, ObservationMask, ReproductionLaw, simulate_mask
 
 _COV_TOL = 1e-12
 
@@ -148,17 +148,19 @@ class ObservedTree:
     @classmethod
     def from_pairs(cls, pairs, root_type: int = 0, depth: int | None = None) -> "ObservedTree":
         """Build a data-mode tree from ``(node id, value)`` pairs."""
-        pairs = sorted((int(k), float(x)) for k, x in pairs)
-        ids = [k for k, _ in pairs]
-        if len(set(ids)) != len(ids):
+        pairs = list(pairs)
+        ids = np.array([k for k, _ in pairs], dtype=np.int64)
+        vals = np.array([x for _, x in pairs], dtype=float)
+        order = np.argsort(ids, kind="stable")
+        ids, vals = ids[order], vals[order]
+        if np.any(np.diff(ids) == 0):
             raise ValidationError("duplicate node ids in lineage data")
+        if not np.isfinite(vals).all():
+            raise ValidationError(f"non-finite value at node {int(ids[~np.isfinite(vals)][0])}")
         mask = ObservationMask.from_ids(ids, depth=depth, root_type=root_type)
-        lookup = dict(pairs)
-        values = [
-            np.array([lookup[int(k)] for k in gen], dtype=float)
-            for gen in mask.generations
-        ]
-        return cls(mask=mask, values=values)
+        # the mask's generations concatenate to the sorted ids
+        cuts = np.cumsum([g.size for g in mask.generations])[:-1]
+        return cls(mask=mask, values=np.split(vals, cuts))
 
     def value_map(self) -> dict[int, float]:
         out: dict[int, float] = {}
@@ -175,6 +177,55 @@ class ObservedTree:
         return out
 
 
+@dataclass
+class ObservedForest:
+    """Simulated trees of several replicates, laid out generation by generation.
+
+    ``values[r]`` and ``noise[r]`` (``r >= 1``) are aligned with the
+    concatenated generation ``r`` of ``mask``, a
+    :class:`~bartree.gw.MaskForest`.
+    """
+
+    mask: MaskForest
+    values: list[np.ndarray]
+    noise: list[np.ndarray]
+
+    @property
+    def depth(self) -> int:
+        return self.mask.depth
+
+    @property
+    def has_noise(self) -> bool:
+        return True
+
+
+def _fill_generation(bar, noise, xk, z, positions, kids):
+    """Daughter values and realised noises of one generation's mothers.
+
+    ``z`` holds one standard normal pair per mother; the pair is mixed
+    into sister noises with covariance ``[[sigma2, rho], [rho, sigma2]]``.
+    """
+    sig = math.sqrt(noise.sigma2)
+    rp = noise.rho_prime
+    mix = math.sqrt(max(1.0 - rp * rp, 0.0))
+    eps_even = sig * z[:, 0]
+    eps_odd = sig * (rp * z[:, 0] + mix * z[:, 1])
+    has_e, pos_e, has_o, pos_o = positions
+    x_next = np.zeros(kids)
+    e_next = np.zeros(kids)
+
+    drift = bar.a + bar.b * xk[has_e]
+    x_child = drift + eps_even[has_e]
+    x_next[pos_e[has_e]] = x_child
+    e_next[pos_e[has_e]] = x_child - drift
+
+    drift = bar.c + bar.d * xk[has_o]
+    x_child = drift + eps_odd[has_o]
+    x_next[pos_o[has_o]] = x_child
+    e_next[pos_o[has_o]] = x_child - drift
+    return x_next, e_next
+
+
 def simulate_joint(
     bar: BarParams,
     noise: NoiseParams,
@@ -182,8 +233,8 @@ def simulate_joint(
     depth: int,
     root_type: int = 0,
     x1: float = 0.0,
-    seed: int = 0,
-) -> ObservedTree:
+    seed=0,
+) -> ObservedTree | ObservedForest:
     """Simulate the observed autoregression down to ``depth`` generations.
 
     The mask is drawn first on its own stream; sister noise pairs are
@@ -192,38 +243,29 @@ def simulate_joint(
     values are filled only along observed lineages.  Recorded noises are
     re-derived as ``x_child - (a_i + b_i x_mother)`` so the recursion
     holds exactly in floating point.
+
+    ``seed`` may also be a sequence of seeds; the result is then an
+    :class:`ObservedForest` whose replicate ``i`` equals the tree
+    simulated with ``seed=seeds[i]``.
     """
     tree.check_depth(depth)
     mask = simulate_mask(law, depth, root_type=root_type, seed=seed)
+    if isinstance(mask, MaskForest):
+        return _fill_forest(bar, noise, mask, float(x1), seed)
     gen = rng.generator(seed, rng.NOISE_STREAM)
-
-    sig = math.sqrt(noise.sigma2)
-    rp = noise.rho_prime
-    mix = math.sqrt(max(1.0 - rp * rp, 0.0))
 
     values: list[np.ndarray] = [np.array([float(x1)])]
     eps: list[np.ndarray] = [np.array([])]
     for r in range(depth):
         parents = mask.generations[r]
-        kids = mask.generations[r + 1]
-        x_next = np.zeros(kids.size)
-        e_next = np.zeros(kids.size)
+        kids = mask.generations[r + 1].size
         if parents.size:
-            xk = values[r]
             z = gen.standard_normal((parents.size, 2))
-            eps_even = sig * z[:, 0]
-            eps_odd = sig * (rp * z[:, 0] + mix * z[:, 1])
-            has_e, pos_e, has_o, pos_o = mask.child_positions(r)
-
-            drift = bar.a + bar.b * xk[has_e]
-            x_child = drift + eps_even[has_e]
-            x_next[pos_e[has_e]] = x_child
-            e_next[pos_e[has_e]] = x_child - drift
-
-            drift = bar.c + bar.d * xk[has_o]
-            x_child = drift + eps_odd[has_o]
-            x_next[pos_o[has_o]] = x_child
-            e_next[pos_o[has_o]] = x_child - drift
+            x_next, e_next = _fill_generation(
+                bar, noise, values[r], z, mask.child_positions(r), kids
+            )
+        else:
+            x_next, e_next = np.zeros(kids), np.zeros(kids)
         values.append(x_next)
         eps.append(e_next)
     return ObservedTree(
@@ -236,3 +278,36 @@ def simulate_joint(
         x1=float(x1),
         seed=seed,
     )
+
+
+def _fill_forest(bar, noise, mask: MaskForest, x1: float, seeds) -> ObservedForest:
+    """Values of every replicate of a forest, one numpy pass per generation.
+
+    Replicate ``i`` draws all its normal pairs at once from its own
+    noise stream, ``standard_normal((parents_i, 2))`` with ``parents_i``
+    its cells of generations ``0..depth-1``; that equals the per-generation
+    draws of the single-tree path, so each replicate matches
+    ``simulate_joint(seed=seeds[i])`` bit for bit.
+    """
+    depth, n_rep = mask.depth, mask.replicates
+    sizes = np.stack([mask.generation_sizes(r) for r in range(depth + 1)], axis=1)
+    # the draws are replicate-major: replicate i's pairs start at row
+    # first[i], and those of its generation-r mothers at first[i] + before[i, r]
+    before = np.cumsum(sizes, axis=1) - sizes
+    parents = sizes[:, :depth].sum(axis=1)
+    first = np.cumsum(parents) - parents
+    draws = np.concatenate(
+        [rng.generator(s, rng.NOISE_STREAM).standard_normal((p, 2)) for s, p in zip(seeds, parents)]
+    )
+
+    values: list[np.ndarray] = [np.full(n_rep, x1)]
+    eps: list[np.ndarray] = [np.array([])]
+    for r in range(depth):
+        b = mask.bounds[r]
+        rows = np.repeat(first + before[:, r] - b[:-1], sizes[:, r]) + np.arange(b[-1])
+        x_next, e_next = _fill_generation(
+            bar, noise, values[r], draws[rows], mask.child_positions(r), mask.bounds[r + 1][-1]
+        )
+        values.append(x_next)
+        eps.append(e_next)
+    return ObservedForest(mask=mask, values=values, noise=eps)

@@ -47,23 +47,26 @@ class _Frame:
     eps_o: np.ndarray
 
 
-def _frames(tree: ObservedTree, upto: int) -> list[_Frame | None]:
-    """Per-generation frames for mothers in generations ``0..upto``."""
+def _frames(tree, upto: int) -> list[_Frame | None]:
+    """Per-generation frames for mothers in generations ``0..upto``.
+
+    ``tree`` is an :class:`ObservedTree` or an :class:`ObservedForest`;
+    a forest's frames concatenate its replicates' generations.
+    """
     if upto + 1 > tree.depth:
         raise ValidationError(
             f"daughters of generation {upto} need tree depth {upto + 1}, have {tree.depth}"
         )
     frames: list[_Frame | None] = []
     for r in range(upto + 1):
-        parents = tree.mask.generations[r]
-        if parents.size == 0:
+        xk = tree.values[r]
+        if xk.size == 0:
             frames.append(None)
             continue
-        xk = tree.values[r]
         has_e, pos_e, has_o, pos_o = tree.mask.child_positions(r)
         xnext = tree.values[r + 1]
         enext = tree.noise[r + 1] if tree.has_noise else None
-        zeros = np.zeros(parents.size)
+        zeros = np.zeros(xk.size)
         if xnext.size:
             xe = np.where(has_e, xnext[pos_e], 0.0)
             xo = np.where(has_o, xnext[pos_o], 0.0)
@@ -110,33 +113,37 @@ def _prefix_fsum(table: np.ndarray) -> np.ndarray:
 
 
 def _block(row: np.ndarray, c: int, sx: int, sxx: int) -> np.ndarray:
-    return np.array([[row[c], row[sx]], [row[sx], row[sxx]]])
+    """Symmetric 2x2 block(s) ``[[c, sx], [sx, sxx]]`` from table row(s) ``(..., 20)``."""
+    return row[..., [[c, sx], [sx, sxx]]]
 
 
-def _lambda_min(m: np.ndarray) -> float:
-    return 0.5 * (m[0, 0] + m[1, 1] - math.hypot(m[0, 0] - m[1, 1], 2.0 * m[0, 1]))
-
-
-def _needs_ridge(block: np.ndarray) -> bool:
-    return _lambda_min(block) < _RIDGE_RTOL * (1.0 + block[0, 0] + block[1, 1])
+def _needs_ridge(block: np.ndarray) -> np.ndarray:
+    """Whether each 2x2 block ``(..., 2, 2)`` is numerically singular."""
+    m00, m01, m11 = block[..., 0, 0], block[..., 0, 1], block[..., 1, 1]
+    lam_min = 0.5 * (m00 + m11 - np.hypot(m00 - m11, 2.0 * m01))
+    return lam_min < _RIDGE_RTOL * (1.0 + m00 + m11)
 
 
 def solve2(m: np.ndarray, v: np.ndarray, what: str = "a 2x2 design block") -> np.ndarray:
-    """Cramer's rule for ``m x = v``; ``v`` may be a vector or a 2-row matrix."""
-    det = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
-    if abs(det) <= _DET_TOL:
+    """Cramer's rule for ``m x = v`` over any leading axes: ``m (..., 2, 2)``, ``v (..., 2)``."""
+    det = m[..., 0, 0] * m[..., 1, 1] - m[..., 0, 1] * m[..., 1, 0]
+    if np.any(np.abs(det) <= _DET_TOL):
         raise NumericalError(f"singular system while computing {what}")
-    return np.array(
+    return np.stack(
         [
-            (m[1, 1] * v[0] - m[0, 1] * v[1]) / det,
-            (m[0, 0] * v[1] - m[1, 0] * v[0]) / det,
-        ]
+            (m[..., 1, 1] * v[..., 0] - m[..., 0, 1] * v[..., 1]) / det,
+            (m[..., 0, 0] * v[..., 1] - m[..., 1, 0] * v[..., 0]) / det,
+        ],
+        axis=-1,
     )
 
 
 @dataclass(frozen=True)
 class DesignMatrices:
-    """Cumulative design objects over mothers of generations ``0..n``."""
+    """Cumulative design objects over mothers of generations ``0..n``.
+
+    For a forest every field carries a leading replicate axis.
+    """
 
     n: int
     s0: np.ndarray
@@ -147,17 +154,19 @@ class DesignMatrices:
     g_star: int        # observed cells in generation n
 
     def sigma(self) -> np.ndarray:
-        out = np.zeros((4, 4))
-        out[:2, :2] = self.s0
-        out[2:, 2:] = self.s1
+        out = np.zeros(self.s0.shape[:-2] + (4, 4))
+        out[..., :2, :2] = self.s0
+        out[..., 2:, 2:] = self.s1
         return out
 
-    def gamma(self, sigma2: float, rho: float) -> np.ndarray:
-        out = np.zeros((4, 4))
-        out[:2, :2] = sigma2 * self.s0
-        out[2:, 2:] = sigma2 * self.s1
-        out[:2, 2:] = rho * self.s01
-        out[2:, :2] = rho * self.s01
+    def gamma(self, sigma2, rho) -> np.ndarray:
+        sigma2 = np.asarray(sigma2)[..., None, None]
+        rho = np.asarray(rho)[..., None, None]
+        out = np.zeros(self.s0.shape[:-2] + (4, 4))
+        out[..., :2, :2] = sigma2 * self.s0
+        out[..., 2:, 2:] = sigma2 * self.s1
+        out[..., :2, 2:] = rho * self.s01
+        out[..., 2:, :2] = rho * self.s01
         return out
 
 
@@ -223,18 +232,25 @@ class ThetaEstimate:
 
 
 def _solve_level(cum_row: np.ndarray):
-    """Solve the two decoupled systems at one level, ridging if needed."""
+    """Solve the two decoupled systems at each cumulative row ``(..., 20)``.
+
+    A row whose even or odd block is numerically singular gets the
+    identity added to both.  Returns the coefficients ``(..., 4)``, the
+    ridge flags and the relative solve residuals.
+    """
     s0 = _block(cum_row, _C0, _SX0, _SXX0)
     s1 = _block(cum_row, _C1, _SX1, _SXX1)
-    regularized = _needs_ridge(s0) or _needs_ridge(s1)
-    if regularized:
-        s0 = s0 + np.eye(2)
-        s1 = s1 + np.eye(2)
-    rhs0 = np.array([cum_row[_R0], cum_row[_R0X]])
-    rhs1 = np.array([cum_row[_R1], cum_row[_R1X]])
-    theta = np.concatenate([solve2(s0, rhs0), solve2(s1, rhs1)])
-    resid = np.concatenate([s0 @ theta[:2] - rhs0, s1 @ theta[2:] - rhs1])
-    rel = float(np.linalg.norm(resid) / (1.0 + np.linalg.norm(np.concatenate([rhs0, rhs1]))))
+    regularized = _needs_ridge(s0) | _needs_ridge(s1)
+    ridge = np.where(np.asarray(regularized)[..., None, None], np.eye(2), 0.0)
+    s0, s1 = s0 + ridge, s1 + ridge
+    rhs = cum_row[..., [_R0, _R0X, _R1, _R1X]]
+    theta = np.concatenate([solve2(s0, rhs[..., :2]), solve2(s1, rhs[..., 2:])], axis=-1)
+    fitted = np.concatenate(
+        [np.einsum("...ij,...j->...i", s0, theta[..., :2]),
+         np.einsum("...ij,...j->...i", s1, theta[..., 2:])],
+        axis=-1,
+    )
+    rel = np.linalg.norm(fitted - rhs, axis=-1) / (1.0 + np.linalg.norm(rhs, axis=-1))
     return theta, regularized, rel
 
 
@@ -278,6 +294,7 @@ def estimate_theta(tree: ObservedTree, n: int) -> ThetaEstimate:
         raise EstimationError("no observed daughters: the observed tree is the bare root")
 
     theta, regularized, rel = _solve_level(cum[n - 1])
+    regularized = bool(regularized)
 
     rss, pair_sum, fourth, pair_sq = _residual_moments(frames, theta, n - 1)
     pairs = int(round(cum[n - 1, _CP]))
@@ -313,13 +330,16 @@ def estimate_theta(tree: ObservedTree, n: int) -> ThetaEstimate:
         nu2_tau4_hat=nu2_tau4_hat,
         pbar_hat=pairs / t_star_parents,
         pi_hat=growth_rate_ratio(tree.mask, n),
-        solve_residual=rel,
+        solve_residual=float(rel),
     )
 
 
 @dataclass(frozen=True)
 class ThetaPath:
-    """Level-by-level estimates ``theta_hat[l - 1] = fit through generation l``."""
+    """Level-by-level estimates ``theta_hat[l - 1] = fit through generation l``.
+
+    For a forest every field carries a leading replicate axis.
+    """
 
     theta: np.ndarray        # (n, 4)
     regularized: np.ndarray  # (n,) bool
@@ -333,17 +353,16 @@ def theta_path(tree: ObservedTree, n: int) -> ThetaPath:
         raise ValidationError(f"estimation needs n >= 1, got {n}")
     frames = _frames(tree, n - 1)
     cum = _prefix_fsum(_stats_table(frames))
-    thetas = np.zeros((n, 4))
-    flags = np.zeros(n, dtype=bool)
-    parents = np.zeros(n, dtype=np.int64)
-    design = np.zeros((n, 4, 4))
-    running = 0
-    for level in range(1, n + 1):
-        running += tree.mask.generation_count(level - 1)
-        thetas[level - 1], flags[level - 1], _ = _solve_level(cum[level - 1])
-        parents[level - 1] = running
-        design[level - 1, :2, :2] = _block(cum[level - 1], _C0, _SX0, _SXX0)
-        design[level - 1, 2:, 2:] = _block(cum[level - 1], _C1, _SX1, _SXX1)
+    parents = np.cumsum([tree.mask.generation_count(r) for r in range(n)])
+    return _path(cum, parents)
+
+
+def _path(cum: np.ndarray, parents: np.ndarray) -> ThetaPath:
+    """Fits at every level from cumulative rows ``(..., n, 20)``."""
+    thetas, flags, _ = _solve_level(cum)
+    design = np.zeros(cum.shape[:-1] + (4, 4))
+    design[..., :2, :2] = _block(cum, _C0, _SX0, _SXX0)
+    design[..., 2:, 2:] = _block(cum, _C1, _SX1, _SXX1)
     return ThetaPath(theta=thetas, regularized=flags, t_star_parents=parents, design=design)
 
 
@@ -449,3 +468,275 @@ def sequential_variance_functionals(
     sigma2 = math.fsum(rows[:, 0].tolist()) / t_star
     rho = math.fsum(rows[:, 1].tolist()) / pairs if pairs > 0 else None
     return sigma2, rho
+
+
+# ---------------------------------------------------------------------------
+# forests: every replicate of a Monte Carlo block at once
+#
+# The per-generation passes run over a forest's concatenated generations;
+# per-replicate sums come from segment reductions, and sums across
+# generations from exact (correctly rounded) prefix sums, as above.
+
+
+def _segment_sums(terms: np.ndarray, bounds: np.ndarray) -> np.ndarray:
+    """Per-replicate sums ``(R, k)`` of per-cell terms ``(k, cells)``.
+
+    Replicate ``i`` owns cells ``bounds[i]:bounds[i + 1]``; an empty
+    segment sums to 0 (``reduceat`` alone would return its first term).
+    """
+    out = np.zeros((bounds.size - 1, terms.shape[0]))
+    starts = bounds[:-1]
+    full = starts < bounds[1:]
+    if full.any():
+        out[full] = np.add.reduceat(terms, starts[full], axis=1).T
+    return out
+
+
+def _cell_terms(f: _Frame) -> np.ndarray:
+    """The per-cell terms ``(20, cells)`` whose sums are the table columns."""
+    xk, xk2 = f.xk, f.xk * f.xk
+    e, o = f.has_e.astype(float), f.has_o.astype(float)
+    p = e * o
+    t = np.empty((_NCOLS, xk.size))
+    t[_C0], t[_SX0], t[_SXX0] = e, xk * e, xk2 * e
+    t[_C1], t[_SX1], t[_SXX1] = o, xk * o, xk2 * o
+    t[_CP], t[_SXP], t[_SXXP] = p, xk * p, xk2 * p
+    t[_R0], t[_R0X] = f.xe, xk * f.xe
+    t[_R1], t[_R1X] = f.xo, xk * f.xo
+    t[_OBS] = 1.0
+    t[_M0], t[_M0X] = f.eps_e, xk * f.eps_e
+    t[_M1], t[_M1X] = f.eps_o, xk * f.eps_o
+    t[_TE2] = f.eps_e * f.eps_e + f.eps_o * f.eps_o
+    t[_TEP] = f.eps_e * f.eps_o
+    return t
+
+
+def _forest_table(forest, upto: int):
+    """Frames and per-(replicate, generation) statistics ``(R, upto + 1, 20)``."""
+    frames = _frames(forest, upto)
+    table = np.zeros((forest.mask.replicates, upto + 1, _NCOLS))
+    for r, f in enumerate(frames):
+        if f is not None:
+            table[:, r] = _segment_sums(_cell_terms(f), forest.mask.bounds[r])
+    return frames, table
+
+
+def _exact_prefix(table: np.ndarray, levels) -> np.ndarray:
+    """Correctly rounded prefix sums of ``table (R, G, k)`` along ``G``, at ``levels``.
+
+    Each returned prefix equals ``math.fsum`` of its rows.  Rows are
+    added one at a time into a nonoverlapping floating-point expansion
+    (Shewchuk's grow-expansion with the error-free TwoSum), vectorised
+    over replicates and columns; an expansion is rounded as
+    :func:`_round_expansion` describes.
+    """
+    levels = list(levels)
+    parts: list[np.ndarray] = []
+    out = []
+    for g in range(levels[-1] + 1):
+        x = table[:, g]
+        grown = []
+        for p in parts:
+            hi = x + p
+            v = hi - x
+            grown.append((x - (hi - v)) + (p - v))
+            x = hi
+        grown.append(x)
+        parts = grown
+        if g in levels:
+            out.append(_round_expansion(parts))
+    return np.stack(out, axis=1)
+
+
+def exact_sum(table: np.ndarray) -> np.ndarray:
+    """``math.fsum`` along axis 1 of ``table (R, G, k)``, vectorised: ``(R, k)``."""
+    return _exact_prefix(table, [table.shape[1] - 1])[:, 0]
+
+
+def _round_expansion(parts: list[np.ndarray]) -> np.ndarray:
+    """Round a nonoverlapping expansion (increasing magnitude) to the nearest double.
+
+    The ``math.fsum`` finish: add components from the top until one
+    addition is inexact, then break a half-way tie toward the sign of
+    the largest nonzero component left below.
+    """
+    # sign of the largest nonzero component among parts[:k], for each k
+    signs = [np.zeros_like(parts[0])]
+    for p in parts[:-1]:
+        signs.append(np.where(p != 0.0, np.sign(p), signs[-1]))
+    hi, lo = parts[-1], np.zeros_like(parts[-1])
+    below = np.zeros_like(hi)
+    live = np.ones(hi.shape, dtype=bool)
+    for k in range(len(parts) - 2, -1, -1):
+        total = hi + parts[k]
+        err = parts[k] - (total - hi)
+        hi = np.where(live, total, hi)
+        stop = live & (err != 0.0)
+        lo = np.where(stop, err, lo)
+        below = np.where(stop, signs[k], below)
+        live &= ~stop
+    y = 2.0 * lo
+    x = hi + y
+    tie = (lo * below > 0.0) & (x - hi == y)
+    return np.where(tie, x, hi)
+
+
+def _residual_sums(f: _Frame, theta: np.ndarray, bounds: np.ndarray, fourth: bool) -> np.ndarray:
+    """Per-replicate residual sums of one generation at coefficients ``theta (R, 4)``.
+
+    Columns: the residual sum of squares and the sister products, and
+    with ``fourth`` the fourth powers and the squared sister products;
+    even and odd daughters are summed apart, then added.
+    """
+    rep = np.repeat(np.arange(bounds.size - 1), np.diff(bounds))
+    a, b, c, d = theta[rep].T
+    re = np.where(f.has_e, f.xe - (a + b * f.xk), 0.0)
+    ro = np.where(f.has_o, f.xo - (c + d * f.xk), 0.0)
+    re2, ro2 = re * re, ro * ro
+    terms = [re2, ro2, re * ro]
+    if fourth:
+        terms += [re2 * re2, ro2 * ro2, re2 * ro2]
+    s = _segment_sums(np.stack(terms), bounds)
+    cols = [s[:, 0] + s[:, 1], s[:, 2]]
+    if fourth:
+        cols += [s[:, 3] + s[:, 4], s[:, 5]]
+    return np.stack(cols, axis=-1)
+
+
+@dataclass(frozen=True)
+class ForestEstimate:
+    """:func:`estimate_theta` for every replicate of a forest, as arrays.
+
+    Fields mean what they mean in :class:`ThetaEstimate`, with a leading
+    replicate axis.  ``rho_hat`` and ``nu2_tau4_hat`` are 0 where
+    ``pair_parents`` is 0.  The residual moments (``sigma2_hat`` to
+    ``nu2_tau4_hat``) are ``None`` unless they were asked for.
+    """
+
+    theta_hat: np.ndarray
+    regularized: np.ndarray
+    design: DesignMatrices
+    t_star: np.ndarray
+    t_star_parents: np.ndarray
+    pair_parents: np.ndarray
+    pbar_hat: np.ndarray
+    pi_hat: np.ndarray
+    sigma2_hat: np.ndarray | None = None
+    rho_hat: np.ndarray | None = None
+    tau4_hat: np.ndarray | None = None
+    nu2_tau4_hat: np.ndarray | None = None
+
+
+def forest_design(forest, n: int) -> DesignMatrices:
+    """:func:`accumulate_design` for every replicate of a forest."""
+    _, table = _forest_table(forest, n)
+    cum = exact_sum(table)
+    return DesignMatrices(
+        n=n,
+        s0=_block(cum, _C0, _SX0, _SXX0),
+        s1=_block(cum, _C1, _SX1, _SXX1),
+        s01=_block(cum, _CP, _SXP, _SXXP),
+        t_star=forest.mask.cells_through(n),
+        t_star_pairs=np.rint(cum[:, _CP]).astype(np.int64),
+        g_star=forest.mask.generation_sizes(n),
+    )
+
+
+def forest_estimate(forest, n: int, moments: bool = True) -> ForestEstimate:
+    """:func:`estimate_theta` for every replicate of a forest.
+
+    Extinct replicates are fitted too (a bare root gives a ridged zero
+    fit); callers discard them.  ``moments`` adds the residual pass.
+    """
+    if n < 1:
+        raise ValidationError(f"estimation needs n >= 1, got {n}")
+    frames, table = _forest_table(forest, n - 1)
+    cum = exact_sum(table)
+    theta, regularized, _ = _solve_level(cum)
+    t_star = forest.mask.cells_through(n)
+    t_star_parents = t_star - forest.mask.generation_sizes(n)
+    pairs = np.rint(cum[:, _CP]).astype(np.int64)
+    ridge = np.where(regularized[:, None, None], np.eye(2), 0.0)
+    design = DesignMatrices(
+        n=n - 1,
+        s0=_block(cum, _C0, _SX0, _SXX0) + ridge,
+        s1=_block(cum, _C1, _SX1, _SXX1) + ridge,
+        s01=_block(cum, _CP, _SXP, _SXXP),
+        t_star=t_star_parents,
+        t_star_pairs=pairs,
+        g_star=forest.mask.generation_sizes(n - 1),
+    )
+    fit = dict(
+        theta_hat=theta,
+        regularized=regularized,
+        design=design,
+        t_star=t_star,
+        t_star_parents=t_star_parents,
+        pair_parents=pairs,
+        pbar_hat=pairs / t_star_parents,
+        pi_hat=(t_star - 1) / t_star_parents,
+    )
+    if moments:
+        rows = np.zeros((theta.shape[0], n, 4))
+        for r, f in enumerate(frames):
+            if f is not None:
+                rows[:, r] = _residual_sums(f, theta, forest.mask.bounds[r], fourth=True)
+        rss, pair_sum, fourth, pair_sq = exact_sum(rows).T
+        with_pairs = pairs > 0
+        per_pair = np.maximum(pairs, 1)
+        fit.update(
+            sigma2_hat=rss / t_star,
+            tau4_hat=fourth / t_star,
+            rho_hat=np.where(with_pairs, pair_sum / per_pair, 0.0),
+            nu2_tau4_hat=np.where(with_pairs, pair_sq / per_pair, 0.0),
+        )
+    return ForestEstimate(**fit)
+
+
+def forest_theta_path(forest, n: int) -> ThetaPath:
+    """:func:`theta_path` for every replicate of a forest (fields gain a replicate axis)."""
+    if n < 1:
+        raise ValidationError(f"estimation needs n >= 1, got {n}")
+    _, table = _forest_table(forest, n - 1)
+    return _forest_path(forest, _exact_prefix(table, range(n)))
+
+
+def _forest_path(forest, cum: np.ndarray) -> ThetaPath:
+    """Fits at every level from a forest's cumulative rows ``(R, n, 20)``."""
+    sizes = np.stack([forest.mask.generation_sizes(r) for r in range(cum.shape[1])], axis=1)
+    return _path(cum, np.cumsum(sizes, axis=1))
+
+
+def forest_variance_functionals(forest, n: int):
+    """Sequential and true-noise variance functionals for every replicate.
+
+    Returns ``(sigma2_seq, rho_seq, sigma2_true, rho_true, with_pairs)``:
+    :func:`sequential_variance_functionals` and
+    :func:`true_noise_functionals` per replicate, with both covariance
+    functionals 0 where ``with_pairs`` is false.
+    """
+    if n < 1:
+        raise ValidationError(f"estimation needs n >= 1, got {n}")
+    frames, table = _forest_table(forest, n - 1)
+    cum = _exact_prefix(table, range(n))
+    path = _forest_path(forest, cum)
+    reps = np.arange(table.shape[0])
+    rows = np.zeros((table.shape[0], n, 2))
+    for r, f in enumerate(frames):
+        if f is not None:
+            level = np.where(path.regularized[:, max(r, 1) - 1], n, max(r, 1))
+            theta = path.theta[reps, level - 1]
+            rows[:, r] = _residual_sums(f, theta, forest.mask.bounds[r], fourth=False)
+    seq = exact_sum(rows)
+    last = cum[:, -1]
+    t_star = forest.mask.cells_through(n)
+    pairs = np.rint(last[:, _CP])
+    with_pairs = pairs > 0
+    per_pair = np.maximum(pairs, 1.0)
+    return (
+        seq[:, 0] / t_star,
+        np.where(with_pairs, seq[:, 1] / per_pair, 0.0),
+        last[:, _TE2] / t_star,
+        np.where(with_pairs, last[:, _TEP] / per_pair, 0.0),
+        with_pairs,
+    )

@@ -215,7 +215,13 @@ def _check_root_type(root_type: int) -> int:
     return root_type
 
 
-@dataclass
+def _child_positions(flags: np.ndarray):
+    """``(has_even, pos_even, has_odd, pos_odd)`` from one generation's offspring flags."""
+    pos = (np.cumsum(flags.ravel()) - 1).reshape(flags.shape)
+    return flags[:, 0], pos[:, 0], flags[:, 1], pos[:, 1]
+
+
+@dataclass(eq=False)
 class ObservationMask:
     """Observed cells of a partially observed binary tree.
 
@@ -223,7 +229,8 @@ class ObservationMask:
     is a boolean ``(G_r, 2)`` array giving, for each observed cell of
     generation ``r < depth`` in ascending id order, whether its even
     and its odd child are observed.  The root (id 1) is always
-    observed, and prefix closure holds by construction.
+    observed, and prefix closure holds by construction.  Two masks are
+    equal when their depth, root type and flags are.
 
     ``generations[r]`` (the ascending observed ids of generation ``r``)
     and ``counts[r]`` (the per-parity observed counts ``(even, odd)``;
@@ -256,10 +263,21 @@ class ObservationMask:
         self.generations = gens
         self.counts = counts
 
+    def __eq__(self, other):
+        if not isinstance(other, ObservationMask):
+            return NotImplemented
+        return (
+            self.depth == other.depth
+            and self.root_type == other.root_type
+            and all(np.array_equal(a, b) for a, b in zip(self.offspring, other.offspring))
+        )
+
     @classmethod
     def from_ids(cls, ids, depth: int | None = None, root_type: int = 0) -> "ObservationMask":
         """Build (and validate) a mask from a flat iterable of node ids."""
-        arr = np.unique(np.asarray(list(ids), dtype=np.int64))
+        arr = np.asarray(ids if isinstance(ids, np.ndarray) else list(ids), dtype=np.int64).ravel()
+        if not np.all(arr[1:] > arr[:-1]):  # sorted unique ids need no np.unique
+            arr = np.unique(arr)
         if arr.size == 0 or arr[0] < 1:
             raise ValidationError("mask needs positive node ids")
         if arr[0] != 1:
@@ -309,9 +327,7 @@ class ObservationMask:
         ``generations[r]``: boolean observation flags and positions into
         ``generations[r + 1]`` (valid only where the flag is set).
         """
-        flags = self.offspring[r]
-        pos = (np.cumsum(flags.ravel()) - 1).reshape(flags.shape)
-        return flags[:, 0], pos[:, 0], flags[:, 1], pos[:, 1]
+        return _child_positions(self.offspring[r])
 
     def pair_count(self, n: int) -> int:
         """Observed cells of generations ``0..n`` with both children observed."""
@@ -322,18 +338,77 @@ class ObservationMask:
         return sum(int(np.count_nonzero(self.offspring[r].all(axis=1))) for r in range(n + 1))
 
 
+@dataclass(eq=False)
+class MaskForest:
+    """Observation masks of several replicates, laid out generation by generation.
+
+    ``offspring[r]`` concatenates the replicates' generation-``r`` flag
+    arrays in replicate order, and ``bounds[r]`` (length ``R + 1``) holds
+    where each replicate's generation-``r`` cells start and end in that
+    layout, for ``r = 0..depth``.  Child positions index the concatenated
+    next generation, so one numpy pass per generation serves every
+    replicate.
+    """
+
+    depth: int
+    root_type: int
+    offspring: list[np.ndarray]
+    bounds: list[np.ndarray]
+
+    @property
+    def replicates(self) -> int:
+        return self.bounds[0].size - 1
+
+    def generation_sizes(self, n: int) -> np.ndarray:
+        """Observed cells of generation ``n``, one count per replicate."""
+        return np.diff(self.bounds[n])
+
+    def total_count(self, n: int) -> int:
+        """Observed cells up to generation ``n``, summed over the replicates."""
+        return int(sum(self.bounds[r][-1] for r in range(n + 1)))
+
+    def cells_through(self, n: int) -> np.ndarray:
+        """Observed cells up to generation ``n``, one count per replicate."""
+        return sum(self.generation_sizes(r) for r in range(n + 1))
+
+    def child_positions(self, r: int):
+        return _child_positions(self.offspring[r])
+
+
+def _draw_flags(u: np.ndarray, types: np.ndarray, cum: np.ndarray) -> np.ndarray:
+    # each uniform is compared with the first three cumulative thresholds
+    # of its cell's type; the count of thresholds passed is the outcome row
+    return _OUTCOME_FLAGS[(u[:, None] >= cum[types, :3]).sum(axis=1)]
+
+
+def expected_cells(law: ReproductionLaw, depth: int, root_type: int = 0) -> float:
+    """Expected observed cells of generations ``0..depth``: sum of ``e_root' M^r 1``."""
+    v = np.eye(2)[_check_root_type(root_type)]
+    total = 0.0
+    for _ in range(depth + 1):
+        total += v.sum()
+        v = v @ law.mean_matrix
+    return float(total)
+
+
 def simulate_mask(
-    law: ReproductionLaw, depth: int, root_type: int = 0, seed: int = 0
-) -> ObservationMask:
+    law: ReproductionLaw, depth: int, root_type: int = 0, seed=0
+) -> ObservationMask | MaskForest:
     """Draw one observation mask down to ``depth`` generations.
 
     Each observed cell draws its offspring outcome from the law of its
     type (label parity; the root uses ``root_type``).  Deterministic in
     ``(seed, law, depth, root_type)``; the draw stream is independent of
     the noise stream used by the joint simulator.
+
+    ``seed`` may also be a sequence of seeds; the result is then a
+    :class:`MaskForest` whose replicate ``i`` equals the mask drawn with
+    ``seed=seeds[i]``.
     """
     tree.check_depth(depth)
     _check_root_type(root_type)
+    if np.ndim(seed) == 1:
+        return _simulate_forest(law, depth, root_type, seed)
     gen = rng.generator(seed, rng.MASK_STREAM)
     cum = law.cumulative()
 
@@ -343,12 +418,58 @@ def simulate_mask(
         if types.size == 0:
             offspring.append(np.zeros((0, 2), dtype=bool))
             continue
-        u = gen.random(types.size)
-        flags = _OUTCOME_FLAGS[(u[:, None] >= cum[types, :3]).sum(axis=1)]
+        flags = _draw_flags(gen.random(types.size), types, cum)
         offspring.append(flags)
         # flat index 2i + j marks child j of parent i; its type is j
         types = np.flatnonzero(flags) & 1
     return ObservationMask(depth=depth, root_type=root_type, offspring=offspring)
+
+
+def _simulate_forest(law: ReproductionLaw, depth: int, root_type: int, seeds) -> MaskForest:
+    """All replicates of :func:`simulate_mask`, one numpy pass per generation.
+
+    Replicate ``i`` reads its uniforms from its own Philox stream, in
+    generation order.  They are drawn ahead into one flat buffer, where
+    ``pos[i]:end[i]`` holds replicate ``i``'s unused draws; since
+    ``random(a)`` followed by ``random(b)`` yields the numbers of
+    ``random(a + b)``, every replicate draws exactly what it draws alone.
+    """
+    gens = [rng.generator(s, rng.MASK_STREAM) for s in seeds]
+    n_rep = len(gens)
+    if n_rep == 0:
+        raise ValidationError("a forest needs at least one seed")
+    cum = law.cumulative()
+    # the largest row sum of the mean matrix bounds the expected growth
+    # per generation; it sizes the top-ups of replicates that run short
+    growth = float(law.mean_matrix.sum(axis=1).max())
+    first = math.ceil(expected_cells(law, depth - 1, root_type)) if depth else 0
+    buf = np.concatenate([g.random(first) for g in gens])
+    pos = np.arange(n_rep) * first
+    end = pos + first
+
+    offspring, bounds = [], [np.arange(n_rep + 1)]
+    types = np.full(n_rep, root_type)
+    for r in range(depth):
+        b = bounds[r]
+        sizes = np.diff(b)
+        short = np.flatnonzero(pos + sizes > end)
+        if short.size:
+            ahead = sum(growth**k for k in range(depth - r))
+            pieces, top = [buf], buf.size
+            for i in short:
+                extra = gens[i].random(math.ceil(sizes[i] * ahead))
+                pieces += [buf[pos[i]:end[i]], extra]
+                pos[i], top = top, top + (end[i] - pos[i]) + extra.size
+                end[i] = top
+            buf = np.concatenate(pieces)
+        u = buf[np.repeat(pos - b[:-1], sizes) + np.arange(b[-1])]
+        pos += sizes
+        flags = _draw_flags(u, types, cum)
+        offspring.append(flags)
+        types = np.flatnonzero(flags) & 1
+        kids = np.concatenate(([0], np.cumsum(flags.sum(axis=1))))
+        bounds.append(kids[b])
+    return MaskForest(depth=depth, root_type=root_type, offspring=offspring, bounds=bounds)
 
 
 def growth_rate_ratio(mask: ObservationMask, n: int) -> float:

@@ -61,11 +61,27 @@ def _check_level(level: float) -> float:
     return level
 
 
-def plug_in_covariance(est: ThetaEstimate) -> tuple[np.ndarray, bool]:
+def normal_quantile(level: float) -> float:
+    """Two-sided standard normal quantile of a confidence level."""
+    return float(stats.norm.ppf(0.5 + _check_level(level) / 2.0))
+
+
+def normal_bounds(point, var, count, z: float):
+    """Normal interval ``point -+ z sqrt(var / count)``, negative ``var`` read as 0.
+
+    Works elementwise, so it serves one estimate or a forest of them.
+    """
+    half = z * np.sqrt(np.maximum(var, 0.0) / count)
+    return point - half, point + half
+
+
+def plug_in_covariance(est) -> tuple[np.ndarray, bool]:
     """Sandwich covariance of the coefficient estimate.
 
     Returns the 4x4 matrix and a flag saying whether an absent
-    sister-covariance estimate was replaced by zero.
+    sister-covariance estimate was replaced by zero.  A
+    :class:`~bartree.estimation.ForestEstimate` gives one matrix per
+    replicate.
     """
     rho_missing = est.rho_hat is None
     rho = 0.0 if rho_missing else est.rho_hat
@@ -73,7 +89,12 @@ def plug_in_covariance(est: ThetaEstimate) -> tuple[np.ndarray, bool]:
     gamma = est.design.gamma(est.sigma2_hat, rho)
     inv = np.linalg.inv(sigma)
     cov = inv @ gamma @ inv
-    return 0.5 * (cov + cov.T), rho_missing
+    return 0.5 * (cov + np.swapaxes(cov, -1, -2)), rho_missing
+
+
+def coefficient_bounds(est, cov: np.ndarray, z: float):
+    """Normal bounds ``(low, high)`` of each coefficient from its covariance."""
+    return normal_bounds(est.theta_hat, np.diagonal(cov, axis1=-2, axis2=-1), 1, z)
 
 
 def theta_cis(est: ThetaEstimate, level: float = 0.95):
@@ -82,15 +103,13 @@ def theta_cis(est: ThetaEstimate, level: float = 0.95):
     Returns ``(intervals, warnings)`` where ``intervals`` maps the
     coefficient names ``a, b, c, d`` to intervals.
     """
-    _check_level(level)
+    z = normal_quantile(level)
     cov, rho_missing = plug_in_covariance(est)
-    z = float(stats.norm.ppf(0.5 + level / 2.0))
+    low, high = coefficient_bounds(est, cov, z)
     out: dict[str, ConfidenceInterval] = {}
     for j, name in enumerate(_COEFF_NAMES):
-        var = max(float(cov[j, j]), 0.0)
-        half = z * math.sqrt(var)
         point = float(est.theta_hat[j])
-        out[name] = ConfidenceInterval(point, point - half, point + half, level)
+        out[name] = ConfidenceInterval(point, float(low[j]), float(high[j]), level)
     warnings = []
     if rho_missing:
         warnings.append(
@@ -146,26 +165,19 @@ def sigma_rho_cis(
     Returns ``(sigma2_ci, rho_ci, warnings)``; ``rho_ci`` is ``None``
     when no pair was observed.
     """
-    _check_level(level)
-    z = float(stats.norm.ppf(0.5 + level / 2.0))
+    z = normal_quantile(level)
     warnings: list[str] = []
 
     if limits is not None:
         var_sigma = limits.sigma2_clt_var
         var_rho = limits.rho_clt_var
     else:
-        s4 = est.sigma2_hat**2
-        pi = est.pi_hat
-        var_sigma = (pi * (est.tau4_hat - s4) + 2.0 * est.pbar_hat * ((est.nu2_tau4_hat or 0.0) - s4)) / pi
-        var_rho = None
-        if est.rho_hat is not None:
-            var_rho = (est.nu2_tau4_hat or 0.0) - est.rho_hat**2
+        var_sigma, var_rho = plug_in_noise_variances(est)
 
     if var_sigma < 0.0:
         warnings.append("negative plug-in variance for sigma2 clipped to 0")
-        var_sigma = 0.0
-    half = z * math.sqrt(var_sigma / est.t_star)
-    sigma_ci = ConfidenceInterval(est.sigma2_hat, est.sigma2_hat - half, est.sigma2_hat + half, level)
+    low, high = normal_bounds(est.sigma2_hat, var_sigma, est.t_star, z)
+    sigma_ci = ConfidenceInterval(est.sigma2_hat, float(low), float(high), level)
 
     rho_ci = None
     if est.rho_hat is not None:
@@ -173,9 +185,23 @@ def sigma_rho_cis(
             var_rho = 0.0
         if var_rho < 0.0:
             warnings.append("negative plug-in variance for rho clipped to 0")
-            var_rho = 0.0
-        half = z * math.sqrt(var_rho / est.pair_parents)
-        rho_ci = ConfidenceInterval(est.rho_hat, est.rho_hat - half, est.rho_hat + half, level)
+        low, high = normal_bounds(est.rho_hat, var_rho, est.pair_parents, z)
+        rho_ci = ConfidenceInterval(est.rho_hat, float(low), float(high), level)
     else:
         warnings.append("sister covariance not estimable (no observed pairs)")
     return sigma_ci, rho_ci, warnings
+
+
+def plug_in_noise_variances(est):
+    """Plug-in CLT variances of ``sigma2_hat`` and ``rho_hat``.
+
+    Built from the residual fourth moments, the ratio growth-rate
+    estimate and the observed pair fraction.  The second is ``None``
+    when ``rho_hat`` is; both work elementwise on a forest's estimates.
+    """
+    s4 = est.sigma2_hat**2
+    pi = est.pi_hat
+    nu2_tau4 = 0.0 if est.nu2_tau4_hat is None else est.nu2_tau4_hat
+    var_sigma = (pi * (est.tau4_hat - s4) + 2.0 * est.pbar_hat * (nu2_tau4 - s4)) / pi
+    var_rho = None if est.rho_hat is None else nu2_tau4 - est.rho_hat**2
+    return var_sigma, var_rho

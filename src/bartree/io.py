@@ -10,6 +10,7 @@ for 64-bit floats.  Configurations are JSON documents with a versioned
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 
 from .bar import BarParams, NoiseParams, ObservedTree
@@ -52,8 +53,11 @@ def write_noise_sidecar(tree: ObservedTree, path) -> None:
 
 
 def _read_data_lines(path):
-    """Split a file into (lineno, line) data rows and ``# key: value`` metadata."""
-    meta: dict[str, str] = {}
+    """Split a file into (lineno, line) data rows and ``# key: value`` metadata.
+
+    Metadata maps each key to its ``(value, lineno)``.
+    """
+    meta: dict[str, tuple[str, int]] = {}
     entries: list[tuple[int, str]] = []
     for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
         line = raw.strip()
@@ -61,10 +65,21 @@ def _read_data_lines(path):
             body = line.lstrip("#").strip()
             if ":" in body:
                 key, _, value = body.partition(":")
-                meta[key.strip()] = value.strip()
+                meta[key.strip()] = (value.strip(), lineno)
         elif line:
             entries.append((lineno, line))
     return entries, meta
+
+
+def _meta_int(meta: dict, key: str, default=None):
+    """Integer metadata header ``# key: value``, or ``default`` when absent."""
+    if key not in meta:
+        return default
+    value, lineno = meta[key]
+    try:
+        return int(value)
+    except ValueError:
+        raise LineageFormatError(f"malformed {key} header {value!r}", lineno) from None
 
 
 def parse_lineage(path) -> ObservedTree:
@@ -88,6 +103,8 @@ def parse_lineage(path) -> ObservedTree:
             x = float(parts[1])
         except ValueError:
             raise LineageFormatError(f"malformed value {parts[1]!r}", lineno) from None
+        if not math.isfinite(x):
+            raise LineageFormatError(f"non-finite value {parts[1]!r}", lineno)
         if k < 1:
             raise LineageFormatError(f"node id must be >= 1, got {k}", lineno)
         if k in records:
@@ -106,9 +123,9 @@ def parse_lineage(path) -> ObservedTree:
                 f"orphan observation: node {k} has no observed mother {k // 2}",
                 lines[k],
             )
-    root_type = int(meta.get("root_type", 0))
-    depth = int(meta["depth"]) if "depth" in meta else None
-    return ObservedTree.from_pairs(records.items(), root_type=root_type, depth=depth)
+    return ObservedTree.from_pairs(
+        records.items(), root_type=_meta_int(meta, "root_type", 0), depth=_meta_int(meta, "depth")
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -132,8 +149,8 @@ def parse_mask(path) -> ObservationMask:
         ids.append(k)
     if not ids:
         raise LineageFormatError("no node ids found")
-    root_type = int(meta.get("root_type", 0))
-    depth = int(meta["depth"]) if "depth" in meta else None
+    root_type = _meta_int(meta, "root_type", 0)
+    depth = _meta_int(meta, "depth")
     try:
         return ObservationMask.from_ids(ids, depth=depth, root_type=root_type)
     except ValidationError as exc:
@@ -150,21 +167,43 @@ def _require(mapping: dict, key: str, where: str):
     return mapping[key]
 
 
+def _json_int(value, what: str) -> int:
+    """``value`` when it is a JSON integer (not a bool, float or string)."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValidationError(f"{what} must be a JSON integer, got {json.dumps(value)}")
+    return value
+
+
+def _json_number(value, what: str) -> float:
+    """``value`` as a float when it is a JSON number (not a bool or string)."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValidationError(f"{what} must be a JSON number, got {json.dumps(value)}")
+    return float(value)
+
+
+def _json_list(value, what: str) -> list:
+    if not isinstance(value, list):
+        raise ValidationError(f"{what} must be a JSON list, got {json.dumps(value)}")
+    return value
+
+
 def _model_from_dict(doc: dict, where: str):
     bar_doc = _require(doc, "bar", where)
     noise_doc = _require(doc, "noise", where)
     law_doc = _require(doc, "law", where)
+    allow_unstable = bar_doc.get("allow_unstable", False)
+    if not isinstance(allow_unstable, bool):
+        raise ValidationError(
+            f"allow_unstable must be JSON true or false, got {json.dumps(allow_unstable)}"
+        )
     try:
         bar = BarParams(
-            float(_require(bar_doc, "a", "bar")),
-            float(_require(bar_doc, "b", "bar")),
-            float(_require(bar_doc, "c", "bar")),
-            float(_require(bar_doc, "d", "bar")),
-            allow_unstable=bool(bar_doc.get("allow_unstable", False)),
+            *(_json_number(_require(bar_doc, k, "bar"), k) for k in "abcd"),
+            allow_unstable=allow_unstable,
         )
         noise = NoiseParams(
-            float(_require(noise_doc, "sigma2", "noise")),
-            float(noise_doc.get("rho", 0.0)),
+            _json_number(_require(noise_doc, "sigma2", "noise"), "sigma2"),
+            _json_number(noise_doc.get("rho", 0.0), "rho"),
             family=noise_doc.get("family", "gaussian"),
         )
         law = ReproductionLaw.from_tables(
@@ -190,10 +229,10 @@ def load_model_config(path) -> dict:
         "bar": bar,
         "noise": noise,
         "law": law,
-        "depth": int(doc["depth"]) if "depth" in doc else None,
-        "seed": int(doc["seed"]) if "seed" in doc else None,
-        "root_type": int(doc.get("root_type", 0)),
-        "x1": float(doc.get("x1", 0.0)),
+        "depth": _json_int(doc["depth"], "depth") if "depth" in doc else None,
+        "seed": _json_int(doc["seed"], "seed") if "seed" in doc else None,
+        "root_type": _json_int(doc.get("root_type", 0), "root_type"),
+        "x1": _json_number(doc.get("x1", 0.0), "x1"),
     }
 
 
@@ -211,21 +250,24 @@ def load_mc_config(path) -> tuple[McConfig, list[str]]:
         )
     model = _require(doc, "model", "mc config")
     bar, noise, law = _model_from_dict(model, "mc config model")
+    depths = _json_list(_require(doc, "depths", "mc config"), "depths")
     cfg = McConfig(
         bar=bar,
         noise=noise,
         law=law,
-        depths=tuple(int(d) for d in _require(doc, "depths", "mc config")),
-        replicates=int(_require(doc, "replicates", "mc config")),
-        seed=int(_require(doc, "seed", "mc config")),
-        root_type=int(model.get("root_type", 0)),
-        x1=float(model.get("x1", 0.0)),
-        level=float(doc.get("level", 0.95)),
+        depths=tuple(_json_int(d, "each of depths") for d in depths),
+        replicates=_json_int(_require(doc, "replicates", "mc config"), "replicates"),
+        seed=_json_int(_require(doc, "seed", "mc config"), "seed"),
+        root_type=_json_int(model.get("root_type", 0), "root_type"),
+        x1=_json_number(model.get("x1", 0.0), "x1"),
+        level=_json_number(doc.get("level", 0.95), "level"),
     )
-    checks = doc.get("checks", list())
+    checks = _json_list(doc.get("checks", []), "checks")
     if not checks:
         raise ValidationError("mc config must name at least one check in 'checks'")
-    return cfg, [str(c) for c in checks]
+    if not all(isinstance(c, str) for c in checks):
+        raise ValidationError(f"checks must name checks as strings, got {json.dumps(checks)}")
+    return cfg, checks
 
 
 # ---------------------------------------------------------------------------

@@ -165,8 +165,10 @@ def limit_matrices(bar: BarParams, noise: NoiseParams, spectrum: GWSpectral) -> 
     gamma[:2, 2:] = gamma[2:, :2] = noise.rho * l01
 
     sigma_inv = np.zeros((4, 4))
-    inv0 = solve2(l0, np.eye(2), "the even-daughter design inverse")
-    inv1 = solve2(l1, np.eye(2), "the odd-daughter design inverse")
+    # the rows of the identity are the right-hand sides, so solve2 returns
+    # the transposed inverse
+    inv0 = solve2(l0, np.eye(2), "the even-daughter design inverse").T
+    inv1 = solve2(l1, np.eye(2), "the odd-daughter design inverse").T
     sigma_inv[:2, :2], sigma_inv[2:, 2:] = inv0, inv1
     theta_cov = sigma_inv @ gamma @ sigma_inv
     theta_cov = 0.5 * (theta_cov + theta_cov.T)

@@ -3,11 +3,14 @@
 Each experiment simulates seeded replicates of the joint model,
 evaluates one theorem's statistic per replicate, and aggregates the
 results against the theoretical target with an explicit tolerance.
-Replicates run concurrently (seed-partitioned, ``BARTREE_THREADS`` caps
-the workers) and are reduced in a fixed order, so a report is a pure
-function of its configuration and seed.  Extinct replicates are
-discarded from the statistics and counted separately: every limit the
-checks exercise holds on the survival event only.
+The replicates of a depth run in seed order as a few forest blocks,
+each simulated and fitted with one numpy pass per generation; several
+blocks run concurrently (``BARTREE_THREADS`` caps the workers) and are
+reduced in a fixed order, so a report is a pure function of its
+configuration and seed, whatever the worker count or block layout.
+Extinct replicates are discarded from the statistics and counted
+separately: every limit the checks exercise holds on the survival
+event only.
 """
 
 from __future__ import annotations
@@ -24,10 +27,14 @@ from scipy import stats as scipy_stats
 from . import estimation, inference, limits
 from .bar import BarParams, NoiseParams, simulate_joint
 from .errors import DegenerateModelError, ValidationError
-from .gw import OUTCOMES, ReproductionLaw, spectral
+from .gw import OUTCOMES, ReproductionLaw, expected_cells, spectral
 
 _KS_THRESHOLD = 0.05
 _ZERO_TOL = 1e-12
+# Expected cells per forest block: bounds a block's memory, and with it
+# the pool workers' peak resident size, while amortising the per-generation
+# numpy calls over many replicates.
+BLOCK_CELLS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -162,8 +169,9 @@ def worker_count() -> int:
 
 
 def _map_ordered(fn: Callable, payloads: list) -> list:
+    """``[fn(p) for p in payloads]``; several payloads go to the worker pool."""
     workers = worker_count()
-    if workers == 1 or len(payloads) < 8:
+    if workers == 1 or len(payloads) == 1:
         return [fn(p) for p in payloads]
     chunk = max(1, len(payloads) // (4 * workers))
     with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -184,11 +192,33 @@ def _rep_seed(cfg: McConfig, depth_index: int, i: int) -> int:
     return cfg.seed + depth_index * cfg.replicates + i
 
 
-def _simulate(cfg: McConfig, depth: int, seed: int):
+def _blocks(cfg: McConfig, depth: int, seeds: list[int]) -> list[list[int]]:
+    """Split a depth's seeds, in order, into forest blocks of near-equal size.
+
+    A block holds about ``BLOCK_CELLS`` expected cells of trees simulated
+    to ``depth``.  Results do not depend on the split: every replicate
+    is computed from its own rows only.
+    """
+    per_block = max(1, int(BLOCK_CELLS // expected_cells(cfg.law, depth, cfg.root_type)))
+    count = -(-len(seeds) // per_block)
+    edges = [len(seeds) * k // count for k in range(count + 1)]
+    return [seeds[a:b] for a, b in zip(edges[:-1], edges[1:])]
+
+
+def _simulate(cfg: McConfig, depth: int, seeds: list[int]):
     return simulate_joint(
         cfg.bar, cfg.noise, cfg.law, depth,
-        root_type=cfg.root_type, x1=cfg.x1, seed=seed,
+        root_type=cfg.root_type, x1=cfg.x1, seed=seeds,
     )
+
+
+def _rows(alive: np.ndarray, **stats) -> list[dict]:
+    """One dict per replicate: ``survived`` and, for survivors, each statistic."""
+    values = {k: np.asarray(v).tolist() for k, v in stats.items()}
+    return [
+        {"survived": True, **{k: v[i] for k, v in values.items()}} if ok else {"survived": False}
+        for i, ok in enumerate(alive.tolist())
+    ]
 
 
 def _entrywise_check(name, depth, median, target, rows):
@@ -208,102 +238,101 @@ def _entrywise_check(name, depth, median, target, rows):
 
 
 # ---------------------------------------------------------------------------
-# replicate workers (top level so process pools can pickle them)
+# block workers (top level so process pools can pickle them).  Each takes
+# one forest block ``(cfg, depth, seeds, ...)`` and returns one dict per
+# replicate, in seed order.
 
 
 def _rep_design(args):
-    cfg, depth, seed = args
-    t = _simulate(cfg, depth + 1, seed)
-    if t.mask.generation_count(depth) == 0:
-        return {"survived": False}
-    d = estimation.accumulate_design(t, depth)
-    return {
-        "survived": True,
-        "s0": d.s0 / d.t_star,
-        "s1": d.s1 / d.t_star,
-        "s01": d.s01 / d.t_star,
-    }
+    cfg, depth, seeds = args
+    forest = _simulate(cfg, depth + 1, seeds)
+    d = estimation.forest_design(forest, depth)
+    scale = d.t_star[:, None, None]
+    return _rows(d.g_star > 0, s0=d.s0 / scale, s1=d.s1 / scale, s01=d.s01 / scale)
 
 
 def _rep_consistency(args):
-    cfg, depth, seed = args
-    t = _simulate(cfg, depth, seed)
-    if t.mask.generation_count(depth) == 0:
-        return {"survived": False}
-    est = estimation.estimate_theta(t, depth)
+    cfg, depth, seeds = args
+    forest = _simulate(cfg, depth, seeds)
+    est = estimation.forest_estimate(forest, depth, moments=False)
     diff = est.theta_hat - cfg.bar.as_vector()
     tp = est.t_star_parents
-    return {
-        "survived": True,
-        "rate": float(diff @ diff) * tp / math.log(tp),
-    }
+    with np.errstate(divide="ignore", invalid="ignore"):
+        rate = (diff * diff).sum(axis=1) * tp / np.log(tp)
+    return _rows(forest.mask.generation_sizes(depth) > 0, rate=rate)
 
 
 def _rep_qsl(args):
-    cfg, depth, seed, sigma_lim = args
-    t = _simulate(cfg, depth, seed)
-    if t.mask.generation_count(depth) == 0:
-        return {"survived": False}
-    path = estimation.theta_path(t, depth)
-    truth = cfg.bar.as_vector()
-    score, limit = [], []
-    for level in range(1, depth + 1):
-        if path.regularized[level - 1]:
-            continue
-        diff = path.theta[level - 1] - truth
-        score.append(float(diff @ path.design[level - 1] @ diff))
-        limit.append(float(path.t_star_parents[level - 1] * (diff @ sigma_lim @ diff)))
-    if not score:
-        return {"survived": False}
-    half = len(score) // 2
-    return {
-        "survived": True,
-        "qsl": math.fsum(score) / len(score),
-        "qsl_tail": math.fsum(score[half:]) / len(score[half:]),
-        "qsl_limit_design": math.fsum(limit) / len(limit),
-        "qsl_limit_design_tail": math.fsum(limit[half:]) / len(limit[half:]),
-        "levels": len(score),
-    }
+    cfg, depth, seeds, sigma_lim = args
+    forest = _simulate(cfg, depth, seeds)
+    path = estimation.forest_theta_path(forest, depth)
+    diff = path.theta - cfg.bar.as_vector()
+    score = np.einsum("...i,...ij,...j->...", diff, path.design, diff)
+    limit = path.t_star_parents * np.einsum("...i,ij,...j->...", diff, sigma_lim, diff)
+    valid = ~path.regularized
+    levels = valid.sum(axis=1)
+    # the tail is the second half of each replicate's unridged levels
+    tail = valid & (np.cumsum(valid, axis=1) > (levels // 2)[:, None])
+    terms = np.stack([score, limit], axis=-1)
+    sums = estimation.exact_sum(np.concatenate(
+        [np.where(valid[..., None], terms, 0.0), np.where(tail[..., None], terms, 0.0)], axis=-1
+    ))
+    alive = (forest.mask.generation_sizes(depth) > 0) & (levels > 0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        means = sums / np.stack([levels, levels, levels - levels // 2, levels - levels // 2], axis=-1)
+    return _rows(
+        alive,
+        qsl=means[:, 0],
+        qsl_tail=means[:, 2],
+        qsl_limit_design=means[:, 1],
+        qsl_limit_design_tail=means[:, 3],
+        levels=levels,
+    )
 
 
 def _rep_clt(args):
-    cfg, depth, seed = args
-    t = _simulate(cfg, depth, seed)
-    if t.mask.generation_count(depth) == 0:
-        return {"survived": False}
-    est = estimation.estimate_theta(t, depth)
+    cfg, depth, seeds = args
+    forest = _simulate(cfg, depth, seeds)
+    est = estimation.forest_estimate(forest, depth)
     truth = cfg.bar.as_vector()
-    scaled = math.sqrt(est.t_star_parents) * (est.theta_hat - truth)
-    cis, _ = inference.theta_cis(est, cfg.level)
-    cover = [cis[name].covers(truth[j]) for j, name in enumerate("abcd")]
-    out = {
-        "survived": True,
-        "scaled_theta": scaled,
-        "cover": cover,
-        "sigma_stat": math.sqrt(est.t_star) * (est.sigma2_hat - cfg.noise.sigma2),
-    }
-    sci, rci, _ = inference.sigma_rho_cis(est, cfg.level)
-    out["sigma_cover"] = sci.covers(cfg.noise.sigma2)
-    if est.rho_hat is not None:
-        out["rho_stat"] = math.sqrt(est.pair_parents) * (est.rho_hat - cfg.noise.rho)
-        out["rho_cover"] = rci.covers(cfg.noise.rho) if rci is not None else None
+    z = inference.normal_quantile(cfg.level)
+    pairs = est.pair_parents
+    # extinct replicates (a bare root has growth-rate estimate 0) give
+    # nonsense here; they are discarded below
+    with np.errstate(divide="ignore", invalid="ignore"):
+        low, high = inference.coefficient_bounds(est, inference.plug_in_covariance(est)[0], z)
+        var_sigma, var_rho = inference.plug_in_noise_variances(est)
+        s_low, s_high = inference.normal_bounds(est.sigma2_hat, var_sigma, est.t_star, z)
+        r_low, r_high = inference.normal_bounds(est.rho_hat, var_rho, np.maximum(pairs, 1), z)
+    sigma2, rho = cfg.noise.sigma2, cfg.noise.rho
+    out = _rows(
+        forest.mask.generation_sizes(depth) > 0,
+        scaled_theta=np.sqrt(est.t_star_parents)[:, None] * (est.theta_hat - truth),
+        cover=(low <= truth) & (truth <= high),
+        sigma_stat=np.sqrt(est.t_star) * (est.sigma2_hat - sigma2),
+        sigma_cover=(s_low <= sigma2) & (sigma2 <= s_high),
+        rho_stat=np.sqrt(pairs) * (est.rho_hat - rho),
+        rho_cover=(r_low <= rho) & (rho <= r_high),
+    )
+    for row, with_pairs in zip(out, (pairs > 0).tolist()):
+        if row["survived"] and not with_pairs:
+            del row["rho_stat"], row["rho_cover"]
     return out
 
 
 def _rep_variance(args):
-    cfg, depth, seed = args
-    t = _simulate(cfg, depth, seed)
-    if t.mask.generation_count(depth) == 0:
-        return {"survived": False}
-    s_seq, r_seq = estimation.sequential_variance_functionals(t, depth)
-    s_bar, r_bar = estimation.true_noise_functionals(t, depth)
-    t_star = t.mask.total_count(depth)
-    out = {
-        "survived": True,
-        "sigma_bias": t_star * (s_seq - s_bar) / depth,
-    }
-    if r_seq is not None and r_bar is not None:
-        out["rho_bias"] = t_star * (r_seq - r_bar) / depth
+    cfg, depth, seeds = args
+    forest = _simulate(cfg, depth, seeds)
+    s_seq, r_seq, s_bar, r_bar, with_pairs = estimation.forest_variance_functionals(forest, depth)
+    scale = forest.mask.cells_through(depth) / depth
+    out = _rows(
+        forest.mask.generation_sizes(depth) > 0,
+        sigma_bias=scale * (s_seq - s_bar),
+        rho_bias=scale * (r_seq - r_bar),
+    )
+    for row, ok in zip(out, with_pairs.tolist()):
+        if row["survived"] and not ok:
+            del row["rho_bias"]
     return out
 
 
@@ -311,12 +340,18 @@ def _rep_variance(args):
 # experiments
 
 
-def _run_depths(cfg: McConfig, fn, make_args, depths):
-    """Map a replicate worker over each depth; returns per-depth result lists."""
+def _run_depths(cfg: McConfig, fn, depths, extra=(), grown=0):
+    """Map a block worker over each depth; returns per-depth result lists.
+
+    ``grown`` is how many generations beyond ``depth`` the worker
+    simulates; it enters the block sizing only.
+    """
     results, extinct, surviving, rows = {}, {}, {}, []
     for j, depth in enumerate(depths):
-        payloads = [make_args(cfg, depth, _rep_seed(cfg, j, i)) for i in range(cfg.replicates)]
-        reps = _map_ordered(fn, payloads)
+        seeds = [_rep_seed(cfg, j, i) for i in range(cfg.replicates)]
+        blocks = _blocks(cfg, depth + grown, seeds)
+        reps = [r for block in _map_ordered(fn, [(cfg, depth, b, *extra) for b in blocks])
+                for r in block]
         alive = [r for r in reps if r["survived"]]
         extinct[depth] = cfg.replicates - len(alive)
         surviving[depth] = len(alive)
@@ -326,7 +361,7 @@ def _run_depths(cfg: McConfig, fn, make_args, depths):
             )
         results[depth] = alive
         for i, r in enumerate(reps):
-            base = {"depth": depth, "replicate": i, "seed": _rep_seed(cfg, j, i),
+            base = {"depth": depth, "replicate": i, "seed": seeds[i],
                     "survived": r["survived"]}
             rows.append({**base, "stat": "survived", "value": float(r["survived"])})
             for key, value in r.items():
@@ -340,9 +375,7 @@ def mc_limit_matrices(cfg: McConfig) -> McReport:
     """Medians of the normalised design matrices against their limits."""
     spectrum = _require_supercritical(cfg)
     l0, l1, l01 = limits.design_limits(cfg.bar, cfg.noise, spectrum)
-    results, extinct, surviving, rows = _run_depths(
-        cfg, _rep_design, lambda c, d, s: (c, d, s), cfg.depths
-    )
+    results, extinct, surviving, rows = _run_depths(cfg, _rep_design, cfg.depths, grown=1)
     checks = []
     for depth in cfg.depths:
         alive = results[depth]
@@ -358,9 +391,7 @@ def mc_limit_matrices(cfg: McConfig) -> McReport:
 def mc_consistency_rate(cfg: McConfig) -> McReport:
     """Boundedness proxy for the squared-error consistency rate."""
     _require_supercritical(cfg)
-    results, extinct, surviving, rows = _run_depths(
-        cfg, _rep_consistency, lambda c, d, s: (c, d, s), cfg.depths
-    )
+    results, extinct, surviving, rows = _run_depths(cfg, _rep_consistency, cfg.depths)
     medians = {d: float(np.median([r["rate"] for r in results[d]])) for d in cfg.depths}
     first, last = cfg.depths[0], cfg.depths[-1]
     zero_scale = max(medians[first], _ZERO_TOL)
@@ -412,9 +443,7 @@ def mc_qsl(cfg: McConfig) -> McReport:
     sigma_lim = np.zeros((4, 4))
     sigma_lim[:2, :2], sigma_lim[2:, 2:] = l0, l1
     depth = cfg.depths[-1]
-    results, extinct, surviving, rows = _run_depths(
-        cfg, _rep_qsl, lambda c, d, s: (c, d, s, sigma_lim), (depth,)
-    )
+    results, extinct, surviving, rows = _run_depths(cfg, _rep_qsl, (depth,), extra=(sigma_lim,))
     alive = results[depth]
     target = 4.0 * cfg.noise.sigma2
     pi = spectrum.growth_rate
@@ -452,9 +481,7 @@ def mc_clt(cfg: McConfig) -> McReport:
     spectrum = _require_supercritical(cfg)
     lm = limits.limit_matrices(cfg.bar, cfg.noise, spectrum)
     depth = cfg.depths[-1]
-    results, extinct, surviving, rows = _run_depths(
-        cfg, _rep_clt, lambda c, d, s: (c, d, s), (depth,)
-    )
+    results, extinct, surviving, rows = _run_depths(cfg, _rep_clt, (depth,))
     alive = results[depth]
     n_alive = len(alive)
     scaled = np.array([r["scaled_theta"] for r in alive])
@@ -563,9 +590,7 @@ def mc_variance_estimators(cfg: McConfig) -> McReport:
     """
     spectrum = _require_supercritical(cfg)
     depth = cfg.depths[-1]
-    results, extinct, surviving, rows = _run_depths(
-        cfg, _rep_variance, lambda c, d, s: (c, d, s), (depth,)
-    )
+    results, extinct, surviving, rows = _run_depths(cfg, _rep_variance, (depth,))
     alive = results[depth]
     med_sigma = float(np.median([r["sigma_bias"] for r in alive]))
     target = 4.0 * (spectrum.growth_rate - 1.0) * cfg.noise.sigma2

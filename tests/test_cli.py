@@ -9,7 +9,9 @@ from bartree import (
     BarParams,
     LineageFormatError,
     NoiseParams,
+    ObservedTree,
     ReproductionLaw,
+    ValidationError,
     estimate_theta,
     simulate_joint,
 )
@@ -127,6 +129,34 @@ def test_parse_malformed_number(tmp_path):
     with pytest.raises(LineageFormatError) as err:
         parse_lineage(p)
     assert "malformed value" in str(err.value)
+
+
+def test_lineage_header_and_non_finite_values_exit_2(tmp_path, capsys):
+    cases = {
+        "# root_type: x\n1,1.0\n2,2.0\n": "line 1",
+        "# depth: deep\n1,1.0\n2,2.0\n": "line 1",
+        "1,1.0\n2,nan\n": "line 2",
+        "1,1.0\n2,2.0\n3,-inf\n": "line 3",
+    }
+    for i, (text, where) in enumerate(cases.items()):
+        p = tmp_path / f"t{i}.csv"
+        p.write_text(text)
+        capsys.readouterr()
+        assert run_cli(["estimate", "--input", str(p)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and where in err and "Traceback" not in err
+    mask = tmp_path / "m.csv"
+    mask.write_text("# root_type: odd\n1\n2\n")
+    assert run_cli(["gw", "--input", str(mask)]) == 2
+
+
+def test_from_pairs_rejects_duplicates_and_non_finite_values():
+    with pytest.raises(ValidationError, match="duplicate node ids"):
+        ObservedTree.from_pairs([(1, 0.0), (3, 1.0), (2, 2.0), (3, 3.0)])
+    with pytest.raises(ValidationError, match="non-finite value at node 2"):
+        ObservedTree.from_pairs([(1, 0.0), (2, float("nan"))])
+    tree = ObservedTree.from_pairs([(3, 3.0), (1, 1.0), (2, 2.0), (6, 6.0)])
+    assert [v.tolist() for v in tree.values] == [[1.0], [2.0, 3.0], [6.0]]
 
 
 def test_parse_comments_and_blank_lines(tmp_path):
@@ -367,6 +397,50 @@ def test_verify_rejects_survival_override(tmp_path, capsys):
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "condition_on_survival" in err
     assert run_cli(["verify", "--config", str(ok), "--condition-on-survival", "0"]) == 2
+
+
+def test_verify_rejects_mistyped_config_fields(tmp_path, capsys):
+    doc = {
+        "schema": "bartree-mc-v1",
+        "model": model_doc(),
+        "depths": [6],
+        "replicates": 10,
+        "seed": 2,
+        "checks": ["qsl"],
+    }
+    bad = {
+        "seed": ["abc", True, 2.0],
+        "replicates": [4.7, "10", False],
+        "depths": [[5.9], 6, ["6"], [True]],
+        "checks": ["clt", [1], [["qsl"]]],
+        "level": ["high", None],
+    }
+    path = tmp_path / "bad.json"
+    for key, values in bad.items():
+        for value in values:
+            path.write_text(json.dumps(dict(doc, **{key: value})))
+            capsys.readouterr()
+            assert run_cli(["verify", "--config", str(path)]) == 2, (key, value)
+            err = capsys.readouterr().err
+            assert err.count("\n") == 1 and key in err, (key, value, err)
+
+
+def test_simulate_rejects_mistyped_config_fields(tmp_path, capsys):
+    bad = {"seed": ["abc", 1.5, True], "depth": ["6", 6.0], "root_type": ["odd"], "x1": ["0"]}
+    bad_bar = {"b": ["0.3", None], "allow_unstable": ["false", 0]}
+    bad_noise = {"sigma2": ["1"], "rho": [False]}
+    docs = [(key, model_doc(**{key: v})) for key, values in bad.items() for v in values]
+    docs += [(key, model_doc(bar=dict(model_doc()["bar"], **{key: v})))
+             for key, values in bad_bar.items() for v in values]
+    docs += [(key, model_doc(noise=dict(model_doc()["noise"], **{key: v})))
+             for key, values in bad_noise.items() for v in values]
+    path = tmp_path / "bad.json"
+    for key, doc in docs:
+        path.write_text(json.dumps(doc))
+        capsys.readouterr()
+        rc = run_cli(["simulate", "--config", str(path), "--output", str(tmp_path / "o.csv")])
+        err = capsys.readouterr().err
+        assert rc == 2 and err.count("\n") == 1 and key in err, (key, doc, err)
 
 
 def test_threads_env_respected(tmp_path, monkeypatch, model_config):

@@ -165,6 +165,17 @@ def test_mask_determinism():
     assert any(not np.array_equal(x, y) for x, y in zip(a.generations, c.generations))
 
 
+def test_mask_equality():
+    law = missing_law()
+    a = simulate_mask(law, 10, seed=42)
+    assert a == simulate_mask(law, 10, seed=42)
+    assert a == ObservationMask.from_ids(a.ids(), a.depth, a.root_type)
+    assert a != simulate_mask(law, 10, seed=43)
+    assert a != ObservationMask.from_ids(a.ids(), a.depth + 1, a.root_type)
+    assert a != ObservationMask.from_ids(a.ids(), a.depth, 1 - a.root_type)
+    assert (a == "mask") is False
+
+
 def test_mask_prefix_closure_and_counts():
     law = missing_law()
     for seed in range(25):

@@ -270,6 +270,47 @@ def test_report_independent_of_worker_count(monkeypatch):
     assert serial == pooled
 
 
+def test_report_independent_of_block_layout(tmp_path, monkeypatch):
+    # a small cell budget splits each depth into several forest blocks, which
+    # run inline at one worker and in the pool at two; every layout and
+    # worker count must give the same report bytes
+    from bartree import mc
+    from bartree.cli import run_cli
+
+    doc = {
+        "schema": "bartree-mc-v1",
+        "model": {
+            "bar": {"a": 0.5, "b": 0.3, "c": -0.4, "d": 0.7},
+            "noise": {"sigma2": 1.0, "rho": 0.5},
+            "law": {"type0": {"00": 0.06, "10": 0.54, "01": 0.04, "11": 0.36},
+                    "type1": {"00": 0.14, "10": 0.06, "01": 0.56, "11": 0.24}},
+        },
+        "depths": [5, 7],
+        "replicates": 30,
+        "seed": 21,
+        "checks": sorted(mc.CHECKS),
+    }
+    cfg_path = tmp_path / "mc.json"
+    cfg_path.write_text(json.dumps(doc))
+
+    def report(threads, budget=None):
+        monkeypatch.setenv("BARTREE_THREADS", threads)
+        if budget is not None:
+            monkeypatch.setattr(mc, "BLOCK_CELLS", budget)
+        out = tmp_path / f"r{threads}-{budget}.json"
+        assert run_cli(["verify", "--config", str(cfg_path), "--output", str(out)]) == 0
+        return out.read_bytes()
+
+    unpatched = report("1")
+    cfg = _cfg(law=MISSING, depths=(5, 7), replicates=30)
+    assert len(mc._blocks(cfg, 5, list(range(30)))) == 1
+    assert len(mc._blocks(cfg, 8, list(range(30)))) == 1
+    serial = report("1", budget=150)
+    assert 3 <= len(mc._blocks(cfg, 5, list(range(30)))) < len(mc._blocks(cfg, 8, list(range(30))))
+    pooled = report("2", budget=150)
+    assert serial == pooled == unpatched
+
+
 def test_report_serializable_and_self_describing():
     cfg = _cfg(depths=(8,), replicates=20, seed=2)
     report = mc_qsl(cfg)
