@@ -36,7 +36,6 @@ from .gw import (
     ReproductionLaw,
     estimate_pi,
     extinction_probabilities,
-    extinction_probability,
     renormalized_population,
     simulate_mask,
     spectral,
@@ -44,7 +43,6 @@ from .gw import (
 from .inference import (
     ConfidenceInterval,
     WaldTest,
-    all_wald_tests,
     sigma_rho_cis,
     theta_cis,
     wald_test,
@@ -87,12 +85,10 @@ __all__ = [
     "ValidationError",
     "WaldTest",
     "accumulate_design",
-    "all_wald_tests",
     "design_limits",
     "estimate_pi",
     "estimate_theta",
     "extinction_probabilities",
-    "extinction_probability",
     "limit_matrices",
     "martingale_diagnostics",
     "mc_clt",

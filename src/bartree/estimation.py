@@ -1,17 +1,26 @@
-"""Least-squares estimation on partially observed trees.
+"""Least-squares estimation on partially observed trees and forests.
 
 Everything here is driven by per-generation sufficient statistics: one
 pass over the observed mother/daughter pairs of each generation yields
-the design-matrix and right-hand-side increments, and compensated
-prefix sums across generations give the cumulative objects at every
-level.  The estimator decouples into two 2x2 systems (even and odd
-daughters), solved in closed form; near-singular designs are ridged by
-adding the identity, which the asymptotic theory makes harmless.
+the design-matrix and right-hand-side increments, and exact (correctly
+rounded) prefix sums across generations give the cumulative objects at
+every level.  The estimator decouples into two 2x2 systems (even and
+odd daughters), solved in closed form; near-singular designs are ridged
+by adding the identity, which the asymptotic theory makes harmless.
+
+A single tree is a forest of one replicate, so each statistic has one
+implementation, over ``(replicate, generation)`` rows.  The public
+functions accept a tree or a forest (the replicates of a Monte Carlo
+block, see :class:`~bartree.gw.ObservationMask`) and return a forest's
+results with a leading replicate axis and a tree's as plain values.  A
+forest sums each replicate's segment of per-cell terms; a single tree
+keeps plain ``.sum()`` and ``@`` reductions, which need no per-cell
+term array.
 """
 
 from __future__ import annotations
 
-import math
+import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,8 +59,7 @@ class _Frame:
 def _frames(tree, upto: int) -> list[_Frame | None]:
     """Per-generation frames for mothers in generations ``0..upto``.
 
-    ``tree`` is an :class:`ObservedTree` or an :class:`ObservedForest`;
-    a forest's frames concatenate its replicates' generations.
+    A forest's frames concatenate its replicates' generations.
     """
     if upto + 1 > tree.depth:
         raise ValidationError(
@@ -81,35 +89,136 @@ def _frames(tree, upto: int) -> list[_Frame | None]:
     return frames
 
 
-def _stats_table(frames: list[_Frame | None]) -> np.ndarray:
-    table = np.zeros((len(frames), _NCOLS))
+def _generation_stats(f: _Frame, bounds: np.ndarray, forest: bool) -> np.ndarray:
+    """Statistics rows ``(R, 20)`` of one generation: sums over each replicate's mothers.
+
+    The two layouts part here (and in :func:`_residual_sums`): a forest
+    sums segments of the per-cell terms ``(20, cells)``; a single tree
+    reduces each column directly, which is faster, holds no term array,
+    and keeps the bytes its reports have always had.
+    """
+    xk, xk2 = f.xk, f.xk * f.xk
+    e, o = f.has_e.astype(float), f.has_o.astype(float)
+    p = e * o
+    if forest:
+        t = np.empty((_NCOLS, xk.size))
+        t[_C0], t[_SX0], t[_SXX0] = e, xk * e, xk2 * e
+        t[_C1], t[_SX1], t[_SXX1] = o, xk * o, xk2 * o
+        t[_CP], t[_SXP], t[_SXXP] = p, xk * p, xk2 * p
+        t[_R0], t[_R0X] = f.xe, xk * f.xe
+        t[_R1], t[_R1X] = f.xo, xk * f.xo
+        t[_OBS] = 1.0
+        t[_M0], t[_M0X] = f.eps_e, xk * f.eps_e
+        t[_M1], t[_M1X] = f.eps_o, xk * f.eps_o
+        t[_TE2] = f.eps_e * f.eps_e + f.eps_o * f.eps_o
+        t[_TEP] = f.eps_e * f.eps_o
+        return _segment_sums(t, bounds)
+    row = np.empty(_NCOLS)
+    row[_C0], row[_SX0], row[_SXX0] = e.sum(), xk @ e, xk2 @ e
+    row[_C1], row[_SX1], row[_SXX1] = o.sum(), xk @ o, xk2 @ o
+    row[_CP], row[_SXP], row[_SXXP] = p.sum(), xk @ p, xk2 @ p
+    row[_R0], row[_R0X] = f.xe.sum(), xk @ f.xe
+    row[_R1], row[_R1X] = f.xo.sum(), xk @ f.xo
+    row[_OBS] = xk.size
+    row[_M0], row[_M0X] = f.eps_e.sum(), xk @ f.eps_e
+    row[_M1], row[_M1X] = f.eps_o.sum(), xk @ f.eps_o
+    row[_TE2] = f.eps_e @ f.eps_e + f.eps_o @ f.eps_o
+    row[_TEP] = f.eps_e @ f.eps_o
+    return row
+
+
+def _finite(sums: np.ndarray) -> np.ndarray:
+    """The finite gate: ``sums``, unless values too large to fit made one inf or NaN.
+
+    The public functions below run with overflow warnings off; the
+    statistics and the residual sums pass through here instead, so that
+    such data end in :class:`NumericalError`.
+    """
+    if not np.isfinite(sums).all():
+        raise NumericalError("sums overflow: the values are too large to fit")
+    return sums
+
+
+def _statistics(tree, upto: int, levels):
+    """Frames, and cumulative statistics ``(R, len(levels), 20)`` over mothers ``0..l``.
+
+    Each cumulative row is the exact (correctly rounded) sum of its
+    generation rows.
+    """
+    frames = _frames(tree, upto)
+    table = np.zeros((tree.mask.replicates, upto + 1, _NCOLS))
     for r, f in enumerate(frames):
-        if f is None:
-            continue
-        row = table[r]
-        xk, xk2 = f.xk, f.xk * f.xk
-        e, o = f.has_e.astype(float), f.has_o.astype(float)
-        p = e * o
-        row[_C0], row[_SX0], row[_SXX0] = e.sum(), xk @ e, xk2 @ e
-        row[_C1], row[_SX1], row[_SXX1] = o.sum(), xk @ o, xk2 @ o
-        row[_CP], row[_SXP], row[_SXXP] = p.sum(), xk @ p, xk2 @ p
-        row[_R0], row[_R0X] = f.xe.sum(), xk @ f.xe
-        row[_R1], row[_R1X] = f.xo.sum(), xk @ f.xo
-        row[_OBS] = f.xk.size
-        row[_M0], row[_M0X] = f.eps_e.sum(), xk @ f.eps_e
-        row[_M1], row[_M1X] = f.eps_o.sum(), xk @ f.eps_o
-        row[_TE2] = f.eps_e @ f.eps_e + f.eps_o @ f.eps_o
-        row[_TEP] = f.eps_e @ f.eps_o
-    return table
+        if f is not None:
+            table[:, r] = _generation_stats(f, tree.mask.bounds[r], tree.mask.forest)
+    return frames, _finite(_exact_prefix(table, levels))
 
 
-def _prefix_fsum(table: np.ndarray) -> np.ndarray:
-    """Exact prefix sums of each column (compensated accumulation)."""
-    out = np.empty_like(table)
-    for j in range(table.shape[1]):
-        col = table[:, j].tolist()
-        out[:, j] = [math.fsum(col[: i + 1]) for i in range(len(col))]
-    return out
+def _residual_sums(f: _Frame, theta: np.ndarray, bounds: np.ndarray, forest: bool, fourth: bool):
+    """Per-replicate residual sums ``(R, k)`` of one generation at coefficients ``theta (R, 4)``.
+
+    Columns: the residual sum of squares and the sister products, and
+    with ``fourth`` the fourth powers and the squared sister products.
+    As in :func:`_generation_stats`, a single tree reduces directly;
+    its plain fit and its sequential functionals keep the RSS
+    reductions they have always used.
+    """
+    if forest:
+        a, b, c, d = np.repeat(theta, np.diff(bounds), axis=0).T
+    else:
+        a, b, c, d = theta[0]
+    re = np.where(f.has_e, f.xe - (a + b * f.xk), 0.0)
+    ro = np.where(f.has_o, f.xo - (c + d * f.xk), 0.0)
+    re2, ro2 = re * re, ro * ro
+    if not forest:
+        if fourth:
+            return np.array([re2.sum() + ro2.sum(), re @ ro, re2 @ re2 + ro2 @ ro2, re2 @ ro2])
+        return np.array([re @ re + ro @ ro, re @ ro])
+    terms = [re2, ro2, re * ro]
+    if fourth:
+        terms += [re2 * re2, ro2 * ro2, re2 * ro2]
+    s = _segment_sums(np.stack(terms), bounds)
+    cols = [s[:, 0] + s[:, 1], s[:, 2]]
+    if fourth:
+        cols += [s[:, 3] + s[:, 4], s[:, 5]]
+    return np.stack(cols, axis=-1)
+
+
+def _residual_totals(frames, mask, thetas: np.ndarray, fourth: bool) -> np.ndarray:
+    """Exact residual sums ``(R, k)`` over the frames; ``thetas[:, r]`` fits generation ``r``."""
+    rows = np.zeros((mask.replicates, len(frames), 4 if fourth else 2))
+    for r, f in enumerate(frames):
+        if f is not None:
+            rows[:, r] = _residual_sums(f, thetas[:, r], mask.bounds[r], mask.forest, fourth)
+    return _finite(exact_sum(rows))
+
+
+def _per_pair(total: np.ndarray, pairs: np.ndarray) -> np.ndarray:
+    """``total / pairs``, NaN (not estimable) where no mother has both daughters observed."""
+    return np.where(pairs > 0, total / np.maximum(pairs, 1), np.nan)
+
+
+def _per_tree(tree, result):
+    """``result`` as computed, for a forest; for a single tree, its one replicate.
+
+    Arrays lose their leading replicate axis, and per-replicate numbers
+    become Python numbers, NaN (not estimable) becoming ``None``.
+    """
+    if tree.mask.forest:
+        return result
+
+    def one(x):
+        if isinstance(x, tuple):
+            return tuple(map(one, x))
+        if dataclasses.is_dataclass(x):
+            return type(x)(**{f.name: one(getattr(x, f.name)) for f in dataclasses.fields(x)})
+        if not isinstance(x, np.ndarray):
+            return x
+        if x.ndim > 1:
+            return x[0]
+        value = x[0].item()
+        return None if value != value else value
+
+    return one(result)
 
 
 def _block(row: np.ndarray, c: int, sx: int, sxx: int) -> np.ndarray:
@@ -142,7 +251,7 @@ def solve2(m: np.ndarray, v: np.ndarray, what: str = "a 2x2 design block") -> np
 class DesignMatrices:
     """Cumulative design objects over mothers of generations ``0..n``.
 
-    For a forest every field carries a leading replicate axis.
+    For a forest every field but ``n`` carries a leading replicate axis.
     """
 
     n: int
@@ -170,22 +279,27 @@ class DesignMatrices:
         return out
 
 
+def _design(mask, cum: np.ndarray, n: int, ridge=0.0) -> DesignMatrices:
+    """Design matrices over mothers ``0..n`` from cumulative rows ``(R, 20)``."""
+    return DesignMatrices(
+        n=n,
+        s0=_block(cum, _C0, _SX0, _SXX0) + ridge,
+        s1=_block(cum, _C1, _SX1, _SXX1) + ridge,
+        s01=_block(cum, _CP, _SXP, _SXXP),
+        t_star=mask.cells_through(n),
+        t_star_pairs=np.rint(cum[:, _CP]).astype(np.int64),
+        g_star=mask.generation_sizes(n),
+    )
+
+
+@np.errstate(over="ignore", invalid="ignore")
 def accumulate_design(tree: ObservedTree, n: int) -> DesignMatrices:
     """Design matrices over mothers in generations ``0..n``.
 
     Needs the daughters of generation ``n``, hence tree depth ``n + 1``.
     """
-    frames = _frames(tree, n)
-    cum = _prefix_fsum(_stats_table(frames))[n]
-    return DesignMatrices(
-        n=n,
-        s0=_block(cum, _C0, _SX0, _SXX0),
-        s1=_block(cum, _C1, _SX1, _SXX1),
-        s01=_block(cum, _CP, _SXP, _SXXP),
-        t_star=tree.mask.total_count(n),
-        t_star_pairs=int(round(cum[_CP])),
-        g_star=tree.mask.generation_count(n),
-    )
+    _, cum = _statistics(tree, n, [n])
+    return _per_tree(tree, _design(tree.mask, cum[:, 0], n))
 
 
 @dataclass(frozen=True)
@@ -194,14 +308,16 @@ class ThetaEstimate:
 
     Carries the plug-in variance material needed downstream: the design
     at the mothers' level, residual moment estimates, and the observed
-    pair bookkeeping.  ``rho_hat`` is ``None`` (with a reason) when no
-    mother has both daughters observed.
+    pair bookkeeping.  ``rho_hat`` and ``nu2_tau4_hat`` are ``None``
+    when no mother has both daughters observed.  For a forest every
+    field but ``n`` carries a leading replicate axis, with NaN for an
+    absent pair moment; the residual moments (``sigma2_hat`` to
+    ``nu2_tau4_hat``) are ``None`` unless they were asked for.
     """
 
     theta_hat: np.ndarray
     sigma2_hat: float
     rho_hat: float | None
-    rho_absent_reason: str | None
     design: DesignMatrices
     regularized: bool
     n: int
@@ -213,6 +329,10 @@ class ThetaEstimate:
     pbar_hat: float
     pi_hat: float
     solve_residual: float
+
+    @property
+    def rho_absent_reason(self) -> str | None:
+        return "no mother has both daughters observed" if self.rho_hat is None else None
 
     @property
     def a(self) -> float:
@@ -241,7 +361,7 @@ def _solve_level(cum_row: np.ndarray):
     s0 = _block(cum_row, _C0, _SX0, _SXX0)
     s1 = _block(cum_row, _C1, _SX1, _SXX1)
     regularized = _needs_ridge(s0) | _needs_ridge(s1)
-    ridge = np.where(np.asarray(regularized)[..., None, None], np.eye(2), 0.0)
+    ridge = np.where(regularized[..., None, None], np.eye(2), 0.0)
     s0, s1 = s0 + ridge, s1 + ridge
     rhs = cum_row[..., [_R0, _R0X, _R1, _R1X]]
     theta = np.concatenate([solve2(s0, rhs[..., :2]), solve2(s1, rhs[..., 2:])], axis=-1)
@@ -254,27 +374,8 @@ def _solve_level(cum_row: np.ndarray):
     return theta, regularized, rel
 
 
-def _residual_moments(frames, theta, upto):
-    """Residual sums over mothers ``0..upto`` at a fixed coefficient vector."""
-    a, b, c, d = theta
-    rows = np.zeros((upto + 1, 4))  # rss, pair, fourth, pair-square
-    for r in range(upto + 1):
-        f = frames[r]
-        if f is None:
-            continue
-        re = np.where(f.has_e, f.xe - (a + b * f.xk), 0.0)
-        ro = np.where(f.has_o, f.xo - (c + d * f.xk), 0.0)
-        re2, ro2 = re * re, ro * ro
-        rows[r] = (
-            re2.sum() + ro2.sum(),
-            re @ ro,
-            re2 @ re2 + ro2 @ ro2,
-            re2 @ ro2,
-        )
-    return [math.fsum(rows[:, j].tolist()) for j in range(4)]
-
-
-def estimate_theta(tree: ObservedTree, n: int) -> ThetaEstimate:
+@np.errstate(over="ignore", invalid="ignore")
+def estimate_theta(tree: ObservedTree, n: int, moments: bool = True) -> ThetaEstimate:
     """Least-squares coefficients from the observed tree through generation ``n``.
 
     Solves the two decoupled 2x2 systems over mothers of generations
@@ -282,56 +383,45 @@ def estimate_theta(tree: ObservedTree, n: int) -> ThetaEstimate:
     identity is added to the whole design (flagged as ``regularized``).
     Residuals at the fitted coefficients then give the noise variance
     and sister-covariance estimates together with their fourth-moment
-    analogues used by the plug-in confidence intervals.
+    analogues used by the plug-in confidence intervals; ``moments=False``
+    skips that residual pass.  A forest's extinct replicates are fitted
+    too (a bare root gives a ridged zero fit); callers discard them.
     """
     if n < 1:
         raise ValidationError(f"estimation needs n >= 1, got {n}")
-    frames = _frames(tree, n - 1)
-    cum = _prefix_fsum(_stats_table(frames))
-    t_star_parents = tree.mask.total_count(n - 1)
-    t_star = tree.mask.total_count(n)
-    if t_star <= 1:
+    mask = tree.mask
+    frames, cum = _statistics(tree, n - 1, [n - 1])
+    cum = cum[:, 0]
+    t_star = mask.cells_through(n)
+    if not mask.forest and t_star[0] <= 1:
         raise EstimationError("no observed daughters: the observed tree is the bare root")
 
-    theta, regularized, rel = _solve_level(cum[n - 1])
-    regularized = bool(regularized)
-
-    rss, pair_sum, fourth, pair_sq = _residual_moments(frames, theta, n - 1)
-    pairs = int(round(cum[n - 1, _CP]))
-    sigma2_hat = rss / t_star
-    tau4_hat = fourth / t_star
-    if pairs > 0:
-        rho_hat, nu2_tau4_hat, reason = pair_sum / pairs, pair_sq / pairs, None
-    else:
-        rho_hat, nu2_tau4_hat = None, None
-        reason = "no mother has both daughters observed"
-
-    design = DesignMatrices(
-        n=n - 1,
-        s0=_block(cum[n - 1], _C0, _SX0, _SXX0) + (np.eye(2) if regularized else 0.0),
-        s1=_block(cum[n - 1], _C1, _SX1, _SXX1) + (np.eye(2) if regularized else 0.0),
-        s01=_block(cum[n - 1], _CP, _SXP, _SXXP),
-        t_star=t_star_parents,
-        t_star_pairs=pairs,
-        g_star=tree.mask.generation_count(n - 1),
-    )
-    return ThetaEstimate(
+    theta, regularized, rel = _solve_level(cum)
+    design = _design(mask, cum, n - 1, np.where(regularized[:, None, None], np.eye(2), 0.0))
+    pairs = design.t_star_pairs
+    residual = dict.fromkeys(("sigma2_hat", "rho_hat", "tau4_hat", "nu2_tau4_hat"))
+    if moments:
+        thetas = np.broadcast_to(theta[:, None], (theta.shape[0], n, 4))
+        rss, pair_sum, fourth, pair_sq = _residual_totals(frames, mask, thetas, fourth=True).T
+        residual = dict(
+            sigma2_hat=rss / t_star,
+            rho_hat=_per_pair(pair_sum, pairs),
+            tau4_hat=fourth / t_star,
+            nu2_tau4_hat=_per_pair(pair_sq, pairs),
+        )
+    return _per_tree(tree, ThetaEstimate(
         theta_hat=theta,
-        sigma2_hat=sigma2_hat,
-        rho_hat=rho_hat,
-        rho_absent_reason=reason,
         design=design,
         regularized=regularized,
         n=n,
         t_star=t_star,
-        t_star_parents=t_star_parents,
+        t_star_parents=design.t_star,
         pair_parents=pairs,
-        tau4_hat=tau4_hat,
-        nu2_tau4_hat=nu2_tau4_hat,
-        pbar_hat=pairs / t_star_parents,
-        pi_hat=growth_rate_ratio(tree.mask, n),
-        solve_residual=float(rel),
-    )
+        pbar_hat=pairs / design.t_star,
+        pi_hat=growth_rate_ratio(mask, n),
+        solve_residual=rel,
+        **residual,
+    ))
 
 
 @dataclass(frozen=True)
@@ -347,23 +437,25 @@ class ThetaPath:
     design: np.ndarray       # (n, 4, 4) unridged block-diagonal design S*_{l-1}
 
 
-def theta_path(tree: ObservedTree, n: int) -> ThetaPath:
-    """All level-``l`` coefficient estimates for ``l = 1..n`` in one pass."""
-    if n < 1:
-        raise ValidationError(f"estimation needs n >= 1, got {n}")
-    frames = _frames(tree, n - 1)
-    cum = _prefix_fsum(_stats_table(frames))
-    parents = np.cumsum([tree.mask.generation_count(r) for r in range(n)])
-    return _path(cum, parents)
-
-
-def _path(cum: np.ndarray, parents: np.ndarray) -> ThetaPath:
-    """Fits at every level from cumulative rows ``(..., n, 20)``."""
+def _path(mask, cum: np.ndarray) -> ThetaPath:
+    """Fits at every level from cumulative rows ``(R, n, 20)``."""
     thetas, flags, _ = _solve_level(cum)
     design = np.zeros(cum.shape[:-1] + (4, 4))
     design[..., :2, :2] = _block(cum, _C0, _SX0, _SXX0)
     design[..., 2:, 2:] = _block(cum, _C1, _SX1, _SXX1)
-    return ThetaPath(theta=thetas, regularized=flags, t_star_parents=parents, design=design)
+    sizes = np.stack([mask.generation_sizes(r) for r in range(cum.shape[1])], axis=1)
+    return ThetaPath(
+        theta=thetas, regularized=flags, t_star_parents=np.cumsum(sizes, axis=1), design=design
+    )
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def theta_path(tree: ObservedTree, n: int) -> ThetaPath:
+    """All level-``l`` coefficient estimates for ``l = 1..n`` in one pass."""
+    if n < 1:
+        raise ValidationError(f"estimation needs n >= 1, got {n}")
+    _, cum = _statistics(tree, n - 1, range(n))
+    return _per_tree(tree, _path(tree.mask, cum))
 
 
 @dataclass(frozen=True)
@@ -373,7 +465,8 @@ class MartingaleDiagnostics:
     Levels whose design is singular (always the first one: a lone root
     cannot identify two coefficients) are excluded from the quadratic
     forms unless the score vanishes there; ``valid`` marks the levels
-    entering ``qsl_running``.
+    entering ``qsl_running``.  For a forest every field carries a
+    leading replicate axis.
     """
 
     m_path: np.ndarray       # (n, 4); row l - 1 is the score at level l
@@ -382,6 +475,7 @@ class MartingaleDiagnostics:
     valid: np.ndarray        # (n,) bool
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def martingale_diagnostics(
     tree: ObservedTree, theta_true: BarParams, up_to_n: int
 ) -> MartingaleDiagnostics:
@@ -390,50 +484,46 @@ def martingale_diagnostics(
         raise ValidationError("martingale diagnostics need recorded true noise")
     if up_to_n < 1:
         raise ValidationError(f"need up_to_n >= 1, got {up_to_n}")
-    frames = _frames(tree, up_to_n - 1)
-    cum = _prefix_fsum(_stats_table(frames))
-
     n = up_to_n
-    m_path = np.column_stack([cum[:n, j] for j in (_M0, _M0X, _M1, _M1X)])
-    v_path = np.full(n, np.nan)
-    valid = np.zeros(n, dtype=bool)
-    for level in range(1, n + 1):
-        row = cum[level - 1]
-        m = m_path[level - 1]
-        if not m.any():
-            v_path[level - 1] = 0.0
-            valid[level - 1] = True
-            continue
-        s0 = _block(row, _C0, _SX0, _SXX0)
-        s1 = _block(row, _C1, _SX1, _SXX1)
-        if _needs_ridge(s0) or _needs_ridge(s1):
-            continue
-        v_path[level - 1] = float(m[:2] @ solve2(s0, m[:2]) + m[2:] @ solve2(s1, m[2:]))
-        valid[level - 1] = True
+    _, cum = _statistics(tree, n - 1, range(n))
+    m = cum[..., [_M0, _M0X, _M1, _M1X]]
+    s0 = _block(cum, _C0, _SX0, _SXX0)
+    s1 = _block(cum, _C1, _SX1, _SXX1)
+    singular = _needs_ridge(s0) | _needs_ridge(s1)
+    zero = ~m.any(axis=-1)
+    # singular levels solve against the identity; their forms are discarded
+    eye = singular[..., None, None]
+    s0, s1 = np.where(eye, np.eye(2), s0), np.where(eye, np.eye(2), s1)
 
-    qsl = np.full(n, np.nan)
-    seen: list[float] = []
-    for level in range(n):
-        if valid[level]:
-            seen.append(float(v_path[level]))
-        if seen:
-            qsl[level] = math.fsum(seen) / len(seen)
-    return MartingaleDiagnostics(m_path=m_path, v_path=v_path, qsl_running=qsl, valid=valid)
+    def form(x, s):  # x' s^-1 x; a stacked matmul gives a 2-vector's dot bit for bit
+        return np.matmul(x[..., None, :], solve2(s, x)[..., None])[..., 0, 0]
+
+    v = form(m[..., :2], s0) + form(m[..., 2:], s1)
+    valid = zero | ~singular
+    v_path = np.where(zero, 0.0, np.where(singular, np.nan, v))
+    seen = np.cumsum(valid, axis=-1)
+    sums = _exact_prefix(np.where(valid, v_path, 0.0)[..., None], range(n))[..., 0]
+    qsl = np.where(seen > 0, sums / np.maximum(seen, 1), np.nan)
+    diagnostics = MartingaleDiagnostics(m_path=m, v_path=v_path, qsl_running=qsl, valid=valid)
+    return _per_tree(tree, diagnostics)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def true_noise_functionals(tree: ObservedTree, n: int) -> tuple[float, float | None]:
-    """Variance and covariance functionals evaluated at the recorded noise."""
+    """Variance and covariance functionals evaluated at the recorded noise.
+
+    The covariance is ``None`` (NaN in a forest) when no mother has both
+    daughters observed.
+    """
     if not tree.has_noise:
         raise ValidationError("true-noise functionals need recorded noise")
-    frames = _frames(tree, n - 1)
-    cum = _prefix_fsum(_stats_table(frames))[n - 1]
-    t_star = tree.mask.total_count(n)
-    pairs = int(round(cum[_CP]))
-    sigma2 = cum[_TE2] / t_star
-    rho = cum[_TEP] / pairs if pairs > 0 else None
-    return sigma2, rho
+    _, cum = _statistics(tree, n - 1, [n - 1])
+    last = cum[:, 0]
+    sigma2 = last[:, _TE2] / tree.mask.cells_through(n)
+    return _per_tree(tree, (sigma2, _per_pair(last[:, _TEP], np.rint(last[:, _CP]))))
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def sequential_variance_functionals(
     tree: ObservedTree, n: int
 ) -> tuple[float, float | None]:
@@ -445,37 +535,25 @@ def sequential_variance_functionals(
     what the bias limit theorems describe; the plain estimators in
     :func:`estimate_theta` use the final fit instead.  Levels whose fit
     had to be ridged (always the first) fall back to the final fit, so
-    exactly self-consistent data yield exactly zero residual gaps.
+    exactly self-consistent data yield exactly zero residual gaps.  The
+    covariance is ``None`` (NaN in a forest) when no mother has both
+    daughters observed.
     """
-    path = theta_path(tree, n)
-    frames = _frames(tree, n - 1)
-    rows = np.zeros((n, 2))
-    pair_counts = np.zeros(n)
-    for r in range(n):
-        f = frames[r]
-        if f is None:
-            continue
-        level = max(r, 1)
-        if path.regularized[level - 1]:
-            level = n
-        a, b, c, d = path.theta[level - 1]
-        re = np.where(f.has_e, f.xe - (a + b * f.xk), 0.0)
-        ro = np.where(f.has_o, f.xo - (c + d * f.xk), 0.0)
-        rows[r] = (re @ re + ro @ ro, re @ ro)
-        pair_counts[r] = float((f.has_e & f.has_o).sum())
-    t_star = tree.mask.total_count(n)
-    pairs = int(round(math.fsum(pair_counts.tolist())))
-    sigma2 = math.fsum(rows[:, 0].tolist()) / t_star
-    rho = math.fsum(rows[:, 1].tolist()) / pairs if pairs > 0 else None
-    return sigma2, rho
+    if n < 1:
+        raise ValidationError(f"estimation needs n >= 1, got {n}")
+    mask = tree.mask
+    frames, cum = _statistics(tree, n - 1, range(n))
+    path = _path(mask, cum)
+    level = np.maximum(np.arange(n), 1)  # the fit generation r's residuals are taken at
+    level = np.where(path.regularized[:, level - 1], n, level)
+    thetas = np.take_along_axis(path.theta, level[..., None] - 1, axis=1)
+    rss, pair_sum = _residual_totals(frames, mask, thetas, fourth=False).T
+    sigma2 = rss / mask.cells_through(n)
+    return _per_tree(tree, (sigma2, _per_pair(pair_sum, np.rint(cum[:, -1, _CP]))))
 
 
 # ---------------------------------------------------------------------------
-# forests: every replicate of a Monte Carlo block at once
-#
-# The per-generation passes run over a forest's concatenated generations;
-# per-replicate sums come from segment reductions, and sums across
-# generations from exact (correctly rounded) prefix sums, as above.
+# exact sums across generations
 
 
 def _segment_sums(terms: np.ndarray, bounds: np.ndarray) -> np.ndarray:
@@ -490,35 +568,6 @@ def _segment_sums(terms: np.ndarray, bounds: np.ndarray) -> np.ndarray:
     if full.any():
         out[full] = np.add.reduceat(terms, starts[full], axis=1).T
     return out
-
-
-def _cell_terms(f: _Frame) -> np.ndarray:
-    """The per-cell terms ``(20, cells)`` whose sums are the table columns."""
-    xk, xk2 = f.xk, f.xk * f.xk
-    e, o = f.has_e.astype(float), f.has_o.astype(float)
-    p = e * o
-    t = np.empty((_NCOLS, xk.size))
-    t[_C0], t[_SX0], t[_SXX0] = e, xk * e, xk2 * e
-    t[_C1], t[_SX1], t[_SXX1] = o, xk * o, xk2 * o
-    t[_CP], t[_SXP], t[_SXXP] = p, xk * p, xk2 * p
-    t[_R0], t[_R0X] = f.xe, xk * f.xe
-    t[_R1], t[_R1X] = f.xo, xk * f.xo
-    t[_OBS] = 1.0
-    t[_M0], t[_M0X] = f.eps_e, xk * f.eps_e
-    t[_M1], t[_M1X] = f.eps_o, xk * f.eps_o
-    t[_TE2] = f.eps_e * f.eps_e + f.eps_o * f.eps_o
-    t[_TEP] = f.eps_e * f.eps_o
-    return t
-
-
-def _forest_table(forest, upto: int):
-    """Frames and per-(replicate, generation) statistics ``(R, upto + 1, 20)``."""
-    frames = _frames(forest, upto)
-    table = np.zeros((forest.mask.replicates, upto + 1, _NCOLS))
-    for r, f in enumerate(frames):
-        if f is not None:
-            table[:, r] = _segment_sums(_cell_terms(f), forest.mask.bounds[r])
-    return frames, table
 
 
 def _exact_prefix(table: np.ndarray, levels) -> np.ndarray:
@@ -581,162 +630,3 @@ def _round_expansion(parts: list[np.ndarray]) -> np.ndarray:
     return np.where(tie, x, hi)
 
 
-def _residual_sums(f: _Frame, theta: np.ndarray, bounds: np.ndarray, fourth: bool) -> np.ndarray:
-    """Per-replicate residual sums of one generation at coefficients ``theta (R, 4)``.
-
-    Columns: the residual sum of squares and the sister products, and
-    with ``fourth`` the fourth powers and the squared sister products;
-    even and odd daughters are summed apart, then added.
-    """
-    rep = np.repeat(np.arange(bounds.size - 1), np.diff(bounds))
-    a, b, c, d = theta[rep].T
-    re = np.where(f.has_e, f.xe - (a + b * f.xk), 0.0)
-    ro = np.where(f.has_o, f.xo - (c + d * f.xk), 0.0)
-    re2, ro2 = re * re, ro * ro
-    terms = [re2, ro2, re * ro]
-    if fourth:
-        terms += [re2 * re2, ro2 * ro2, re2 * ro2]
-    s = _segment_sums(np.stack(terms), bounds)
-    cols = [s[:, 0] + s[:, 1], s[:, 2]]
-    if fourth:
-        cols += [s[:, 3] + s[:, 4], s[:, 5]]
-    return np.stack(cols, axis=-1)
-
-
-@dataclass(frozen=True)
-class ForestEstimate:
-    """:func:`estimate_theta` for every replicate of a forest, as arrays.
-
-    Fields mean what they mean in :class:`ThetaEstimate`, with a leading
-    replicate axis.  ``rho_hat`` and ``nu2_tau4_hat`` are 0 where
-    ``pair_parents`` is 0.  The residual moments (``sigma2_hat`` to
-    ``nu2_tau4_hat``) are ``None`` unless they were asked for.
-    """
-
-    theta_hat: np.ndarray
-    regularized: np.ndarray
-    design: DesignMatrices
-    t_star: np.ndarray
-    t_star_parents: np.ndarray
-    pair_parents: np.ndarray
-    pbar_hat: np.ndarray
-    pi_hat: np.ndarray
-    sigma2_hat: np.ndarray | None = None
-    rho_hat: np.ndarray | None = None
-    tau4_hat: np.ndarray | None = None
-    nu2_tau4_hat: np.ndarray | None = None
-
-
-def forest_design(forest, n: int) -> DesignMatrices:
-    """:func:`accumulate_design` for every replicate of a forest."""
-    _, table = _forest_table(forest, n)
-    cum = exact_sum(table)
-    return DesignMatrices(
-        n=n,
-        s0=_block(cum, _C0, _SX0, _SXX0),
-        s1=_block(cum, _C1, _SX1, _SXX1),
-        s01=_block(cum, _CP, _SXP, _SXXP),
-        t_star=forest.mask.cells_through(n),
-        t_star_pairs=np.rint(cum[:, _CP]).astype(np.int64),
-        g_star=forest.mask.generation_sizes(n),
-    )
-
-
-def forest_estimate(forest, n: int, moments: bool = True) -> ForestEstimate:
-    """:func:`estimate_theta` for every replicate of a forest.
-
-    Extinct replicates are fitted too (a bare root gives a ridged zero
-    fit); callers discard them.  ``moments`` adds the residual pass.
-    """
-    if n < 1:
-        raise ValidationError(f"estimation needs n >= 1, got {n}")
-    frames, table = _forest_table(forest, n - 1)
-    cum = exact_sum(table)
-    theta, regularized, _ = _solve_level(cum)
-    t_star = forest.mask.cells_through(n)
-    t_star_parents = t_star - forest.mask.generation_sizes(n)
-    pairs = np.rint(cum[:, _CP]).astype(np.int64)
-    ridge = np.where(regularized[:, None, None], np.eye(2), 0.0)
-    design = DesignMatrices(
-        n=n - 1,
-        s0=_block(cum, _C0, _SX0, _SXX0) + ridge,
-        s1=_block(cum, _C1, _SX1, _SXX1) + ridge,
-        s01=_block(cum, _CP, _SXP, _SXXP),
-        t_star=t_star_parents,
-        t_star_pairs=pairs,
-        g_star=forest.mask.generation_sizes(n - 1),
-    )
-    fit = dict(
-        theta_hat=theta,
-        regularized=regularized,
-        design=design,
-        t_star=t_star,
-        t_star_parents=t_star_parents,
-        pair_parents=pairs,
-        pbar_hat=pairs / t_star_parents,
-        pi_hat=(t_star - 1) / t_star_parents,
-    )
-    if moments:
-        rows = np.zeros((theta.shape[0], n, 4))
-        for r, f in enumerate(frames):
-            if f is not None:
-                rows[:, r] = _residual_sums(f, theta, forest.mask.bounds[r], fourth=True)
-        rss, pair_sum, fourth, pair_sq = exact_sum(rows).T
-        with_pairs = pairs > 0
-        per_pair = np.maximum(pairs, 1)
-        fit.update(
-            sigma2_hat=rss / t_star,
-            tau4_hat=fourth / t_star,
-            rho_hat=np.where(with_pairs, pair_sum / per_pair, 0.0),
-            nu2_tau4_hat=np.where(with_pairs, pair_sq / per_pair, 0.0),
-        )
-    return ForestEstimate(**fit)
-
-
-def forest_theta_path(forest, n: int) -> ThetaPath:
-    """:func:`theta_path` for every replicate of a forest (fields gain a replicate axis)."""
-    if n < 1:
-        raise ValidationError(f"estimation needs n >= 1, got {n}")
-    _, table = _forest_table(forest, n - 1)
-    return _forest_path(forest, _exact_prefix(table, range(n)))
-
-
-def _forest_path(forest, cum: np.ndarray) -> ThetaPath:
-    """Fits at every level from a forest's cumulative rows ``(R, n, 20)``."""
-    sizes = np.stack([forest.mask.generation_sizes(r) for r in range(cum.shape[1])], axis=1)
-    return _path(cum, np.cumsum(sizes, axis=1))
-
-
-def forest_variance_functionals(forest, n: int):
-    """Sequential and true-noise variance functionals for every replicate.
-
-    Returns ``(sigma2_seq, rho_seq, sigma2_true, rho_true, with_pairs)``:
-    :func:`sequential_variance_functionals` and
-    :func:`true_noise_functionals` per replicate, with both covariance
-    functionals 0 where ``with_pairs`` is false.
-    """
-    if n < 1:
-        raise ValidationError(f"estimation needs n >= 1, got {n}")
-    frames, table = _forest_table(forest, n - 1)
-    cum = _exact_prefix(table, range(n))
-    path = _forest_path(forest, cum)
-    reps = np.arange(table.shape[0])
-    rows = np.zeros((table.shape[0], n, 2))
-    for r, f in enumerate(frames):
-        if f is not None:
-            level = np.where(path.regularized[:, max(r, 1) - 1], n, max(r, 1))
-            theta = path.theta[reps, level - 1]
-            rows[:, r] = _residual_sums(f, theta, forest.mask.bounds[r], fourth=False)
-    seq = exact_sum(rows)
-    last = cum[:, -1]
-    t_star = forest.mask.cells_through(n)
-    pairs = np.rint(last[:, _CP])
-    with_pairs = pairs > 0
-    per_pair = np.maximum(pairs, 1.0)
-    return (
-        seq[:, 0] / t_star,
-        np.where(with_pairs, seq[:, 1] / per_pair, 0.0),
-        last[:, _TE2] / t_star,
-        np.where(with_pairs, last[:, _TEP] / per_pair, 0.0),
-        with_pairs,
-    )

@@ -11,6 +11,7 @@ probabilities), mask simulation and growth-rate estimation from a mask.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -204,11 +205,6 @@ def extinction_probabilities(
     raise NumericalError("extinction fixed-point iteration did not converge")
 
 
-def extinction_probability(law: ReproductionLaw, root_type: int) -> float:
-    """Extinction probability starting from one individual of ``root_type``."""
-    return extinction_probabilities(law)[_check_root_type(root_type)]
-
-
 def _check_root_type(root_type: int) -> int:
     if root_type not in (0, 1):
         raise ValidationError(f"root type must be 0 or 1, got {root_type}")
@@ -223,45 +219,54 @@ def _child_positions(flags: np.ndarray):
 
 @dataclass(eq=False)
 class ObservationMask:
-    """Observed cells of a partially observed binary tree.
+    """Observed cells of a partially observed binary tree, or of a forest of them.
 
     The stored record is the Galton-Watson datum itself: ``offspring[r]``
     is a boolean ``(G_r, 2)`` array giving, for each observed cell of
     generation ``r < depth`` in ascending id order, whether its even
     and its odd child are observed.  The root (id 1) is always
-    observed, and prefix closure holds by construction.  Two masks are
-    equal when their depth, root type and flags are.
+    observed, and prefix closure holds by construction.
 
-    ``generations[r]`` (the ascending observed ids of generation ``r``)
-    and ``counts[r]`` (the per-parity observed counts ``(even, odd)``;
-    the root is booked under its configured reproduction type) are
-    derived from the flags once, at construction.
+    A forest lays several replicates out generation by generation:
+    ``offspring[r]`` concatenates their generation-``r`` flags in
+    replicate order, and ``bounds[r]`` (length ``R + 1``) holds where
+    each replicate's cells start and end in that layout, for
+    ``r = 0..depth``.  Child positions index the concatenated next
+    generation, so one numpy pass per generation serves every replicate.
+    A single tree is the forest of one replicate built without
+    ``bounds``, which are then derived from the flags; ``forest`` tells
+    the two apart, and statistics of a forest keep a leading replicate
+    axis.  Two masks are equal when their depth, root type, flags and
+    bounds are.
+
+    ``generations[r]`` (the ascending observed ids of generation ``r``,
+    concatenated over replicates) and ``counts[r]`` (the per-parity
+    observed counts ``(even, odd)``; the root is booked under its
+    configured reproduction type) are derived from the flags when first
+    read.
     """
 
     depth: int
     root_type: int
     offspring: list[np.ndarray]
-    generations: list[np.ndarray] = field(init=False)
-    counts: np.ndarray = field(init=False)
+    bounds: list[np.ndarray] | None = None
+    forest: bool = field(init=False)
 
     def __post_init__(self):
         tree.check_depth(self.depth)
         _check_root_type(self.root_type)
         if len(self.offspring) != self.depth:
             raise ValidationError("one offspring array per parent generation is required")
-        gens = [np.array([1], dtype=np.int64)]
-        counts = np.zeros((self.depth + 1, 2), dtype=np.int64)
-        counts[0, self.root_type] = 1
+        self.forest = self.bounds is not None
+        sizes = [self.bounds[0][-1] if self.forest else 1]
         for r, flags in enumerate(self.offspring):
-            if flags.dtype != bool or flags.shape != (gens[r].size, 2):
+            if flags.dtype != bool or flags.shape != (sizes[-1], 2):
                 raise ValidationError(
                     f"generation {r}: offspring flags must be a boolean (cells, 2) array"
                 )
-            # parents ascend, so the flagged (2k, 2k + 1) pairs come out sorted
-            gens.append((2 * gens[r][:, None] + _SIDES)[flags])
-            counts[r + 1] = flags.sum(axis=0)
-        self.generations = gens
-        self.counts = counts
+            sizes.append(np.count_nonzero(flags))
+        if not self.forest:  # one replicate, spanning each whole generation
+            self.bounds = [np.array([0, size]) for size in sizes]
 
     def __eq__(self, other):
         if not isinstance(other, ObservationMask):
@@ -269,7 +274,10 @@ class ObservationMask:
         return (
             self.depth == other.depth
             and self.root_type == other.root_type
-            and all(np.array_equal(a, b) for a, b in zip(self.offspring, other.offspring))
+            and all(
+                np.array_equal(a, b)
+                for a, b in zip(self.offspring + self.bounds, other.offspring + other.bounds)
+            )
         )
 
     @classmethod
@@ -306,16 +314,44 @@ class ObservationMask:
         offspring = [flags[starts[r]:starts[r + 1]] for r in range(depth)]
         return cls(depth=depth, root_type=root_type, offspring=offspring)
 
+    @functools.cached_property
+    def generations(self) -> list[np.ndarray]:
+        gens = [np.ones(self.replicates, dtype=np.int64)]
+        for flags in self.offspring:
+            # parents ascend, so the flagged (2k, 2k + 1) pairs come out sorted
+            gens.append((2 * gens[-1][:, None] + _SIDES)[flags])
+        return gens
+
+    @functools.cached_property
+    def counts(self) -> np.ndarray:
+        counts = np.zeros((self.depth + 1, 2), dtype=np.int64)
+        counts[0, self.root_type] = self.replicates
+        for r, flags in enumerate(self.offspring):
+            counts[r + 1] = flags.sum(axis=0)
+        return counts
+
+    @property
+    def replicates(self) -> int:
+        return self.bounds[0].size - 1
+
     def ids(self) -> np.ndarray:
         return np.concatenate(self.generations)
 
     def generation_count(self, n: int) -> int:
-        """Number of observed cells in generation ``n``."""
-        return int(self.generations[n].size)
+        """Number of observed cells in generation ``n``, summed over the replicates."""
+        return int(self.bounds[n][-1])
 
     def total_count(self, n: int) -> int:
-        """Number of observed cells in the tree up to generation ``n``."""
-        return int(sum(self.generations[r].size for r in range(n + 1)))
+        """Number of observed cells up to generation ``n``, summed over the replicates."""
+        return int(sum(self.bounds[r][-1] for r in range(n + 1)))
+
+    def generation_sizes(self, n: int) -> np.ndarray:
+        """Observed cells of generation ``n``, one count per replicate."""
+        return np.diff(self.bounds[n])
+
+    def cells_through(self, n: int) -> np.ndarray:
+        """Observed cells up to generation ``n``, one count per replicate."""
+        return sum(self.generation_sizes(r) for r in range(n + 1))
 
     def extinct_by(self, n: int) -> bool:
         return self.generation_count(n) == 0
@@ -327,51 +363,6 @@ class ObservationMask:
         ``generations[r]``: boolean observation flags and positions into
         ``generations[r + 1]`` (valid only where the flag is set).
         """
-        return _child_positions(self.offspring[r])
-
-    def pair_count(self, n: int) -> int:
-        """Observed cells of generations ``0..n`` with both children observed."""
-        if n + 1 > self.depth:
-            raise ValidationError(
-                f"pair counts up to generation {n} need mask depth {n + 1}"
-            )
-        return sum(int(np.count_nonzero(self.offspring[r].all(axis=1))) for r in range(n + 1))
-
-
-@dataclass(eq=False)
-class MaskForest:
-    """Observation masks of several replicates, laid out generation by generation.
-
-    ``offspring[r]`` concatenates the replicates' generation-``r`` flag
-    arrays in replicate order, and ``bounds[r]`` (length ``R + 1``) holds
-    where each replicate's generation-``r`` cells start and end in that
-    layout, for ``r = 0..depth``.  Child positions index the concatenated
-    next generation, so one numpy pass per generation serves every
-    replicate.
-    """
-
-    depth: int
-    root_type: int
-    offspring: list[np.ndarray]
-    bounds: list[np.ndarray]
-
-    @property
-    def replicates(self) -> int:
-        return self.bounds[0].size - 1
-
-    def generation_sizes(self, n: int) -> np.ndarray:
-        """Observed cells of generation ``n``, one count per replicate."""
-        return np.diff(self.bounds[n])
-
-    def total_count(self, n: int) -> int:
-        """Observed cells up to generation ``n``, summed over the replicates."""
-        return int(sum(self.bounds[r][-1] for r in range(n + 1)))
-
-    def cells_through(self, n: int) -> np.ndarray:
-        """Observed cells up to generation ``n``, one count per replicate."""
-        return sum(self.generation_sizes(r) for r in range(n + 1))
-
-    def child_positions(self, r: int):
         return _child_positions(self.offspring[r])
 
 
@@ -391,9 +382,7 @@ def expected_cells(law: ReproductionLaw, depth: int, root_type: int = 0) -> floa
     return float(total)
 
 
-def simulate_mask(
-    law: ReproductionLaw, depth: int, root_type: int = 0, seed=0
-) -> ObservationMask | MaskForest:
+def simulate_mask(law: ReproductionLaw, depth: int, root_type: int = 0, seed=0) -> ObservationMask:
     """Draw one observation mask down to ``depth`` generations.
 
     Each observed cell draws its offspring outcome from the law of its
@@ -402,39 +391,18 @@ def simulate_mask(
     the noise stream used by the joint simulator.
 
     ``seed`` may also be a sequence of seeds; the result is then a
-    :class:`MaskForest` whose replicate ``i`` equals the mask drawn with
-    ``seed=seeds[i]``.
-    """
-    tree.check_depth(depth)
-    _check_root_type(root_type)
-    if np.ndim(seed) == 1:
-        return _simulate_forest(law, depth, root_type, seed)
-    gen = rng.generator(seed, rng.MASK_STREAM)
-    cum = law.cumulative()
-
-    offspring = []
-    types = np.array([root_type])
-    for _ in range(depth):
-        if types.size == 0:
-            offspring.append(np.zeros((0, 2), dtype=bool))
-            continue
-        flags = _draw_flags(gen.random(types.size), types, cum)
-        offspring.append(flags)
-        # flat index 2i + j marks child j of parent i; its type is j
-        types = np.flatnonzero(flags) & 1
-    return ObservationMask(depth=depth, root_type=root_type, offspring=offspring)
-
-
-def _simulate_forest(law: ReproductionLaw, depth: int, root_type: int, seeds) -> MaskForest:
-    """All replicates of :func:`simulate_mask`, one numpy pass per generation.
-
+    forest whose replicate ``i`` equals the mask drawn with
+    ``seed=seeds[i]``, all drawn with one numpy pass per generation.
     Replicate ``i`` reads its uniforms from its own Philox stream, in
     generation order.  They are drawn ahead into one flat buffer, where
     ``pos[i]:end[i]`` holds replicate ``i``'s unused draws; since
     ``random(a)`` followed by ``random(b)`` yields the numbers of
     ``random(a + b)``, every replicate draws exactly what it draws alone.
     """
-    gens = [rng.generator(s, rng.MASK_STREAM) for s in seeds]
+    tree.check_depth(depth)
+    _check_root_type(root_type)
+    forest = np.ndim(seed) == 1
+    gens = [rng.generator(s, rng.MASK_STREAM) for s in (seed if forest else [seed])]
     n_rep = len(gens)
     if n_rep == 0:
         raise ValidationError("a forest needs at least one seed")
@@ -466,15 +434,17 @@ def _simulate_forest(law: ReproductionLaw, depth: int, root_type: int, seeds) ->
         pos += sizes
         flags = _draw_flags(u, types, cum)
         offspring.append(flags)
-        types = np.flatnonzero(flags) & 1
-        kids = np.concatenate(([0], np.cumsum(flags.sum(axis=1))))
-        bounds.append(kids[b])
-    return MaskForest(depth=depth, root_type=root_type, offspring=offspring, bounds=bounds)
+        # flat index 2i + j marks child j of cell i; its type is j, and the
+        # children of cells before b[i] are the marks before 2 b[i]
+        kids = np.flatnonzero(flags)
+        types = kids & 1
+        bounds.append(np.searchsorted(kids, 2 * b))
+    return ObservationMask(depth, root_type, offspring, bounds if forest else None)
 
 
-def growth_rate_ratio(mask: ObservationMask, n: int) -> float:
-    """Observed children over observed parents through generation ``n >= 1``."""
-    return (mask.total_count(n) - 1) / mask.total_count(n - 1)
+def growth_rate_ratio(mask: ObservationMask, n: int) -> np.ndarray:
+    """Observed children over observed parents through generation ``n >= 1``, per replicate."""
+    return (mask.cells_through(n) - 1) / mask.cells_through(n - 1)
 
 
 @dataclass(frozen=True)
@@ -488,7 +458,7 @@ class GrowthRateEstimate:
 
 
 def estimate_pi(mask: ObservationMask, level: float = 0.95) -> GrowthRateEstimate:
-    """Ratio estimator: total observed children over total observed parents.
+    """Ratio estimator of one tree: total observed children over total observed parents.
 
     The confidence interval is a delta-method normal interval built from
     the per-parent offspring counts (a heuristic: the exact interval
@@ -498,7 +468,7 @@ def estimate_pi(mask: ObservationMask, level: float = 0.95) -> GrowthRateEstimat
     if n < 1 or mask.generation_count(1) == 0:
         raise ExtinctionError("mask is extinct at the root's children")
     parents_total = mask.total_count(n - 1)
-    pi_hat = growth_rate_ratio(mask, n)
+    pi_hat = float(growth_rate_ratio(mask, n)[0])
 
     # per-parent offspring counts; their spread drives the CI width
     sq_sum = 0

@@ -79,12 +79,12 @@ def plug_in_covariance(est) -> tuple[np.ndarray, bool]:
     """Sandwich covariance of the coefficient estimate.
 
     Returns the 4x4 matrix and a flag saying whether an absent
-    sister-covariance estimate was replaced by zero.  A
-    :class:`~bartree.estimation.ForestEstimate` gives one matrix per
-    replicate.
+    sister-covariance estimate was replaced by zero.  A forest's
+    estimate gives one matrix per replicate, with each absent (NaN)
+    sister covariance replaced by zero.
     """
     rho_missing = est.rho_hat is None
-    rho = 0.0 if rho_missing else est.rho_hat
+    rho = 0.0 if rho_missing else np.nan_to_num(est.rho_hat)
     sigma = est.design.sigma()
     gamma = est.design.gamma(est.sigma2_hat, rho)
     inv = np.linalg.inv(sigma)
@@ -145,10 +145,6 @@ def wald_test(est: ThetaEstimate, which: str) -> WaldTest:
     return WaldTest(which, statistic, df, float(stats.chi2.sf(statistic, df)))
 
 
-def all_wald_tests(est: ThetaEstimate) -> dict[str, WaldTest]:
-    return {name: wald_test(est, name) for name in ("pair", "intercept", "slope")}
-
-
 def sigma_rho_cis(
     est: ThetaEstimate,
     level: float = 0.95,
@@ -197,11 +193,12 @@ def plug_in_noise_variances(est):
 
     Built from the residual fourth moments, the ratio growth-rate
     estimate and the observed pair fraction.  The second is ``None``
-    when ``rho_hat`` is; both work elementwise on a forest's estimates.
+    when ``rho_hat`` is; both work elementwise on a forest's estimates,
+    where an absent (NaN) pair moment enters as zero.
     """
     s4 = est.sigma2_hat**2
     pi = est.pi_hat
-    nu2_tau4 = 0.0 if est.nu2_tau4_hat is None else est.nu2_tau4_hat
+    nu2_tau4 = 0.0 if est.nu2_tau4_hat is None else np.nan_to_num(est.nu2_tau4_hat)
     var_sigma = (pi * (est.tau4_hat - s4) + 2.0 * est.pbar_hat * (nu2_tau4 - s4)) / pi
     var_rho = None if est.rho_hat is None else nu2_tau4 - est.rho_hat**2
     return var_sigma, var_rho

@@ -187,6 +187,14 @@ def _json_list(value, what: str) -> list:
     return value
 
 
+def _law_table(law_doc: dict, name: str) -> dict:
+    """One parent type's offspring table, its probabilities checked as JSON numbers."""
+    table = _require(law_doc, name, "law")
+    if not isinstance(table, dict):
+        raise ValidationError(f"law {name} must be a JSON object, got {json.dumps(table)}")
+    return {k: _json_number(p, f"law {name} probability of {k!r}") for k, p in table.items()}
+
+
 def _model_from_dict(doc: dict, where: str):
     bar_doc = _require(doc, "bar", where)
     noise_doc = _require(doc, "noise", where)
@@ -206,9 +214,7 @@ def _model_from_dict(doc: dict, where: str):
             _json_number(noise_doc.get("rho", 0.0), "rho"),
             family=noise_doc.get("family", "gaussian"),
         )
-        law = ReproductionLaw.from_tables(
-            _require(law_doc, "type0", "law"), _require(law_doc, "type1", "law")
-        )
+        law = ReproductionLaw.from_tables(*(_law_table(law_doc, t) for t in ("type0", "type1")))
     except (TypeError, ValueError) as exc:
         raise ValidationError(f"malformed model parameters: {exc}") from exc
     return bar, noise, law

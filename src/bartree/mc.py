@@ -246,7 +246,7 @@ def _entrywise_check(name, depth, median, target, rows):
 def _rep_design(args):
     cfg, depth, seeds = args
     forest = _simulate(cfg, depth + 1, seeds)
-    d = estimation.forest_design(forest, depth)
+    d = estimation.accumulate_design(forest, depth)
     scale = d.t_star[:, None, None]
     return _rows(d.g_star > 0, s0=d.s0 / scale, s1=d.s1 / scale, s01=d.s01 / scale)
 
@@ -254,7 +254,7 @@ def _rep_design(args):
 def _rep_consistency(args):
     cfg, depth, seeds = args
     forest = _simulate(cfg, depth, seeds)
-    est = estimation.forest_estimate(forest, depth, moments=False)
+    est = estimation.estimate_theta(forest, depth, moments=False)
     diff = est.theta_hat - cfg.bar.as_vector()
     tp = est.t_star_parents
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -265,7 +265,7 @@ def _rep_consistency(args):
 def _rep_qsl(args):
     cfg, depth, seeds, sigma_lim = args
     forest = _simulate(cfg, depth, seeds)
-    path = estimation.forest_theta_path(forest, depth)
+    path = estimation.theta_path(forest, depth)
     diff = path.theta - cfg.bar.as_vector()
     score = np.einsum("...i,...ij,...j->...", diff, path.design, diff)
     limit = path.t_star_parents * np.einsum("...i,ij,...j->...", diff, sigma_lim, diff)
@@ -293,7 +293,7 @@ def _rep_qsl(args):
 def _rep_clt(args):
     cfg, depth, seeds = args
     forest = _simulate(cfg, depth, seeds)
-    est = estimation.forest_estimate(forest, depth)
+    est = estimation.estimate_theta(forest, depth)
     truth = cfg.bar.as_vector()
     z = inference.normal_quantile(cfg.level)
     pairs = est.pair_parents
@@ -323,14 +323,15 @@ def _rep_clt(args):
 def _rep_variance(args):
     cfg, depth, seeds = args
     forest = _simulate(cfg, depth, seeds)
-    s_seq, r_seq, s_bar, r_bar, with_pairs = estimation.forest_variance_functionals(forest, depth)
+    s_seq, r_seq = estimation.sequential_variance_functionals(forest, depth)
+    s_bar, r_bar = estimation.true_noise_functionals(forest, depth)
     scale = forest.mask.cells_through(depth) / depth
     out = _rows(
         forest.mask.generation_sizes(depth) > 0,
         sigma_bias=scale * (s_seq - s_bar),
         rho_bias=scale * (r_seq - r_bar),
     )
-    for row, ok in zip(out, with_pairs.tolist()):
+    for row, ok in zip(out, (~np.isnan(r_seq)).tolist()):
         if row["survived"] and not ok:
             del row["rho_bias"]
     return out

@@ -68,7 +68,8 @@ def test_lineage_round_trip_exact(tmp_path):
     write_lineage(tree, path)
     back = parse_lineage(path)
     assert back.depth == tree.depth
-    assert back.value_map() == tree.value_map()
+    assert np.array_equal(back.mask.ids(), tree.mask.ids())
+    assert np.array_equal(np.concatenate(back.values), np.concatenate(tree.values))
 
 
 def test_mask_round_trip(tmp_path):
@@ -94,7 +95,8 @@ def test_parse_minimal_lineage(tmp_path):
     p = tmp_path / "t.csv"
     p.write_text("1,1.0\n2,3.0\n3,2.0\n")
     tree = parse_lineage(p)
-    assert tree.value_map() == {1: 1.0, 2: 3.0, 3: 2.0}
+    assert tree.mask.ids().tolist() == [1, 2, 3]
+    assert [v.tolist() for v in tree.values] == [[1.0], [3.0, 2.0]]
 
 
 def test_parse_orphan_names_node_and_line(tmp_path):
@@ -162,7 +164,7 @@ def test_from_pairs_rejects_duplicates_and_non_finite_values():
 def test_parse_comments_and_blank_lines(tmp_path):
     p = tmp_path / "t.csv"
     p.write_text("# header\n\n1,1.0\n# mid comment\n2,3.0\n3,2.0\n")
-    assert len(parse_lineage(p).value_map()) == 3
+    assert parse_lineage(p).mask.ids().tolist() == [1, 2, 3]
 
 
 def test_paper_scale_fixture(tmp_path):
@@ -434,6 +436,9 @@ def test_simulate_rejects_mistyped_config_fields(tmp_path, capsys):
              for key, values in bad_bar.items() for v in values]
     docs += [(key, model_doc(noise=dict(model_doc()["noise"], **{key: v})))
              for key, values in bad_noise.items() for v in values]
+    docs += [("type0", model_doc(law={"type0": {"11": v}, "type1": {"11": 1.0}}))
+             for v in ("1.0", True, None)]
+    docs += [("type1", model_doc(law={"type0": {"11": 1.0}, "type1": [1.0]}))]
     path = tmp_path / "bad.json"
     for key, doc in docs:
         path.write_text(json.dumps(doc))
@@ -441,6 +446,18 @@ def test_simulate_rejects_mistyped_config_fields(tmp_path, capsys):
         rc = run_cli(["simulate", "--config", str(path), "--output", str(tmp_path / "o.csv")])
         err = capsys.readouterr().err
         assert rc == 2 and err.count("\n") == 1 and key in err, (key, doc, err)
+
+
+@pytest.mark.parametrize("magnitude", ["1.7e308", "1e150"])
+def test_estimate_overflowing_values_exit_3(tmp_path, capsys, magnitude):
+    # near the largest double the squares overflow (1.7e308), or the fit
+    # and its residuals do (1e150); the finite gate turns either into exit 3
+    p = tmp_path / "big.csv"
+    p.write_text("".join(f"{k},{'-' if k % 2 else ''}{magnitude}\n" for k in range(1, 8)))
+    capsys.readouterr()
+    assert run_cli(["estimate", "--input", str(p)]) == 3
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "too large" in err, err
 
 
 def test_threads_env_respected(tmp_path, monkeypatch, model_config):

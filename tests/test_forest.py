@@ -1,8 +1,10 @@
-"""Forest blocks: every replicate of a block simulated and fitted at once.
+"""Forests: every replicate of a Monte Carlo block simulated and fitted at once.
 
-A forest replicate must be the tree the single-tree path simulates from
-the same seed, bit for bit, and its per-generation statistics must match
-the single-tree table up to summation order.
+A forest replicate must be the tree simulated alone from the same seed,
+bit for bit.  Its per-generation statistics rows (segment sums) must
+match the tree's (direct reductions) up to summation order, and every
+public estimation statistic of replicate ``i`` must match the same call
+on tree ``i``.
 """
 
 import math
@@ -15,17 +17,19 @@ from bartree import (
     NoiseParams,
     ObservationMask,
     ReproductionLaw,
+    estimate_theta,
+    martingale_diagnostics,
+    sequential_variance_functionals,
     simulate_joint,
     theta_path,
+    true_noise_functionals,
 )
-from bartree import estimation
 from bartree.estimation import (
     _exact_prefix,
-    _forest_table,
     _Frame,
     _frames,
+    _generation_stats,
     _segment_sums,
-    _stats_table,
 )
 
 LAWS = {
@@ -55,6 +59,18 @@ def _abs_frame(f):
                   np.abs(f.eps_e), np.abs(f.eps_o))
 
 
+def _nan(x):
+    """A tree's absent estimate (``None``) as a forest writes it (NaN)."""
+    return np.nan if x is None else x
+
+
+def _condition(path):
+    """Largest condition number of the (ridged where flagged) design blocks of a path."""
+    ridge = np.where(path.regularized[:, None, None], np.eye(2), 0.0)
+    blocks = np.concatenate([path.design[:, :2, :2] + ridge, path.design[:, 2:, 2:] + ridge])
+    return float(np.linalg.cond(blocks).max())
+
+
 @settings(deadline=None, max_examples=40)
 @given(
     law=st.sampled_from(sorted(LAWS)),
@@ -68,6 +84,7 @@ def test_forest_matches_single_tree_path(law, depth, root_type, rho, seeds):
     forest = simulate_joint(BAR, noise, LAWS[law], depth, root_type=root_type, x1=0.25, seed=seeds)
     trees = [simulate_joint(BAR, noise, LAWS[law], depth, root_type=root_type, x1=0.25, seed=s)
              for s in seeds]
+    assert forest.mask.forest and not any(t.mask.forest for t in trees)
     assert forest.depth == depth
     assert forest.mask.total_count(depth) == sum(t.mask.total_count(depth) for t in trees)
     for i, tree in enumerate(trees):
@@ -78,14 +95,52 @@ def test_forest_matches_single_tree_path(law, depth, root_type, rho, seeds):
     if depth == 0:
         return
 
-    _, table = _forest_table(forest, depth - 1)
-    path = estimation.forest_theta_path(forest, depth)
+    # statistics rows: multi-segment sums against single-segment reductions,
+    # within 1e-12 of each column's sum of absolute terms
+    frames = _frames(forest, depth - 1)
     for i, tree in enumerate(trees):
-        frames = _frames(tree, depth - 1)
-        single = _stats_table(frames)
-        scale = _stats_table([f and _abs_frame(f) for f in frames])
-        assert np.all(np.abs(table[i] - single) <= 1e-12 * scale)
-        assert np.array_equal(path.regularized[i], theta_path(tree, depth).regularized)
+        for r, f in enumerate(_frames(tree, depth - 1)):
+            if f is None:
+                continue
+            bounds = tree.mask.bounds[r]
+            multi = _generation_stats(frames[r], forest.mask.bounds[r], forest=True)[i]
+            single = _generation_stats(f, bounds, forest=False)
+            scale = _generation_stats(_abs_frame(f), bounds, forest=False)
+            assert np.all(np.abs(multi - single) <= 1e-12 * scale)
+
+    # every public statistic of replicate i against the same call on tree i;
+    # rounding differences in the rows grow at most with the design's condition
+    est = estimate_theta(forest, depth)
+    path = theta_path(forest, depth)
+    seq = sequential_variance_functionals(forest, depth)
+    true = true_noise_functionals(forest, depth)
+    mart = martingale_diagnostics(forest, BAR, depth)
+    for i, tree in enumerate(trees):
+        tree_path = theta_path(tree, depth)
+        tol = 1e-10 * _condition(tree_path)
+
+        def close(got, want):
+            np.testing.assert_allclose(got, want, rtol=tol, atol=tol)
+
+        assert np.array_equal(path.regularized[i], tree_path.regularized)
+        assert np.array_equal(path.t_star_parents[i], tree_path.t_star_parents)
+        close(path.theta[i], tree_path.theta)
+        for got, call in ((seq, sequential_variance_functionals), (true, true_noise_functionals)):
+            close([got[0][i], got[1][i]], [_nan(x) for x in call(tree, depth)])
+        tree_mart = martingale_diagnostics(tree, BAR, depth)
+        assert np.array_equal(mart.valid[i], tree_mart.valid)
+        close(mart.v_path[i], tree_mart.v_path)
+        close(mart.qsl_running[i], tree_mart.qsl_running)
+        if tree.mask.total_count(depth) > 1:  # a bare root has no fit
+            tree_est = estimate_theta(tree, depth)
+            assert est.regularized[i] == tree_est.regularized
+            assert est.pair_parents[i] == tree_est.pair_parents
+            close(est.theta_hat[i], tree_est.theta_hat)
+            close(
+                [est.sigma2_hat[i], est.rho_hat[i], est.tau4_hat[i], est.nu2_tau4_hat[i]],
+                [tree_est.sigma2_hat, _nan(tree_est.rho_hat), tree_est.tau4_hat,
+                 _nan(tree_est.nu2_tau4_hat)],
+            )
 
 
 finite = st.floats(min_value=-1e300, max_value=1e300, allow_nan=False, allow_subnormal=True)

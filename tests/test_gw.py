@@ -288,9 +288,12 @@ def test_offspring_flags_match_ids(law, depth, root_type, seed, data):
 
 
 def test_pair_count():
+    # cells with both children observed, counted from the flags and from the ids
     mask = ObservationMask.from_ids([1, 2, 3, 6, 7])
-    assert mask.pair_count(0) == 1  # the root has both children
-    assert mask.pair_count(1) == 2  # node 3 has both; node 2 has none
+    ids = set(mask.ids().tolist())
+    pairs = np.cumsum([np.count_nonzero(f.all(axis=1)) for f in mask.offspring])
+    assert pairs.tolist() == [1, 2]  # the root has both children; then node 3, not node 2
+    assert pairs[-1] == sum(2 * k in ids and 2 * k + 1 in ids for k in ids)
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,6 @@ from bartree import (
     NumericalError,
     ReproductionLaw,
     ValidationError,
-    all_wald_tests,
     estimate_theta,
     limit_matrices,
     sigma_rho_cis,

@@ -1,0 +1,69 @@
+"""The benchmark's hooks into bartree.
+
+``perfbench/tracing.py`` wraps bartree functions it names as strings and
+counts simulated cells from what ``bar.simulate_joint`` returns.  These
+tests load that file as it is, so a rename or a changed return type in
+bartree fails here instead of in a benchmark run.
+"""
+
+import importlib
+import importlib.util
+from collections import defaultdict
+from pathlib import Path
+
+import pytest
+
+import bartree.cli  # noqa: F401  (loads every bartree module the tracer patches)
+from bartree import BarParams, NoiseParams, ReproductionLaw, bar
+
+TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+
+
+@pytest.fixture(scope="module")
+def tracing():
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_tracer_targets_resolve(tracing):
+    for module, attr, _ in tracing.TARGETS:
+        owner = importlib.import_module(f"bartree.{module}")
+        if "." in attr:  # a method is patched in its own class's namespace
+            cls_name, meth = attr.split(".")
+            owner = getattr(owner, cls_name)
+            assert meth in vars(owner), (module, attr)
+            attr = meth
+        assert callable(getattr(owner, attr)), (module, attr)
+
+
+@pytest.mark.parametrize("seed", [5, [5, 6, 7]])
+def test_simulate_joint_feeds_the_cell_counter(tracing, seed):
+    tree = bar.simulate_joint(
+        BarParams(0.5, 0.3, -0.4, 0.7), NoiseParams(1.0, 0.5),
+        ReproductionLaw.full_observation(), 4, seed=seed,
+    )
+    counts = defaultdict(int)
+    tracing.COUNTERS["bar.simulate_joint"](counts, (), {}, tree)
+    trees = len(seed) if isinstance(seed, list) else 1
+    assert tree.depth == 4
+    assert counts["bar.cells_simulated"] == tree.mask.total_count(tree.depth) == 31 * trees
+
+
+def test_tracer_installs_and_restores(tracing):
+    original = bar.simulate_joint
+    tracer = tracing.Tracer(keep_spans=False)
+    tracer.install()
+    try:
+        tracer.begin()
+        bartree.bar.simulate_joint(
+            BarParams(0.5, 0.3, -0.4, 0.7), NoiseParams(1.0, 0.0),
+            ReproductionLaw.full_observation(), 3, seed=[1, 2],
+        )
+        result = tracer.end(1.0)
+    finally:
+        tracer.uninstall()
+    assert bar.simulate_joint is original
+    assert result["counts"]["bar.cells_simulated"] == 30
+    assert result["calls"]["bar.simulate_joint"] == 1
