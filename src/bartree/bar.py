@@ -111,7 +111,7 @@ def noise_moments(noise: NoiseParams) -> NoiseMoments:
     return NoiseMoments(tau4, nu2, kappa8, lambda4)
 
 
-@dataclass
+@dataclass(frozen=True)
 class ObservedTree:
     """Values (and, in simulation mode, true noises) on an observation mask.
 
@@ -121,6 +121,11 @@ class ObservedTree:
     diagnostics can be compared against the truth.  On a forest mask
     (see :class:`~bartree.gw.ObservationMask`) the arrays concatenate the
     replicates' generations and ``seed`` lists their seeds.
+
+    A tree is immutable, so the estimation functions memoise what they
+    derive from it (per-generation frames and statistics, and their
+    exact prefixes) in ``_memo``: every function called on one tree
+    shares one build.
     """
 
     mask: ObservationMask
@@ -131,6 +136,7 @@ class ObservedTree:
     law: ReproductionLaw | None = None
     x1: float | None = None
     seed: int | list[int] | None = None
+    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.values) != self.mask.depth + 1:
@@ -229,9 +235,8 @@ def simulate_joint(
     before = np.cumsum(sizes, axis=1) - sizes
     parents = sizes[:, :depth].sum(axis=1)
     first = np.cumsum(parents) - parents
-    draws = np.concatenate(
-        [rng.generator(s, rng.NOISE_STREAM).standard_normal((p, 2)) for s, p in zip(seeds, parents)]
-    )
+    stream = rng.Stream(rng.NOISE_STREAM)
+    draws = np.concatenate([stream.at(s).standard_normal((p, 2)) for s, p in zip(seeds, parents)])
 
     values: list[np.ndarray] = [np.full(n_rep, float(x1))]
     eps: list[np.ndarray] = [np.array([])]

@@ -189,12 +189,8 @@ def _cmd_verify(args) -> int:
         raise ValidationError(
             f"unknown checks {unknown}; available: {sorted(mc.CHECKS)}"
         )
-    reports = []
-    rows = []
-    for name in checks:
-        rep = mc.CHECKS[name](cfg)
-        reports.append(rep)
-        rows.extend(rep.replicate_rows)
+    reports = mc.run_checks(cfg, checks)
+    rows = [row for rep in reports for row in rep.replicate_rows]
     doc = {
         "schema": io.REPORT_SCHEMA,
         "kind": "verify",

@@ -56,37 +56,40 @@ class _Frame:
     eps_o: np.ndarray
 
 
-def _frames(tree, upto: int) -> list[_Frame | None]:
-    """Per-generation frames for mothers in generations ``0..upto``.
+def _frame(tree, r: int) -> _Frame | None:
+    """Generation ``r``'s mothers and their daughters, ``None`` if it has no cells.
 
-    A forest's frames concatenate its replicates' generations.
+    A forest's frame concatenates its replicates' generations.
     """
+    xk = tree.values[r]
+    if xk.size == 0:
+        return None
+    has_e, pos_e, has_o, pos_o = tree.mask.child_positions(r)
+    xnext = tree.values[r + 1]
+    enext = tree.noise[r + 1] if tree.has_noise else None
+    zeros = np.zeros(xk.size)
+    if xnext.size:
+        xe = np.where(has_e, xnext[pos_e], 0.0)
+        xo = np.where(has_o, xnext[pos_o], 0.0)
+    else:
+        xe = xo = zeros
+    if enext is not None and enext.size:
+        eps_e = np.where(has_e, enext[pos_e], 0.0)
+        eps_o = np.where(has_o, enext[pos_o], 0.0)
+    else:
+        eps_e = eps_o = zeros
+    return _Frame(xk, has_e, has_o, xe, xo, eps_e, eps_o)
+
+
+def _frames(tree, upto: int) -> list[_Frame | None]:
+    """Frames of the mothers in generations ``0..upto``, memoised on the tree."""
     if upto + 1 > tree.depth:
         raise ValidationError(
             f"daughters of generation {upto} need tree depth {upto + 1}, have {tree.depth}"
         )
-    frames: list[_Frame | None] = []
-    for r in range(upto + 1):
-        xk = tree.values[r]
-        if xk.size == 0:
-            frames.append(None)
-            continue
-        has_e, pos_e, has_o, pos_o = tree.mask.child_positions(r)
-        xnext = tree.values[r + 1]
-        enext = tree.noise[r + 1] if tree.has_noise else None
-        zeros = np.zeros(xk.size)
-        if xnext.size:
-            xe = np.where(has_e, xnext[pos_e], 0.0)
-            xo = np.where(has_o, xnext[pos_o], 0.0)
-        else:
-            xe = xo = zeros
-        if enext is not None and enext.size:
-            eps_e = np.where(has_e, enext[pos_e], 0.0)
-            eps_o = np.where(has_o, enext[pos_o], 0.0)
-        else:
-            eps_e = eps_o = zeros
-        frames.append(_Frame(xk, has_e, has_o, xe, xo, eps_e, eps_o))
-    return frames
+    frames = tree._memo.setdefault("frames", [])
+    frames.extend(_frame(tree, r) for r in range(len(frames), upto + 1))
+    return frames[: upto + 1]
 
 
 def _generation_stats(f: _Frame, bounds: np.ndarray, forest: bool) -> np.ndarray:
@@ -143,14 +146,25 @@ def _statistics(tree, upto: int, levels):
     """Frames, and cumulative statistics ``(R, len(levels), 20)`` over mothers ``0..l``.
 
     Each cumulative row is the exact (correctly rounded) sum of its
-    generation rows.
+    generation rows.  The generation rows and the prefixes are memoised
+    on the tree, so every function called on one tree shares one build;
+    only the requested levels pass the finite gate.
     """
     frames = _frames(tree, upto)
-    table = np.zeros((tree.mask.replicates, upto + 1, _NCOLS))
-    for r, f in enumerate(frames):
-        if f is not None:
-            table[:, r] = _generation_stats(f, tree.mask.bounds[r], tree.mask.forest)
-    return frames, _finite(_exact_prefix(table, levels))
+    mask, memo = tree.mask, tree._memo
+    rows = memo.setdefault("rows", [])
+    for r in range(len(rows), upto + 1):
+        row = np.zeros(_NCOLS) if frames[r] is None else _generation_stats(
+            frames[r], mask.bounds[r], mask.forest
+        )
+        rows.append(np.broadcast_to(row, (mask.replicates, _NCOLS)))
+    prefix = memo.setdefault("prefix", {})
+    levels = list(levels)
+    missing = sorted(set(levels) - prefix.keys())
+    if missing:
+        cum = _exact_prefix(np.stack(rows[: missing[-1] + 1], axis=1), missing)
+        prefix.update(zip(missing, np.moveaxis(cum, 1, 0)))
+    return frames, _finite(np.stack([prefix[level] for level in levels], axis=1))
 
 
 def _residual_sums(f: _Frame, theta: np.ndarray, bounds: np.ndarray, forest: bool, fourth: bool):

@@ -398,22 +398,27 @@ def simulate_mask(law: ReproductionLaw, depth: int, root_type: int = 0, seed=0) 
     ``pos[i]:end[i]`` holds replicate ``i``'s unused draws; since
     ``random(a)`` followed by ``random(b)`` yields the numbers of
     ``random(a + b)``, every replicate draws exactly what it draws alone.
+    One re-keyed generator serves every replicate, so a replicate that
+    runs short re-draws its stream and keeps the numbers past the
+    ``drawn[i]`` it has already used.
     """
     tree.check_depth(depth)
     _check_root_type(root_type)
     forest = np.ndim(seed) == 1
-    gens = [rng.generator(s, rng.MASK_STREAM) for s in (seed if forest else [seed])]
-    n_rep = len(gens)
+    seeds = list(seed) if forest else [seed]
+    n_rep = len(seeds)
     if n_rep == 0:
         raise ValidationError("a forest needs at least one seed")
+    stream = rng.Stream(rng.MASK_STREAM)
     cum = law.cumulative()
     # the largest row sum of the mean matrix bounds the expected growth
     # per generation; it sizes the top-ups of replicates that run short
     growth = float(law.mean_matrix.sum(axis=1).max())
     first = math.ceil(expected_cells(law, depth - 1, root_type)) if depth else 0
-    buf = np.concatenate([g.random(first) for g in gens])
+    buf = np.concatenate([stream.at(s).random(first) for s in seeds])
     pos = np.arange(n_rep) * first
     end = pos + first
+    drawn = np.full(n_rep, first)
 
     offspring, bounds = [], [np.arange(n_rep + 1)]
     types = np.full(n_rep, root_type)
@@ -425,7 +430,9 @@ def simulate_mask(law: ReproductionLaw, depth: int, root_type: int = 0, seed=0) 
             ahead = sum(growth**k for k in range(depth - r))
             pieces, top = [buf], buf.size
             for i in short:
-                extra = gens[i].random(math.ceil(sizes[i] * ahead))
+                more = math.ceil(sizes[i] * ahead)
+                extra = stream.at(seeds[i]).random(drawn[i] + more)[drawn[i]:]
+                drawn[i] += more
                 pieces += [buf[pos[i]:end[i]], extra]
                 pos[i], top = top, top + (end[i] - pos[i]) + extra.size
                 end[i] = top

@@ -3,14 +3,22 @@
 Each experiment simulates seeded replicates of the joint model,
 evaluates one theorem's statistic per replicate, and aggregates the
 results against the theoretical target with an explicit tolerance.
-The replicates of a depth run in seed order as a few forest blocks,
-each simulated and fitted with one numpy pass per generation; several
-blocks run concurrently (``BARTREE_THREADS`` caps the workers) and are
-reduced in a fixed order, so a report is a pure function of its
-configuration and seed, whatever the worker count or block layout.
-Extinct replicates are discarded from the statistics and counted
-separately: every limit the checks exercise holds on the survival
-event only.
+
+:func:`run_checks` plans every requested check together.  A check's
+``j``-th depth draws its replicates from seed set ``j``, so checks
+that read the same seed set share its trees: each seed set runs in
+seed order as a few forest blocks, each simulated once, to the deepest
+depth any of its checks needs, with one numpy pass per generation.
+Every check then evaluates its statistic on the block at its own depth,
+from the one statistics table the block builds (a tree simulated to a
+depth is a bit-exact prefix of the same seed's deeper tree, and every
+level's statistics are exact prefix sums).  The blocks of all seed sets
+run in one worker pool (``BARTREE_THREADS`` caps the workers) and each
+check is reduced in a fixed order, so a report is a pure function of
+its configuration and seed, whatever the worker count, the block
+layout or the other checks run beside it.  Extinct replicates are
+discarded from the statistics and counted separately: every limit the
+checks exercise holds on the survival event only.
 """
 
 from __future__ import annotations
@@ -24,7 +32,7 @@ from typing import Any, Callable
 import numpy as np
 from scipy import stats as scipy_stats
 
-from . import estimation, inference, limits
+from . import estimation, inference, limits, rng
 from .bar import BarParams, NoiseParams, simulate_joint
 from .errors import DegenerateModelError, ValidationError
 from .gw import OUTCOMES, ReproductionLaw, expected_cells, spectral
@@ -58,6 +66,12 @@ class McConfig:
         if not depths or list(depths) != sorted(set(depths)):
             raise ValidationError("depths must be non-empty and strictly ascending")
         object.__setattr__(self, "depths", depths)
+        rng.check_seed(self.seed)
+        last = _rep_seed(self, len(depths) - 1, self.replicates - 1)
+        if last >= rng.SEED_LIMIT:
+            raise ValidationError(
+                f"seed {self.seed} gives replicate seeds up to {last}, past 2^64 - 1"
+            )
 
     def describe(self) -> dict:
         return {
@@ -169,7 +183,7 @@ def worker_count() -> int:
 
 
 def _map_ordered(fn: Callable, payloads: list) -> list:
-    """``[fn(p) for p in payloads]``; several payloads go to the worker pool."""
+    """``[fn(p) for p in payloads]``; several payloads go to one worker pool."""
     workers = worker_count()
     if workers == 1 or len(payloads) == 1:
         return [fn(p) for p in payloads]
@@ -188,12 +202,12 @@ def _require_supercritical(cfg: McConfig):
 
 
 def _rep_seed(cfg: McConfig, depth_index: int, i: int) -> int:
-    # seed partitioning: one disjoint block per depth
+    # seed partitioning: one disjoint seed set per depth index
     return cfg.seed + depth_index * cfg.replicates + i
 
 
 def _blocks(cfg: McConfig, depth: int, seeds: list[int]) -> list[list[int]]:
-    """Split a depth's seeds, in order, into forest blocks of near-equal size.
+    """Split a seed set, in order, into forest blocks of near-equal size.
 
     A block holds about ``BLOCK_CELLS`` expected cells of trees simulated
     to ``depth``.  Results do not depend on the split: every replicate
@@ -203,13 +217,6 @@ def _blocks(cfg: McConfig, depth: int, seeds: list[int]) -> list[list[int]]:
     count = -(-len(seeds) // per_block)
     edges = [len(seeds) * k // count for k in range(count + 1)]
     return [seeds[a:b] for a, b in zip(edges[:-1], edges[1:])]
-
-
-def _simulate(cfg: McConfig, depth: int, seeds: list[int]):
-    return simulate_joint(
-        cfg.bar, cfg.noise, cfg.law, depth,
-        root_type=cfg.root_type, x1=cfg.x1, seed=seeds,
-    )
 
 
 def _rows(alive: np.ndarray, **stats) -> list[dict]:
@@ -238,22 +245,18 @@ def _entrywise_check(name, depth, median, target, rows):
 
 
 # ---------------------------------------------------------------------------
-# block workers (top level so process pools can pickle them).  Each takes
-# one forest block ``(cfg, depth, seeds, ...)`` and returns one dict per
-# replicate, in seed order.
+# block evaluators (top level, so that block jobs pickle for the pool).  Each
+# takes ``(cfg, depth, forest, ...)``, a forest block simulated to ``depth``
+# or deeper, and returns one dict per replicate, in seed order.
 
 
-def _rep_design(args):
-    cfg, depth, seeds = args
-    forest = _simulate(cfg, depth + 1, seeds)
+def _rep_design(cfg, depth, forest):
     d = estimation.accumulate_design(forest, depth)
     scale = d.t_star[:, None, None]
     return _rows(d.g_star > 0, s0=d.s0 / scale, s1=d.s1 / scale, s01=d.s01 / scale)
 
 
-def _rep_consistency(args):
-    cfg, depth, seeds = args
-    forest = _simulate(cfg, depth, seeds)
+def _rep_consistency(cfg, depth, forest):
     est = estimation.estimate_theta(forest, depth, moments=False)
     diff = est.theta_hat - cfg.bar.as_vector()
     tp = est.t_star_parents
@@ -262,9 +265,7 @@ def _rep_consistency(args):
     return _rows(forest.mask.generation_sizes(depth) > 0, rate=rate)
 
 
-def _rep_qsl(args):
-    cfg, depth, seeds, sigma_lim = args
-    forest = _simulate(cfg, depth, seeds)
+def _rep_qsl(cfg, depth, forest, sigma_lim):
     path = estimation.theta_path(forest, depth)
     diff = path.theta - cfg.bar.as_vector()
     score = np.einsum("...i,...ij,...j->...", diff, path.design, diff)
@@ -290,9 +291,7 @@ def _rep_qsl(args):
     )
 
 
-def _rep_clt(args):
-    cfg, depth, seeds = args
-    forest = _simulate(cfg, depth, seeds)
+def _rep_clt(cfg, depth, forest):
     est = estimation.estimate_theta(forest, depth)
     truth = cfg.bar.as_vector()
     z = inference.normal_quantile(cfg.level)
@@ -320,9 +319,7 @@ def _rep_clt(args):
     return out
 
 
-def _rep_variance(args):
-    cfg, depth, seeds = args
-    forest = _simulate(cfg, depth, seeds)
+def _rep_variance(cfg, depth, forest):
     s_seq, r_seq = estimation.sequential_variance_functionals(forest, depth)
     s_bar, r_bar = estimation.true_noise_functionals(forest, depth)
     scale = forest.mask.cells_through(depth) / depth
@@ -338,21 +335,43 @@ def _rep_variance(args):
 
 
 # ---------------------------------------------------------------------------
-# experiments
+# experiments: planning and running checks together
 
 
-def _run_depths(cfg: McConfig, fn, depths, extra=(), grown=0):
-    """Map a block worker over each depth; returns per-depth result lists.
+@dataclass(frozen=True)
+class _Part:
+    """One check's share of a run.
 
-    ``grown`` is how many generations beyond ``depth`` the worker
-    simulates; it enters the block sizing only.
+    ``evaluate(cfg, depth, forest, *extra)`` runs on a block of seed set
+    ``j`` for the ``j``-th of ``depths``, on trees simulated ``grown``
+    generations beyond that depth or more; ``reduce`` maps each depth's
+    surviving replicate dicts to the check's statistics.
     """
+
+    evaluate: Callable
+    depths: tuple[int, ...]
+    reduce: Callable[[dict[int, list[dict]]], list[StatCheck]]
+    extra: tuple = ()
+    grown: int = 0
+
+
+def _run_block(job):
+    """Simulate one block once and run every task of its seed set on it.
+
+    The forest, and the statistics memoised on it, are dropped on return.
+    """
+    cfg, depth, seeds, tasks = job
+    forest = simulate_joint(
+        cfg.bar, cfg.noise, cfg.law, depth,
+        root_type=cfg.root_type, x1=cfg.x1, seed=seeds,
+    )
+    return [evaluate(cfg, d, forest, *extra) for evaluate, d, extra in tasks]
+
+
+def _collect(cfg: McConfig, part: _Part, reps_by_set: list[list[dict]]):
+    """Per-depth survivors, extinction counts and long-format rows of one check."""
     results, extinct, surviving, rows = {}, {}, {}, []
-    for j, depth in enumerate(depths):
-        seeds = [_rep_seed(cfg, j, i) for i in range(cfg.replicates)]
-        blocks = _blocks(cfg, depth + grown, seeds)
-        reps = [r for block in _map_ordered(fn, [(cfg, depth, b, *extra) for b in blocks])
-                for r in block]
+    for j, (depth, reps) in enumerate(zip(part.depths, reps_by_set)):
         alive = [r for r in reps if r["survived"]]
         extinct[depth] = cfg.replicates - len(alive)
         surviving[depth] = len(alive)
@@ -362,7 +381,7 @@ def _run_depths(cfg: McConfig, fn, depths, extra=(), grown=0):
             )
         results[depth] = alive
         for i, r in enumerate(reps):
-            base = {"depth": depth, "replicate": i, "seed": seeds[i],
+            base = {"depth": depth, "replicate": i, "seed": _rep_seed(cfg, j, i),
                     "survived": r["survived"]}
             rows.append({**base, "stat": "survived", "value": float(r["survived"])})
             for key, value in r.items():
@@ -372,43 +391,292 @@ def _run_depths(cfg: McConfig, fn, depths, extra=(), grown=0):
     return results, extinct, surviving, rows
 
 
-def mc_limit_matrices(cfg: McConfig) -> McReport:
-    """Medians of the normalised design matrices against their limits."""
+def run_checks(cfg: McConfig, names) -> list[McReport]:
+    """Run the named checks on shared simulations: one report per name, in order.
+
+    Each check is set up first, so a config it rejects fails before
+    anything is simulated.  The tasks of every check are then grouped by
+    seed set; each seed set is split into blocks sized for the deepest
+    tree its tasks need, and every block is simulated once and serves
+    all of them.  All blocks go to one worker pool.
+    """
+    parts = [_PARTS[name](cfg) for name in names]
+    sets: dict[int, list[tuple[int, int]]] = {}  # seed set -> (part, depth) tasks
+    for k, part in enumerate(parts):
+        for j, depth in enumerate(part.depths):
+            sets.setdefault(j, []).append((k, depth))
+    jobs, owners = [], []
+    for j, tasks in sets.items():
+        deepest = max(depth + parts[k].grown for k, depth in tasks)
+        evaluators = [(parts[k].evaluate, depth, parts[k].extra) for k, depth in tasks]
+        seeds = [_rep_seed(cfg, j, i) for i in range(cfg.replicates)]
+        for block in _blocks(cfg, deepest, seeds):
+            jobs.append((cfg, deepest, block, evaluators))
+            owners.append(j)
+    reps: dict[tuple[int, int], list[dict]] = {}
+    for j, outputs in zip(owners, _map_ordered(_run_block, jobs)):
+        for (k, _), rows in zip(sets[j], outputs):
+            reps.setdefault((k, j), []).extend(rows)
+    reports = []
+    for k, (name, part) in enumerate(zip(names, parts)):
+        results, extinct, surviving, rows = _collect(
+            cfg, part, [reps[k, j] for j in range(len(part.depths))]
+        )
+        reports.append(McReport(name, cfg.describe(), extinct, surviving,
+                                part.reduce(results), rows))
+    return reports
+
+
+def _limit_matrices(cfg: McConfig) -> _Part:
     spectrum = _require_supercritical(cfg)
     l0, l1, l01 = limits.design_limits(cfg.bar, cfg.noise, spectrum)
-    results, extinct, surviving, rows = _run_depths(cfg, _rep_design, cfg.depths, grown=1)
-    checks = []
-    for depth in cfg.depths:
+
+    def reduce(results):
+        checks = []
+        for depth in cfg.depths:
+            alive = results[depth]
+            for key, target in (("s0", l0), ("s1", l1), ("s01", l01)):
+                median = np.median([r[key] for r in alive], axis=0)
+                checks.append(_entrywise_check(
+                    f"design_ratio_{key}", depth, median, target,
+                    {"surviving": len(alive)},
+                ))
+        return checks
+
+    return _Part(_rep_design, cfg.depths, reduce, grown=1)
+
+
+def _consistency_rate(cfg: McConfig) -> _Part:
+    _require_supercritical(cfg)
+
+    def reduce(results):
+        medians = {d: float(np.median([r["rate"] for r in results[d]])) for d in cfg.depths}
+        first, last = cfg.depths[0], cfg.depths[-1]
+        zero_scale = max(medians[first], _ZERO_TOL)
+        return [
+            StatCheck(
+                name="consistency_rate_bounded",
+                depth=last,
+                empirical=medians[last],
+                target=medians[first],
+                tolerance=2.0,
+                tolerance_kind="median at deepest <= 2 x median at shallowest",
+                passed=medians[last] <= 2.0 * zero_scale,
+                detail={"medians_by_depth": {str(d): medians[d] for d in cfg.depths}},
+            )
+        ]
+
+    return _Part(_rep_consistency, cfg.depths, reduce)
+
+
+def _qsl(cfg: McConfig) -> _Part:
+    spectrum = _require_supercritical(cfg)
+    l0, l1, _ = limits.design_limits(cfg.bar, cfg.noise, spectrum)
+    sigma_lim = np.zeros((4, 4))
+    sigma_lim[:2, :2], sigma_lim[2:, 2:] = l0, l1
+    depth = cfg.depths[-1]
+    target = 4.0 * cfg.noise.sigma2
+    pi = spectrum.growth_rate
+    printed = float(target * (pi - 1.0) / pi)
+    if target == 0.0:
+        kind, tol, bound = "absolute (zero target)", _ZERO_TOL, _ZERO_TOL
+    else:
+        kind, tol, bound = "relative", 0.15, 0.15 * target
+
+    def reduce(results):
         alive = results[depth]
-        for key, target in (("s0", l0), ("s1", l1), ("s01", l01)):
-            median = np.median([r[key] for r in alive], axis=0)
-            checks.append(_entrywise_check(
-                f"design_ratio_{key}", depth, median, target,
-                {"surviving": len(alive)},
+
+        def check(name, key):
+            values = [r[key] for r in alive]
+            mean = float(np.mean(values))
+            return StatCheck(
+                name=name,
+                depth=depth,
+                empirical=mean,
+                target=target,
+                tolerance=tol,
+                tolerance_kind=kind,
+                passed=abs(mean - target) <= bound,
+                detail={
+                    "median": float(np.median(values)),
+                    "tail_levels_mean": float(np.mean([r[key + "_tail"] for r in alive])),
+                    "printed_constant": printed,
+                    "surviving": len(alive),
+                },
+            )
+
+        return [check("qsl_mean", "qsl"), check("qsl_mean_limit_design", "qsl_limit_design")]
+
+    return _Part(_rep_qsl, (depth,), reduce, extra=(sigma_lim,))
+
+
+def _clt(cfg: McConfig) -> _Part:
+    spectrum = _require_supercritical(cfg)
+    lm = limits.limit_matrices(cfg.bar, cfg.noise, spectrum)
+    depth = cfg.depths[-1]
+
+    def reduce(results):
+        alive = results[depth]
+        n_alive = len(alive)
+        scaled = np.array([r["scaled_theta"] for r in alive])
+        checks = []
+
+        # diagonal entries carry the 15% relative requirement; off-diagonal
+        # entries get a floor at five standard errors of the sample covariance
+        emp_cov = np.cov(scaled.T, ddof=1)
+        target = lm.theta_cov
+        scale = np.sqrt(np.outer(np.diag(target), np.diag(target)))
+        tol = np.maximum(0.15 * np.abs(target), 5.0 * scale / math.sqrt(n_alive))
+        np.fill_diagonal(tol, 0.15 * np.diag(target))
+        worst = float((np.abs(emp_cov - target) / tol).max())
+        checks.append(StatCheck(
+            name="theta_clt_covariance",
+            depth=depth,
+            empirical=worst,
+            target=1.0,
+            tolerance=1.0,
+            tolerance_kind="diagonal 15% relative; off-diagonal 5 SE floor",
+            passed=worst <= 1.0,
+            detail={"empirical": emp_cov, "target": target, "surviving": n_alive},
+        ))
+
+        # shape-only normality: studentized coordinates (the scale itself is
+        # what the covariance check above verifies)
+        std = (scaled - scaled.mean(axis=0)) / scaled.std(axis=0, ddof=1)
+        ks = [float(scipy_stats.kstest(std[:, j], "norm").statistic) for j in range(4)]
+        checks.append(StatCheck(
+            name="theta_clt_normality_ks",
+            depth=depth,
+            empirical=max(ks),
+            target=0.0,
+            tolerance=_KS_THRESHOLD,
+            tolerance_kind="Kolmogorov-Smirnov distance of studentized coordinates",
+            passed=max(ks) <= _KS_THRESHOLD,
+            detail={"per_coefficient": ks},
+        ))
+
+        coverage = np.mean([r["cover"] for r in alive], axis=0)
+        checks.append(StatCheck(
+            name="theta_ci_coverage",
+            depth=depth,
+            empirical=float(coverage.min()),
+            target=cfg.level,
+            tolerance=0.02,
+            tolerance_kind="absolute, each coefficient",
+            passed=bool(np.all(np.abs(coverage - cfg.level) <= 0.02)),
+            detail={"per_coefficient": coverage, "surviving": n_alive},
+        ))
+
+        sigma_stats = [r["sigma_stat"] for r in alive]
+        emp_var = float(np.var(sigma_stats, ddof=1))
+        checks.append(StatCheck(
+            name="sigma2_clt_variance",
+            depth=depth,
+            empirical=emp_var,
+            target=lm.sigma2_clt_var,
+            tolerance=0.15,
+            tolerance_kind="relative",
+            passed=abs(emp_var - lm.sigma2_clt_var) <= 0.15 * lm.sigma2_clt_var,
+            detail={"sigma_ci_coverage": float(np.mean([r["sigma_cover"] for r in alive]))},
+        ))
+
+        rho_stats = [r["rho_stat"] for r in alive if "rho_stat" in r]
+        if rho_stats:
+            emp_var_rho = float(np.var(rho_stats, ddof=1))
+            rho_cover = [r["rho_cover"] for r in alive if r.get("rho_cover") is not None]
+            checks.append(StatCheck(
+                name="rho_clt_variance",
+                depth=depth,
+                empirical=emp_var_rho,
+                target=lm.rho_clt_var,
+                tolerance=0.15,
+                tolerance_kind="relative",
+                passed=abs(emp_var_rho - lm.rho_clt_var) <= 0.15 * lm.rho_clt_var,
+                detail={"rho_ci_coverage": float(np.mean(rho_cover)) if rho_cover else None,
+                        "with_pairs": len(rho_stats)},
             ))
-    return McReport("limit_matrices", cfg.describe(), extinct, surviving, checks, rows)
+
+        if cfg.noise.rho == 0.0:
+            even, odd = scaled[:, :2], scaled[:, 2:]
+            corr = np.corrcoef(np.hstack([even, odd]).T)[:2, 2:]
+            bound = 4.0 / math.sqrt(n_alive)
+            worst_corr = float(np.abs(corr).max())
+            checks.append(StatCheck(
+                name="block_independence",
+                depth=depth,
+                empirical=worst_corr,
+                target=0.0,
+                tolerance=bound,
+                tolerance_kind="absolute (4 / sqrt(replicates))",
+                passed=worst_corr <= bound,
+                detail={"cross_correlation": corr},
+            ))
+        return checks
+
+    return _Part(_rep_clt, (depth,), reduce)
+
+
+def _variance_estimators(cfg: McConfig) -> _Part:
+    spectrum = _require_supercritical(cfg)
+    depth = cfg.depths[-1]
+
+    def reduce(results):
+        alive = results[depth]
+        med_sigma = float(np.median([r["sigma_bias"] for r in alive]))
+        target = 4.0 * (spectrum.growth_rate - 1.0) * cfg.noise.sigma2
+        if target == 0.0:
+            passed = abs(med_sigma) <= _ZERO_TOL
+            kind, tol = "absolute (zero target)", _ZERO_TOL
+        else:
+            passed = abs(med_sigma - target) <= 0.20 * target
+            kind, tol = "relative", 0.20
+        checks = [StatCheck(
+            name="sigma2_bias",
+            depth=depth,
+            empirical=med_sigma,
+            target=target,
+            tolerance=tol,
+            tolerance_kind=kind,
+            passed=passed,
+            detail={"surviving": len(alive)},
+        )]
+
+        rho_vals = [r["rho_bias"] for r in alive if "rho_bias" in r]
+        if rho_vals and cfg.noise.sigma2 > 0.0:
+            lm = limits.limit_matrices(cfg.bar, cfg.noise, spectrum)
+            checks.append(StatCheck(
+                name="rho_bias",
+                depth=depth,
+                empirical=float(np.median(rho_vals)),
+                target=lm.rho_bias_full,
+                tolerance=None,
+                tolerance_kind="informational (displayed constants disagree in normalisation)",
+                passed=None,
+                detail={"half_power_constant": lm.rho_bias_half_power,
+                        "with_pairs": len(rho_vals)},
+            ))
+        return checks
+
+    return _Part(_rep_variance, (depth,), reduce)
+
+
+_PARTS: dict[str, Callable[[McConfig], _Part]] = {
+    "limit_matrices": _limit_matrices,
+    "consistency_rate": _consistency_rate,
+    "qsl": _qsl,
+    "clt": _clt,
+    "variance_estimators": _variance_estimators,
+}
+
+
+def mc_limit_matrices(cfg: McConfig) -> McReport:
+    """Medians of the normalised design matrices against their limits."""
+    return run_checks(cfg, ["limit_matrices"])[0]
 
 
 def mc_consistency_rate(cfg: McConfig) -> McReport:
     """Boundedness proxy for the squared-error consistency rate."""
-    _require_supercritical(cfg)
-    results, extinct, surviving, rows = _run_depths(cfg, _rep_consistency, cfg.depths)
-    medians = {d: float(np.median([r["rate"] for r in results[d]])) for d in cfg.depths}
-    first, last = cfg.depths[0], cfg.depths[-1]
-    zero_scale = max(medians[first], _ZERO_TOL)
-    checks = [
-        StatCheck(
-            name="consistency_rate_bounded",
-            depth=last,
-            empirical=medians[last],
-            target=medians[first],
-            tolerance=2.0,
-            tolerance_kind="median at deepest <= 2 x median at shallowest",
-            passed=medians[last] <= 2.0 * zero_scale,
-            detail={"medians_by_depth": {str(d): medians[d] for d in cfg.depths}},
-        )
-    ]
-    return McReport("consistency_rate", cfg.describe(), extinct, surviving, checks, rows)
+    return run_checks(cfg, ["consistency_rate"])[0]
 
 
 def mc_qsl(cfg: McConfig) -> McReport:
@@ -439,146 +707,12 @@ def mc_qsl(cfg: McConfig) -> McReport:
     statistic when each level is weighted by ``|G*_{l-1}|`` rather
     than ``|T*_{l-1}|``.
     """
-    spectrum = _require_supercritical(cfg)
-    l0, l1, _ = limits.design_limits(cfg.bar, cfg.noise, spectrum)
-    sigma_lim = np.zeros((4, 4))
-    sigma_lim[:2, :2], sigma_lim[2:, 2:] = l0, l1
-    depth = cfg.depths[-1]
-    results, extinct, surviving, rows = _run_depths(cfg, _rep_qsl, (depth,), extra=(sigma_lim,))
-    alive = results[depth]
-    target = 4.0 * cfg.noise.sigma2
-    pi = spectrum.growth_rate
-    printed = float(target * (pi - 1.0) / pi)
-    if target == 0.0:
-        kind, tol, bound = "absolute (zero target)", _ZERO_TOL, _ZERO_TOL
-    else:
-        kind, tol, bound = "relative", 0.15, 0.15 * target
-
-    def check(name, key):
-        values = [r[key] for r in alive]
-        mean = float(np.mean(values))
-        return StatCheck(
-            name=name,
-            depth=depth,
-            empirical=mean,
-            target=target,
-            tolerance=tol,
-            tolerance_kind=kind,
-            passed=abs(mean - target) <= bound,
-            detail={
-                "median": float(np.median(values)),
-                "tail_levels_mean": float(np.mean([r[key + "_tail"] for r in alive])),
-                "printed_constant": printed,
-                "surviving": len(alive),
-            },
-        )
-
-    checks = [check("qsl_mean", "qsl"), check("qsl_mean_limit_design", "qsl_limit_design")]
-    return McReport("qsl", cfg.describe(), extinct, surviving, checks, rows)
+    return run_checks(cfg, ["qsl"])[0]
 
 
 def mc_clt(cfg: McConfig) -> McReport:
     """Coefficient and noise-estimator CLT checks at the deepest depth."""
-    spectrum = _require_supercritical(cfg)
-    lm = limits.limit_matrices(cfg.bar, cfg.noise, spectrum)
-    depth = cfg.depths[-1]
-    results, extinct, surviving, rows = _run_depths(cfg, _rep_clt, (depth,))
-    alive = results[depth]
-    n_alive = len(alive)
-    scaled = np.array([r["scaled_theta"] for r in alive])
-    checks = []
-
-    # diagonal entries carry the 15% relative requirement; off-diagonal
-    # entries get a floor at five standard errors of the sample covariance
-    emp_cov = np.cov(scaled.T, ddof=1)
-    target = lm.theta_cov
-    scale = np.sqrt(np.outer(np.diag(target), np.diag(target)))
-    tol = np.maximum(0.15 * np.abs(target), 5.0 * scale / math.sqrt(n_alive))
-    np.fill_diagonal(tol, 0.15 * np.diag(target))
-    worst = float((np.abs(emp_cov - target) / tol).max())
-    checks.append(StatCheck(
-        name="theta_clt_covariance",
-        depth=depth,
-        empirical=worst,
-        target=1.0,
-        tolerance=1.0,
-        tolerance_kind="diagonal 15% relative; off-diagonal 5 SE floor",
-        passed=worst <= 1.0,
-        detail={"empirical": emp_cov, "target": target, "surviving": n_alive},
-    ))
-
-    # shape-only normality: studentized coordinates (the scale itself is
-    # what the covariance check above verifies)
-    std = (scaled - scaled.mean(axis=0)) / scaled.std(axis=0, ddof=1)
-    ks = [float(scipy_stats.kstest(std[:, j], "norm").statistic) for j in range(4)]
-    checks.append(StatCheck(
-        name="theta_clt_normality_ks",
-        depth=depth,
-        empirical=max(ks),
-        target=0.0,
-        tolerance=_KS_THRESHOLD,
-        tolerance_kind="Kolmogorov-Smirnov distance of studentized coordinates",
-        passed=max(ks) <= _KS_THRESHOLD,
-        detail={"per_coefficient": ks},
-    ))
-
-    coverage = np.mean([r["cover"] for r in alive], axis=0)
-    checks.append(StatCheck(
-        name="theta_ci_coverage",
-        depth=depth,
-        empirical=float(coverage.min()),
-        target=cfg.level,
-        tolerance=0.02,
-        tolerance_kind="absolute, each coefficient",
-        passed=bool(np.all(np.abs(coverage - cfg.level) <= 0.02)),
-        detail={"per_coefficient": coverage, "surviving": n_alive},
-    ))
-
-    sigma_stats = [r["sigma_stat"] for r in alive]
-    emp_var = float(np.var(sigma_stats, ddof=1))
-    checks.append(StatCheck(
-        name="sigma2_clt_variance",
-        depth=depth,
-        empirical=emp_var,
-        target=lm.sigma2_clt_var,
-        tolerance=0.15,
-        tolerance_kind="relative",
-        passed=abs(emp_var - lm.sigma2_clt_var) <= 0.15 * lm.sigma2_clt_var,
-        detail={"sigma_ci_coverage": float(np.mean([r["sigma_cover"] for r in alive]))},
-    ))
-
-    rho_stats = [r["rho_stat"] for r in alive if "rho_stat" in r]
-    if rho_stats:
-        emp_var_rho = float(np.var(rho_stats, ddof=1))
-        rho_cover = [r["rho_cover"] for r in alive if r.get("rho_cover") is not None]
-        checks.append(StatCheck(
-            name="rho_clt_variance",
-            depth=depth,
-            empirical=emp_var_rho,
-            target=lm.rho_clt_var,
-            tolerance=0.15,
-            tolerance_kind="relative",
-            passed=abs(emp_var_rho - lm.rho_clt_var) <= 0.15 * lm.rho_clt_var,
-            detail={"rho_ci_coverage": float(np.mean(rho_cover)) if rho_cover else None,
-                    "with_pairs": len(rho_stats)},
-        ))
-
-    if cfg.noise.rho == 0.0:
-        even, odd = scaled[:, :2], scaled[:, 2:]
-        corr = np.corrcoef(np.hstack([even, odd]).T)[:2, 2:]
-        bound = 4.0 / math.sqrt(n_alive)
-        worst_corr = float(np.abs(corr).max())
-        checks.append(StatCheck(
-            name="block_independence",
-            depth=depth,
-            empirical=worst_corr,
-            target=0.0,
-            tolerance=bound,
-            tolerance_kind="absolute (4 / sqrt(replicates))",
-            passed=worst_corr <= bound,
-            detail={"cross_correlation": corr},
-        ))
-    return McReport("clt", cfg.describe(), extinct, surviving, checks, rows)
+    return run_checks(cfg, ["clt"])[0]
 
 
 def mc_variance_estimators(cfg: McConfig) -> McReport:
@@ -589,44 +723,7 @@ def mc_variance_estimators(cfg: McConfig) -> McReport:
     against both displayed trace constants as information only, since
     their normalisations disagree.
     """
-    spectrum = _require_supercritical(cfg)
-    depth = cfg.depths[-1]
-    results, extinct, surviving, rows = _run_depths(cfg, _rep_variance, (depth,))
-    alive = results[depth]
-    med_sigma = float(np.median([r["sigma_bias"] for r in alive]))
-    target = 4.0 * (spectrum.growth_rate - 1.0) * cfg.noise.sigma2
-    if target == 0.0:
-        passed = abs(med_sigma) <= _ZERO_TOL
-        kind, tol = "absolute (zero target)", _ZERO_TOL
-    else:
-        passed = abs(med_sigma - target) <= 0.20 * target
-        kind, tol = "relative", 0.20
-    checks = [StatCheck(
-        name="sigma2_bias",
-        depth=depth,
-        empirical=med_sigma,
-        target=target,
-        tolerance=tol,
-        tolerance_kind=kind,
-        passed=passed,
-        detail={"surviving": len(alive)},
-    )]
-
-    rho_vals = [r["rho_bias"] for r in alive if "rho_bias" in r]
-    if rho_vals and cfg.noise.sigma2 > 0.0:
-        lm = limits.limit_matrices(cfg.bar, cfg.noise, spectrum)
-        checks.append(StatCheck(
-            name="rho_bias",
-            depth=depth,
-            empirical=float(np.median(rho_vals)),
-            target=lm.rho_bias_full,
-            tolerance=None,
-            tolerance_kind="informational (displayed constants disagree in normalisation)",
-            passed=None,
-            detail={"half_power_constant": lm.rho_bias_half_power,
-                    "with_pairs": len(rho_vals)},
-        ))
-    return McReport("variance_estimators", cfg.describe(), extinct, surviving, checks, rows)
+    return run_checks(cfg, ["variance_estimators"])[0]
 
 
 CHECKS: dict[str, Callable[[McConfig], McReport]] = {

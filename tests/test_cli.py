@@ -411,7 +411,8 @@ def test_verify_rejects_mistyped_config_fields(tmp_path, capsys):
         "checks": ["qsl"],
     }
     bad = {
-        "seed": ["abc", True, 2.0],
+        # the replicate seeds run from seed to seed + 10 - 1: past 2^64 - 1 here
+        "seed": ["abc", True, 2.0, -1, 2**64 - 2],
         "replicates": [4.7, "10", False],
         "depths": [[5.9], 6, ["6"], [True]],
         "checks": ["clt", [1], [["qsl"]]],
@@ -428,7 +429,8 @@ def test_verify_rejects_mistyped_config_fields(tmp_path, capsys):
 
 
 def test_simulate_rejects_mistyped_config_fields(tmp_path, capsys):
-    bad = {"seed": ["abc", 1.5, True], "depth": ["6", 6.0], "root_type": ["odd"], "x1": ["0"]}
+    bad = {"seed": ["abc", 1.5, True, -1, 2**64], "depth": ["6", 6.0], "root_type": ["odd"],
+           "x1": ["0"]}
     bad_bar = {"b": ["0.3", None], "allow_unstable": ["false", 0]}
     bad_noise = {"sigma2": ["1"], "rho": [False]}
     docs = [(key, model_doc(**{key: v})) for key, values in bad.items() for v in values]
@@ -446,6 +448,34 @@ def test_simulate_rejects_mistyped_config_fields(tmp_path, capsys):
         rc = run_cli(["simulate", "--config", str(path), "--output", str(tmp_path / "o.csv")])
         err = capsys.readouterr().err
         assert rc == 2 and err.count("\n") == 1 and key in err, (key, doc, err)
+
+
+def test_seed_range_edges(tmp_path, capsys):
+    # seeds are the first word of a 64-bit Philox key: 2^64 - 1 is the last
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(model_doc(seed=2**64 - 1, depth=3)))
+    assert run_cli(["simulate", "--config", str(path), "--output", str(tmp_path / "o.csv")]) == 0
+    capsys.readouterr()
+    rc = run_cli(["simulate", "--config", str(path), "--output", str(tmp_path / "o.csv"),
+                  "--seed", str(2**64)])
+    err = capsys.readouterr().err
+    assert rc == 2 and err.count("\n") == 1 and "seed" in err, err
+    doc = {
+        "schema": "bartree-mc-v1",
+        "model": model_doc(),
+        "depths": [3, 4],
+        "replicates": 4,
+        "seed": 2**64 - 8,  # replicate seeds 2^64 - 8 .. 2^64 - 1
+        "checks": ["consistency_rate"],
+    }
+    cfg = tmp_path / "mc.json"
+    cfg.write_text(json.dumps(doc))
+    assert run_cli(["verify", "--config", str(cfg), "--output", str(tmp_path / "r.json")]) == 0
+    cfg.write_text(json.dumps(dict(doc, seed=2**64 - 7)))
+    capsys.readouterr()
+    assert run_cli(["verify", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "2^64" in err, err
 
 
 @pytest.mark.parametrize("magnitude", ["1.7e308", "1e150"])

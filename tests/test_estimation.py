@@ -353,3 +353,49 @@ def test_sequential_functionals_zero_noise():
     )
     s2, r2 = sequential_variance_functionals(t2, 6)
     assert s2 > 0.0 and r2 is not None
+
+
+# ---------------------------------------------------------------------------
+# one statistics build per tree
+
+
+def _arrays(result):
+    """Every number of an estimation result, as arrays in field order."""
+    if isinstance(result, tuple):
+        return [a for x in result for a in _arrays(x)]
+    if hasattr(result, "__dataclass_fields__"):
+        return [a for name in result.__dataclass_fields__ for a in _arrays(getattr(result, name))]
+    return [np.asarray(result, dtype=float if result is None else None)]
+
+
+def test_functions_on_one_tree_share_one_statistics_build(monkeypatch):
+    # the frames, generation rows and prefixes are memoised on the tree: each
+    # generation's statistics are built once, and every result is the one a
+    # call on a fresh tree gives, whichever calls came before it
+    from bartree import estimation
+
+    bar = BarParams(0.5, 0.3, -0.4, 0.7)
+    calls = [
+        lambda t: estimate_theta(t, 5),
+        lambda t: theta_path(t, 9),
+        lambda t: accumulate_design(t, 8),
+        lambda t: sequential_variance_functionals(t, 9),
+        lambda t: true_noise_functionals(t, 7),
+        lambda t: martingale_diagnostics(t, bar, 9),
+        lambda t: estimate_theta(t, 9),
+        lambda t: accumulate_design(t, 3),
+    ]
+
+    def fresh():
+        return simulate_joint(bar, NoiseParams(1.0, 0.5), MISSING, depth=9, seed=8)
+
+    built = []
+    build = estimation._generation_stats
+    monkeypatch.setattr(estimation, "_generation_stats",
+                        lambda *args: built.append(args[0]) or build(*args))
+    tree = fresh()
+    shared = [call(tree) for call in calls]
+    assert len(built) == sum(tree.mask.generation_count(r) > 0 for r in range(9))
+    for call, got in zip(calls, shared):
+        want = call(fresh())
+        assert [a.tobytes() for a in _arrays(got)] == [a.tobytes() for a in _arrays(want)]

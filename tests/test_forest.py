@@ -10,15 +10,18 @@ on tree ``i``.
 import math
 
 import numpy as np
-from hypothesis import given, settings, strategies as st
+import pytest
+from hypothesis import event, example, given, settings, strategies as st
 
 from bartree import (
     BarParams,
     NoiseParams,
     ObservationMask,
     ReproductionLaw,
+    ValidationError,
     estimate_theta,
     martingale_diagnostics,
+    rng,
     sequential_variance_functionals,
     simulate_joint,
     theta_path,
@@ -31,6 +34,7 @@ from bartree.estimation import (
     _generation_stats,
     _segment_sums,
 )
+from bartree.gw import expected_cells
 
 LAWS = {
     "full": ReproductionLaw.full_observation(),
@@ -141,6 +145,75 @@ def test_forest_matches_single_tree_path(law, depth, root_type, rho, seeds):
                 [tree_est.sigma2_hat, _nan(tree_est.rho_hat), tree_est.tau4_hat,
                  _nan(tree_est.nu2_tau4_hat)],
             )
+
+
+@settings(deadline=None, max_examples=40)
+@given(
+    law=st.sampled_from(sorted(LAWS)),
+    depth=st.integers(min_value=0, max_value=10),
+    more=st.integers(min_value=1, max_value=4),
+    root_type=st.integers(min_value=0, max_value=1),
+    seeds=st.lists(st.integers(min_value=0, max_value=2**64 - 1), min_size=1, max_size=6),
+)
+@example(law="missing", depth=6, more=3, root_type=0, seeds=[0, 1, 3, 5])  # 0, 3, 5 top up
+def test_deeper_forest_extends_shallower(law, depth, more, root_type, seeds):
+    # what verify's shared blocks rest on: generations 0..depth of a forest
+    # simulated deeper are the forest simulated to depth, bit for bit, and so
+    # are the statistics read at depth.  A replicate whose cells through
+    # depth - 1 outrun the expected count tops up its mask uniforms.
+    noise = NoiseParams(1.0, 0.5)
+    short = simulate_joint(BAR, noise, LAWS[law], depth, root_type=root_type, x1=0.25, seed=seeds)
+    deep = simulate_joint(BAR, noise, LAWS[law], depth + more, root_type=root_type, x1=0.25,
+                          seed=seeds)
+    first = math.ceil(expected_cells(LAWS[law], depth - 1, root_type)) if depth else 0
+    event("a replicate tops up" if depth and (short.mask.cells_through(depth - 1) > first).any()
+          else "no top-up")
+    assert _same_bits(deep.mask.offspring[:depth], short.mask.offspring)
+    assert _same_bits(deep.mask.bounds[: depth + 1], short.mask.bounds)
+    assert _same_bits(deep.values[: depth + 1], short.values)
+    assert _same_bits(deep.noise[: depth + 1], short.noise)
+    if depth == 0:
+        return
+    for call in (theta_path, sequential_variance_functionals, true_noise_functionals):
+        got, want = call(deep, depth), call(short, depth)
+        assert _same_bits([np.asarray(x) for x in _fields(got)],
+                          [np.asarray(x) for x in _fields(want)]), call.__name__
+    assert _same_bits([estimate_theta(deep, depth).theta_hat], [estimate_theta(short, depth).theta_hat])
+
+
+def _fields(result):
+    return result if isinstance(result, tuple) else [getattr(result, f) for f in vars(result)]
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    seeds=st.lists(st.integers(min_value=0, max_value=2**64 - 1), min_size=1, max_size=4),
+    stream=st.sampled_from([rng.MASK_STREAM, rng.NOISE_STREAM]),
+    drawn=st.integers(min_value=0, max_value=9),
+    extra=st.integers(min_value=0, max_value=9),
+)
+def test_rekeyed_stream_draws_as_a_fresh_generator(seeds, stream, drawn, extra):
+    shared = rng.Stream(stream)
+
+    def fresh(seed):
+        return np.random.Generator(np.random.Philox(key=np.array([seed, stream], dtype=np.uint64)))
+
+    for seed in seeds:
+        alone = fresh(seed)
+        assert shared.at(seed).random(drawn).tobytes() == alone.random(drawn).tobytes()
+        # a top-up after other seeds were drawn re-draws and skips what is used
+        shared.at(seeds[0]).random(3)
+        assert shared.at(seed).random(drawn + extra)[drawn:].tobytes() == alone.random(extra).tobytes()
+        assert (shared.at(seed).standard_normal((drawn, 2)).tobytes()
+                == fresh(seed).standard_normal((drawn, 2)).tobytes())
+
+
+def test_stream_rejects_seeds_outside_the_key_word():
+    shared = rng.Stream(rng.MASK_STREAM)
+    for seed in (-1, 2**64, 1.5, "7", None):
+        with pytest.raises(ValidationError, match="seed"):
+            shared.at(seed)
+    shared.at(2**64 - 1)
 
 
 finite = st.floats(min_value=-1e300, max_value=1e300, allow_nan=False, allow_subnormal=True)

@@ -18,7 +18,7 @@ from bartree import (
     mc_qsl,
     mc_variance_estimators,
 )
-from bartree.mc import worker_count
+from bartree.mc import CHECKS, worker_count
 
 FULL = ReproductionLaw.full_observation()
 MISSING = ReproductionLaw.from_mean_matrix([[0.9, 0.4], [0.3, 0.8]])
@@ -57,6 +57,15 @@ def test_config_validation():
         _cfg(depths=(10, 8))
     with pytest.raises(ValidationError):
         _cfg(depths=())
+    # replicate seeds run from seed to seed + len(depths) * replicates - 1,
+    # and each must fit the 64-bit Philox key word
+    for seed in (-1, 2**64, 2**64 - 2, "3"):
+        with pytest.raises(ValidationError, match="seed"):
+            _cfg(seed=seed, replicates=4)
+    _cfg(seed=2**64 - 4, replicates=4)
+    _cfg(seed=2**64 - 8, replicates=4, depths=(3, 5))
+    with pytest.raises(ValidationError, match="seed"):
+        _cfg(seed=2**64 - 7, replicates=4, depths=(3, 5))
 
 
 def test_worker_count_env(monkeypatch):
@@ -270,14 +279,9 @@ def test_report_independent_of_worker_count(monkeypatch):
     assert serial == pooled
 
 
-def test_report_independent_of_block_layout(tmp_path, monkeypatch):
-    # a small cell budget splits each depth into several forest blocks, which
-    # run inline at one worker and in the pool at two; every layout and
-    # worker count must give the same report bytes
-    from bartree import mc
-    from bartree.cli import run_cli
-
-    doc = {
+def _missing_doc(depths):
+    """A five-check verify config on the MISSING law, 30 replicates from seed 21."""
+    return {
         "schema": "bartree-mc-v1",
         "model": {
             "bar": {"a": 0.5, "b": 0.3, "c": -0.4, "d": 0.7},
@@ -285,13 +289,22 @@ def test_report_independent_of_block_layout(tmp_path, monkeypatch):
             "law": {"type0": {"00": 0.06, "10": 0.54, "01": 0.04, "11": 0.36},
                     "type1": {"00": 0.14, "10": 0.06, "01": 0.56, "11": 0.24}},
         },
-        "depths": [5, 7],
+        "depths": depths,
         "replicates": 30,
         "seed": 21,
-        "checks": sorted(mc.CHECKS),
+        "checks": sorted(CHECKS),
     }
+
+
+def test_report_independent_of_block_layout(tmp_path, monkeypatch):
+    # a small cell budget splits each depth into several forest blocks, which
+    # run inline at one worker and in the pool at two; every layout and
+    # worker count must give the same report bytes
+    from bartree import mc
+    from bartree.cli import run_cli
+
     cfg_path = tmp_path / "mc.json"
-    cfg_path.write_text(json.dumps(doc))
+    cfg_path.write_text(json.dumps(_missing_doc([5, 7])))
 
     def report(threads, budget=None):
         monkeypatch.setenv("BARTREE_THREADS", threads)
@@ -309,6 +322,64 @@ def test_report_independent_of_block_layout(tmp_path, monkeypatch):
     assert 3 <= len(mc._blocks(cfg, 5, list(range(30)))) < len(mc._blocks(cfg, 8, list(range(30))))
     pooled = report("2", budget=150)
     assert serial == pooled == unpatched
+
+
+def test_checks_do_not_couple(tmp_path, monkeypatch):
+    # verify shares each seed set's trees among the checks; every check's
+    # report must equal the one it gives when run alone, for any block
+    # layout and worker count
+    from bartree import mc
+    from bartree.cli import run_cli
+    from bartree.io import load_mc_config
+
+    cfg_path = tmp_path / "mc.json"
+    cfg_path.write_text(json.dumps(_missing_doc([4, 6, 7])))
+    cfg, names = load_mc_config(cfg_path)
+    for threads, budget in (("1", None), ("1", 150), ("2", 150)):
+        monkeypatch.setenv("BARTREE_THREADS", threads)
+        if budget is not None:
+            monkeypatch.setattr(mc, "BLOCK_CELLS", budget)
+            assert len(mc._blocks(cfg, 7, list(range(30)))) >= 3
+        out = tmp_path / f"r{threads}-{budget}.json"
+        assert run_cli(["verify", "--config", str(cfg_path), "--output", str(out)]) == 0
+        together = {r["check"]: r for r in json.loads(out.read_text())["reports"]}
+        assert sorted(together) == names
+        for name in names:
+            alone = json.loads(json.dumps(CHECKS[name](cfg).to_dict()))
+            assert together[name] == alone, (threads, budget, name)
+
+
+def test_verify_simulates_each_block_once(tmp_path, monkeypatch):
+    # five checks at three depths read three seed sets; each block of a seed
+    # set is simulated once, to the deepest depth any of its checks needs
+    from bartree import mc
+    from bartree.cli import run_cli
+
+    calls = []
+    simulate = mc.simulate_joint
+
+    def counted(*args, **kwargs):
+        calls.append((args[3], tuple(kwargs["seed"])))
+        return simulate(*args, **kwargs)
+
+    monkeypatch.setenv("BARTREE_THREADS", "1")
+    monkeypatch.setattr(mc, "simulate_joint", counted)
+    cfg_path = tmp_path / "mc.json"
+    cfg_path.write_text(json.dumps(_missing_doc([4, 6, 7])))
+    assert run_cli(["verify", "--config", str(cfg_path), "--output", str(tmp_path / "r.json")]) == 0
+    # seed set 0 serves limit_matrices at 4 (simulated to 5), consistency_rate
+    # at 4 and the deepest-depth checks at 7; sets 1 and 2 serve the first two
+    # checks at 6 and 7
+    sets = [list(range(21 + 30 * j, 51 + 30 * j)) for j in range(3)]
+    assert calls == [(7, tuple(sets[0])), (7, tuple(sets[1])), (8, tuple(sets[2]))]
+
+    calls.clear()
+    monkeypatch.setattr(mc, "BLOCK_CELLS", 150)
+    assert run_cli(["verify", "--config", str(cfg_path), "--output", str(tmp_path / "r.json")]) == 0
+    cfg = _cfg(law=MISSING, depths=(4, 6, 7), replicates=30)
+    blocks = [mc._blocks(cfg, depth, seeds) for depth, seeds in zip((7, 7, 8), sets)]
+    assert 3 < len(calls) == sum(map(len, blocks))
+    assert [seed for _, seeds in calls for seed in seeds] == [s for set_ in sets for s in set_]
 
 
 def test_report_serializable_and_self_describing():
