@@ -157,12 +157,22 @@ class ObservedTree:
     def from_pairs(cls, pairs, root_type: int = 0, depth: int | None = None) -> "ObservedTree":
         """Build a data-mode tree from ``(node id, value)`` pairs."""
         pairs = list(pairs)
-        ids = np.array([k for k, _ in pairs], dtype=np.int64)
-        vals = np.array([x for _, x in pairs], dtype=float)
-        order = np.argsort(ids, kind="stable")
-        ids, vals = ids[order], vals[order]
-        if np.any(np.diff(ids) == 0):
-            raise ValidationError("duplicate node ids in lineage data")
+        return cls.from_arrays(
+            [k for k, _ in pairs], [x for _, x in pairs], root_type=root_type, depth=depth
+        )
+
+    @classmethod
+    def from_arrays(
+        cls, ids, values, root_type: int = 0, depth: int | None = None
+    ) -> "ObservedTree":
+        """Build a data-mode tree from aligned node ids and values, in any order."""
+        ids = np.asarray(ids, dtype=np.int64)
+        vals = np.asarray(values, dtype=float)
+        if not np.all(ids[1:] > ids[:-1]):  # ascending unique ids need no sort
+            order = np.argsort(ids, kind="stable")
+            ids, vals = ids[order], vals[order]
+            if np.any(np.diff(ids) == 0):
+                raise ValidationError("duplicate node ids in lineage data")
         if not np.isfinite(vals).all():
             raise ValidationError(f"non-finite value at node {int(ids[~np.isfinite(vals)][0])}")
         mask = ObservationMask.from_ids(ids, depth=depth, root_type=root_type)

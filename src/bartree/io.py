@@ -11,12 +11,17 @@ from __future__ import annotations
 
 import json
 import math
+import warnings
+from io import StringIO
 from pathlib import Path
 
+import numpy as np
+
 from .bar import BarParams, NoiseParams, ObservedTree
-from .errors import LineageFormatError, ValidationError
+from .errors import CapacityError, LineageFormatError, ValidationError
 from .gw import ObservationMask, ReproductionLaw
 from .mc import McConfig, jsonable
+from .tree import MAX_DEPTH
 
 MODEL_SCHEMA = "bartree-model-v1"
 MC_SCHEMA = "bartree-mc-v1"
@@ -32,34 +37,42 @@ def format_real(x: float) -> str:
 # lineage files
 
 
+def _write_rows(path, header: list[str], rows: str) -> None:
+    """Header lines, then the data rows (already joined), one per line."""
+    Path(path).write_text("\n".join(header + [rows] if rows else header) + "\n")
+
+
+def _format_pairs(ids: np.ndarray, vals: np.ndarray) -> str:
+    """``node_id,value`` rows; ``{:.17g}`` gives the bytes of :func:`format_real`."""
+    return "\n".join(map("{},{:.17g}".format, ids.tolist(), vals.tolist()))
+
+
 def write_lineage(tree: ObservedTree, path) -> None:
-    lines = ["# bartree lineage v1", "# columns: node_id,value"]
+    header = ["# bartree lineage v1", "# columns: node_id,value"]
     if tree.seed is not None:
-        lines.append(f"# seed: {tree.seed}")
-    lines.append(f"# root_type: {tree.mask.root_type}")
-    lines.append(f"# depth: {tree.depth}")
-    for ids, vals in zip(tree.mask.generations, tree.values):
-        lines.extend(f"{int(k)},{format_real(x)}" for k, x in zip(ids, vals))
-    Path(path).write_text("\n".join(lines) + "\n")
+        header.append(f"# seed: {tree.seed}")
+    header.append(f"# root_type: {tree.mask.root_type}")
+    header.append(f"# depth: {tree.depth}")
+    _write_rows(path, header, _format_pairs(tree.mask.ids(), np.concatenate(tree.values)))
 
 
 def write_noise_sidecar(tree: ObservedTree, path) -> None:
     if not tree.has_noise:
         raise ValidationError("tree carries no recorded noise to export")
-    lines = ["# bartree noise v1", "# columns: node_id,noise"]
-    for ids, eps in zip(tree.mask.generations[1:], tree.noise[1:]):
-        lines.extend(f"{int(k)},{format_real(e)}" for k, e in zip(ids, eps))
-    Path(path).write_text("\n".join(lines) + "\n")
+    # the roots carry no noise
+    ids = tree.mask.ids()[tree.mask.generation_count(0):]
+    rows = _format_pairs(ids, np.concatenate([np.empty(0), *tree.noise[1:]]))
+    _write_rows(path, ["# bartree noise v1", "# columns: node_id,noise"], rows)
 
 
-def _read_data_lines(path):
-    """Split a file into (lineno, line) data rows and ``# key: value`` metadata.
+def _data_lines(text: str):
+    """Split text into (lineno, line) data rows and ``# key: value`` metadata.
 
     Metadata maps each key to its ``(value, lineno)``.
     """
     meta: dict[str, tuple[str, int]] = {}
     entries: list[tuple[int, str]] = []
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if line.startswith("#"):
             body = line.lstrip("#").strip()
@@ -82,15 +95,87 @@ def _meta_int(meta: dict, key: str, default=None):
         raise LineageFormatError(f"malformed {key} header {value!r}", lineno) from None
 
 
+def _check_node(k: int, lineno: int, seen: dict[int, int]) -> None:
+    """Reject a non-positive, too deep or repeated node id on its line."""
+    if k < 1:
+        raise LineageFormatError(f"node id must be >= 1, got {k}", lineno)
+    generation = k.bit_length() - 1
+    if generation > MAX_DEPTH:
+        raise CapacityError(
+            f"line {lineno}: node {k} lies in generation {generation}, "
+            f"beyond the supported depth of {MAX_DEPTH}"
+        )
+    if k in seen:
+        raise LineageFormatError(f"duplicate node id {k} (first seen on line {seen[k]})", lineno)
+    seen[k] = lineno
+
+
+# Bytes a body may hold to be read by numpy; numpy reads these tokens as
+# int() and float() do, and any other file goes to the row loop.
+_LINEAGE_BYTES = b"0123456789,.+-eE\n"
+_MASK_BYTES = b"0123456789\n"
+_LINEAGE_ROW = np.dtype([("id", np.int64), ("value", np.float64)])
+
+
+def _fast_table(text: str, allowed: bytes, dtype):
+    """``(table, meta)`` parsed by numpy, or None when the row loop must read the file.
+
+    The header is the leading ``#`` lines; the body after it must hold
+    only ``allowed`` bytes and parse without error or warning.
+    """
+    end = 0
+    while text.startswith("#", end):
+        end = text.find("\n", end) + 1 or len(text)
+    header, body = text[:end], text[end:]
+    if body.encode().translate(None, allowed):
+        return None
+    entries, meta = _data_lines(header)
+    if entries:  # a line break other than \n inside the header
+        return None
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            table = np.loadtxt(StringIO(body), delimiter=",", dtype=dtype, ndmin=1)
+    except (ValueError, OverflowError, Warning):
+        return None
+    return table, meta
+
+
+def _ascending(ids: np.ndarray) -> bool:
+    return bool(np.all(ids[1:] > ids[:-1]))
+
+
 def parse_lineage(path) -> ObservedTree:
     """Read and validate a lineage file into a data-mode observed tree.
 
     Violations (duplicate ids, orphan observations, a missing root,
-    malformed numbers) are reported with their line number.
+    malformed numbers) are reported with their line number.  numpy reads
+    a file whose ids ascend; any other file, and every error, is left to
+    the row loop, which names the offending line.
     """
+    text = Path(path).read_text()
+    fast = _fast_table(text, _LINEAGE_BYTES, _LINEAGE_ROW)
+    if fast is not None:
+        table, meta = fast
+        ids = np.ascontiguousarray(table["id"])
+        if _ascending(ids):
+            try:
+                return ObservedTree.from_arrays(
+                    ids,
+                    np.ascontiguousarray(table["value"]),
+                    root_type=_meta_int(meta, "root_type", 0),
+                    depth=_meta_int(meta, "depth"),
+                )
+            except ValidationError:
+                pass
+    return _lineage_rows(text)
+
+
+def _lineage_rows(text: str) -> ObservedTree:
+    """The row-by-row lineage parser: every error names its line."""
     records: dict[int, float] = {}
     lines: dict[int, int] = {}
-    entries, meta = _read_data_lines(path)
+    entries, meta = _data_lines(text)
     for lineno, line in entries:
         parts = line.split(",")
         if len(parts) != 2:
@@ -105,14 +190,8 @@ def parse_lineage(path) -> ObservedTree:
             raise LineageFormatError(f"malformed value {parts[1]!r}", lineno) from None
         if not math.isfinite(x):
             raise LineageFormatError(f"non-finite value {parts[1]!r}", lineno)
-        if k < 1:
-            raise LineageFormatError(f"node id must be >= 1, got {k}", lineno)
-        if k in records:
-            raise LineageFormatError(
-                f"duplicate node id {k} (first seen on line {lines[k]})", lineno
-            )
+        _check_node(k, lineno, lines)
         records[k] = x
-        lines[k] = lineno
     if not records:
         raise LineageFormatError("no data rows found")
     if 1 not in records:
@@ -123,8 +202,11 @@ def parse_lineage(path) -> ObservedTree:
                 f"orphan observation: node {k} has no observed mother {k // 2}",
                 lines[k],
             )
-    return ObservedTree.from_pairs(
-        records.items(), root_type=_meta_int(meta, "root_type", 0), depth=_meta_int(meta, "depth")
+    return ObservedTree.from_arrays(
+        np.fromiter(records, np.int64, len(records)),
+        np.fromiter(records.values(), np.float64, len(records)),
+        root_type=_meta_int(meta, "root_type", 0),
+        depth=_meta_int(meta, "depth"),
     )
 
 
@@ -133,26 +215,42 @@ def parse_lineage(path) -> ObservedTree:
 
 
 def write_mask(mask: ObservationMask, path) -> None:
-    lines = ["# bartree mask v1", f"# root_type: {mask.root_type}", f"# depth: {mask.depth}"]
-    lines.extend(str(int(k)) for k in mask.ids())
-    Path(path).write_text("\n".join(lines) + "\n")
+    header = ["# bartree mask v1", f"# root_type: {mask.root_type}", f"# depth: {mask.depth}"]
+    _write_rows(path, header, "\n".join(map(str, mask.ids().tolist())))
 
 
 def parse_mask(path) -> ObservationMask:
-    ids = []
-    entries, meta = _read_data_lines(path)
+    """Read a mask file; like :func:`parse_lineage`, numpy reads ascending ids."""
+    text = Path(path).read_text()
+    fast = _fast_table(text, _MASK_BYTES, np.int64)
+    if fast is not None:
+        ids, meta = fast
+        if _ascending(ids):
+            try:
+                return ObservationMask.from_ids(
+                    ids, depth=_meta_int(meta, "depth"), root_type=_meta_int(meta, "root_type", 0)
+                )
+            except ValidationError:
+                pass
+    return _mask_rows(text)
+
+
+def _mask_rows(text: str) -> ObservationMask:
+    """The row-by-row mask parser: every row error names its line."""
+    seen: dict[int, int] = {}
+    entries, meta = _data_lines(text)
     for lineno, line in entries:
         try:
             k = int(line)
         except ValueError:
             raise LineageFormatError(f"malformed node id {line!r}", lineno) from None
-        ids.append(k)
-    if not ids:
+        _check_node(k, lineno, seen)
+    if not seen:
         raise LineageFormatError("no node ids found")
     root_type = _meta_int(meta, "root_type", 0)
     depth = _meta_int(meta, "depth")
     try:
-        return ObservationMask.from_ids(ids, depth=depth, root_type=root_type)
+        return ObservationMask.from_ids(list(seen), depth=depth, root_type=root_type)
     except ValidationError as exc:
         raise LineageFormatError(str(exc)) from exc
 

@@ -152,6 +152,33 @@ def test_lineage_header_and_non_finite_values_exit_2(tmp_path, capsys):
     assert run_cli(["gw", "--input", str(mask)]) == 2
 
 
+def _one_line_exit_2(argv, capsys):
+    capsys.readouterr()
+    assert run_cli(argv) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    return err
+
+
+def test_ids_beyond_capacity_name_their_line(tmp_path, capsys):
+    mask = tmp_path / "m.csv"
+    mask.write_text("1\n2\n9223372036854775808\n")
+    err = _one_line_exit_2(["gw", "--input", str(mask)], capsys)
+    assert "line 3: node 9223372036854775808 lies in generation 63" in err
+    chain = tmp_path / "chain.csv"
+    chain.write_text("".join(f"{2**r},0.5\n" for r in range(64)))
+    err = _one_line_exit_2(["estimate", "--input", str(chain)], capsys)
+    assert "line 42: node 2199023255552 lies in generation 41" in err
+    assert "supported depth of 40" in err
+
+
+def test_duplicate_mask_id_exits_2(tmp_path, capsys):
+    mask = tmp_path / "m.csv"
+    mask.write_text("1\n2\n2\n3\n")
+    err = _one_line_exit_2(["gw", "--input", str(mask)], capsys)
+    assert "line 3: duplicate node id 2 (first seen on line 2)" in err
+
+
 def test_from_pairs_rejects_duplicates_and_non_finite_values():
     with pytest.raises(ValidationError, match="duplicate node ids"):
         ObservedTree.from_pairs([(1, 0.0), (3, 1.0), (2, 2.0), (3, 3.0)])

@@ -1,0 +1,240 @@
+"""Lineage and mask file boundary: the numpy reader against the row loop.
+
+``parse_lineage`` and ``parse_mask`` read a file with numpy when its body
+passes a byte gate, and leave every other file, and every error, to the
+row loop (``_lineage_rows`` / ``_mask_rows``).  These tests hold the two
+paths to the same results and errors, keep the writers' bytes, and make
+sure files the program writes take the numpy path.
+"""
+
+import dataclasses
+import json
+from contextlib import redirect_stderr, redirect_stdout
+from io import StringIO
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, example, given, settings, strategies as st
+
+from bartree import BarParams, NoiseParams, ObservedTree, ReproductionLaw, simulate_joint
+from bartree import io
+from bartree.errors import BartreeError
+from bartree.cli import run_cli
+
+# ---------------------------------------------------------------------------
+# fuzzed texts: valid rows mixed with edge tokens
+
+ID_EDGES = [
+    "+5", "05", "1_0", " 5", "5.0", "1e1", "٣", "５", "0", "-1", "+0",
+    "9223372036854775807", "9223372036854775808", "99999999999999999999",
+    "2199023255552", "4 # note",
+]
+VALUE_EDGES = [
+    "+5", "05", "1.", ".5", "+.5e-3", "1_0", " 5", "infinity", "nan", "-inf", "1e400",
+    "1e-400", "5e-324", "-0.0", "1e300", "1e", "--1", "١.٥", "1.5 # note", "1.5#",
+]
+LINE_EDGES = ["", "  ", "#", "# depth: 3", "# root_type: 1", "# depth: x", ",1", "5,", "1,2,3"]
+HEADERS = [
+    "# bartree lineage v1", "# seed: 3", "# depth: 12", "# depth: 2", "# depth: 41",
+    "# root_type: 1", "# root_type: 0", "# root_type: 2", "#depth:13", " # depth: 12",
+    "# note without a colon",
+]
+TAILS = ["", "\n", "# depth: 13\n", "# root_type: 1", "\n\n"]
+
+
+@st.composite
+def closed_ids(draw):
+    """Ascending ids closed under mothers, rooted at 1."""
+    ids = {1}
+    for k in draw(st.lists(st.integers(1, 4095), max_size=30)):
+        while k not in ids:
+            ids.add(k)
+            k //= 2
+    return sorted(ids)
+
+
+@st.composite
+def fuzzed_text(draw, lineage: bool):
+    ids = draw(closed_ids())
+    if lineage:
+        values = draw(st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                               min_size=len(ids), max_size=len(ids)))
+        rows = [f"{k},{x!r}" for k, x in zip(ids, values)]
+    else:
+        rows = [str(k) for k in ids]
+    for _ in range(draw(st.integers(0, 3))):
+        i = draw(st.integers(0, len(rows) - 1))
+        kind = draw(st.sampled_from(["id", "value", "line", "swap", "dup", "orphan", "drop"]))
+        if kind == "id":
+            token = draw(st.sampled_from(ID_EDGES))
+            rows[i] = f"{token},{rows[i].partition(',')[2]}" if lineage else token
+        elif kind == "value" and lineage:
+            rows[i] = f"{rows[i].partition(',')[0]},{draw(st.sampled_from(VALUE_EDGES))}"
+        elif kind == "line":
+            rows.insert(i, draw(st.sampled_from(LINE_EDGES)))
+        elif kind == "swap":
+            j = draw(st.integers(0, len(rows) - 1))
+            rows[i], rows[j] = rows[j], rows[i]
+        elif kind == "dup":
+            rows.insert(draw(st.integers(0, len(rows))), rows[i])
+        elif kind == "orphan":
+            rows.append(f"{4 * ids[-1]},0.5" if lineage else str(4 * ids[-1]))
+        elif kind == "drop" and len(rows) > 1:
+            del rows[i]
+    if draw(st.booleans()):
+        rows = []  # an empty body, headers only
+    header = draw(st.lists(st.sampled_from(HEADERS), max_size=3))
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    return "".join(line + end for line in header + rows) + draw(st.sampled_from(TAILS))
+
+
+def _outcome(parse, arg):
+    try:
+        return parse(arg)
+    except BartreeError as exc:
+        return type(exc), str(exc)
+
+
+def _same(a, b):
+    """Equal masks and bit-equal values, or the same exception type and message."""
+    if isinstance(a, ObservedTree) and isinstance(b, ObservedTree):
+        return (
+            a.mask == b.mask  # depth, root type and ids
+            and np.concatenate(a.values).tobytes() == np.concatenate(b.values).tobytes()
+        )
+    return a == b
+
+
+def _cli_contained(command, path):
+    out, err = StringIO(), StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = run_cli([command, "--input", str(path)])
+    err = err.getvalue()
+    assert code in (0, 2, 3)
+    assert "Traceback" not in err
+    assert err.count("\n") == (0 if code == 0 else 1)
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+@settings(deadline=None, max_examples=150, suppress_health_check=[HealthCheck.too_slow])
+@given(text=fuzzed_text(lineage=True))
+@example(text="# depth: 3\n1,1.0\n2,2.0\n")
+@example(text="1,1.0\n2,2.0\n# depth: 5\n")
+@example(text="1,1.0\n9223372036854775808,2.0\n")
+@example(text="1,1.0\n2,1e400\n")
+@example(text="# only a header\n")
+def test_lineage_fast_path_matches_row_loop(text, fuzz_dir):
+    path = fuzz_dir / "lineage.csv"
+    path.write_text(text)
+    fast = _outcome(io.parse_lineage, path)
+    slow = _outcome(io._lineage_rows, path.read_text())
+    assert _same(fast, slow), (fast, slow)
+    _cli_contained("estimate", path)
+
+
+@settings(deadline=None, max_examples=150, suppress_health_check=[HealthCheck.too_slow])
+@given(text=fuzzed_text(lineage=False))
+@example(text="1\n2\n2\n3\n")
+@example(text="1\n3\n2\n")
+@example(text="# root_type: 1\n# depth: 4\n1\n2\n")
+@example(text="1\n2\n9223372036854775808\n")
+def test_mask_fast_path_matches_row_loop(text, fuzz_dir):
+    path = fuzz_dir / "mask.csv"
+    path.write_text(text)
+    fast = _outcome(io.parse_mask, path)
+    slow = _outcome(io._mask_rows, path.read_text())
+    assert _same(fast, slow), (fast, slow)
+    _cli_contained("gw", path)
+
+
+# ---------------------------------------------------------------------------
+# the writers keep their bytes
+
+
+def _reference_lineage(tree):
+    lines = ["# bartree lineage v1", "# columns: node_id,value"]
+    if tree.seed is not None:
+        lines.append(f"# seed: {tree.seed}")
+    lines += [f"# root_type: {tree.mask.root_type}", f"# depth: {tree.depth}"]
+    for ids, vals in zip(tree.mask.generations, tree.values):
+        lines += [f"{int(k)},{float(x):.17g}" for k, x in zip(ids, vals)]
+    return "\n".join(lines) + "\n"
+
+
+def _reference_noise(tree):
+    lines = ["# bartree noise v1", "# columns: node_id,noise"]
+    for ids, eps in zip(tree.mask.generations[1:], tree.noise[1:]):
+        lines += [f"{int(k)},{float(e):.17g}" for k, e in zip(ids, eps)]
+    return "\n".join(lines) + "\n"
+
+
+def _reference_mask(mask):
+    lines = ["# bartree mask v1", f"# root_type: {mask.root_type}", f"# depth: {mask.depth}"]
+    lines += [str(int(k)) for k in mask.ids()]
+    return "\n".join(lines) + "\n"
+
+
+def _simulated(depth, seed, root_type=0):
+    return simulate_joint(
+        BarParams(0.5, 0.3, -0.4, 0.7), NoiseParams(1.0, 0.5),
+        ReproductionLaw.from_mean_matrix([[0.9, 0.4], [0.3, 0.8]]),
+        depth=depth, root_type=root_type, seed=seed,
+    )
+
+
+def _hand_built():
+    edges = [-0.0, 5e-324, 1e300, 1.0 / 3.0, -1e-300, 2.0**53 + 1]
+    tree = ObservedTree.from_pairs(list(zip(range(1, 7), edges)), root_type=1)
+    noise = [np.array([])] + [v[::-1].copy() for v in tree.values[1:]]
+    return dataclasses.replace(tree, noise=noise)
+
+
+@pytest.mark.parametrize("case", ["depth0", "depth5", "depth9", "hand"])
+def test_writers_keep_their_bytes(tmp_path, case):
+    tree = {
+        "depth0": lambda: _simulated(0, 2),
+        "depth5": lambda: _simulated(5, 4, root_type=1),
+        "depth9": lambda: _simulated(9, 7),
+        "hand": _hand_built,
+    }[case]()
+    io.write_lineage(tree, tmp_path / "t.csv")
+    io.write_noise_sidecar(tree, tmp_path / "e.csv")
+    io.write_mask(tree.mask, tmp_path / "m.csv")
+    assert (tmp_path / "t.csv").read_text() == _reference_lineage(tree)
+    assert (tmp_path / "e.csv").read_text() == _reference_noise(tree)
+    assert (tmp_path / "m.csv").read_text() == _reference_mask(tree.mask)
+
+
+# ---------------------------------------------------------------------------
+# files the program writes take the numpy path
+
+
+def test_written_files_take_the_fast_path(tmp_path, monkeypatch):
+    def row_loop(text):
+        raise AssertionError("a program-written file fell back to the row loop")
+
+    monkeypatch.setattr(io, "_lineage_rows", row_loop)
+    monkeypatch.setattr(io, "_mask_rows", row_loop)
+    config = tmp_path / "model.json"
+    config.write_text(json.dumps({
+        "schema": "bartree-model-v1",
+        "bar": {"a": 0.5, "b": 0.3, "c": -0.4, "d": 0.7},
+        "noise": {"sigma2": 1.0, "rho": 0.5},
+        "law": {"type0": {"11": 0.5, "10": 0.3, "00": 0.2}, "type1": {"11": 0.6, "01": 0.4}},
+        "depth": 9, "seed": 21, "root_type": 1,
+    }))
+    lineage, mask = tmp_path / "t.csv", tmp_path / "m.csv"
+    argv = ["simulate", "--config", str(config), "--output", str(lineage),
+            "--mask-output", str(mask)]
+    assert run_cli(argv) == 0
+    assert "# seed: 21" in lineage.read_text()
+    tree = io.parse_lineage(lineage)
+    back = io.parse_mask(mask)
+    assert tree.depth == back.depth == 9 and back.root_type == tree.mask.root_type == 1
+    assert tree.mask == back
+    assert run_cli(["estimate", "--input", str(lineage)]) in (0, 3)
+    assert run_cli(["gw", "--input", str(mask)]) in (0, 3)
