@@ -181,30 +181,29 @@ class ObservedTree:
         return cls(mask=mask, values=np.split(vals, cuts))
 
 
-def _fill_generation(bar, noise, xk, z, positions, kids):
+def _fill_generation(bar, noise, xk, z, flags):
     """Daughter values and realised noises of one generation's mothers.
 
     ``z`` holds one standard normal pair per mother; the pair is mixed
     into sister noises with covariance ``[[sigma2, rho], [rho, sigma2]]``.
+    Both daughters of every mother are formed as ``(mothers, 2)`` rows;
+    the offspring ``flags`` (row-major, the next generation's order)
+    keep the observed ones.
     """
     sig = math.sqrt(noise.sigma2)
     rp = noise.rho_prime
     mix = math.sqrt(max(1.0 - rp * rp, 0.0))
-    eps_even = sig * z[:, 0]
-    eps_odd = sig * (rp * z[:, 0] + mix * z[:, 1])
-    has_e, pos_e, has_o, pos_o = positions
-    x_next = np.zeros(kids)
-    e_next = np.zeros(kids)
-
-    drift = bar.a + bar.b * xk[has_e]
-    x_child = drift + eps_even[has_e]
-    x_next[pos_e[has_e]] = x_child
-    e_next[pos_e[has_e]] = x_child - drift
-
-    drift = bar.c + bar.d * xk[has_o]
-    x_child = drift + eps_odd[has_o]
-    x_next[pos_o[has_o]] = x_child
-    e_next[pos_o[has_o]] = x_child - drift
+    drift = np.empty(flags.shape)
+    drift[:, 0] = bar.a + bar.b * xk
+    drift[:, 1] = bar.c + bar.d * xk
+    child = np.empty(flags.shape)
+    child[:, 0] = sig * z[:, 0]
+    child[:, 1] = sig * (rp * z[:, 0] + mix * z[:, 1])
+    child += drift
+    x_next = child[flags]
+    del child  # before the noise compress: it sets a deep tree's peak memory
+    e_next = drift[flags]
+    np.subtract(x_next, e_next, out=e_next)
     return x_next, e_next
 
 
@@ -254,9 +253,7 @@ def simulate_joint(
         b = mask.bounds[r]
         rows = np.repeat(first + before[:, r] - b[:-1], sizes[:, r]) + np.arange(b[-1])
         z = np.take(draws, rows, axis=0)  # several times faster than draws[rows]
-        x_next, e_next = _fill_generation(
-            bar, noise, values[r], z, mask.child_positions(r), mask.bounds[r + 1][-1]
-        )
+        x_next, e_next = _fill_generation(bar, noise, values[r], z, mask.offspring[r])
         values.append(x_next)
         eps.append(e_next)
     return ObservedTree(

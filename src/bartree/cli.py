@@ -190,7 +190,6 @@ def _cmd_verify(args) -> int:
             f"unknown checks {unknown}; available: {sorted(mc.CHECKS)}"
         )
     reports = mc.run_checks(cfg, checks)
-    rows = [row for rep in reports for row in rep.replicate_rows]
     doc = {
         "schema": io.REPORT_SCHEMA,
         "kind": "verify",
@@ -202,7 +201,9 @@ def _cmd_verify(args) -> int:
     if args.output is None:
         sys.stdout.write(text)
     if args.replicate_csv:
-        io.write_replicate_csv(rows, args.replicate_csv)
+        io.write_replicate_csv(
+            [row for rep in reports for row in rep.replicate_rows], args.replicate_csv
+        )
     return EXIT_OK
 
 
@@ -228,7 +229,7 @@ def run_cli(argv: list[str]) -> int:
     except NumericalError as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except FileNotFoundError as exc:
+    except OSError as exc:  # a missing or unreadable path, or a directory
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 

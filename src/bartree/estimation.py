@@ -40,6 +40,7 @@ _TE2, _TEP = 18, 19                  # true-noise square / pair-product sums
 _NCOLS = 20
 
 _RIDGE_RTOL = 1e-10
+_PREFIX_CHUNK = 1 << 14  # table entries summed per numpy pass
 _DET_TOL = 1e-12
 
 
@@ -59,26 +60,25 @@ class _Frame:
 def _frame(tree, r: int) -> _Frame | None:
     """Generation ``r``'s mothers and their daughters, ``None`` if it has no cells.
 
-    A forest's frame concatenates its replicates' generations.
+    The offspring flags lay the next generation out row-major, so
+    filling a zeroed ``(mothers, 2)`` array through them puts each
+    daughter beside its mother.  A forest's frame concatenates its
+    replicates' generations.
     """
     xk = tree.values[r]
     if xk.size == 0:
         return None
-    has_e, pos_e, has_o, pos_o = tree.mask.child_positions(r)
-    xnext = tree.values[r + 1]
-    enext = tree.noise[r + 1] if tree.has_noise else None
-    zeros = np.zeros(xk.size)
-    if xnext.size:
-        xe = np.where(has_e, xnext[pos_e], 0.0)
-        xo = np.where(has_o, xnext[pos_o], 0.0)
-    else:
-        xe = xo = zeros
-    if enext is not None and enext.size:
-        eps_e = np.where(has_e, enext[pos_e], 0.0)
-        eps_o = np.where(has_o, enext[pos_o], 0.0)
-    else:
-        eps_e = eps_o = zeros
-    return _Frame(xk, has_e, has_o, xe, xo, eps_e, eps_o)
+    flags = tree.mask.offspring[r]
+
+    def expand(daughters):
+        pair = np.zeros(flags.shape)
+        if daughters is not None:
+            pair[flags] = daughters
+        return pair[:, 0].copy(), pair[:, 1].copy()
+
+    xe, xo = expand(tree.values[r + 1])
+    eps_e, eps_o = expand(tree.noise[r + 1] if tree.has_noise else None)
+    return _Frame(xk, flags[:, 0], flags[:, 1], xe, xo, eps_e, eps_o)
 
 
 def _frames(tree, upto: int) -> list[_Frame | None]:
@@ -147,8 +147,9 @@ def _statistics(tree, upto: int, levels):
 
     Each cumulative row is the exact (correctly rounded) sum of its
     generation rows.  The generation rows and the prefixes are memoised
-    on the tree, so every function called on one tree shares one build;
-    only the requested levels pass the finite gate.
+    on the tree, so every function called on one tree shares one build
+    (one exact-sum cascade gives every prefix through ``upto``); only
+    the requested levels pass the finite gate.
     """
     frames = _frames(tree, upto)
     mask, memo = tree.mask, tree._memo
@@ -160,10 +161,9 @@ def _statistics(tree, upto: int, levels):
         rows.append(np.broadcast_to(row, (mask.replicates, _NCOLS)))
     prefix = memo.setdefault("prefix", {})
     levels = list(levels)
-    missing = sorted(set(levels) - prefix.keys())
-    if missing:
-        cum = _exact_prefix(np.stack(rows[: missing[-1] + 1], axis=1), missing)
-        prefix.update(zip(missing, np.moveaxis(cum, 1, 0)))
+    if not prefix.keys() >= set(levels):  # one cascade gives every prefix through upto
+        cum = _exact_prefix(np.stack(rows[: upto + 1], axis=1), range(upto + 1))
+        prefix.update(enumerate(np.moveaxis(cum, 1, 0)))
     return frames, _finite(np.stack([prefix[level] for level in levels], axis=1))
 
 
@@ -587,28 +587,76 @@ def _segment_sums(terms: np.ndarray, bounds: np.ndarray) -> np.ndarray:
 def _exact_prefix(table: np.ndarray, levels) -> np.ndarray:
     """Correctly rounded prefix sums of ``table (R, G, k)`` along ``G``, at ``levels``.
 
-    Each returned prefix equals ``math.fsum`` of its rows.  Rows are
-    added one at a time into a nonoverlapping floating-point expansion
-    (Shewchuk's grow-expansion with the error-free TwoSum), vectorised
-    over replicates and columns; an expansion is rounded as
-    :func:`_round_expansion` describes.
+    Each returned prefix equals ``math.fsum`` of its rows (a level-0
+    prefix is row 0 itself, and an exact zero past it is ``+0.0``).
+    Each of the ``R * k`` columns is summed down its rows as
+    :func:`_prefix_columns` describes, a chunk of columns per numpy pass
+    so that the temporaries stay small.
     """
-    levels = list(levels)
-    parts: list[np.ndarray] = []
-    out = []
-    for g in range(levels[-1] + 1):
-        x = table[:, g]
-        grown = []
-        for p in parts:
-            hi = x + p
-            v = hi - x
-            grown.append((x - (hi - v)) + (p - v))
-            x = hi
-        grown.append(x)
-        parts = grown
-        if g in levels:
-            out.append(_round_expansion(parts))
-    return np.stack(out, axis=1)
+    levels = np.asarray(list(levels))
+    n_rep, _, k = table.shape
+    cols = np.moveaxis(table[:, : levels.max() + 1], 1, 0).reshape(levels.max() + 1, -1)
+    out = np.empty((levels.size, cols.shape[1]))
+    step = max(1, _PREFIX_CHUNK // cols.shape[0])
+    for c in range(0, cols.shape[1], step):
+        out[:, c:c + step] = _prefix_columns(cols[:, c:c + step], levels)
+    out = np.moveaxis(out.reshape(levels.size, n_rep, k), 0, 1)
+    first = levels == 0
+    out[:, ~first] += 0.0  # an exact zero past level 0 is +0.0
+    out[:, first] = table[:, :1]
+    return out
+
+
+def _prefix_columns(x: np.ndarray, levels: np.ndarray) -> np.ndarray:
+    """Correctly rounded prefix sums down the columns of ``x (G, n)``, at ``levels``.
+
+    Running sums come from one pass down the rows; the error of each of
+    their additions is exact (TwoSum), and the errors' own running sums
+    and errors follow, level after level, until no finite error is left
+    (Ogita, Rump and Oishi's cascaded summation).  The prefix at level
+    ``g`` is then the exact sum of a few terms, one per cascade level,
+    which :func:`_round_expansion` rounds once they are grown into a
+    nonoverlapping expansion.
+    """
+    # terms[j]: the running sums of cascade level j at each requested
+    # level (0 below j), as each level's first addition is one row on
+    terms = []
+
+    def add_term(errors):
+        s = np.cumsum(errors, axis=0)
+        term = np.zeros((levels.size, errors.shape[1]))
+        have = levels >= len(terms)
+        term[have] = s[levels[have] - len(terms)]
+        terms.append(term)
+        return s
+
+    while x.shape[0]:
+        s = add_term(x)
+        a, b, t = s[:-1], x[1:], s[1:]
+        v = t - a
+        x = (a - (t - v)) + (b - v)
+        if not (np.isfinite(x) & (x != 0.0)).any():
+            break
+    if not np.isfinite(x).all():  # overflow: its NaN errors mark the prefixes it reaches
+        add_term(x)
+    if len(terms) == 1:
+        return terms[0]
+    # two terms round correctly in one addition; more need the expansion
+    out = terms[0] + terms[1]
+    deep = np.any([term != 0.0 for term in terms[2:]], axis=0)
+    if deep.any():
+        parts: list[np.ndarray] = []
+        for y in [term[deep] for term in terms[::-1]]:  # smallest first
+            grown = []
+            for p in parts:
+                hi = y + p
+                v = hi - y
+                grown.append((y - (hi - v)) + (p - v))
+                y = hi
+            grown.append(y)
+            parts = grown
+        out[deep] = _round_expansion(parts)
+    return out
 
 
 def exact_sum(table: np.ndarray) -> np.ndarray:

@@ -211,12 +211,6 @@ def _check_root_type(root_type: int) -> int:
     return root_type
 
 
-def _child_positions(flags: np.ndarray):
-    """``(has_even, pos_even, has_odd, pos_odd)`` from one generation's offspring flags."""
-    pos = (np.cumsum(flags.ravel()) - 1).reshape(flags.shape)
-    return flags[:, 0], pos[:, 0], flags[:, 1], pos[:, 1]
-
-
 @dataclass(eq=False)
 class ObservationMask:
     """Observed cells of a partially observed binary tree, or of a forest of them.
@@ -231,8 +225,10 @@ class ObservationMask:
     ``offspring[r]`` concatenates their generation-``r`` flags in
     replicate order, and ``bounds[r]`` (length ``R + 1``) holds where
     each replicate's cells start and end in that layout, for
-    ``r = 0..depth``.  Child positions index the concatenated next
-    generation, so one numpy pass per generation serves every replicate.
+    ``r = 0..depth``.  Read row-major, the set flags of ``offspring[r]``
+    are generation ``r + 1`` in order, so a boolean compress or fill
+    through them (one numpy pass per generation, for every replicate)
+    moves data between mothers and daughters.
     A single tree is the forest of one replicate built without
     ``bounds``, which are then derived from the flags; ``forest`` tells
     the two apart, and statistics of a forest keep a leading replicate
@@ -361,15 +357,22 @@ class ObservationMask:
 
         Returns ``(has_even, pos_even, has_odd, pos_odd)`` aligned with
         ``generations[r]``: boolean observation flags and positions into
-        ``generations[r + 1]`` (valid only where the flag is set).
+        ``generations[r + 1]`` (valid only where the flag is set).  The
+        simulator and the estimators work on the flags directly.
         """
-        return _child_positions(self.offspring[r])
+        flags = self.offspring[r]
+        pos = (np.cumsum(flags.ravel()) - 1).reshape(flags.shape)
+        return flags[:, 0], pos[:, 0], flags[:, 1], pos[:, 1]
 
 
 def _draw_flags(u: np.ndarray, types: np.ndarray, cum: np.ndarray) -> np.ndarray:
-    # each uniform is compared with the first three cumulative thresholds
-    # of its cell's type; the count of thresholds passed is the outcome row
-    return _OUTCOME_FLAGS[(u[:, None] >= cum[types, :3]).sum(axis=1)]
+    # the outcome row is how many of its type's first three cumulative
+    # thresholds the uniform reaches (u >= threshold); they never
+    # decrease, so a right-sided search counts them
+    idx = np.searchsorted(cum[0, :3], u, side="right")
+    if types.any():
+        idx = np.where(types, np.searchsorted(cum[1, :3], u, side="right"), idx)
+    return np.take(_OUTCOME_FLAGS, idx, axis=0)
 
 
 def expected_cells(law: ReproductionLaw, depth: int, root_type: int = 0) -> float:

@@ -28,6 +28,14 @@ MC_SCHEMA = "bartree-mc-v1"
 REPORT_SCHEMA = "bartree-report-v1"
 
 
+def _read_text(path) -> str:
+    """The text of ``path``, which must be UTF-8; other bytes exit as a validation error."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"{path}: not UTF-8 text (byte {exc.start})") from None
+
+
 def format_real(x: float) -> str:
     """17 significant digits: parses back to the identical float."""
     return format(float(x), ".17g")
@@ -43,8 +51,13 @@ def _write_rows(path, header: list[str], rows: str) -> None:
 
 
 def _format_pairs(ids: np.ndarray, vals: np.ndarray) -> str:
-    """``node_id,value`` rows; ``{:.17g}`` gives the bytes of :func:`format_real`."""
-    return "\n".join(map("{},{:.17g}".format, ids.tolist(), vals.tolist()))
+    """``node_id,value`` rows; ``%.17g`` gives the bytes of :func:`format_real`.
+
+    One ``%`` template formats every row of the interleaved ids and values.
+    """
+    rows = [None] * (2 * ids.size)
+    rows[0::2], rows[1::2] = ids.tolist(), vals.tolist()
+    return ("%d,%.17g\n" * ids.size % tuple(rows))[:-1]
 
 
 def write_lineage(tree: ObservedTree, path) -> None:
@@ -153,7 +166,7 @@ def parse_lineage(path) -> ObservedTree:
     a file whose ids ascend; any other file, and every error, is left to
     the row loop, which names the offending line.
     """
-    text = Path(path).read_text()
+    text = _read_text(path)
     fast = _fast_table(text, _LINEAGE_BYTES, _LINEAGE_ROW)
     if fast is not None:
         table, meta = fast
@@ -221,7 +234,7 @@ def write_mask(mask: ObservationMask, path) -> None:
 
 def parse_mask(path) -> ObservationMask:
     """Read a mask file; like :func:`parse_lineage`, numpy reads ascending ids."""
-    text = Path(path).read_text()
+    text = _read_text(path)
     fast = _fast_table(text, _MASK_BYTES, np.int64)
     if fast is not None:
         ids, meta = fast
@@ -321,7 +334,7 @@ def _model_from_dict(doc: dict, where: str):
 def load_model_config(path) -> dict:
     """Simulation configuration: model point plus depth/seed defaults."""
     try:
-        doc = json.loads(Path(path).read_text())
+        doc = json.loads(_read_text(path))
     except json.JSONDecodeError as exc:
         raise ValidationError(f"invalid JSON in {path}: {exc}") from exc
     if doc.get("schema") != MODEL_SCHEMA:
@@ -343,7 +356,7 @@ def load_model_config(path) -> dict:
 def load_mc_config(path) -> tuple[McConfig, list[str]]:
     """Experiment configuration: model, budgets and the checks to run."""
     try:
-        doc = json.loads(Path(path).read_text())
+        doc = json.loads(_read_text(path))
     except json.JSONDecodeError as exc:
         raise ValidationError(f"invalid JSON in {path}: {exc}") from exc
     if doc.get("schema") != MC_SCHEMA:

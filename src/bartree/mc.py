@@ -127,18 +127,36 @@ class StatCheck:
 
 @dataclass
 class McReport:
-    """Aggregated experiment outcome plus per-replicate rows."""
+    """Aggregated experiment outcome plus the per-replicate statistics.
+
+    ``replicates`` maps each depth to its replicates' seeds and
+    statistics dicts; :attr:`replicate_rows` lays them out long when read.
+    """
 
     check: str
     config: dict
     extinct: dict[int, int]
     surviving: dict[int, int]
     checks: list[StatCheck]
-    replicate_rows: list[dict]
+    replicates: dict[int, tuple[list[int], list[dict]]]
 
     @property
     def passed(self) -> bool:
         return all(c.passed for c in self.checks if c.passed is not None)
+
+    @property
+    def replicate_rows(self) -> list[dict]:
+        """One row per replicate and statistic, ``survived`` first (long format)."""
+        rows = []
+        for depth, (seeds, reps) in self.replicates.items():
+            for i, (seed, r) in enumerate(zip(seeds, reps)):
+                base = {"depth": depth, "replicate": i, "seed": seed, "survived": r["survived"]}
+                rows.append({**base, "stat": "survived", "value": float(r["survived"])})
+                for key, value in r.items():
+                    if key == "survived" or isinstance(value, (list, np.ndarray)):
+                        continue
+                    rows.append({**base, "stat": key, "value": float(value)})
+        return rows
 
     def to_dict(self) -> dict:
         return jsonable(
@@ -369,9 +387,9 @@ def _run_block(job):
 
 
 def _collect(cfg: McConfig, part: _Part, reps_by_set: list[list[dict]]):
-    """Per-depth survivors, extinction counts and long-format rows of one check."""
-    results, extinct, surviving, rows = {}, {}, {}, []
-    for j, (depth, reps) in enumerate(zip(part.depths, reps_by_set)):
+    """Per-depth survivors and extinction counts of one check."""
+    results, extinct, surviving = {}, {}, {}
+    for depth, reps in zip(part.depths, reps_by_set):
         alive = [r for r in reps if r["survived"]]
         extinct[depth] = cfg.replicates - len(alive)
         surviving[depth] = len(alive)
@@ -380,15 +398,7 @@ def _collect(cfg: McConfig, part: _Part, reps_by_set: list[list[dict]]):
                 f"all {cfg.replicates} replicates extinct at depth {depth}"
             )
         results[depth] = alive
-        for i, r in enumerate(reps):
-            base = {"depth": depth, "replicate": i, "seed": _rep_seed(cfg, j, i),
-                    "survived": r["survived"]}
-            rows.append({**base, "stat": "survived", "value": float(r["survived"])})
-            for key, value in r.items():
-                if key == "survived" or isinstance(value, (list, np.ndarray)):
-                    continue
-                rows.append({**base, "stat": key, "value": float(value)})
-    return results, extinct, surviving, rows
+    return results, extinct, surviving
 
 
 def run_checks(cfg: McConfig, names) -> list[McReport]:
@@ -405,12 +415,12 @@ def run_checks(cfg: McConfig, names) -> list[McReport]:
     for k, part in enumerate(parts):
         for j, depth in enumerate(part.depths):
             sets.setdefault(j, []).append((k, depth))
-    jobs, owners = [], []
+    jobs, owners, seeds = [], [], {}
     for j, tasks in sets.items():
         deepest = max(depth + parts[k].grown for k, depth in tasks)
         evaluators = [(parts[k].evaluate, depth, parts[k].extra) for k, depth in tasks]
-        seeds = [_rep_seed(cfg, j, i) for i in range(cfg.replicates)]
-        for block in _blocks(cfg, deepest, seeds):
+        seeds[j] = [_rep_seed(cfg, j, i) for i in range(cfg.replicates)]
+        for block in _blocks(cfg, deepest, seeds[j]):
             jobs.append((cfg, deepest, block, evaluators))
             owners.append(j)
     reps: dict[tuple[int, int], list[dict]] = {}
@@ -419,11 +429,11 @@ def run_checks(cfg: McConfig, names) -> list[McReport]:
             reps.setdefault((k, j), []).extend(rows)
     reports = []
     for k, (name, part) in enumerate(zip(names, parts)):
-        results, extinct, surviving, rows = _collect(
-            cfg, part, [reps[k, j] for j in range(len(part.depths))]
-        )
+        by_set = [reps[k, j] for j in range(len(part.depths))]
+        results, extinct, surviving = _collect(cfg, part, by_set)
+        replicates = {d: (seeds[j], by_set[j]) for j, d in enumerate(part.depths)}
         reports.append(McReport(name, cfg.describe(), extinct, surviving,
-                                part.reduce(results), rows))
+                                part.reduce(results), replicates))
     return reports
 
 

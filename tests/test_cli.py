@@ -179,6 +179,21 @@ def test_duplicate_mask_id_exits_2(tmp_path, capsys):
     assert "line 3: duplicate node id 2 (first seen on line 2)" in err
 
 
+def test_undecodable_files_and_directories_exit_2(tmp_path, capsys):
+    lineage = tmp_path / "t.csv"
+    lineage.write_bytes(b"1,1.0\n2,\xff\n")
+    mask = tmp_path / "m.csv"
+    mask.write_bytes(b"1\n\xfe\n")
+    for argv, path in ((["estimate", "--input"], lineage), (["gw", "--input"], mask)):
+        err = _one_line_exit_2([*argv, str(path)], capsys)
+        assert f"{path}: not UTF-8 text" in err
+    out = str(tmp_path / "o.csv")
+    for argv in (["estimate", "--input"], ["gw", "--input"], ["verify", "--config"],
+                 ["simulate", "--output", out, "--config"]):
+        err = _one_line_exit_2([*argv, str(tmp_path)], capsys)
+        assert "Is a directory" in err and str(tmp_path) in err
+
+
 def test_from_pairs_rejects_duplicates_and_non_finite_values():
     with pytest.raises(ValidationError, match="duplicate node ids"):
         ObservedTree.from_pairs([(1, 0.0), (3, 1.0), (2, 2.0), (3, 3.0)])

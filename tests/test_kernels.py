@@ -1,0 +1,190 @@
+"""The per-generation kernels against plain per-cell references.
+
+The mask draw, the noise fill and the frames build each generation from
+its ``(cells, 2)`` offspring flags in one numpy pass.  Here each is
+recomputed cell by cell over node ids, with Python floats, and must
+agree bit for bit.  The cascaded exact prefix sums are held to the
+expansion-growing implementation they replaced, kept below as an oracle.
+"""
+
+import math
+
+import numpy as np
+from hypothesis import example, given, settings, strategies as st
+
+from bartree import BarParams, NoiseParams, ReproductionLaw, rng, simulate_joint
+from bartree.estimation import _exact_prefix, _frames
+from bartree.gw import OUTCOMES
+
+LAWS = {
+    "full": ReproductionLaw.full_observation(),
+    "missing": ReproductionLaw.from_mean_matrix([[0.9, 0.4], [0.3, 0.8]]),  # growth rate 1.2
+    "dense": ReproductionLaw.from_mean_matrix([[0.95, 0.9], [0.9, 0.95]]),  # 1.85
+}
+BAR = BarParams(0.5, 0.3, -0.4, 0.7)
+NOISE = NoiseParams(1.0, 0.5)
+
+
+def reference_tree(law, depth, root_type, x1, seed):
+    """One tree simulated cell by cell: ``(generations, values, noise)``, keyed by node id.
+
+    Each observed cell, in generation and then id order, takes the next
+    uniform of its mask stream; its outcome is the count of its type's
+    first three cumulative thresholds the uniform passes.  Each observed
+    mother, in the same order, takes the next normal pair of its noise
+    stream; a daughter is its drift plus the mixed pair.
+    """
+    cum = law.cumulative()
+    uniforms = iter(rng.Stream(rng.MASK_STREAM).at(seed).random(2**depth).tolist())
+    generations = [[1]]
+    for _ in range(depth):
+        kids = []
+        for k in generations[-1]:
+            kind = root_type if k == 1 else k % 2
+            u = next(uniforms)
+            even, odd = OUTCOMES[sum(u >= c for c in cum[kind, :3].tolist())]
+            kids += [2 * k] * even + [2 * k + 1] * odd
+        generations.append(kids)
+    mothers = sum(len(g) for g in generations[:-1])
+    pairs = iter(rng.Stream(rng.NOISE_STREAM).at(seed).standard_normal((mothers, 2)).tolist())
+    sig = math.sqrt(NOISE.sigma2)
+    rp = NOISE.rho_prime
+    mix = math.sqrt(max(1.0 - rp * rp, 0.0))
+    observed = {k for gen in generations for k in gen}
+    values, noise = {1: float(x1)}, {}
+    for gen in generations[:-1]:
+        for k in gen:
+            z0, z1 = next(pairs)
+            x = values[k]
+            for kid, drift, eps in ((2 * k, BAR.a + BAR.b * x, sig * z0),
+                                    (2 * k + 1, BAR.c + BAR.d * x, sig * (rp * z0 + mix * z1))):
+                if kid in observed:
+                    values[kid] = drift + eps
+                    noise[kid] = values[kid] - drift
+    return generations, values, noise
+
+
+def _bits(values):
+    return np.array(values, dtype=float).tobytes()
+
+
+@settings(deadline=None, max_examples=30)
+@given(
+    law=st.sampled_from(sorted(LAWS)),
+    depth=st.integers(min_value=0, max_value=12),
+    root_type=st.integers(min_value=0, max_value=1),
+    seeds=st.lists(st.integers(min_value=0, max_value=2**32 - 1), min_size=1, max_size=3),
+    forest=st.booleans(),
+)
+@example(law="missing", depth=6, root_type=1, seeds=[5, 6], forest=True)
+def test_kernels_match_per_cell_reference(law, depth, root_type, seeds, forest):
+    seed = seeds if forest else seeds[0]
+    got = simulate_joint(BAR, NOISE, LAWS[law], depth, root_type=root_type, x1=0.25, seed=seed)
+    refs = [reference_tree(LAWS[law], depth, root_type, 0.25, s)
+            for s in (seeds if forest else seeds[:1])]
+    for r in range(depth + 1):
+        ids = [k for gens, _, _ in refs for k in gens[r]]
+        assert got.mask.generations[r].tolist() == ids
+        assert got.values[r].tobytes() == _bits([v[k] for gens, v, _ in refs for k in gens[r]])
+        if r:
+            assert got.noise[r].tobytes() == _bits([e[k] for gens, _, e in refs for k in gens[r]])
+    for r, flags in enumerate(got.mask.offspring):
+        want = [(2 * k in nxt, 2 * k + 1 in nxt)
+                for gens, _, _ in refs for nxt in [set(gens[r + 1])] for k in gens[r]]
+        assert flags.tolist() == [list(w) for w in want]
+    if depth == 0:
+        return
+    for r, f in enumerate(_frames(got, depth - 1)):
+        cells = [(k, v, e) for gens, v, e in refs for k in gens[r]]
+        if not cells:
+            assert f is None
+            continue
+        assert f.xk.tobytes() == _bits([v[k] for k, v, _ in cells])
+        for side, has, x, eps in ((0, f.has_e, f.xe, f.eps_e), (1, f.has_o, f.xo, f.eps_o)):
+            kids = [(2 * k + side, v, e) for k, v, e in cells]
+            assert has.tolist() == [kid in v for kid, v, _ in kids]
+            assert x.tobytes() == _bits([v.get(kid, 0.0) for kid, v, _ in kids])
+            assert eps.tobytes() == _bits([e.get(kid, 0.0) for kid, _, e in kids])
+
+
+# ---------------------------------------------------------------------------
+# exact prefix sums: the cascade against the expansion it replaced
+
+
+def oracle_prefix(table, levels):
+    """Rows added one at a time into a nonoverlapping expansion, rounded at ``levels``."""
+    levels = list(levels)
+    parts, out = [], []
+    for g in range(levels[-1] + 1):
+        x = table[:, g]
+        grown = []
+        for p in parts:
+            hi = x + p
+            v = hi - x
+            grown.append((x - (hi - v)) + (p - v))
+            x = hi
+        grown.append(x)
+        parts = grown
+        if g in levels:
+            out.append(oracle_round(parts))
+    return np.stack(out, axis=1)
+
+
+def oracle_round(parts):
+    """The ``math.fsum`` finish over an expansion of increasing magnitude."""
+    signs = [np.zeros_like(parts[0])]
+    for p in parts[:-1]:
+        signs.append(np.where(p != 0.0, np.sign(p), signs[-1]))
+    hi, lo = parts[-1], np.zeros_like(parts[-1])
+    below = np.zeros_like(hi)
+    live = np.ones(hi.shape, dtype=bool)
+    for k in range(len(parts) - 2, -1, -1):
+        total = hi + parts[k]
+        err = parts[k] - (total - hi)
+        hi = np.where(live, total, hi)
+        stop = live & (err != 0.0)
+        lo = np.where(stop, err, lo)
+        below = np.where(stop, signs[k], below)
+        live &= ~stop
+    y = 2.0 * lo
+    x = hi + y
+    tie = (lo * below > 0.0) & (x - hi == y)
+    return np.where(tie, x, hi)
+
+
+finite = st.floats(min_value=-1e300, max_value=1e300, allow_nan=False, allow_subnormal=True)
+# sums built to cancel and to land on rounding ties
+tricky = st.builds(lambda m, e: m * 2.0**e, st.integers(-4, 4), st.integers(-120, 120))
+edge = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1.7e308, -1.7e308, 2.0**-53, 1.0])
+entries = st.one_of(finite, tricky, edge)
+
+
+@settings(deadline=None, max_examples=300)
+@given(
+    table=st.tuples(st.integers(1, 3), st.integers(1, 14), st.integers(1, 3)).flatmap(
+        lambda shape: st.lists(entries, min_size=math.prod(shape), max_size=math.prod(shape))
+        .map(lambda flat: np.reshape(flat, shape).tolist())
+    ),
+    data=st.data(),
+)
+@example(table=[[[-0.0], [-0.0], [0.0]]], data=None)
+@example(table=[[[1.7e308], [1.7e308], [-1.7e308], [1.0]]], data=None)
+def test_cascade_equals_expansion_oracle(table, data):
+    table = np.array(table, dtype=float)
+    g = table.shape[1]
+    levels = list(range(g))
+    if data is not None:
+        levels = sorted(data.draw(st.sets(st.integers(0, g - 1), min_size=1)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        want = oracle_prefix(table, levels)
+        got = _exact_prefix(table, levels)
+    assert got.tobytes() == want.tobytes()  # signed zeros and overflow NaNs included
+
+
+def test_cascade_zero_prefixes():
+    # level 0 is row 0 itself, -0.0 included, even when the second column's
+    # rounding error gives the cascade a second level; later zeros are +0.0
+    table = np.array([[[-0.0, 1.0], [-0.0, 2.0**-60], [1.0, 0.0], [-1.0, 0.0]]])
+    got = _exact_prefix(table, range(4))[0]
+    assert np.signbit(got[:, 0]).tolist() == [True, False, False, False]
+    assert got[:, 1].tolist() == [1.0, 1.0, 1.0, 1.0]
