@@ -16,9 +16,9 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import stats
 
 from . import rng, tree
+from .distributions import normal_quantile
 from .errors import ExtinctionError, NumericalError, ValidationError
 
 # Offspring outcomes (even count, odd count), fixed column order.
@@ -480,14 +480,13 @@ def estimate_pi(mask: ObservationMask, level: float = 0.95) -> GrowthRateEstimat
     parents_total = mask.total_count(n - 1)
     pi_hat = float(growth_rate_ratio(mask, n)[0])
 
-    # per-parent offspring counts; their spread drives the CI width
-    sq_sum = 0
-    for flags in mask.offspring:
-        y = flags.sum(axis=1)
-        sq_sum += int((y * y).sum())
+    # per-parent offspring counts y in {0, 1, 2} drive the CI width: their
+    # sum is every cell but the roots, and y^2 = y + 2 [both children observed]
+    both = sum(np.count_nonzero(flags[:, 0] & flags[:, 1]) for flags in mask.offspring)
+    sq_sum = mask.total_count(n) - mask.replicates + 2 * int(both)
     var = max(sq_sum / parents_total - pi_hat * pi_hat, 0.0)
     se = math.sqrt(var / parents_total)
-    z = float(stats.norm.ppf(0.5 + level / 2.0))
+    z = normal_quantile(level)
     return GrowthRateEstimate(pi_hat, pi_hat - z * se, pi_hat + z * se, level)
 
 

@@ -13,8 +13,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 
+from .distributions import chi2_sf, normal_quantile
 from .errors import NumericalError, ValidationError
 from .estimation import ThetaEstimate
 from .limits import LimitMatrices
@@ -53,17 +53,6 @@ class WaldTest:
     statistic: float
     df: int
     p_value: float
-
-
-def _check_level(level: float) -> float:
-    if not 0.0 < level < 1.0:
-        raise ValidationError(f"confidence level must be in (0, 1), got {level}")
-    return level
-
-
-def normal_quantile(level: float) -> float:
-    """Two-sided standard normal quantile of a confidence level."""
-    return float(stats.norm.ppf(0.5 + _check_level(level) / 2.0))
 
 
 def normal_bounds(point, var, count, z: float):
@@ -142,7 +131,7 @@ def wald_test(est: ThetaEstimate, which: str) -> WaldTest:
     statistic = float(gap @ solved)
     if statistic < 0.0 or not math.isfinite(statistic):
         raise NumericalError(f"degenerate restricted covariance in {which} test")
-    return WaldTest(which, statistic, df, float(stats.chi2.sf(statistic, df)))
+    return WaldTest(which, statistic, df, chi2_sf(statistic, df))
 
 
 def sigma_rho_cis(

@@ -30,10 +30,10 @@ from dataclasses import dataclass, field
 from typing import Any, Callable
 
 import numpy as np
-from scipy import stats as scipy_stats
 
 from . import estimation, inference, limits, rng
 from .bar import BarParams, NoiseParams, simulate_joint
+from .distributions import ks_normal_distance, normal_quantile
 from .errors import DegenerateModelError, ValidationError
 from .gw import OUTCOMES, ReproductionLaw, expected_cells, spectral
 
@@ -312,7 +312,7 @@ def _rep_qsl(cfg, depth, forest, sigma_lim):
 def _rep_clt(cfg, depth, forest):
     est = estimation.estimate_theta(forest, depth)
     truth = cfg.bar.as_vector()
-    z = inference.normal_quantile(cfg.level)
+    z = normal_quantile(cfg.level)
     pairs = est.pair_parents
     # extinct replicates (a bare root has growth-rate estimate 0) give
     # nonsense here; they are discarded below
@@ -553,7 +553,7 @@ def _clt(cfg: McConfig) -> _Part:
         # shape-only normality: studentized coordinates (the scale itself is
         # what the covariance check above verifies)
         std = (scaled - scaled.mean(axis=0)) / scaled.std(axis=0, ddof=1)
-        ks = [float(scipy_stats.kstest(std[:, j], "norm").statistic) for j in range(4)]
+        ks = [ks_normal_distance(std[:, j]) for j in range(4)]
         checks.append(StatCheck(
             name="theta_clt_normality_ks",
             depth=depth,

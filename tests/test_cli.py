@@ -333,6 +333,16 @@ def test_gw_extinct_mask_exits_3(tmp_path):
     assert run_cli(["gw", "--input", str(mask)]) == 3
 
 
+def test_level_outside_unit_interval_exits_2(tmp_path, model_config, capsys):
+    lineage, mask = tmp_path / "t.csv", tmp_path / "m.csv"
+    assert run_cli(["simulate", "--config", str(model_config), "--output", str(lineage),
+                    "--mask-output", str(mask)]) == 0
+    for level in ("1.5", "-1", "nan", "0"):
+        for argv in (["gw", "--input", str(mask)], ["estimate", "--input", str(lineage)]):
+            err = _one_line_exit_2([*argv, "--level", level], capsys)
+            assert "confidence level must be in (0, 1)" in err
+
+
 def test_validation_exit_codes(tmp_path):
     bad = tmp_path / "bad.csv"
     bad.write_text("1,1.0\n5,2.0\n")

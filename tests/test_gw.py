@@ -307,6 +307,23 @@ def test_estimate_pi_full_mask_exact():
     assert est.ci_low <= est.pi_hat <= est.ci_high
 
 
+def test_estimate_pi_matches_per_parent_count_reference():
+    # the interval's integer sums come from flag counts; the reference sums
+    # each parent's offspring count y and y^2 directly
+    law = ReproductionLaw.from_mean_matrix([[0.95, 0.9], [0.9, 0.95]])
+    for seed in range(20):
+        mask = simulate_mask(law, 9, root_type=seed % 2, seed=seed)
+        y = np.concatenate([flags.sum(axis=1) for flags in mask.offspring])
+        parents = mask.total_count(8)
+        pi_hat = int(y.sum()) / parents
+        z = 1.6448536269514722  # level 0.9
+        se = math.sqrt(max(int((y * y).sum()) / parents - pi_hat * pi_hat, 0.0) / parents)
+        est = estimate_pi(mask, level=0.9)
+        assert est.pi_hat == pi_hat
+        assert est.ci_low == pytest.approx(pi_hat - z * se, rel=1e-15, abs=1e-15)
+        assert est.ci_high == pytest.approx(pi_hat + z * se, rel=1e-15, abs=1e-15)
+
+
 def test_estimate_pi_childless_root():
     law = ReproductionLaw.from_tables({"00": 1.0}, {"11": 1.0})
     mask = simulate_mask(law, 4, root_type=0, seed=0)

@@ -1,11 +1,16 @@
 """Confidence intervals and symmetry tests."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy import stats as sps
 
+import bartree
 from bartree import (
     BarParams,
     NoiseParams,
@@ -20,6 +25,7 @@ from bartree import (
     theta_cis,
     wald_test,
 )
+from bartree.distributions import chi2_sf, ks_normal_distance, normal_quantile
 
 FULL = ReproductionLaw.full_observation()
 
@@ -174,3 +180,47 @@ def test_sigma_ci_coverage():
         cover += sci.covers(1.0)
     # binomial 3 SE band around the nominal level
     assert abs(cover / reps - 0.95) < 3 * math.sqrt(0.95 * 0.05 / reps)
+
+
+# ---------------------------------------------------------------------------
+# distribution functions against scipy's
+
+
+def test_normal_quantile_matches_scipy():
+    for level in (0.5, 0.8, 0.9, 0.95, 0.99, 0.999, 1.0 - 1e-9):
+        expected = sps.norm.ppf(0.5 + level / 2.0)
+        assert normal_quantile(level) == pytest.approx(expected, rel=1e-13, abs=0.0)
+
+
+def test_chi2_tails_match_scipy():
+    xs = np.geomspace(1e-8, 700.0, 4001)
+    for df in (1, 2):
+        ours = [chi2_sf(x, df) for x in xs.tolist()]
+        np.testing.assert_allclose(ours, sps.chi2.sf(xs, df), rtol=1e-13, atol=0.0)
+    with pytest.raises(ValueError):
+        chi2_sf(1.0, 3)
+
+
+def test_ks_normal_distance_matches_scipy():
+    rng = np.random.default_rng(7)
+    samples = [np.array([0.0]), np.array([-3.5]), np.array([1.0, 1.0]),
+               np.array([-np.inf, 0.0, np.inf]), np.array([-1e300, -40.0, 40.0, 1e300])]
+    for n in (2, 3, 7, 50, 333, 1000, 5000):
+        samples.append(rng.standard_normal(n))
+        samples.append(np.round(rng.standard_normal(n), 1))  # heavy ties
+        samples.append(rng.standard_t(1.5, n) * 3.0 + 0.5)  # heavy tails, shifted
+    samples.append(np.concatenate([rng.standard_normal(500), [-38.5, 38.5, -9.0, 9.0] * 5]))
+    for x in samples:
+        expected = sps.kstest(x, "norm").statistic
+        assert ks_normal_distance(x) == pytest.approx(expected, rel=1e-13, abs=0.0), x.size
+    assert math.isnan(ks_normal_distance([0.1, math.nan]))
+
+
+def test_package_import_loads_no_scipy():
+    code = ("import sys\n"
+            "import bartree, bartree.cli, bartree.mc\n"
+            "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))")
+    env = {**os.environ, "PYTHONPATH": str(Path(bartree.__file__).resolve().parents[1])}
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, check=True, timeout=120)
+    assert res.stdout.strip() == "[]"
