@@ -64,11 +64,11 @@ class NoiseMoments(NamedTuple):
 class NoiseParams:
     """Sister-noise law: variance, within-pair covariance and moments.
 
-    The built-in family is the bivariate Gaussian, for which the fourth
-    and eighth moments have closed forms.  ``rho`` may reach ``sigma2``
-    in absolute value (perfectly correlated sisters), and ``sigma2 = 0``
-    gives the deterministic zero-noise model used by exact-recovery
-    fixtures.
+    The only family is the bivariate Gaussian (``family="gaussian"``),
+    for which the fourth and eighth moments have closed forms.  ``rho``
+    may reach ``sigma2`` in absolute value (perfectly correlated
+    sisters), and ``sigma2 = 0`` gives the deterministic zero-noise
+    model used by exact-recovery fixtures.
     """
 
     sigma2: float
@@ -77,6 +77,8 @@ class NoiseParams:
     rho_prime: float = field(init=False)
 
     def __post_init__(self):
+        if self.family != "gaussian":
+            raise ValidationError(f"unsupported noise family {self.family!r}")
         if not math.isfinite(self.sigma2) or self.sigma2 < 0.0:
             raise ValidationError(f"sigma2 must be >= 0, got {self.sigma2}")
         if abs(self.rho) > self.sigma2 + _COV_TOL:
@@ -95,13 +97,11 @@ class NoiseParams:
 def noise_moments(noise: NoiseParams) -> NoiseMoments:
     """Closed-form higher moments of the sister-noise law.
 
-    Gaussian family only: fourth moment ``3 sigma^4``, squared-pair
-    moment ``sigma^4 (1 + 2 rho'^2)``, eighth moment ``105 sigma^8``
-    and fourth-pair moment ``sigma^8 (9 + 72 rho'^2 + 24 rho'^4)``,
+    Fourth moment ``3 sigma^4``, squared-pair moment
+    ``sigma^4 (1 + 2 rho'^2)``, eighth moment ``105 sigma^8`` and
+    fourth-pair moment ``sigma^8 (9 + 72 rho'^2 + 24 rho'^4)``,
     reported through the ``nu2``/``lambda4`` ratios.
     """
-    if noise.family != "gaussian":
-        raise ValidationError(f"unsupported noise family {noise.family!r}")
     s2 = noise.sigma2
     rp2 = noise.rho_prime**2
     tau4 = 3.0 * s2 * s2
@@ -131,10 +131,6 @@ class ObservedTree:
     mask: ObservationMask
     values: list[np.ndarray]
     noise: list[np.ndarray] | None = None
-    bar: BarParams | None = None
-    noise_params: NoiseParams | None = None
-    law: ReproductionLaw | None = None
-    x1: float | None = None
     seed: int | list[int] | None = None
     _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
@@ -256,13 +252,4 @@ def simulate_joint(
         x_next, e_next = _fill_generation(bar, noise, values[r], z, mask.offspring[r])
         values.append(x_next)
         eps.append(e_next)
-    return ObservedTree(
-        mask=mask,
-        values=values,
-        noise=eps,
-        bar=bar,
-        noise_params=noise,
-        law=law,
-        x1=float(x1),
-        seed=seed,
-    )
+    return ObservedTree(mask=mask, values=values, noise=eps, seed=seed)

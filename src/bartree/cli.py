@@ -201,9 +201,7 @@ def _cmd_verify(args) -> int:
     if args.output is None:
         sys.stdout.write(text)
     if args.replicate_csv:
-        io.write_replicate_csv(
-            [row for rep in reports for row in rep.replicate_rows], args.replicate_csv
-        )
+        io.write_replicate_csv(reports, args.replicate_csv)
     return EXIT_OK
 
 

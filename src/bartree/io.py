@@ -20,7 +20,7 @@ import numpy as np
 from .bar import BarParams, NoiseParams, ObservedTree
 from .errors import CapacityError, LineageFormatError, ValidationError
 from .gw import ObservationMask, ReproductionLaw
-from .mc import McConfig, jsonable
+from .mc import PAIR_STATS, McConfig, McReport, jsonable
 from .tree import MAX_DEPTH
 
 MODEL_SCHEMA = "bartree-model-v1"
@@ -399,13 +399,25 @@ def dump_report(doc: dict, path=None) -> str:
     return text
 
 
-def write_replicate_csv(rows: list[dict], path) -> None:
-    """Long-format per-replicate statistics for external plotting."""
-    header = "depth,replicate,seed,survived,stat,value"
-    lines = [header]
-    for row in rows:
-        lines.append(
-            f"{row['depth']},{row['replicate']},{row['seed']},"
-            f"{int(row['survived'])},{row['stat']},{format_real(row['value'])}"
-        )
+def write_replicate_csv(reports: list[McReport], path) -> None:
+    """Long-format per-replicate statistics for external plotting.
+
+    One row per replicate and scalar statistic, ``survived`` first.  An
+    extinct replicate has only its ``survived`` row, a survivor without
+    sister pairs no row for the NaN of a pair statistic, and matrix and
+    vector statistics get no rows.
+    """
+    lines = ["depth,replicate,seed,survived,stat,value"]
+    for report in reports:
+        for depth, (seeds, cols) in report.replicates.items():
+            scalars = {k: col.tolist() for k, col in cols.items() if col.ndim == 1}
+            survived = scalars.pop("survived")
+            for i, (seed, ok) in enumerate(zip(seeds, survived)):
+                base = f"{depth},{i},{seed},{int(ok)},"
+                lines.append(f"{base}survived,{format_real(ok)}")
+                if ok:
+                    lines.extend(
+                        f"{base}{k},{format_real(col[i])}" for k, col in scalars.items()
+                        if not (k in PAIR_STATS and math.isnan(col[i]))
+                    )
     Path(path).write_text("\n".join(lines) + "\n")

@@ -26,14 +26,14 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Any, Callable
 
 import numpy as np
 
 from . import estimation, inference, limits, rng
 from .bar import BarParams, NoiseParams, simulate_joint
-from .distributions import ks_normal_distance, normal_quantile
+from .distributions import _check_level, ks_normal_distance, normal_quantile
 from .errors import DegenerateModelError, ValidationError
 from .gw import OUTCOMES, ReproductionLaw, expected_cells, spectral
 
@@ -43,6 +43,9 @@ _ZERO_TOL = 1e-12
 # the pool workers' peak resident size, while amortising the per-generation
 # numpy calls over many replicates.
 BLOCK_CELLS = 1 << 16
+# Statistics of sister pairs: NaN for a replicate with no mother whose
+# two daughters are both observed.
+PAIR_STATS = ("rho_stat", "rho_cover", "rho_bias")
 
 
 @dataclass(frozen=True)
@@ -67,6 +70,7 @@ class McConfig:
             raise ValidationError("depths must be non-empty and strictly ascending")
         object.__setattr__(self, "depths", depths)
         rng.check_seed(self.seed)
+        _check_level(self.level)
         last = _rep_seed(self, len(depths) - 1, self.replicates - 1)
         if last >= rng.SEED_LIMIT:
             raise ValidationError(
@@ -112,51 +116,34 @@ class StatCheck:
     passed: bool | None
     detail: dict = field(default_factory=dict)
 
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "depth": self.depth,
-            "empirical": self.empirical,
-            "target": self.target,
-            "tolerance": self.tolerance,
-            "tolerance_kind": self.tolerance_kind,
-            "passed": self.passed,
-            "detail": self.detail,
-        }
-
 
 @dataclass
 class McReport:
     """Aggregated experiment outcome plus the per-replicate statistics.
 
-    ``replicates`` maps each depth to its replicates' seeds and
-    statistics dicts; :attr:`replicate_rows` lays them out long when read.
+    ``replicates`` maps each depth to its replicates' seeds and their
+    statistics as columns: ``{"survived": bool array, <stat>: array}``
+    with the replicate as the leading axis, in seed order.  A statistic
+    of an extinct replicate is meaningless, and a pair statistic (one
+    of :data:`PAIR_STATS`) is NaN for a replicate without sister pairs.
     """
 
     check: str
     config: dict
-    extinct: dict[int, int]
-    surviving: dict[int, int]
     checks: list[StatCheck]
-    replicates: dict[int, tuple[list[int], list[dict]]]
+    replicates: dict[int, tuple[list[int], dict[str, np.ndarray]]]
+
+    @property
+    def surviving(self) -> dict[int, int]:
+        return {d: int(cols["survived"].sum()) for d, (_, cols) in self.replicates.items()}
+
+    @property
+    def extinct(self) -> dict[int, int]:
+        return {d: int((~cols["survived"]).sum()) for d, (_, cols) in self.replicates.items()}
 
     @property
     def passed(self) -> bool:
         return all(c.passed for c in self.checks if c.passed is not None)
-
-    @property
-    def replicate_rows(self) -> list[dict]:
-        """One row per replicate and statistic, ``survived`` first (long format)."""
-        rows = []
-        for depth, (seeds, reps) in self.replicates.items():
-            for i, (seed, r) in enumerate(zip(seeds, reps)):
-                base = {"depth": depth, "replicate": i, "seed": seed, "survived": r["survived"]}
-                rows.append({**base, "stat": "survived", "value": float(r["survived"])})
-                for key, value in r.items():
-                    if key == "survived" or isinstance(value, (list, np.ndarray)):
-                        continue
-                    rows.append({**base, "stat": key, "value": float(value)})
-        return rows
 
     def to_dict(self) -> dict:
         return jsonable(
@@ -167,7 +154,7 @@ class McReport:
                 "extinct": {str(k): v for k, v in self.extinct.items()},
                 "surviving": {str(k): v for k, v in self.surviving.items()},
                 "passed": self.passed,
-                "checks": [c.to_dict() for c in self.checks],
+                "checks": [asdict(c) for c in self.checks],
             }
         )
 
@@ -237,15 +224,6 @@ def _blocks(cfg: McConfig, depth: int, seeds: list[int]) -> list[list[int]]:
     return [seeds[a:b] for a, b in zip(edges[:-1], edges[1:])]
 
 
-def _rows(alive: np.ndarray, **stats) -> list[dict]:
-    """One dict per replicate: ``survived`` and, for survivors, each statistic."""
-    values = {k: np.asarray(v).tolist() for k, v in stats.items()}
-    return [
-        {"survived": True, **{k: v[i] for k, v in values.items()}} if ok else {"survived": False}
-        for i, ok in enumerate(alive.tolist())
-    ]
-
-
 def _entrywise_check(name, depth, median, target, rows):
     tol = np.maximum(0.10 * np.abs(target), 0.02)
     dev = np.abs(median - target)
@@ -265,13 +243,13 @@ def _entrywise_check(name, depth, median, target, rows):
 # ---------------------------------------------------------------------------
 # block evaluators (top level, so that block jobs pickle for the pool).  Each
 # takes ``(cfg, depth, forest, ...)``, a forest block simulated to ``depth``
-# or deeper, and returns one dict per replicate, in seed order.
+# or deeper, and returns the block's statistics columns (see McReport).
 
 
 def _rep_design(cfg, depth, forest):
     d = estimation.accumulate_design(forest, depth)
     scale = d.t_star[:, None, None]
-    return _rows(d.g_star > 0, s0=d.s0 / scale, s1=d.s1 / scale, s01=d.s01 / scale)
+    return {"survived": d.g_star > 0, "s0": d.s0 / scale, "s1": d.s1 / scale, "s01": d.s01 / scale}
 
 
 def _rep_consistency(cfg, depth, forest):
@@ -280,7 +258,7 @@ def _rep_consistency(cfg, depth, forest):
     tp = est.t_star_parents
     with np.errstate(divide="ignore", invalid="ignore"):
         rate = (diff * diff).sum(axis=1) * tp / np.log(tp)
-    return _rows(forest.mask.generation_sizes(depth) > 0, rate=rate)
+    return {"survived": forest.mask.generation_sizes(depth) > 0, "rate": rate}
 
 
 def _rep_qsl(cfg, depth, forest, sigma_lim):
@@ -299,14 +277,14 @@ def _rep_qsl(cfg, depth, forest, sigma_lim):
     alive = (forest.mask.generation_sizes(depth) > 0) & (levels > 0)
     with np.errstate(divide="ignore", invalid="ignore"):
         means = sums / np.stack([levels, levels, levels - levels // 2, levels - levels // 2], axis=-1)
-    return _rows(
-        alive,
-        qsl=means[:, 0],
-        qsl_tail=means[:, 2],
-        qsl_limit_design=means[:, 1],
-        qsl_limit_design_tail=means[:, 3],
-        levels=levels,
-    )
+    return {
+        "survived": alive,
+        "qsl": means[:, 0],
+        "qsl_tail": means[:, 2],
+        "qsl_limit_design": means[:, 1],
+        "qsl_limit_design_tail": means[:, 3],
+        "levels": levels,
+    }
 
 
 def _rep_clt(cfg, depth, forest):
@@ -322,34 +300,27 @@ def _rep_clt(cfg, depth, forest):
         s_low, s_high = inference.normal_bounds(est.sigma2_hat, var_sigma, est.t_star, z)
         r_low, r_high = inference.normal_bounds(est.rho_hat, var_rho, np.maximum(pairs, 1), z)
     sigma2, rho = cfg.noise.sigma2, cfg.noise.rho
-    out = _rows(
-        forest.mask.generation_sizes(depth) > 0,
-        scaled_theta=np.sqrt(est.t_star_parents)[:, None] * (est.theta_hat - truth),
-        cover=(low <= truth) & (truth <= high),
-        sigma_stat=np.sqrt(est.t_star) * (est.sigma2_hat - sigma2),
-        sigma_cover=(s_low <= sigma2) & (sigma2 <= s_high),
-        rho_stat=np.sqrt(pairs) * (est.rho_hat - rho),
-        rho_cover=(r_low <= rho) & (rho <= r_high),
-    )
-    for row, with_pairs in zip(out, (pairs > 0).tolist()):
-        if row["survived"] and not with_pairs:
-            del row["rho_stat"], row["rho_cover"]
-    return out
+    with_pairs = pairs > 0
+    return {
+        "survived": forest.mask.generation_sizes(depth) > 0,
+        "scaled_theta": np.sqrt(est.t_star_parents)[:, None] * (est.theta_hat - truth),
+        "cover": (low <= truth) & (truth <= high),
+        "sigma_stat": np.sqrt(est.t_star) * (est.sigma2_hat - sigma2),
+        "sigma_cover": (s_low <= sigma2) & (sigma2 <= s_high),
+        "rho_stat": np.where(with_pairs, np.sqrt(pairs) * (est.rho_hat - rho), np.nan),
+        "rho_cover": np.where(with_pairs, (r_low <= rho) & (rho <= r_high), np.nan),
+    }
 
 
 def _rep_variance(cfg, depth, forest):
     s_seq, r_seq = estimation.sequential_variance_functionals(forest, depth)
     s_bar, r_bar = estimation.true_noise_functionals(forest, depth)
     scale = forest.mask.cells_through(depth) / depth
-    out = _rows(
-        forest.mask.generation_sizes(depth) > 0,
-        sigma_bias=scale * (s_seq - s_bar),
-        rho_bias=scale * (r_seq - r_bar),
-    )
-    for row, ok in zip(out, (~np.isnan(r_seq)).tolist()):
-        if row["survived"] and not ok:
-            del row["rho_bias"]
-    return out
+    return {
+        "survived": forest.mask.generation_sizes(depth) > 0,
+        "sigma_bias": scale * (s_seq - s_bar),
+        "rho_bias": np.where(np.isnan(r_seq), np.nan, scale * (r_seq - r_bar)),
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -363,12 +334,12 @@ class _Part:
     ``evaluate(cfg, depth, forest, *extra)`` runs on a block of seed set
     ``j`` for the ``j``-th of ``depths``, on trees simulated ``grown``
     generations beyond that depth or more; ``reduce`` maps each depth's
-    surviving replicate dicts to the check's statistics.
+    survivors' columns to the check's statistics.
     """
 
     evaluate: Callable
     depths: tuple[int, ...]
-    reduce: Callable[[dict[int, list[dict]]], list[StatCheck]]
+    reduce: Callable[[dict[int, dict[str, np.ndarray]]], list[StatCheck]]
     extra: tuple = ()
     grown: int = 0
 
@@ -384,21 +355,6 @@ def _run_block(job):
         root_type=cfg.root_type, x1=cfg.x1, seed=seeds,
     )
     return [evaluate(cfg, d, forest, *extra) for evaluate, d, extra in tasks]
-
-
-def _collect(cfg: McConfig, part: _Part, reps_by_set: list[list[dict]]):
-    """Per-depth survivors and extinction counts of one check."""
-    results, extinct, surviving = {}, {}, {}
-    for depth, reps in zip(part.depths, reps_by_set):
-        alive = [r for r in reps if r["survived"]]
-        extinct[depth] = cfg.replicates - len(alive)
-        surviving[depth] = len(alive)
-        if not alive:
-            raise DegenerateModelError(
-                f"all {cfg.replicates} replicates extinct at depth {depth}"
-            )
-        results[depth] = alive
-    return results, extinct, surviving
 
 
 def run_checks(cfg: McConfig, names) -> list[McReport]:
@@ -423,17 +379,23 @@ def run_checks(cfg: McConfig, names) -> list[McReport]:
         for block in _blocks(cfg, deepest, seeds[j]):
             jobs.append((cfg, deepest, block, evaluators))
             owners.append(j)
-    reps: dict[tuple[int, int], list[dict]] = {}
+    blocks: dict[tuple[int, int], list[dict]] = {}  # (part, seed set) -> block columns
     for j, outputs in zip(owners, _map_ordered(_run_block, jobs)):
-        for (k, _), rows in zip(sets[j], outputs):
-            reps.setdefault((k, j), []).extend(rows)
+        for (k, _), cols in zip(sets[j], outputs):
+            blocks.setdefault((k, j), []).append(cols)
     reports = []
     for k, (name, part) in enumerate(zip(names, parts)):
-        by_set = [reps[k, j] for j in range(len(part.depths))]
-        results, extinct, surviving = _collect(cfg, part, by_set)
-        replicates = {d: (seeds[j], by_set[j]) for j, d in enumerate(part.depths)}
-        reports.append(McReport(name, cfg.describe(), extinct, surviving,
-                                part.reduce(results), replicates))
+        replicates, survivors = {}, {}
+        for j, depth in enumerate(part.depths):
+            cols = {key: np.concatenate([b[key] for b in blocks[k, j]]) for key in blocks[k, j][0]}
+            alive = cols["survived"]
+            if not alive.any():
+                raise DegenerateModelError(
+                    f"all {cfg.replicates} replicates extinct at depth {depth}"
+                )
+            replicates[depth] = (seeds[j], cols)
+            survivors[depth] = {key: col[alive] for key, col in cols.items()}
+        reports.append(McReport(name, cfg.describe(), part.reduce(survivors), replicates))
     return reports
 
 
@@ -446,10 +408,10 @@ def _limit_matrices(cfg: McConfig) -> _Part:
         for depth in cfg.depths:
             alive = results[depth]
             for key, target in (("s0", l0), ("s1", l1), ("s01", l01)):
-                median = np.median([r[key] for r in alive], axis=0)
+                median = np.median(alive[key], axis=0)
                 checks.append(_entrywise_check(
                     f"design_ratio_{key}", depth, median, target,
-                    {"surviving": len(alive)},
+                    {"surviving": len(alive["survived"])},
                 ))
         return checks
 
@@ -460,7 +422,7 @@ def _consistency_rate(cfg: McConfig) -> _Part:
     _require_supercritical(cfg)
 
     def reduce(results):
-        medians = {d: float(np.median([r["rate"] for r in results[d]])) for d in cfg.depths}
+        medians = {d: float(np.median(results[d]["rate"])) for d in cfg.depths}
         first, last = cfg.depths[0], cfg.depths[-1]
         zero_scale = max(medians[first], _ZERO_TOL)
         return [
@@ -497,7 +459,7 @@ def _qsl(cfg: McConfig) -> _Part:
         alive = results[depth]
 
         def check(name, key):
-            values = [r[key] for r in alive]
+            values = alive[key]
             mean = float(np.mean(values))
             return StatCheck(
                 name=name,
@@ -509,9 +471,9 @@ def _qsl(cfg: McConfig) -> _Part:
                 passed=abs(mean - target) <= bound,
                 detail={
                     "median": float(np.median(values)),
-                    "tail_levels_mean": float(np.mean([r[key + "_tail"] for r in alive])),
+                    "tail_levels_mean": float(np.mean(alive[key + "_tail"])),
                     "printed_constant": printed,
-                    "surviving": len(alive),
+                    "surviving": len(values),
                 },
             )
 
@@ -527,8 +489,8 @@ def _clt(cfg: McConfig) -> _Part:
 
     def reduce(results):
         alive = results[depth]
-        n_alive = len(alive)
-        scaled = np.array([r["scaled_theta"] for r in alive])
+        scaled = alive["scaled_theta"]
+        n_alive = len(scaled)
         checks = []
 
         # diagonal entries carry the 15% relative requirement; off-diagonal
@@ -565,7 +527,7 @@ def _clt(cfg: McConfig) -> _Part:
             detail={"per_coefficient": ks},
         ))
 
-        coverage = np.mean([r["cover"] for r in alive], axis=0)
+        coverage = np.mean(alive["cover"], axis=0)
         checks.append(StatCheck(
             name="theta_ci_coverage",
             depth=depth,
@@ -577,8 +539,7 @@ def _clt(cfg: McConfig) -> _Part:
             detail={"per_coefficient": coverage, "surviving": n_alive},
         ))
 
-        sigma_stats = [r["sigma_stat"] for r in alive]
-        emp_var = float(np.var(sigma_stats, ddof=1))
+        emp_var = float(np.var(alive["sigma_stat"], ddof=1))
         checks.append(StatCheck(
             name="sigma2_clt_variance",
             depth=depth,
@@ -587,13 +548,13 @@ def _clt(cfg: McConfig) -> _Part:
             tolerance=0.15,
             tolerance_kind="relative",
             passed=abs(emp_var - lm.sigma2_clt_var) <= 0.15 * lm.sigma2_clt_var,
-            detail={"sigma_ci_coverage": float(np.mean([r["sigma_cover"] for r in alive]))},
+            detail={"sigma_ci_coverage": float(np.mean(alive["sigma_cover"]))},
         ))
 
-        rho_stats = [r["rho_stat"] for r in alive if "rho_stat" in r]
-        if rho_stats:
+        with_pairs = ~np.isnan(alive["rho_stat"])
+        if with_pairs.any():
+            rho_stats = alive["rho_stat"][with_pairs]
             emp_var_rho = float(np.var(rho_stats, ddof=1))
-            rho_cover = [r["rho_cover"] for r in alive if r.get("rho_cover") is not None]
             checks.append(StatCheck(
                 name="rho_clt_variance",
                 depth=depth,
@@ -602,7 +563,7 @@ def _clt(cfg: McConfig) -> _Part:
                 tolerance=0.15,
                 tolerance_kind="relative",
                 passed=abs(emp_var_rho - lm.rho_clt_var) <= 0.15 * lm.rho_clt_var,
-                detail={"rho_ci_coverage": float(np.mean(rho_cover)) if rho_cover else None,
+                detail={"rho_ci_coverage": float(np.mean(alive["rho_cover"][with_pairs])),
                         "with_pairs": len(rho_stats)},
             ))
 
@@ -632,7 +593,7 @@ def _variance_estimators(cfg: McConfig) -> _Part:
 
     def reduce(results):
         alive = results[depth]
-        med_sigma = float(np.median([r["sigma_bias"] for r in alive]))
+        med_sigma = float(np.median(alive["sigma_bias"]))
         target = 4.0 * (spectrum.growth_rate - 1.0) * cfg.noise.sigma2
         if target == 0.0:
             passed = abs(med_sigma) <= _ZERO_TOL
@@ -648,11 +609,11 @@ def _variance_estimators(cfg: McConfig) -> _Part:
             tolerance=tol,
             tolerance_kind=kind,
             passed=passed,
-            detail={"surviving": len(alive)},
+            detail={"surviving": len(alive["survived"])},
         )]
 
-        rho_vals = [r["rho_bias"] for r in alive if "rho_bias" in r]
-        if rho_vals and cfg.noise.sigma2 > 0.0:
+        rho_vals = alive["rho_bias"][~np.isnan(alive["rho_bias"])]
+        if rho_vals.size and cfg.noise.sigma2 > 0.0:
             lm = limits.limit_matrices(cfg.bar, cfg.noise, spectrum)
             checks.append(StatCheck(
                 name="rho_bias",

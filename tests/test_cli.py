@@ -343,6 +343,54 @@ def test_level_outside_unit_interval_exits_2(tmp_path, model_config, capsys):
             assert "confidence level must be in (0, 1)" in err
 
 
+def _verify_doc(**overrides):
+    doc = {
+        "schema": "bartree-mc-v1",
+        "model": model_doc(),
+        "depths": [5],
+        "replicates": 5,
+        "seed": 3,
+        "checks": ["limit_matrices"],
+    }
+    doc.update(overrides)
+    return doc
+
+
+@pytest.fixture
+def no_simulation(monkeypatch):
+    """Make ``verify`` fail the test if it simulates anything."""
+    from bartree import mc
+
+    def simulate(*args, **kwargs):
+        raise AssertionError("verify simulated before rejecting its config")
+
+    monkeypatch.setenv("BARTREE_THREADS", "1")
+    monkeypatch.setattr(mc, "simulate_joint", simulate)
+
+
+def test_non_gaussian_noise_family_exits_2(tmp_path, capsys, no_simulation):
+    # the Gaussian is the only noise law: another family is no silent no-op
+    noise = dict(model_doc()["noise"], family="laplace")
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(model_doc(noise=noise)))
+    out = tmp_path / "o.csv"
+    err = _one_line_exit_2(["simulate", "--config", str(path), "--output", str(out)], capsys)
+    assert "unsupported noise family 'laplace'" in err and not out.exists()
+    path.write_text(json.dumps(_verify_doc(model=model_doc(noise=noise))))
+    err = _one_line_exit_2(["verify", "--config", str(path)], capsys)
+    assert "unsupported noise family 'laplace'" in err
+
+
+@pytest.mark.parametrize("level", [1.5, 0, -1, float("nan")])
+def test_verify_level_outside_unit_interval_exits_2(tmp_path, capsys, no_simulation, level):
+    # rejected at load, whether or not a check reads the level
+    path = tmp_path / "mc.json"
+    for checks in (["qsl"], ["clt"]):
+        path.write_text(json.dumps(_verify_doc(checks=checks, level=level)))
+        err = _one_line_exit_2(["verify", "--config", str(path)], capsys)
+        assert "confidence level must be in (0, 1)" in err
+
+
 def test_validation_exit_codes(tmp_path):
     bad = tmp_path / "bad.csv"
     bad.write_text("1,1.0\n5,2.0\n")

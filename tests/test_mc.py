@@ -393,9 +393,56 @@ def test_report_serializable_and_self_describing():
         assert {"name", "empirical", "target", "tolerance", "passed"} <= set(check)
 
 
-def test_replicate_rows_long_format():
-    cfg = _cfg(depths=(8,), replicates=10, seed=2)
-    report = mc_qsl(cfg)
-    assert report.replicate_rows
-    row = report.replicate_rows[0]
-    assert {"depth", "replicate", "seed", "survived", "stat", "value"} <= set(row)
+def test_replicate_csv_long_format(tmp_path, monkeypatch):
+    # MISSING at depth 4 leaves 7 of 40 replicates extinct and 4 survivors
+    # without a sister pair: an extinct replicate gets only its survived
+    # row, a pairless survivor no rho_* row, and matrix and vector
+    # statistics (scaled_theta, cover) no row at all
+    from bartree import mc
+    from bartree.cli import run_cli
+
+    cfg = _cfg(law=MISSING, depths=(4,), replicates=40, seed=11)
+    doc = cfg.describe()
+    cfg_path = tmp_path / "mc.json"
+    cfg_path.write_text(json.dumps({
+        "schema": "bartree-mc-v1",
+        "model": {key: doc[key] for key in ("bar", "noise", "law")},
+        **{key: doc[key] for key in ("depths", "replicates", "seed")},
+        "checks": ["clt", "variance_estimators"],
+    }))
+
+    def verify(threads, budget=None):
+        monkeypatch.setenv("BARTREE_THREADS", threads)
+        if budget is not None:
+            monkeypatch.setattr(mc, "BLOCK_CELLS", budget)
+        out, csv = tmp_path / "r.json", tmp_path / f"r{threads}-{budget}.csv"
+        argv = ["verify", "--config", str(cfg_path), "--output", str(out), "--replicate-csv", str(csv)]
+        assert run_cli(argv) == 0
+        return json.loads(out.read_text())["reports"], csv.read_bytes()
+
+    reports, text = verify("1")
+    assert text == verify("2")[1]
+    assert verify("1", budget=50)[1] == verify("2", budget=50)[1] == text
+    assert len(mc._blocks(cfg, 4, list(range(40)))) >= 3
+
+    lines = text.decode().splitlines()
+    assert lines[0] == "depth,replicate,seed,survived,stat,value"
+    stats: dict[int, list[str]] = {}
+    for line in lines[1:]:
+        depth, i, seed, survived, stat, value = line.split(",")
+        assert (depth, int(seed)) == ("4", 11 + int(i))
+        if stat == "survived":
+            assert value == survived
+        stats.setdefault(int(i), []).append(stat)
+    assert sorted(stats) == list(range(40))
+    # one survived row per check; scaled_theta and cover never appear
+    unpaired = {"survived", "sigma_stat", "sigma_cover", "sigma_bias"}
+    paired = unpaired | {"rho_stat", "rho_cover", "rho_bias"}
+    extinct = [i for i, s in stats.items() if s == ["survived", "survived"]]
+    pairless = [i for i, s in stats.items() if s.count("survived") == 2 and set(s) == unpaired]
+    with_pairs = [i for i, s in stats.items() if s.count("survived") == 2 and set(s) == paired]
+    assert (len(extinct), len(pairless), len(with_pairs)) == (7, 4, 29)
+    assert all(f"4,{i},{11 + i},0,survived,0" in lines for i in extinct)
+    assert all(r["extinct"] == {"4": 7} for r in reports)
+    counts = [c["detail"]["with_pairs"] for r in reports for c in r["checks"] if "rho" in c["name"]]
+    assert counts == [29, 29]
