@@ -21,6 +21,7 @@ term array.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -614,10 +615,12 @@ def _prefix_columns(x: np.ndarray, levels: np.ndarray) -> np.ndarray:
     their additions is exact (TwoSum), and the errors' own running sums
     and errors follow, level after level, until no finite error is left
     (Ogita, Rump and Oishi's cascaded summation).  The prefix at level
-    ``g`` is then the exact sum of a few terms, one per cascade level,
-    which :func:`_round_expansion` rounds once they are grown into a
-    nonoverlapping expansion.
+    ``g`` is then the exact sum of a few terms, one per cascade level.
+    Two terms round correctly in one addition; the rare finite prefix
+    with a third nonzero term is ``math.fsum`` of its rows, and one that
+    overflowed keeps the summed terms (NaN).
     """
+    rows = x
     # terms[j]: the running sums of cascade level j at each requested
     # level (0 below j), as each level's first addition is one row on
     terms = []
@@ -639,56 +642,13 @@ def _prefix_columns(x: np.ndarray, levels: np.ndarray) -> np.ndarray:
             break
     if not np.isfinite(x).all():  # overflow: its NaN errors mark the prefixes it reaches
         add_term(x)
-    if len(terms) == 1:
-        return terms[0]
-    # two terms round correctly in one addition; more need the expansion
-    out = terms[0] + terms[1]
-    deep = np.any([term != 0.0 for term in terms[2:]], axis=0)
-    if deep.any():
-        parts: list[np.ndarray] = []
-        for y in [term[deep] for term in terms[::-1]]:  # smallest first
-            grown = []
-            for p in parts:
-                hi = y + p
-                v = hi - y
-                grown.append((y - (hi - v)) + (p - v))
-                y = hi
-            grown.append(y)
-            parts = grown
-        out[deep] = _round_expansion(parts)
+    out = sum(terms[1:], terms[0])
+    deep = np.any([term != 0.0 for term in terms[2:]], axis=0) & np.isfinite(out)
+    for g, c in zip(*np.nonzero(deep)):
+        out[g, c] = math.fsum(rows[: levels[g] + 1, c].tolist())
     return out
 
 
 def exact_sum(table: np.ndarray) -> np.ndarray:
     """``math.fsum`` along axis 1 of ``table (R, G, k)``, vectorised: ``(R, k)``."""
     return _exact_prefix(table, [table.shape[1] - 1])[:, 0]
-
-
-def _round_expansion(parts: list[np.ndarray]) -> np.ndarray:
-    """Round a nonoverlapping expansion (increasing magnitude) to the nearest double.
-
-    The ``math.fsum`` finish: add components from the top until one
-    addition is inexact, then break a half-way tie toward the sign of
-    the largest nonzero component left below.
-    """
-    # sign of the largest nonzero component among parts[:k], for each k
-    signs = [np.zeros_like(parts[0])]
-    for p in parts[:-1]:
-        signs.append(np.where(p != 0.0, np.sign(p), signs[-1]))
-    hi, lo = parts[-1], np.zeros_like(parts[-1])
-    below = np.zeros_like(hi)
-    live = np.ones(hi.shape, dtype=bool)
-    for k in range(len(parts) - 2, -1, -1):
-        total = hi + parts[k]
-        err = parts[k] - (total - hi)
-        hi = np.where(live, total, hi)
-        stop = live & (err != 0.0)
-        lo = np.where(stop, err, lo)
-        below = np.where(stop, signs[k], below)
-        live &= ~stop
-    y = 2.0 * lo
-    x = hi + y
-    tie = (lo * below > 0.0) & (x - hi == y)
-    return np.where(tie, x, hi)
-
-

@@ -5,11 +5,16 @@ the unnormalised design matrices and the residual variance/covariance
 estimates; the sample-size factors cancel between the CLT scaling and
 the unnormalised matrices, so the sandwich diagonal is already the
 coefficient variance.
+
+As in :mod:`bartree.estimation`, every function takes a tree's estimate
+or a forest's.  A tree gets plain numbers; a forest gets the same
+objects with one value per replicate in each numeric field, NaN where a
+replicate's value does not exist (no sister pairs, a degenerate
+restricted covariance).
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,7 +22,6 @@ import numpy as np
 from .distributions import chi2_sf, normal_quantile
 from .errors import NumericalError, ValidationError
 from .estimation import ThetaEstimate
-from .limits import LimitMatrices
 
 _CONTRASTS = {
     "pair": np.array([[1.0, 0.0, -1.0, 0.0], [0.0, 1.0, 0.0, -1.0]]),
@@ -30,13 +34,15 @@ _COEFF_NAMES = ("a", "b", "c", "d")
 
 @dataclass(frozen=True)
 class ConfidenceInterval:
+    """A normal interval; for a forest, ``point``, ``low`` and ``high`` hold one value per replicate."""
+
     point: float
     low: float
     high: float
     level: float
 
     def __post_init__(self):
-        if not self.low <= self.point <= self.high:
+        if np.any((self.low > self.point) | (self.point > self.high)):  # NaN: not estimable
             raise ValidationError("confidence interval must bracket its point")
 
     @property
@@ -44,46 +50,38 @@ class ConfidenceInterval:
         return self.high - self.low
 
     def covers(self, value: float) -> bool:
-        return self.low <= value <= self.high
+        return (self.low <= value) & (value <= self.high)
 
 
 @dataclass(frozen=True)
 class WaldTest:
+    """A symmetry test; for a forest, ``statistic`` and ``p_value`` hold one value per replicate."""
+
     name: str
     statistic: float
     df: int
     p_value: float
 
 
-def normal_bounds(point, var, count, z: float):
-    """Normal interval ``point -+ z sqrt(var / count)``, negative ``var`` read as 0.
-
-    Works elementwise, so it serves one estimate or a forest of them.
-    """
+def _interval(point, var, count, z: float, level: float) -> ConfidenceInterval:
+    """Normal interval ``point -+ z sqrt(var / count)``, negative ``var`` read as 0."""
     half = z * np.sqrt(np.maximum(var, 0.0) / count)
-    return point - half, point + half
+    low, high = point - half, point + half
+    if np.ndim(low) == 0:  # a tree's interval holds plain numbers
+        point, low, high = float(point), float(low), float(high)
+    return ConfidenceInterval(point, low, high, level)
 
 
-def plug_in_covariance(est) -> tuple[np.ndarray, bool]:
-    """Sandwich covariance of the coefficient estimate.
+def _covariance(est: ThetaEstimate) -> np.ndarray:
+    """Sandwich covariance of the coefficient estimate, a 4x4 matrix per replicate.
 
-    Returns the 4x4 matrix and a flag saying whether an absent
-    sister-covariance estimate was replaced by zero.  A forest's
-    estimate gives one matrix per replicate, with each absent (NaN)
-    sister covariance replaced by zero.
+    An absent sister-covariance estimate (``None``, or NaN in a forest)
+    enters as zero.
     """
-    rho_missing = est.rho_hat is None
-    rho = 0.0 if rho_missing else np.nan_to_num(est.rho_hat)
-    sigma = est.design.sigma()
-    gamma = est.design.gamma(est.sigma2_hat, rho)
-    inv = np.linalg.inv(sigma)
-    cov = inv @ gamma @ inv
-    return 0.5 * (cov + np.swapaxes(cov, -1, -2)), rho_missing
-
-
-def coefficient_bounds(est, cov: np.ndarray, z: float):
-    """Normal bounds ``(low, high)`` of each coefficient from its covariance."""
-    return normal_bounds(est.theta_hat, np.diagonal(cov, axis1=-2, axis2=-1), 1, z)
+    rho = 0.0 if est.rho_hat is None else np.nan_to_num(est.rho_hat)
+    inv = np.linalg.inv(est.design.sigma())
+    cov = inv @ est.design.gamma(est.sigma2_hat, rho) @ inv
+    return 0.5 * (cov + np.swapaxes(cov, -1, -2))
 
 
 def theta_cis(est: ThetaEstimate, level: float = 0.95):
@@ -93,14 +91,13 @@ def theta_cis(est: ThetaEstimate, level: float = 0.95):
     coefficient names ``a, b, c, d`` to intervals.
     """
     z = normal_quantile(level)
-    cov, rho_missing = plug_in_covariance(est)
-    low, high = coefficient_bounds(est, cov, z)
-    out: dict[str, ConfidenceInterval] = {}
-    for j, name in enumerate(_COEFF_NAMES):
-        point = float(est.theta_hat[j])
-        out[name] = ConfidenceInterval(point, float(low[j]), float(high[j]), level)
+    var = np.diagonal(_covariance(est), axis1=-2, axis2=-1)
+    out = {
+        name: _interval(est.theta_hat[..., j], var[..., j], 1, z, level)
+        for j, name in enumerate(_COEFF_NAMES)
+    }
     warnings = []
-    if rho_missing:
+    if est.rho_hat is None:
         warnings.append(
             "sister covariance not estimable (no observed pairs); plug-in used rho = 0"
         )
@@ -113,81 +110,67 @@ def wald_test(est: ThetaEstimate, which: str) -> WaldTest:
     ``which`` is ``"pair"`` (both coefficients equal across daughter
     types), ``"intercept"`` or ``"slope"``.  A contrast whose estimate
     is exactly zero is reported as statistic 0 with p-value 1 even when
-    the restricted covariance is singular.
+    the restricted covariance is singular.  Otherwise a degenerate
+    restricted covariance raises :class:`NumericalError` for a tree and
+    gives a NaN statistic and p-value for that replicate of a forest.
     """
     if which not in _CONTRASTS:
         raise ValidationError(f"unknown contrast {which!r}; pick from {sorted(_CONTRASTS)}")
     r = _CONTRASTS[which]
     df = r.shape[0]
-    gap = r @ est.theta_hat
-    if not gap.any():
-        return WaldTest(which, 0.0, df, 1.0)
-    cov, _ = plug_in_covariance(est)
-    restricted = r @ cov @ r.T
-    try:
-        solved = np.linalg.solve(restricted, gap)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"degenerate restricted covariance in {which} test") from exc
-    statistic = float(gap @ solved)
-    if statistic < 0.0 or not math.isfinite(statistic):
+    gap = np.atleast_2d(est.theta_hat) @ r.T
+    restricted = np.reshape(r @ _covariance(est) @ r.T, (-1, df, df))
+    solved = _solve_each(restricted, gap[..., None])
+    statistic = np.matmul(gap[:, None, :], solved)[:, 0, 0]
+    statistic[~((statistic >= 0.0) & (statistic < np.inf))] = np.nan
+    statistic[~gap.any(axis=1)] = 0.0
+    p_value = np.array([chi2_sf(s, df) if s == s else np.nan for s in statistic.tolist()])
+    if np.ndim(est.theta_hat) == 2:
+        return WaldTest(which, statistic, df, p_value)
+    if np.isnan(statistic[0]):
         raise NumericalError(f"degenerate restricted covariance in {which} test")
-    return WaldTest(which, statistic, df, chi2_sf(statistic, df))
+    return WaldTest(which, float(statistic[0]), df, float(p_value[0]))
 
 
-def sigma_rho_cis(
-    est: ThetaEstimate,
-    level: float = 0.95,
-    limits: LimitMatrices | None = None,
-):
+def _solve_each(m: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """``m^-1 v`` for each system of the stack ``m (R, k, k)``, NaN for a singular one."""
+    out = np.full(v.shape, np.nan)
+    for i in range(len(m)):
+        try:
+            out[i] = np.linalg.solve(m[i], v[i])
+        except np.linalg.LinAlgError:
+            pass
+    return out
+
+
+def sigma_rho_cis(est: ThetaEstimate, level: float = 0.95):
     """Confidence intervals for the noise variance and sister covariance.
 
-    In plug-in mode (the default) the CLT variances are built from the
-    residual fourth moments, the ratio growth-rate estimate and the
-    observed pair fraction; passing ``limits`` switches to the
-    theoretical variance constants evaluated at the model parameters.
-    Negative plug-in variances are clipped to zero with a warning.
+    The CLT variances are plug-in estimates built from the residual
+    fourth moments, the ratio growth-rate estimate and the observed pair
+    fraction.  Negative plug-in variances are clipped to zero with a
+    warning.
 
-    Returns ``(sigma2_ci, rho_ci, warnings)``; ``rho_ci`` is ``None``
-    when no pair was observed.
+    Returns ``(sigma2_ci, rho_ci, warnings)``; for a tree ``rho_ci`` is
+    ``None`` when no pair was observed, and in a forest such a
+    replicate's ``rho_ci`` fields are NaN.
     """
     z = normal_quantile(level)
     warnings: list[str] = []
-
-    if limits is not None:
-        var_sigma = limits.sigma2_clt_var
-        var_rho = limits.rho_clt_var
-    else:
-        var_sigma, var_rho = plug_in_noise_variances(est)
-
-    if var_sigma < 0.0:
-        warnings.append("negative plug-in variance for sigma2 clipped to 0")
-    low, high = normal_bounds(est.sigma2_hat, var_sigma, est.t_star, z)
-    sigma_ci = ConfidenceInterval(est.sigma2_hat, float(low), float(high), level)
-
-    rho_ci = None
-    if est.rho_hat is not None:
-        if var_rho is None:
-            var_rho = 0.0
-        if var_rho < 0.0:
-            warnings.append("negative plug-in variance for rho clipped to 0")
-        low, high = normal_bounds(est.rho_hat, var_rho, est.pair_parents, z)
-        rho_ci = ConfidenceInterval(est.rho_hat, float(low), float(high), level)
-    else:
-        warnings.append("sister covariance not estimable (no observed pairs)")
-    return sigma_ci, rho_ci, warnings
-
-
-def plug_in_noise_variances(est):
-    """Plug-in CLT variances of ``sigma2_hat`` and ``rho_hat``.
-
-    Built from the residual fourth moments, the ratio growth-rate
-    estimate and the observed pair fraction.  The second is ``None``
-    when ``rho_hat`` is; both work elementwise on a forest's estimates,
-    where an absent (NaN) pair moment enters as zero.
-    """
     s4 = est.sigma2_hat**2
     pi = est.pi_hat
     nu2_tau4 = 0.0 if est.nu2_tau4_hat is None else np.nan_to_num(est.nu2_tau4_hat)
     var_sigma = (pi * (est.tau4_hat - s4) + 2.0 * est.pbar_hat * (nu2_tau4 - s4)) / pi
-    var_rho = None if est.rho_hat is None else nu2_tau4 - est.rho_hat**2
-    return var_sigma, var_rho
+    if np.any(var_sigma < 0.0):
+        warnings.append("negative plug-in variance for sigma2 clipped to 0")
+    sigma_ci = _interval(est.sigma2_hat, var_sigma, est.t_star, z, level)
+
+    rho_ci = None
+    if est.rho_hat is None:
+        warnings.append("sister covariance not estimable (no observed pairs)")
+    else:
+        var_rho = nu2_tau4 - est.rho_hat**2
+        if np.any(var_rho < 0.0):
+            warnings.append("negative plug-in variance for rho clipped to 0")
+        rho_ci = _interval(est.rho_hat, var_rho, np.maximum(est.pair_parents, 1), z, level)
+    return sigma_ci, rho_ci, warnings

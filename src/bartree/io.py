@@ -402,18 +402,18 @@ def dump_report(doc: dict, path=None) -> str:
 def write_replicate_csv(reports: list[McReport], path) -> None:
     """Long-format per-replicate statistics for external plotting.
 
-    One row per replicate and scalar statistic, ``survived`` first.  An
-    extinct replicate has only its ``survived`` row, a survivor without
-    sister pairs no row for the NaN of a pair statistic, and matrix and
-    vector statistics get no rows.
+    One row per check, replicate and scalar statistic, ``survived``
+    first.  An extinct replicate has only its ``survived`` row, a
+    survivor without sister pairs no row for the NaN of a pair statistic,
+    and matrix and vector statistics get no rows.
     """
-    lines = ["depth,replicate,seed,survived,stat,value"]
+    lines = ["check,depth,replicate,seed,survived,stat,value"]
     for report in reports:
         for depth, (seeds, cols) in report.replicates.items():
             scalars = {k: col.tolist() for k, col in cols.items() if col.ndim == 1}
             survived = scalars.pop("survived")
             for i, (seed, ok) in enumerate(zip(seeds, survived)):
-                base = f"{depth},{i},{seed},{int(ok)},"
+                base = f"{report.check},{depth},{i},{seed},{int(ok)},"
                 lines.append(f"{base}survived,{format_real(ok)}")
                 if ok:
                     lines.extend(

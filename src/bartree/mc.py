@@ -33,7 +33,7 @@ import numpy as np
 
 from . import estimation, inference, limits, rng
 from .bar import BarParams, NoiseParams, simulate_joint
-from .distributions import _check_level, ks_normal_distance, normal_quantile
+from .distributions import _check_level, ks_normal_distance
 from .errors import DegenerateModelError, ValidationError
 from .gw import OUTCOMES, ReproductionLaw, expected_cells, spectral
 
@@ -290,25 +290,22 @@ def _rep_qsl(cfg, depth, forest, sigma_lim):
 def _rep_clt(cfg, depth, forest):
     est = estimation.estimate_theta(forest, depth)
     truth = cfg.bar.as_vector()
-    z = normal_quantile(cfg.level)
     pairs = est.pair_parents
     # extinct replicates (a bare root has growth-rate estimate 0) give
     # nonsense here; they are discarded below
     with np.errstate(divide="ignore", invalid="ignore"):
-        low, high = inference.coefficient_bounds(est, inference.plug_in_covariance(est)[0], z)
-        var_sigma, var_rho = inference.plug_in_noise_variances(est)
-        s_low, s_high = inference.normal_bounds(est.sigma2_hat, var_sigma, est.t_star, z)
-        r_low, r_high = inference.normal_bounds(est.rho_hat, var_rho, np.maximum(pairs, 1), z)
+        cis, _ = inference.theta_cis(est, cfg.level)
+        sigma_ci, rho_ci, _ = inference.sigma_rho_cis(est, cfg.level)
     sigma2, rho = cfg.noise.sigma2, cfg.noise.rho
     with_pairs = pairs > 0
     return {
         "survived": forest.mask.generation_sizes(depth) > 0,
         "scaled_theta": np.sqrt(est.t_star_parents)[:, None] * (est.theta_hat - truth),
-        "cover": (low <= truth) & (truth <= high),
+        "cover": np.stack([ci.covers(t) for ci, t in zip(cis.values(), truth)], axis=-1),
         "sigma_stat": np.sqrt(est.t_star) * (est.sigma2_hat - sigma2),
-        "sigma_cover": (s_low <= sigma2) & (sigma2 <= s_high),
+        "sigma_cover": sigma_ci.covers(sigma2),
         "rho_stat": np.where(with_pairs, np.sqrt(pairs) * (est.rho_hat - rho), np.nan),
-        "rho_cover": np.where(with_pairs, (r_low <= rho) & (rho <= r_high), np.nan),
+        "rho_cover": np.where(with_pairs, rho_ci.covers(rho), np.nan),
     }
 
 
@@ -420,6 +417,8 @@ def _limit_matrices(cfg: McConfig) -> _Part:
 
 def _consistency_rate(cfg: McConfig) -> _Part:
     _require_supercritical(cfg)
+    if cfg.depths[0] < 2:  # one observed parent: log 1 = 0 scales the rate to infinity
+        raise ValidationError(f"consistency_rate needs depths >= 2, got {cfg.depths[0]}")
 
     def reduce(results):
         medians = {d: float(np.median(results[d]["rate"])) for d in cfg.depths}

@@ -42,6 +42,11 @@ UNIT_NOISE = NoiseParams(1.0, 0.0)
 CORR_NOISE = NoiseParams(1.0, 0.5)
 
 
+def _seeds(first: int, count: int) -> list[int]:
+    """A block of consecutive seeds, simulated together as one forest."""
+    return list(range(first, first + count))
+
+
 def _report(number: int, ok: bool, text: str) -> bool:
     print(f"[criterion {number:02d}] {'PASS' if ok else 'FAIL'} {text}")
     return ok
@@ -66,10 +71,11 @@ def test_criterion_02_extinction_fixed_point():
     q = extinction_probabilities(SYM75)
     fixed_ok = abs(q[0] - 1 / 3) <= 1e-10 and abs(q[1] - 1 / 3) <= 1e-10
 
-    reps = 10_000
+    reps, block = 10_000, 100
     extinct = sum(
-        simulate_mask(SYM75, 20, root_type=0, seed=61_000 + i).extinct_by(20)
-        for i in range(reps)
+        int((simulate_mask(SYM75, 20, root_type=0, seed=_seeds(start, block))
+             .generation_sizes(20) == 0).sum())
+        for start in range(61_000, 61_000 + reps, block)
     )
     freq = extinct / reps
     band = 3 * math.sqrt((1 / 3) * (2 / 3) / reps)
@@ -225,24 +231,23 @@ def test_criterion_08_variance_clts():
 
 
 def test_criterion_09_wald_size_and_power():
+    def rejections(bar, noise, first, reps, names):
+        # forest blocks of 8 depth-12 trees, about 65k cells each
+        counts = dict.fromkeys(names, 0)
+        for start in range(first, first + reps, 8):
+            est = estimate_theta(simulate_joint(bar, noise, FULL, 12, seed=_seeds(start, 8)), 12)
+            for name in names:
+                counts[name] += int((wald_test(est, name).p_value < 0.05).sum())
+        return counts
+
     size_bar = BarParams(0.3, 0.25, 0.3, 0.25)
     reps = 2000
-    rejections = {"pair": 0, "intercept": 0, "slope": 0}
-    for i in range(reps):
-        tree = simulate_joint(size_bar, NoiseParams(1.0, 0.3), FULL, depth=12, seed=910_000 + i)
-        est = estimate_theta(tree, 12)
-        for name in rejections:
-            rejections[name] += wald_test(est, name).p_value < 0.05
-    sizes = {k: v / reps for k, v in rejections.items()}
+    size = rejections(size_bar, NoiseParams(1.0, 0.3), 910_000, reps, ("pair", "intercept", "slope"))
+    sizes = {k: v / reps for k, v in size.items()}
     size_ok = all(0.03 <= s <= 0.07 for s in sizes.values())
 
     power_reps = 1000
-    slope_rejections = 0
-    for i in range(power_reps):
-        tree = simulate_joint(TABLE_BAR, UNIT_NOISE, FULL, depth=12, seed=920_000 + i)
-        est = estimate_theta(tree, 12)
-        slope_rejections += wald_test(est, "slope").p_value < 0.05
-    power = slope_rejections / power_reps
+    power = rejections(TABLE_BAR, UNIT_NOISE, 920_000, power_reps, ("slope",))["slope"] / power_reps
     power_ok = power > 0.5
     assert _report(
         9, size_ok and power_ok,

@@ -391,6 +391,14 @@ def test_verify_level_outside_unit_interval_exits_2(tmp_path, capsys, no_simulat
         assert "confidence level must be in (0, 1)" in err
 
 
+def test_verify_consistency_rate_below_depth_2_exits_2(tmp_path, capsys, no_simulation):
+    # at depth 1 the rate divides by log 1 = 0 and would pass vacuously
+    path = tmp_path / "mc.json"
+    path.write_text(json.dumps(_verify_doc(checks=["consistency_rate"], depths=[1, 3, 5])))
+    err = _one_line_exit_2(["verify", "--config", str(path)], capsys)
+    assert "consistency_rate needs depths >= 2" in err
+
+
 def test_validation_exit_codes(tmp_path):
     bad = tmp_path / "bad.csv"
     bad.write_text("1,1.0\n5,2.0\n")
@@ -441,8 +449,9 @@ def test_verify_subcommand(tmp_path):
     assert qsl_check["target"] == 4.0
     assert qsl_check["detail"]["printed_constant"] == 2.0
     lines = csv.read_text().splitlines()
-    assert lines[0] == "depth,replicate,seed,survived,stat,value"
+    assert lines[0] == "check,depth,replicate,seed,survived,stat,value"
     assert len(lines) > 30
+    assert {line.split(",")[0] for line in lines[1:]} == set(names)
 
 
 def test_verify_unknown_check(tmp_path):

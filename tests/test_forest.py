@@ -4,9 +4,11 @@ A forest replicate must be the tree simulated alone from the same seed,
 bit for bit.  Its per-generation statistics rows (segment sums) must
 match the tree's (direct reductions) up to summation order, and every
 public estimation statistic of replicate ``i`` must match the same call
-on tree ``i``.
+on tree ``i``, and so must every inference result on replicate ``i``'s
+estimate.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -16,6 +18,7 @@ from hypothesis import event, example, given, settings, strategies as st
 from bartree import (
     BarParams,
     NoiseParams,
+    NumericalError,
     ObservationMask,
     ReproductionLaw,
     ValidationError,
@@ -23,9 +26,12 @@ from bartree import (
     martingale_diagnostics,
     rng,
     sequential_variance_functionals,
+    sigma_rho_cis,
     simulate_joint,
+    theta_cis,
     theta_path,
     true_noise_functionals,
+    wald_test,
 )
 from bartree.estimation import (
     _exact_prefix,
@@ -179,6 +185,66 @@ def test_deeper_forest_extends_shallower(law, depth, more, root_type, seeds):
         assert _same_bits([np.asarray(x) for x in _fields(got)],
                           [np.asarray(x) for x in _fields(want)]), call.__name__
     assert _same_bits([estimate_theta(deep, depth).theta_hat], [estimate_theta(short, depth).theta_hat])
+
+
+def _replicate_estimate(est, i):
+    """Replicate ``i`` of a forest's estimate as a tree's estimate (NaN read as absent)."""
+    def one(x):
+        if dataclasses.is_dataclass(x):
+            return type(x)(**{f.name: one(getattr(x, f.name)) for f in dataclasses.fields(x)})
+        if not isinstance(x, np.ndarray):
+            return x
+        if x.ndim > 1:
+            return x[i]
+        value = x[i].item()
+        return None if value != value else value
+
+    return one(est)
+
+
+@pytest.mark.parametrize("law, depth, seeds", [("full", 6, 12), ("missing", 6, 60)])
+def test_forest_inference_matches_each_replicate(law, depth, seeds):
+    # intervals and Wald tests of a forest's estimate, replicate by replicate,
+    # against the same calls on that replicate's estimate as a tree's
+    forest = simulate_joint(BAR, NoiseParams(1.0, 0.5), LAWS[law], depth, seed=list(range(seeds)))
+    est = estimate_theta(forest, depth)
+    fitted = [i for i in range(seeds) if est.t_star[i] > 1]  # a bare root has no fit
+    degenerate = fitted[0]  # zero noise estimates: a zero covariance, a nonzero contrast
+    zeros = {key: np.where(np.arange(seeds) == degenerate, 0.0, getattr(est, key))
+             for key in ("sigma2_hat", "rho_hat", "tau4_hat", "nu2_tau4_hat")}
+    est = dataclasses.replace(est, **zeros)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cis, _ = theta_cis(est, 0.9)
+        sigma_ci, rho_ci, _ = sigma_rho_cis(est, 0.9)
+        tests = {name: wald_test(est, name) for name in ("pair", "intercept", "slope")}
+    pairless = 0
+    for i in fitted:
+        one = _replicate_estimate(est, i)
+        got, want = [], []
+        tree_cis, _ = theta_cis(one, 0.9)
+        for name, ci in cis.items():
+            got += [ci.point[i], ci.low[i], ci.high[i]]
+            want += [tree_cis[name].point, tree_cis[name].low, tree_cis[name].high]
+        tree_sigma, tree_rho, _ = sigma_rho_cis(one, 0.9)
+        got += [sigma_ci.point[i], sigma_ci.low[i], sigma_ci.high[i]]
+        want += [tree_sigma.point, tree_sigma.low, tree_sigma.high]
+        if tree_rho is None:
+            pairless += 1
+            assert np.isnan([rho_ci.point[i], rho_ci.low[i], rho_ci.high[i]]).all()
+        else:
+            got += [rho_ci.point[i], rho_ci.low[i], rho_ci.high[i]]
+            want += [tree_rho.point, tree_rho.low, tree_rho.high]
+        for name, test in tests.items():
+            try:
+                tree_test = wald_test(one, name)
+            except NumericalError:  # a degenerate restricted covariance reads NaN
+                assert math.isnan(test.statistic[i]) and math.isnan(test.p_value[i])
+                continue
+            assert i != degenerate and test.df == tree_test.df
+            got += [test.statistic[i], test.p_value[i]]
+            want += [tree_test.statistic, tree_test.p_value]
+        np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
+    assert len(fitted) > 10 and (pairless > 0) == (law == "missing")
 
 
 def _fields(result):

@@ -18,10 +18,8 @@ from bartree import (
     ReproductionLaw,
     ValidationError,
     estimate_theta,
-    limit_matrices,
     sigma_rho_cis,
     simulate_joint,
-    spectral,
     theta_cis,
     wald_test,
 )
@@ -130,10 +128,10 @@ def test_p_values_uniform_under_null():
     # size calibration: null p-values look uniform at desk scale
     bar = BarParams(0.3, 0.25, 0.3, 0.25)
     nz = NoiseParams(1.0, 0.3)
-    pvals = []
-    for seed in range(2000):
-        est = _fit(bar, nz, depth=9, seed=100_000 + seed)
-        pvals.append(wald_test(est, "slope").p_value)
+    pvals = np.concatenate([  # forest blocks of 50 depth-9 trees
+        wald_test(_fit(bar, nz, depth=9, seed=list(range(start, start + 50))), "slope").p_value
+        for start in range(100_000, 102_000, 50)
+    ])
     d = sps.kstest(pvals, "uniform").statistic
     assert d < 0.05
 
@@ -149,18 +147,6 @@ def test_zero_noise_sigma_rho_cis_degenerate():
     assert rci is not None and rci.point == 0.0 and rci.width == 0.0
 
 
-def test_theoretical_mode_uses_limit_variance():
-    bar = BarParams(0.5, 0.3, -0.4, 0.7)
-    noise = NoiseParams(1.0, 0.0)
-    est = _fit(bar, noise, depth=10, seed=3)
-    lm = limit_matrices(bar, noise, spectral(FULL))
-    assert lm.sigma2_clt_var == pytest.approx(2.0, rel=1e-12)
-    sci, _, _ = sigma_rho_cis(est, 0.95, limits=lm)
-    z = sps.norm.ppf(0.975)
-    expected_half = z * math.sqrt(2.0 / est.t_star)
-    assert sci.high - sci.point == pytest.approx(expected_half, rel=1e-12)
-
-
 def test_plug_in_interval_monotone_in_level():
     est = _fit(BarParams(0.5, 0.3, -0.4, 0.7), NoiseParams(1.0, 0.5))
     s90, r90, _ = sigma_rho_cis(est, 0.90)
@@ -174,10 +160,9 @@ def test_sigma_ci_coverage():
     nz = NoiseParams(1.0, 0.5)
     cover = 0
     reps = 400
-    for seed in range(reps):
-        est = _fit(bar, nz, depth=11, seed=200_000 + seed)
-        sci, _, _ = sigma_rho_cis(est, 0.95)
-        cover += sci.covers(1.0)
+    for start in range(200_000, 200_000 + reps, 16):  # forest blocks of 16 depth-11 trees
+        sci, _, _ = sigma_rho_cis(_fit(bar, nz, depth=11, seed=list(range(start, start + 16))), 0.95)
+        cover += int(sci.covers(1.0).sum())
     # binomial 3 SE band around the nominal level
     assert abs(cover / reps - 0.95) < 3 * math.sqrt(0.95 * 0.05 / reps)
 

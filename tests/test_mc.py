@@ -426,15 +426,19 @@ def test_replicate_csv_long_format(tmp_path, monkeypatch):
     assert len(mc._blocks(cfg, 4, list(range(40)))) >= 3
 
     lines = text.decode().splitlines()
-    assert lines[0] == "depth,replicate,seed,survived,stat,value"
+    assert lines[0] == "check,depth,replicate,seed,survived,stat,value"
     stats: dict[int, list[str]] = {}
+    checks = []
     for line in lines[1:]:
-        depth, i, seed, survived, stat, value = line.split(",")
+        check, depth, i, seed, survived, stat, value = line.split(",")
         assert (depth, int(seed)) == ("4", 11 + int(i))
+        if not checks or checks[-1] != check:
+            checks.append(check)
         if stat == "survived":
             assert value == survived
         stats.setdefault(int(i), []).append(stat)
     assert sorted(stats) == list(range(40))
+    assert checks == ["clt", "variance_estimators"]  # each check's rows, in report order
     # one survived row per check; scaled_theta and cover never appear
     unpaired = {"survived", "sigma_stat", "sigma_cover", "sigma_bias"}
     paired = unpaired | {"rho_stat", "rho_cover", "rho_bias"}
@@ -442,7 +446,8 @@ def test_replicate_csv_long_format(tmp_path, monkeypatch):
     pairless = [i for i, s in stats.items() if s.count("survived") == 2 and set(s) == unpaired]
     with_pairs = [i for i, s in stats.items() if s.count("survived") == 2 and set(s) == paired]
     assert (len(extinct), len(pairless), len(with_pairs)) == (7, 4, 29)
-    assert all(f"4,{i},{11 + i},0,survived,0" in lines for i in extinct)
+    assert all(f"{check},4,{i},{11 + i},0,survived,0" in lines
+               for check in checks for i in extinct)
     assert all(r["extinct"] == {"4": 7} for r in reports)
     counts = [c["detail"]["with_pairs"] for r in reports for c in r["checks"] if "rho" in c["name"]]
     assert counts == [29, 29]
