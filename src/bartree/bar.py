@@ -88,11 +88,6 @@ class NoiseParams:
         rp = self.rho / self.sigma2 if self.sigma2 > 0.0 else 0.0
         object.__setattr__(self, "rho_prime", float(np.clip(rp, -1.0, 1.0)))
 
-    @property
-    def nu2_tau4(self) -> float:
-        m = noise_moments(self)
-        return m.nu2 * m.tau4
-
 
 def noise_moments(noise: NoiseParams) -> NoiseMoments:
     """Closed-form higher moments of the sister-noise law.
@@ -167,8 +162,6 @@ class ObservedTree:
         if not np.all(ids[1:] > ids[:-1]):  # ascending unique ids need no sort
             order = np.argsort(ids, kind="stable")
             ids, vals = ids[order], vals[order]
-            if np.any(np.diff(ids) == 0):
-                raise ValidationError("duplicate node ids in lineage data")
         if not np.isfinite(vals).all():
             raise ValidationError(f"non-finite value at node {int(ids[~np.isfinite(vals)][0])}")
         mask = ObservationMask.from_ids(ids, depth=depth, root_type=root_type)

@@ -173,7 +173,7 @@ def _cmd_gw(args) -> int:
             "per_generation": [int(g.size) for g in mask.generations],
             "by_type": mask.counts.tolist(),
         },
-        "extinct_by_depth": mask.extinct_by(mask.depth),
+        "extinct_by_depth": mask.generation_count(mask.depth) == 0,
         "growth_rate": _growth_rate_section(mask, args.level),
     }
     text = io.dump_report(report, args.output)

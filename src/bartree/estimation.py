@@ -349,22 +349,6 @@ class ThetaEstimate:
     def rho_absent_reason(self) -> str | None:
         return "no mother has both daughters observed" if self.rho_hat is None else None
 
-    @property
-    def a(self) -> float:
-        return float(self.theta_hat[0])
-
-    @property
-    def b(self) -> float:
-        return float(self.theta_hat[1])
-
-    @property
-    def c(self) -> float:
-        return float(self.theta_hat[2])
-
-    @property
-    def d(self) -> float:
-        return float(self.theta_hat[3])
-
 
 def _solve_level(cum_row: np.ndarray):
     """Solve the two decoupled systems at each cumulative row ``(..., 20)``.

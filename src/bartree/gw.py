@@ -29,6 +29,8 @@ _OUTCOME_FLAGS = np.array(OUTCOMES, dtype=bool)
 _SIDES = np.array([0, 1])
 
 _PROB_TOL = 1e-12
+_EXTINCTION_TOL = 1e-12  # stopping rule of the extinction fixed-point iteration
+_EXTINCTION_MAX_ITER = 10**6
 
 
 @dataclass(frozen=True)
@@ -106,12 +108,6 @@ class ReproductionLaw:
             ]
         )
 
-    @property
-    def variances(self) -> np.ndarray:
-        """Bernoulli variances ``m (1 - m)`` of the children counts."""
-        m = self.mean_matrix
-        return m * (1.0 - m)
-
     def both_children_probability(self, parent_type: int) -> float:
         return float(self.probs[parent_type, 3])
 
@@ -129,20 +125,16 @@ class GWSpectral:
 
     ``growth_rate`` is the dominant eigenvalue of the mean matrix;
     ``left_eigenvector`` sums to one and gives the asymptotic type
-    proportions, ``right_eigenvector`` is normalised against it.
-    ``pair_fraction`` is the asymptotic fraction of observed cells
-    whose two children are both observed.
+    proportions, and ``pair_fraction`` is the asymptotic fraction of
+    observed cells whose two children are both observed.
     """
 
     law: ReproductionLaw
     mean_matrix: np.ndarray
-    variances: np.ndarray
     growth_rate: float
     left_eigenvector: np.ndarray
-    right_eigenvector: np.ndarray
     extinction: tuple[float, float]
     pair_fraction: float
-    discriminant: float
     supercritical: bool
 
 
@@ -168,38 +160,31 @@ def spectral(law: ReproductionLaw) -> GWSpectral:
 
     z = np.array([m[1, 0], pi - m[0, 0]])
     z = z / z.sum()
-    y = np.array([m[0, 1], pi - m[0, 0]])
-    y = y / float(z @ y)
 
     q = extinction_probabilities(law)
     pair = law.both_children_probability(0) * z[0] + law.both_children_probability(1) * z[1]
     return GWSpectral(
         law=law,
         mean_matrix=m,
-        variances=law.variances,
         growth_rate=pi,
         left_eigenvector=z,
-        right_eigenvector=y,
         extinction=q,
         pair_fraction=float(pair),
-        discriminant=disc,
         supercritical=pi > 1.0,
     )
 
 
-def extinction_probabilities(
-    law: ReproductionLaw, tol: float = 1e-12, max_iter: int = 10**6
-) -> tuple[float, float]:
+def extinction_probabilities(law: ReproductionLaw) -> tuple[float, float]:
     """Smallest fixed point of the pair of generating functions.
 
     Iterated from ``(0, 0)``, which converges monotonically to the
     componentwise-smallest solution of ``q_i = f_i(q_0, q_1)``.
     """
     q0 = q1 = 0.0
-    for _ in range(max_iter):
+    for _ in range(_EXTINCTION_MAX_ITER):
         n0 = law.generating_function(0, q0, q1)
         n1 = law.generating_function(1, q0, q1)
-        if abs(n0 - q0) < tol and abs(n1 - q1) < tol:
+        if abs(n0 - q0) < _EXTINCTION_TOL and abs(n1 - q1) < _EXTINCTION_TOL:
             return (n0, n1)
         q0, q1 = n0, n1
     raise NumericalError("extinction fixed-point iteration did not converge")
@@ -278,10 +263,13 @@ class ObservationMask:
 
     @classmethod
     def from_ids(cls, ids, depth: int | None = None, root_type: int = 0) -> "ObservationMask":
-        """Build (and validate) a mask from a flat iterable of node ids."""
+        """Build (and validate) a mask from a flat iterable of distinct node ids, in any order."""
         arr = np.asarray(ids if isinstance(ids, np.ndarray) else list(ids), dtype=np.int64).ravel()
-        if not np.all(arr[1:] > arr[:-1]):  # sorted unique ids need no np.unique
-            arr = np.unique(arr)
+        if not np.all(arr[1:] > arr[:-1]):  # ascending ids are distinct and need no sort
+            arr = np.sort(arr)
+            if np.any(arr[1:] == arr[:-1]):
+                k = int(arr[1:][arr[1:] == arr[:-1]][0])
+                raise ValidationError(f"duplicate node ids: node {k} is listed more than once")
         if arr.size == 0 or arr[0] < 1:
             raise ValidationError("mask needs positive node ids")
         if arr[0] != 1:
@@ -348,9 +336,6 @@ class ObservationMask:
     def cells_through(self, n: int) -> np.ndarray:
         """Observed cells up to generation ``n``, one count per replicate."""
         return sum(self.generation_sizes(r) for r in range(n + 1))
-
-    def extinct_by(self, n: int) -> bool:
-        return self.generation_count(n) == 0
 
     def child_positions(self, r: int):
         """Locate the children of generation ``r`` parents inside generation ``r + 1``.

@@ -30,6 +30,7 @@ _CONTRASTS = {
 }
 
 _COEFF_NAMES = ("a", "b", "c", "d")
+_NO_MOMENTS = "inference needs the residual moments: fit with estimate_theta(..., moments=True)"
 
 
 @dataclass(frozen=True)
@@ -44,10 +45,6 @@ class ConfidenceInterval:
     def __post_init__(self):
         if np.any((self.low > self.point) | (self.point > self.high)):  # NaN: not estimable
             raise ValidationError("confidence interval must bracket its point")
-
-    @property
-    def width(self) -> float:
-        return self.high - self.low
 
     def covers(self, value: float) -> bool:
         return (self.low <= value) & (value <= self.high)
@@ -78,6 +75,8 @@ def _covariance(est: ThetaEstimate) -> np.ndarray:
     An absent sister-covariance estimate (``None``, or NaN in a forest)
     enters as zero.
     """
+    if est.sigma2_hat is None:
+        raise ValidationError(_NO_MOMENTS)
     rho = 0.0 if est.rho_hat is None else np.nan_to_num(est.rho_hat)
     inv = np.linalg.inv(est.design.sigma())
     cov = inv @ est.design.gamma(est.sigma2_hat, rho) @ inv
@@ -155,6 +154,8 @@ def sigma_rho_cis(est: ThetaEstimate, level: float = 0.95):
     ``None`` when no pair was observed, and in a forest such a
     replicate's ``rho_ci`` fields are NaN.
     """
+    if est.sigma2_hat is None:
+        raise ValidationError(_NO_MOMENTS)
     z = normal_quantile(level)
     warnings: list[str] = []
     s4 = est.sigma2_hat**2

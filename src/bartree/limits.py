@@ -71,14 +71,14 @@ def pair_limits(
     z = spectrum.left_eigenvector
     p0 = spectrum.law.both_children_probability(0)
     p1 = spectrum.law.both_children_probability(1)
-    pbar = p0 * z[0] + p1 * z[1]
+    pbar = spectrum.pair_fraction
     h01 = p0 * (bar.a * z[0] + bar.b * h[0] / pi) + p1 * (bar.c * z[1] + bar.d * h[1] / pi)
     k01 = (
         p0 * (bar.a**2 * z[0] + bar.b**2 * k[0] / pi + 2.0 * bar.a * bar.b * h[0] / pi)
         + p1 * (bar.c**2 * z[1] + bar.d**2 * k[1] / pi + 2.0 * bar.c * bar.d * h[1] / pi)
         + noise.sigma2 * pbar
     )
-    return float(pbar), float(h01), float(k01)
+    return pbar, float(h01), float(k01)
 
 
 def design_limits(
@@ -125,16 +125,6 @@ class LimitMatrices:
     ``|T*_{l-1}|``, since ``|G*_{l-1}| / |T*_{l-1}| -> (pi - 1) / pi``.
     """
 
-    growth_rate: float
-    left_eigenvector: np.ndarray
-    x_limit: np.ndarray      # per-type limit of observed-value sums
-    x2_limit: np.ndarray     # per-type limit of squared sums
-    pair_fraction: float
-    pair_x_limit: float
-    pair_x2_limit: float
-    design0: np.ndarray      # limiting even-daughter design (2x2)
-    design1: np.ndarray      # limiting odd-daughter design (2x2)
-    design_pair: np.ndarray  # limiting both-daughters design (2x2)
     design_block: np.ndarray  # block-diagonal 4x4 design limit
     score_block: np.ndarray   # 4x4 score-covariance limit
     theta_cov: np.ndarray     # sandwich covariance of the coefficient CLT
@@ -152,11 +142,7 @@ def limit_matrices(bar: BarParams, noise: NoiseParams, spectrum: GWSpectral) -> 
     _assert_pd(l0, "even-daughter design limit")
     _assert_pd(l1, "odd-daughter design limit")
 
-    pi = spectrum.growth_rate
-    # design_limits lays out [[count, x], [x, x^2]]; read the moment limits back
-    h = np.array([l0[0, 1], l1[0, 1]])
-    k = np.array([l0[1, 1], l1[1, 1]])
-    pbar, h01, k01 = float(l01[0, 0]), float(l01[0, 1]), float(l01[1, 1])
+    pi, pbar = spectrum.growth_rate, spectrum.pair_fraction
 
     sigma = np.zeros((4, 4))
     sigma[:2, :2], sigma[2:, 2:] = l0, l1
@@ -182,16 +168,6 @@ def limit_matrices(bar: BarParams, noise: NoiseParams, spectrum: GWSpectral) -> 
     half = _inv_sqrt2(l1) @ l01 @ _inv_sqrt2(l0)
     full = inv1 @ l01 @ l01 @ inv0
     return LimitMatrices(
-        growth_rate=pi,
-        left_eigenvector=spectrum.left_eigenvector,
-        x_limit=h,
-        x2_limit=k,
-        pair_fraction=pbar,
-        pair_x_limit=h01,
-        pair_x2_limit=k01,
-        design0=l0,
-        design1=l1,
-        design_pair=l01,
         design_block=sigma,
         score_block=gamma,
         theta_cov=theta_cov,

@@ -243,13 +243,13 @@ def _entrywise_check(name, depth, median, target, rows):
 # ---------------------------------------------------------------------------
 # block evaluators (top level, so that block jobs pickle for the pool).  Each
 # takes ``(cfg, depth, forest, ...)``, a forest block simulated to ``depth``
-# or deeper, and returns the block's statistics columns (see McReport).
+# or deeper, and returns its statistics columns (see McReport) but ``survived``.
 
 
 def _rep_design(cfg, depth, forest):
     d = estimation.accumulate_design(forest, depth)
     scale = d.t_star[:, None, None]
-    return {"survived": d.g_star > 0, "s0": d.s0 / scale, "s1": d.s1 / scale, "s01": d.s01 / scale}
+    return {"s0": d.s0 / scale, "s1": d.s1 / scale, "s01": d.s01 / scale}
 
 
 def _rep_consistency(cfg, depth, forest):
@@ -258,7 +258,7 @@ def _rep_consistency(cfg, depth, forest):
     tp = est.t_star_parents
     with np.errstate(divide="ignore", invalid="ignore"):
         rate = (diff * diff).sum(axis=1) * tp / np.log(tp)
-    return {"survived": forest.mask.generation_sizes(depth) > 0, "rate": rate}
+    return {"rate": rate}
 
 
 def _rep_qsl(cfg, depth, forest, sigma_lim):
@@ -274,11 +274,9 @@ def _rep_qsl(cfg, depth, forest, sigma_lim):
     sums = estimation.exact_sum(np.concatenate(
         [np.where(valid[..., None], terms, 0.0), np.where(tail[..., None], terms, 0.0)], axis=-1
     ))
-    alive = (forest.mask.generation_sizes(depth) > 0) & (levels > 0)
     with np.errstate(divide="ignore", invalid="ignore"):
         means = sums / np.stack([levels, levels, levels - levels // 2, levels - levels // 2], axis=-1)
     return {
-        "survived": alive,
         "qsl": means[:, 0],
         "qsl_tail": means[:, 2],
         "qsl_limit_design": means[:, 1],
@@ -299,7 +297,6 @@ def _rep_clt(cfg, depth, forest):
     sigma2, rho = cfg.noise.sigma2, cfg.noise.rho
     with_pairs = pairs > 0
     return {
-        "survived": forest.mask.generation_sizes(depth) > 0,
         "scaled_theta": np.sqrt(est.t_star_parents)[:, None] * (est.theta_hat - truth),
         "cover": np.stack([ci.covers(t) for ci, t in zip(cis.values(), truth)], axis=-1),
         "sigma_stat": np.sqrt(est.t_star) * (est.sigma2_hat - sigma2),
@@ -314,7 +311,6 @@ def _rep_variance(cfg, depth, forest):
     s_bar, r_bar = estimation.true_noise_functionals(forest, depth)
     scale = forest.mask.cells_through(depth) / depth
     return {
-        "survived": forest.mask.generation_sizes(depth) > 0,
         "sigma_bias": scale * (s_seq - s_bar),
         "rho_bias": np.where(np.isnan(r_seq), np.nan, scale * (r_seq - r_bar)),
     }
@@ -344,14 +340,17 @@ class _Part:
 def _run_block(job):
     """Simulate one block once and run every task of its seed set on it.
 
-    The forest, and the statistics memoised on it, are dropped on return.
+    Survival, an observed cell at the task's depth, is decided here for
+    every task.  The forest, and the statistics memoised on it, are
+    dropped on return.
     """
     cfg, depth, seeds, tasks = job
     forest = simulate_joint(
         cfg.bar, cfg.noise, cfg.law, depth,
         root_type=cfg.root_type, x1=cfg.x1, seed=seeds,
     )
-    return [evaluate(cfg, d, forest, *extra) for evaluate, d, extra in tasks]
+    return [{"survived": forest.mask.generation_sizes(d) > 0, **evaluate(cfg, d, forest, *extra)}
+            for evaluate, d, extra in tasks]
 
 
 def run_checks(cfg: McConfig, names) -> list[McReport]:
@@ -455,7 +454,10 @@ def _qsl(cfg: McConfig) -> _Part:
         kind, tol, bound = "relative", 0.15, 0.15 * target
 
     def reduce(results):
-        alive = results[depth]
+        fitted = results[depth]["levels"] > 0  # a survivor with every level ridged has no term
+        if not fitted.any():
+            raise DegenerateModelError(f"no surviving replicate has an unridged level at depth {depth}")
+        alive = {key: col[fitted] for key, col in results[depth].items()}
 
         def check(name, key):
             values = alive[key]

@@ -96,7 +96,7 @@ def test_criterion_03_zero_noise_exact_recovery():
         np.abs(est.theta_hat - bar.as_vector()).max() <= 1e-10
         and est.sigma2_hat == 0.0
         and est.rho_hat == 0.0
-        and all(cis[n].width == 0.0 for n in "abcd")
+        and all(cis[n].high - cis[n].low == 0.0 for n in "abcd")
     )
     assert _report(
         3, ok,

@@ -14,6 +14,7 @@ from bartree import (
     ValidationError,
     estimate_pi,
     extinction_probabilities,
+    gw,
     renormalized_population,
     simulate_mask,
     spectral,
@@ -53,7 +54,6 @@ def test_law_rejects_unknown_outcome():
 def test_mean_matrix_of_product_law():
     law = missing_law()
     assert np.allclose(law.mean_matrix, MISSING_MEANS, atol=1e-15)
-    assert np.allclose(law.variances, np.asarray(MISSING_MEANS) * (1 - np.asarray(MISSING_MEANS)))
 
 
 # ---------------------------------------------------------------------------
@@ -75,9 +75,8 @@ def test_spectral_symmetric_common_row_sum():
 
 
 def test_spectral_missing_law_closed_form():
-    # trace 1.7, determinant 0.60, discriminant 0.49
+    # trace 1.7, determinant 0.60: growth rate (1.7 + sqrt(0.49)) / 2
     s = spectral(missing_law())
-    assert abs(s.discriminant - 0.49) < 1e-12
     assert abs(s.growth_rate - 1.2) < 1e-12
     # independent oracle: a dense eigen solver
     vals, vecs = np.linalg.eig(np.asarray(MISSING_MEANS))
@@ -88,10 +87,8 @@ def test_spectral_eigen_equations():
     s = spectral(missing_law())
     m, pi = s.mean_matrix, s.growth_rate
     assert np.allclose(s.left_eigenvector @ m, pi * s.left_eigenvector, atol=1e-12)
-    assert np.allclose(m @ s.right_eigenvector, pi * s.right_eigenvector, atol=1e-12)
     assert abs(s.left_eigenvector.sum() - 1.0) < 1e-15
-    assert abs(s.left_eigenvector @ s.right_eigenvector - 1.0) < 1e-12
-    assert (s.left_eigenvector > 0).all() and (s.right_eigenvector > 0).all()
+    assert (s.left_eigenvector > 0).all()
 
 
 def test_spectral_rejects_zero_entry():
@@ -237,6 +234,8 @@ def test_from_ids_validation():
         ObservationMask.from_ids([2, 3])  # missing root
     with pytest.raises(ValidationError):
         ObservationMask.from_ids([1, 5])  # orphan: mother 2 missing
+    with pytest.raises(ValidationError, match="duplicate node ids: node 2"):
+        ObservationMask.from_ids([1, 3, 2, 2, 3])  # repeated ids are not merged
     with pytest.raises(ValidationError):
         ObservationMask(depth=1, root_type=0, offspring=[np.array([[1, 1]])])  # not boolean
     with pytest.raises(ValidationError):  # generation 1 holds two cells, not one
@@ -342,7 +341,7 @@ def test_estimate_pi_monte_carlo_mean():
     while len(vals) < 1000:
         mask = simulate_mask(law, 12, seed=seed)
         seed += 1
-        if not mask.extinct_by(12):
+        if mask.generation_count(12) > 0:
             vals.append(estimate_pi(mask).pi_hat)
     assert abs(np.mean(vals) - 1.2) < 0.02
 
@@ -359,7 +358,7 @@ def test_renormalized_population_extinct_mask():
     seed = 0
     while True:
         mask = simulate_mask(law, 10, seed=seed)
-        if mask.extinct_by(10):
+        if mask.generation_count(10) == 0:
             break
         seed += 1
     w = renormalized_population(mask, 1.5)  # renormalise at a nominal rate
@@ -379,7 +378,7 @@ def test_renormalized_estimates_agree_at_depth():
     ratios = []
     for seed in range(60):
         mask = simulate_mask(law, 14, seed=seed)
-        if mask.extinct_by(14):
+        if mask.generation_count(14) == 0:
             continue
         w = renormalized_population(mask, growth)
         ratios.append(w.w_last_generation / w.w_cumulative)
@@ -394,13 +393,15 @@ def test_population_equivalent_ratio():
     ratios = []
     for seed in range(400):
         mask = simulate_mask(law, 16, seed=seed)
-        if mask.extinct_by(16):
+        if mask.generation_count(16) == 0:
             continue
         w_hat = renormalized_population(mask, pi).w_last_generation
         ratios.append(pi**16 / mask.total_count(16) * w_hat * pi / (pi - 1.0))
     assert abs(np.median(ratios) - 1.0) < 0.10
 
 
-def test_extinction_probability_not_reached_iteration_cap():
+def test_extinction_probability_not_reached_iteration_cap(monkeypatch):
+    monkeypatch.setattr(gw, "_EXTINCTION_TOL", 0.0)
+    monkeypatch.setattr(gw, "_EXTINCTION_MAX_ITER", 50)
     with pytest.raises(NumericalError):
-        extinction_probabilities(symmetric_law(0.75, 0.25), tol=0.0, max_iter=50)
+        extinction_probabilities(symmetric_law(0.75, 0.25))

@@ -41,7 +41,7 @@ def test_zero_noise_intervals_are_points():
     est = _fit(BarParams(1.0, 0.5, 2.0, 0.25), NoiseParams(0.0), depth=4, seed=0)
     cis, warnings = theta_cis(est, 0.95)
     for name in "abcd":
-        assert cis[name].width == 0.0
+        assert cis[name].high - cis[name].low == 0.0
         assert cis[name].low == cis[name].point == cis[name].high
     assert warnings == []
 
@@ -52,7 +52,7 @@ def test_intervals_bracket_and_widen_with_level():
     hi, _ = theta_cis(est, 0.99)
     for name in "abcd":
         assert lo[name].low <= lo[name].point <= lo[name].high
-        assert hi[name].width >= lo[name].width
+        assert hi[name].high - hi[name].low >= lo[name].high - lo[name].low
 
 
 def test_report_shape_has_point_and_bounds():
@@ -68,7 +68,16 @@ def test_missing_rho_falls_back_to_zero_with_warning():
     assert est.rho_hat is None
     cis, warnings = theta_cis(est, 0.95)
     assert any("rho = 0" in w for w in warnings)
-    assert all(cis[name].width > 0 for name in "abcd")
+    assert all(cis[name].high - cis[name].low > 0 for name in "abcd")
+
+
+@pytest.mark.parametrize("seed", [3, [3, 4, 5]])
+def test_inference_needs_residual_moments(seed):
+    tree = simulate_joint(BarParams(0.5, 0.3, -0.4, 0.7), NoiseParams(1.0, 0.5), FULL, 5, seed=seed)
+    est = estimate_theta(tree, 5, moments=False)
+    for call in (theta_cis, sigma_rho_cis, lambda e: wald_test(e, "pair")):
+        with pytest.raises(ValidationError, match="residual moments"):
+            call(est)
 
 
 def test_invalid_level_rejected():
@@ -143,16 +152,16 @@ def test_p_values_uniform_under_null():
 def test_zero_noise_sigma_rho_cis_degenerate():
     est = _fit(BarParams(1.0, 0.5, 2.0, 0.25), NoiseParams(0.0), depth=4, seed=0)
     sci, rci, _ = sigma_rho_cis(est, 0.95)
-    assert sci.point == 0.0 and sci.width == 0.0
-    assert rci is not None and rci.point == 0.0 and rci.width == 0.0
+    assert sci.point == 0.0 and sci.high - sci.low == 0.0
+    assert rci is not None and rci.point == 0.0 and rci.high - rci.low == 0.0
 
 
 def test_plug_in_interval_monotone_in_level():
     est = _fit(BarParams(0.5, 0.3, -0.4, 0.7), NoiseParams(1.0, 0.5))
     s90, r90, _ = sigma_rho_cis(est, 0.90)
     s99, r99, _ = sigma_rho_cis(est, 0.99)
-    assert s99.width >= s90.width
-    assert r99.width >= r90.width
+    assert s99.high - s99.low >= s90.high - s90.low
+    assert r99.high - r99.low >= r90.high - r90.low
 
 
 def test_sigma_ci_coverage():

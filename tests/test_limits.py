@@ -150,10 +150,11 @@ def test_pair_limits_dual_implementation():
 
 def test_block_structure_and_symmetry():
     lm = limit_matrices(GENERIC_BAR, GENERIC_NOISE, MISSING)
-    assert np.array_equal(lm.design_block[:2, :2], lm.design0)
-    assert np.array_equal(lm.design_block[2:, 2:], lm.design1)
+    l0, l1, l01 = design_limits(GENERIC_BAR, GENERIC_NOISE, MISSING)
+    assert np.array_equal(lm.design_block[:2, :2], l0)
+    assert np.array_equal(lm.design_block[2:, 2:], l1)
     assert np.array_equal(lm.design_block[:2, 2:], np.zeros((2, 2)))
-    assert np.array_equal(lm.score_block[:2, 2:], GENERIC_NOISE.rho * lm.design_pair)
+    assert np.array_equal(lm.score_block[:2, 2:], GENERIC_NOISE.rho * l01)
     assert np.allclose(lm.theta_cov, lm.theta_cov.T, atol=1e-12)
     assert np.linalg.eigvalsh(lm.theta_cov).min() > -1e-12
 
@@ -189,8 +190,8 @@ def test_qsl_constant_positive_and_formula():
 
 def test_rho_bias_constants_dual_implementation():
     lm = limit_matrices(GENERIC_BAR, GENERIC_NOISE, MISSING)
-    l0, l1, l01 = lm.design0, lm.design1, lm.design_pair
-    pi, pbar = lm.growth_rate, lm.pair_fraction
+    l0, l1, l01 = design_limits(GENERIC_BAR, GENERIC_NOISE, MISSING)
+    pi, pbar = MISSING.growth_rate, MISSING.pair_fraction
 
     def inv_sqrt(m):
         vals, vecs = np.linalg.eigh(m)

@@ -18,7 +18,7 @@ from bartree import (
     mc_qsl,
     mc_variance_estimators,
 )
-from bartree.mc import CHECKS, worker_count
+from bartree.mc import CHECKS, run_checks, worker_count
 
 FULL = ReproductionLaw.full_observation()
 MISSING = ReproductionLaw.from_mean_matrix([[0.9, 0.4], [0.3, 0.8]])
@@ -205,6 +205,18 @@ def test_qsl_missing_law_runs_and_reports():
     assert check.detail["printed_constant"] == pytest.approx(4.0 / 6.0, rel=1e-12)
     assert report.surviving[12] + report.extinct[12] == 120
     assert check.detail["surviving"] == report.surviving[12]
+
+
+def test_qsl_counts_extinction_like_the_other_checks():
+    # survival is decided once, by an observed cell at the depth; qsl then
+    # averages only the survivors that have an unridged level
+    cfg = _cfg(law=MISSING, depths=(2, 4), replicates=60, seed=7)
+    qsl, clt, variance = run_checks(cfg, ["qsl", "clt", "variance_estimators"])
+    assert qsl.extinct == clt.extinct == variance.extinct == {4: 11}
+    fitted = int((qsl.replicates[4][1]["levels"] > 0).sum())
+    assert _check(qsl, "qsl_mean").detail["surviving"] == fitted < qsl.surviving[4]
+    with pytest.raises(DegenerateModelError, match="unridged level"):
+        mc_qsl(_cfg(depths=(1,)))  # one mother per tree: every level is ridged
 
 
 # ---------------------------------------------------------------------------

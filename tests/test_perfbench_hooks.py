@@ -1,13 +1,15 @@
 """The benchmark's hooks into bartree.
 
 ``perfbench/tracing.py`` wraps bartree functions it names as strings and
-counts simulated cells from what ``bar.simulate_joint`` returns.  These
-tests load that file as it is, so a rename or a changed return type in
-bartree fails here instead of in a benchmark run.
+counts simulated cells from what ``bar.simulate_joint`` returns, and
+``perfbench/workloads.py`` drives bartree's public API.  These tests load
+both files as they are, so a rename, a deleted attribute or a changed
+return type in bartree fails here instead of in a benchmark run.
 """
 
 import importlib
 import importlib.util
+import sys
 from collections import defaultdict
 from pathlib import Path
 
@@ -16,15 +18,25 @@ import pytest
 import bartree.cli  # noqa: F401  (loads every bartree module the tracer patches)
 from bartree import BarParams, NoiseParams, ReproductionLaw, bar
 
-TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def _load(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up here
+    spec.loader.exec_module(module)
+    return module
 
 
 @pytest.fixture(scope="module")
 def tracing():
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+    return _load("tracing")
+
+
+@pytest.fixture(scope="module")
+def workloads():
+    return _load("workloads")
 
 
 def test_tracer_targets_resolve(tracing):
@@ -67,3 +79,12 @@ def test_tracer_installs_and_restores(tracing):
     assert bar.simulate_joint is original
     assert result["counts"]["bar.cells_simulated"] == 30
     assert result["calls"]["bar.simulate_joint"] == 1
+
+
+@pytest.mark.parametrize("name", ["mc_missing", "mc_full", "deep_full", "cli_dense"])
+def test_workload_smoke_pass(workloads, name, tmp_path, monkeypatch):
+    monkeypatch.setenv("BARTREE_THREADS", "1")
+    workload = workloads.make(name, 1, True, tmp_path)
+    workload.setup()
+    out = workload.run()
+    assert workload.check(out) == []
