@@ -262,48 +262,48 @@ def solve2(m: np.ndarray, v: np.ndarray, what: str = "a 2x2 design block") -> np
     )
 
 
+def inverse2(m: np.ndarray, what: str = "a 2x2 design block") -> np.ndarray:
+    """Inverse of each ``m (..., 2, 2)``: :func:`solve2` on the identity's rows, transposed."""
+    return np.swapaxes(solve2(m[..., None, :, :], np.eye(2), what), -1, -2)
+
+
+def sandwich(inv0, inv1, s01, sigma2, rho) -> np.ndarray:
+    """The coefficient-CLT covariance ``Sigma^-1 Gamma Sigma^-1``, ``(..., 4, 4)``.
+
+    With ``Sigma = diag(S0, S1)``, ``Gamma = [[sigma2 S0, rho S01],
+    [rho S01, sigma2 S1]]`` and ``inv0``, ``inv1`` the inverses of S0 and
+    S1, its blocks are ``sigma2 S0^-1``, ``sigma2 S1^-1`` and
+    ``rho S0^-1 S01 S1^-1`` with its transpose: exactly symmetric.
+    ``sigma2`` and ``rho`` hold one value per leading index, or one in all.
+    """
+    sigma2 = np.asarray(sigma2)[..., None, None]
+    cross = np.asarray(rho)[..., None, None] * (inv0 @ s01 @ inv1)
+    cov = np.block([[sigma2 * inv0, cross], [np.swapaxes(cross, -1, -2), sigma2 * inv1]])
+    return cov + 0.0  # a zero rho or sigma2 times a negative entry is -0.0
+
+
 @dataclass(frozen=True)
 class DesignMatrices:
     """Cumulative design objects over mothers of generations ``0..n``.
 
-    For a forest every field but ``n`` carries a leading replicate axis.
+    For a forest every field carries a leading replicate axis.
     """
 
-    n: int
     s0: np.ndarray
     s1: np.ndarray
     s01: np.ndarray
     t_star: int        # observed cells through generation n
     t_star_pairs: int  # observed cells with both daughters observed
-    g_star: int        # observed cells in generation n
-
-    def sigma(self) -> np.ndarray:
-        out = np.zeros(self.s0.shape[:-2] + (4, 4))
-        out[..., :2, :2] = self.s0
-        out[..., 2:, 2:] = self.s1
-        return out
-
-    def gamma(self, sigma2, rho) -> np.ndarray:
-        sigma2 = np.asarray(sigma2)[..., None, None]
-        rho = np.asarray(rho)[..., None, None]
-        out = np.zeros(self.s0.shape[:-2] + (4, 4))
-        out[..., :2, :2] = sigma2 * self.s0
-        out[..., 2:, 2:] = sigma2 * self.s1
-        out[..., :2, 2:] = rho * self.s01
-        out[..., 2:, :2] = rho * self.s01
-        return out
 
 
 def _design(mask, cum: np.ndarray, n: int, ridge=0.0) -> DesignMatrices:
     """Design matrices over mothers ``0..n`` from cumulative rows ``(R, 20)``."""
     return DesignMatrices(
-        n=n,
         s0=_block(cum, _C0, _SX0, _SXX0) + ridge,
         s1=_block(cum, _C1, _SX1, _SXX1) + ridge,
         s01=_block(cum, _CP, _SXP, _SXXP),
         t_star=mask.cells_through(n),
         t_star_pairs=np.rint(cum[:, _CP]).astype(np.int64),
-        g_star=mask.generation_sizes(n),
     )
 
 
@@ -325,8 +325,8 @@ class ThetaEstimate:
     at the mothers' level, residual moment estimates, and the observed
     pair bookkeeping.  ``rho_hat`` and ``nu2_tau4_hat`` are ``None``
     when no mother has both daughters observed.  For a forest every
-    field but ``n`` carries a leading replicate axis, with NaN for an
-    absent pair moment; the residual moments (``sigma2_hat`` to
+    field carries a leading replicate axis, with NaN for an absent pair
+    moment; the residual moments (``sigma2_hat`` to
     ``nu2_tau4_hat``) are ``None`` unless they were asked for.
     """
 
@@ -335,7 +335,6 @@ class ThetaEstimate:
     rho_hat: float | None
     design: DesignMatrices
     regularized: bool
-    n: int
     t_star: int          # observed cells through generation n
     t_star_parents: int  # observed cells through generation n - 1
     pair_parents: int    # mothers (through n - 1) with both daughters observed
@@ -412,7 +411,6 @@ def estimate_theta(tree: ObservedTree, n: int, moments: bool = True) -> ThetaEst
         theta_hat=theta,
         design=design,
         regularized=regularized,
-        n=n,
         t_star=t_star,
         t_star_parents=design.t_star,
         pair_parents=pairs,

@@ -133,7 +133,6 @@ class GWSpectral:
     mean_matrix: np.ndarray
     growth_rate: float
     left_eigenvector: np.ndarray
-    extinction: tuple[float, float]
     pair_fraction: float
     supercritical: bool
 
@@ -161,14 +160,12 @@ def spectral(law: ReproductionLaw) -> GWSpectral:
     z = np.array([m[1, 0], pi - m[0, 0]])
     z = z / z.sum()
 
-    q = extinction_probabilities(law)
     pair = law.both_children_probability(0) * z[0] + law.both_children_probability(1) * z[1]
     return GWSpectral(
         law=law,
         mean_matrix=m,
         growth_rate=pi,
         left_eigenvector=z,
-        extinction=q,
         pair_fraction=float(pair),
         supercritical=pi > 1.0,
     )

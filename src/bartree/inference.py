@@ -21,13 +21,10 @@ import numpy as np
 
 from .distributions import chi2_sf, normal_quantile
 from .errors import NumericalError, ValidationError
-from .estimation import ThetaEstimate
+from .estimation import ThetaEstimate, inverse2, sandwich
 
-_CONTRASTS = {
-    "pair": np.array([[1.0, 0.0, -1.0, 0.0], [0.0, 1.0, 0.0, -1.0]]),
-    "intercept": np.array([[1.0, 0.0, -1.0, 0.0]]),
-    "slope": np.array([[0.0, 1.0, 0.0, -1.0]]),
-}
+# the entries of the gap theta_even - theta_odd (intercept, slope) each test reads
+_CONTRASTS = {"pair": [0, 1], "intercept": [0], "slope": [1]}
 
 _COEFF_NAMES = ("a", "b", "c", "d")
 _NO_MOMENTS = "inference needs the residual moments: fit with estimate_theta(..., moments=True)"
@@ -78,9 +75,8 @@ def _covariance(est: ThetaEstimate) -> np.ndarray:
     if est.sigma2_hat is None:
         raise ValidationError(_NO_MOMENTS)
     rho = 0.0 if est.rho_hat is None else np.nan_to_num(est.rho_hat)
-    inv = np.linalg.inv(est.design.sigma())
-    cov = inv @ est.design.gamma(est.sigma2_hat, rho) @ inv
-    return 0.5 * (cov + np.swapaxes(cov, -1, -2))
+    d = est.design
+    return sandwich(inverse2(d.s0), inverse2(d.s1), d.s01, est.sigma2_hat, rho)
 
 
 def theta_cis(est: ThetaEstimate, level: float = 0.95):
@@ -104,42 +100,45 @@ def theta_cis(est: ThetaEstimate, level: float = 0.95):
 
 
 def wald_test(est: ThetaEstimate, which: str) -> WaldTest:
-    """Symmetry test of the null ``R theta = 0`` for the chosen contrast.
+    """Symmetry test: do the chosen coefficients agree across daughter types?
 
-    ``which`` is ``"pair"`` (both coefficients equal across daughter
-    types), ``"intercept"`` or ``"slope"``.  A contrast whose estimate
-    is exactly zero is reported as statistic 0 with p-value 1 even when
-    the restricted covariance is singular.  Otherwise a degenerate
-    restricted covariance raises :class:`NumericalError` for a tree and
+    ``which`` is ``"pair"`` (intercept and slope), ``"intercept"`` or
+    ``"slope"``.  The statistic is the quadratic form of the gap
+    ``g = theta_even - theta_odd`` in the inverse of its covariance
+    ``V = C00 + C11 - C01 - C10`` (blocks of the sandwich), in closed
+    form: ``g_j^2 / V_jj`` for one coefficient and
+    ``(V11 g0^2 - 2 V01 g0 g1 + V00 g1^2) / det V`` for the pair, with no
+    absolute singularity threshold, so it holds at any scale of the data.
+    A contrast whose estimate is exactly zero is reported as statistic 0
+    with p-value 1 even when the restricted covariance is singular.
+    Otherwise a degenerate restricted covariance (a non-finite or
+    negative statistic) raises :class:`NumericalError` for a tree and
     gives a NaN statistic and p-value for that replicate of a forest.
     """
     if which not in _CONTRASTS:
         raise ValidationError(f"unknown contrast {which!r}; pick from {sorted(_CONTRASTS)}")
-    r = _CONTRASTS[which]
-    df = r.shape[0]
-    gap = np.atleast_2d(est.theta_hat) @ r.T
-    restricted = np.reshape(r @ _covariance(est) @ r.T, (-1, df, df))
-    solved = _solve_each(restricted, gap[..., None])
-    statistic = np.matmul(gap[:, None, :], solved)[:, 0, 0]
+    cov = np.reshape(_covariance(est), (-1, 4, 4))
+    cross = cov[:, :2, 2:]
+    v = cov[:, :2, :2] + cov[:, 2:, 2:] - (cross + np.swapaxes(cross, 1, 2))
+    v00, v01, v11 = v[:, 0, 0], v[:, 0, 1], v[:, 1, 1]
+    theta = np.atleast_2d(est.theta_hat)
+    g = theta[:, :2] - theta[:, 2:]
+    g0, g1 = g.T
+    with np.errstate(divide="ignore", invalid="ignore"):
+        statistic = {
+            "pair": (v11 * g0**2 - 2.0 * v01 * g0 * g1 + v00 * g1**2) / (v00 * v11 - v01 * v01),
+            "intercept": g0**2 / v00,
+            "slope": g1**2 / v11,
+        }[which]
+    df = len(_CONTRASTS[which])
     statistic[~((statistic >= 0.0) & (statistic < np.inf))] = np.nan
-    statistic[~gap.any(axis=1)] = 0.0
+    statistic[~g[:, _CONTRASTS[which]].any(axis=1)] = 0.0
     p_value = np.array([chi2_sf(s, df) if s == s else np.nan for s in statistic.tolist()])
     if np.ndim(est.theta_hat) == 2:
         return WaldTest(which, statistic, df, p_value)
     if np.isnan(statistic[0]):
         raise NumericalError(f"degenerate restricted covariance in {which} test")
     return WaldTest(which, float(statistic[0]), df, float(p_value[0]))
-
-
-def _solve_each(m: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """``m^-1 v`` for each system of the stack ``m (R, k, k)``, NaN for a singular one."""
-    out = np.full(v.shape, np.nan)
-    for i in range(len(m)):
-        try:
-            out[i] = np.linalg.solve(m[i], v[i])
-        except np.linalg.LinAlgError:
-            pass
-    return out
 
 
 def sigma_rho_cis(est: ThetaEstimate, level: float = 0.95):

@@ -16,7 +16,7 @@ import numpy as np
 
 from .bar import BarParams, NoiseParams, noise_moments
 from .errors import DegenerateModelError, ValidationError
-from .estimation import solve2
+from .estimation import inverse2, sandwich, solve2
 from .gw import GWSpectral
 
 _DET_TOL = 1e-12
@@ -118,15 +118,13 @@ class LimitMatrices:
     ``qsl_constant`` is ``4 sigma^2``, the almost-sure limit of the
     quadratic-strong-law average (1/n) sum_l M_l' S*_{l-1}^-1 M_l and,
     by the design law of large numbers, of its displayed form with
-    ``S*_{l-1} / |T*_{l-1}|`` replaced by ``design_block``.  Each term
-    has mean ``tr(S*^-1 <M>) = 4 sigma^2`` whatever the growth rate and
-    sister covariance.  The printed ``4 sigma^2 (pi - 1) / pi`` is the
-    limit when each level is weighted by ``|G*_{l-1}|`` instead of
-    ``|T*_{l-1}|``, since ``|G*_{l-1}| / |T*_{l-1}| -> (pi - 1) / pi``.
+    ``S*_{l-1} / |T*_{l-1}|`` replaced by its limit ``diag(L0, L1)``.
+    Each term has mean ``tr(S*^-1 <M>) = 4 sigma^2`` whatever the growth
+    rate and sister covariance.  The printed ``4 sigma^2 (pi - 1) / pi``
+    is the limit when each level is weighted by ``|G*_{l-1}|`` instead
+    of ``|T*_{l-1}|``, since ``|G*_{l-1}| / |T*_{l-1}| -> (pi - 1) / pi``.
     """
 
-    design_block: np.ndarray  # block-diagonal 4x4 design limit
-    score_block: np.ndarray   # 4x4 score-covariance limit
     theta_cov: np.ndarray     # sandwich covariance of the coefficient CLT
     sigma2_clt_var: float
     rho_clt_var: float
@@ -143,21 +141,8 @@ def limit_matrices(bar: BarParams, noise: NoiseParams, spectrum: GWSpectral) -> 
     _assert_pd(l1, "odd-daughter design limit")
 
     pi, pbar = spectrum.growth_rate, spectrum.pair_fraction
-
-    sigma = np.zeros((4, 4))
-    sigma[:2, :2], sigma[2:, 2:] = l0, l1
-    gamma = np.zeros((4, 4))
-    gamma[:2, :2], gamma[2:, 2:] = noise.sigma2 * l0, noise.sigma2 * l1
-    gamma[:2, 2:] = gamma[2:, :2] = noise.rho * l01
-
-    sigma_inv = np.zeros((4, 4))
-    # the rows of the identity are the right-hand sides, so solve2 returns
-    # the transposed inverse
-    inv0 = solve2(l0, np.eye(2), "the even-daughter design inverse").T
-    inv1 = solve2(l1, np.eye(2), "the odd-daughter design inverse").T
-    sigma_inv[:2, :2], sigma_inv[2:, 2:] = inv0, inv1
-    theta_cov = sigma_inv @ gamma @ sigma_inv
-    theta_cov = 0.5 * (theta_cov + theta_cov.T)
+    inv0 = inverse2(l0, "the even-daughter design inverse")
+    inv1 = inverse2(l1, "the odd-daughter design inverse")
 
     m = noise_moments(noise)
     s4 = noise.sigma2**2
@@ -168,9 +153,7 @@ def limit_matrices(bar: BarParams, noise: NoiseParams, spectrum: GWSpectral) -> 
     half = _inv_sqrt2(l1) @ l01 @ _inv_sqrt2(l0)
     full = inv1 @ l01 @ l01 @ inv0
     return LimitMatrices(
-        design_block=sigma,
-        score_block=gamma,
-        theta_cov=theta_cov,
+        theta_cov=sandwich(inv0, inv1, l01, noise.sigma2, noise.rho),
         sigma2_clt_var=float(sigma2_var),
         rho_clt_var=float(rho_var),
         qsl_constant=4.0 * noise.sigma2,

@@ -485,6 +485,8 @@ def _qsl(cfg: McConfig) -> _Part:
 
 def _clt(cfg: McConfig) -> _Part:
     spectrum = _require_supercritical(cfg)
+    if cfg.noise.sigma2 == 0.0:  # a zero covariance target scales every deviation to infinity
+        raise ValidationError("clt needs sigma2 > 0: without noise the CLT covariance is zero")
     lm = limits.limit_matrices(cfg.bar, cfg.noise, spectrum)
     depth = cfg.depths[-1]
 
@@ -492,6 +494,10 @@ def _clt(cfg: McConfig) -> _Part:
         alive = results[depth]
         scaled = alive["scaled_theta"]
         n_alive = len(scaled)
+        if n_alive < 2:  # sample variances need two values
+            raise DegenerateModelError(
+                f"clt needs 2 surviving replicates at depth {depth}, got {n_alive}"
+            )
         checks = []
 
         # diagonal entries carry the 15% relative requirement; off-diagonal
@@ -553,7 +559,7 @@ def _clt(cfg: McConfig) -> _Part:
         ))
 
         with_pairs = ~np.isnan(alive["rho_stat"])
-        if with_pairs.any():
+        if with_pairs.sum() >= 2:
             rho_stats = alive["rho_stat"][with_pairs]
             emp_var_rho = float(np.var(rho_stats, ddof=1))
             checks.append(StatCheck(

@@ -10,6 +10,7 @@ import json
 import math
 
 import numpy as np
+from scipy.linalg import block_diag
 
 from bartree import (
     BarParams,
@@ -131,7 +132,7 @@ def test_criterion_04_score_identity():
         est = estimate_theta(tree, depth)
         regularized += est.regularized
         diag = martingale_diagnostics(tree, bar, depth)
-        lhs = est.design.sigma() @ (est.theta_hat - bar.as_vector())
+        lhs = block_diag(est.design.s0, est.design.s1) @ (est.theta_hat - bar.as_vector())
         rhs = diag.m_path[-1]
         worst = max(worst, float(np.linalg.norm(lhs - rhs) / (1.0 + np.linalg.norm(rhs))))
     ok = worst <= 1e-8 and regularized == 0

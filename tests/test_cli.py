@@ -1,6 +1,7 @@
 """Command-line surface and file-format tests."""
 
 import json
+import time
 
 import numpy as np
 import pytest
@@ -389,6 +390,34 @@ def test_verify_level_outside_unit_interval_exits_2(tmp_path, capsys, no_simulat
         path.write_text(json.dumps(_verify_doc(checks=checks, level=level)))
         err = _one_line_exit_2(["verify", "--config", str(path)], capsys)
         assert "confidence level must be in (0, 1)" in err
+
+
+def test_verify_clt_without_noise_exits_2(tmp_path, capsys, no_simulation):
+    # a zero CLT covariance would scale every deviation to infinity
+    path = tmp_path / "mc.json"
+    path.write_text(json.dumps(_verify_doc(
+        checks=["clt"], model=model_doc(noise={"sigma2": 0.0, "rho": 0.0}),
+    )))
+    err = _one_line_exit_2(["verify", "--config", str(path)], capsys)
+    assert "clt needs sigma2 > 0" in err
+
+
+def test_verify_critical_law_exits_3_at_once(tmp_path, capsys, no_simulation):
+    # growth rate 1: rejected as not supercritical, before any extinction
+    # fixed-point iteration (which converges sublinearly there)
+    law = {"11": 0.25, "10": 0.25, "01": 0.25, "00": 0.25}
+    path = tmp_path / "mc.json"
+    path.write_text(json.dumps(_verify_doc(
+        checks=["clt"], depths=[4], replicates=10,
+        model=model_doc(law={"type0": law, "type1": law}),
+    )))
+    capsys.readouterr()
+    start = time.perf_counter()
+    assert run_cli(["verify", "--config", str(path)]) == 3
+    assert time.perf_counter() - start < 0.5
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert "experiment requires a supercritical law, growth rate 1.0" in err
 
 
 def test_verify_consistency_rate_below_depth_2_exits_2(tmp_path, capsys, no_simulation):

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import block_diag
 
 from bartree import (
     BarParams,
@@ -258,7 +259,7 @@ def test_score_identity():
     t = simulate_joint(bar, NoiseParams(1.0, 0.5), FULL, depth=8, seed=1)
     est = estimate_theta(t, 8)
     d = martingale_diagnostics(t, bar, 8)
-    lhs = est.design.sigma() @ (est.theta_hat - bar.as_vector())
+    lhs = block_diag(est.design.s0, est.design.s1) @ (est.theta_hat - bar.as_vector())
     rhs = d.m_path[-1]
     assert np.linalg.norm(lhs - rhs) <= 1e-8 * (1.0 + np.linalg.norm(rhs))
 
@@ -295,25 +296,13 @@ def test_quadratic_forms_agree_between_routes():
             continue
         est = estimate_theta(t, level)
         diff = est.theta_hat - bar.as_vector()
-        lhs = float(diff @ est.design.sigma() @ diff)
+        design = block_diag(est.design.s0, est.design.s1)
+        lhs = float(diff @ design @ diff)
         assert lhs == pytest.approx(float(diag.v_path[level - 1]), rel=1e-9)
-        assert np.array_equal(path.design[level - 1], est.design.sigma())
+        assert np.array_equal(path.design[level - 1], design)
         path_diff = path.theta[level - 1] - bar.as_vector()
         path_form = float(path_diff @ path.design[level - 1] @ path_diff)
         assert path_form == pytest.approx(float(diag.v_path[level - 1]), rel=1e-9)
-
-
-def test_design_gamma_block_layout():
-    t = simulate_joint(
-        BarParams(0.5, 0.3, -0.4, 0.7), NoiseParams(1.0, 0.5), FULL, depth=4, seed=2
-    )
-    d = accumulate_design(t, 3)
-    g = d.gamma(2.0, 0.5)
-    assert np.array_equal(g[:2, :2], 2.0 * d.s0)
-    assert np.array_equal(g[2:, 2:], 2.0 * d.s1)
-    assert np.array_equal(g[:2, 2:], 0.5 * d.s01)
-    assert np.array_equal(g[2:, :2], 0.5 * d.s01)
-    assert np.array_equal(d.sigma()[:2, 2:], np.zeros((2, 2)))
 
 
 # ---------------------------------------------------------------------------

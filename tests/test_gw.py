@@ -101,7 +101,8 @@ def test_spectral_subcritical_flag():
     s = spectral(symmetric_law(0.4, 0.6))
     assert abs(s.growth_rate - 0.8) < 1e-15
     assert not s.supercritical
-    assert abs(s.extinction[0] - 1.0) < 1e-10 and abs(s.extinction[1] - 1.0) < 1e-10
+    q = extinction_probabilities(s.law)
+    assert abs(q[0] - 1.0) < 1e-10 and abs(q[1] - 1.0) < 1e-10
 
 
 def test_pair_fraction_definition():

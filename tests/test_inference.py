@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from scipy import stats as sps
+from scipy.linalg import block_diag
 
 import bartree
 from bartree import (
@@ -17,15 +18,20 @@ from bartree import (
     NumericalError,
     ReproductionLaw,
     ValidationError,
+    design_limits,
     estimate_theta,
+    limit_matrices,
     sigma_rho_cis,
     simulate_joint,
+    spectral,
     theta_cis,
     wald_test,
 )
 from bartree.distributions import chi2_sf, ks_normal_distance, normal_quantile
+from bartree.inference import _covariance
 
 FULL = ReproductionLaw.full_observation()
+MISSING = ReproductionLaw.from_mean_matrix([[0.9, 0.4], [0.3, 0.8]])
 
 
 def _fit(bar, noise, depth=8, seed=1, law=FULL):
@@ -87,6 +93,52 @@ def test_invalid_level_rejected():
 
 
 # ---------------------------------------------------------------------------
+# the sandwich covariance
+
+
+def _sandwich_oracle(s0, s1, s01, sigma2, rho):
+    """The explicit 4x4 product inv(Sigma) Gamma inv(Sigma)."""
+    inv = np.linalg.inv(block_diag(s0, s1))
+    gamma = np.block([[sigma2 * s0, rho * s01], [rho * s01, sigma2 * s1]])
+    return inv @ gamma @ inv
+
+
+def _assert_close(got, want):
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def test_sandwich_matches_explicit_product():
+    # the closed-form blocks, for a tree, each replicate of a forest and
+    # the limit objects
+    bar, noise = BarParams(0.5, 0.3, -0.4, 0.7), NoiseParams(1.0, 0.5)
+    tree = _fit(bar, noise)
+    d = tree.design
+    want = _sandwich_oracle(d.s0, d.s1, d.s01, tree.sigma2_hat, tree.rho_hat)
+    _assert_close(_covariance(tree), want)
+    forest = _fit(bar, noise, depth=6, seed=list(range(20)), law=MISSING)
+    cov, d = _covariance(forest), forest.design
+    for i, rho in enumerate(np.nan_to_num(forest.rho_hat)):
+        want = _sandwich_oracle(d.s0[i], d.s1[i], d.s01[i], forest.sigma2_hat[i], rho)
+        _assert_close(cov[i], want)
+    for law in (FULL, MISSING):
+        spectrum = spectral(law)
+        want = _sandwich_oracle(*design_limits(bar, noise, spectrum), noise.sigma2, noise.rho)
+        _assert_close(limit_matrices(bar, noise, spectrum).theta_cov, want)
+
+
+def test_sandwich_is_symmetric_and_has_no_negative_zero():
+    # the closed form is exactly symmetric; at rho = 0 its cross blocks
+    # are +0.0, which the clt report prints as 0.0
+    noise = NoiseParams(1.0, 0.0)
+    cov = limit_matrices(BarParams(0.5, 0.3, -0.4, 0.7), noise, spectral(MISSING)).theta_cov
+    assert np.array_equal(cov, cov.T)
+    assert not np.signbit(cov[cov == 0.0]).any() and (cov[:2, 2:] == 0.0).all()
+    law = ReproductionLaw.from_tables({"10": 1.0}, {"10": 1.0})  # no sister pairs: rho enters as 0
+    cov = _covariance(_fit(BarParams(0.5, -0.3, -0.4, 0.7), noise, depth=6, law=law))
+    assert np.array_equal(cov, cov.T) and not np.signbit(cov[cov == 0.0]).any()
+
+
+# ---------------------------------------------------------------------------
 # Wald tests
 
 
@@ -131,6 +183,44 @@ def test_rescaling_invariance_of_slope_test():
     w1 = wald_test(est, "slope")
     w2 = wald_test(est2, "slope")
     assert math.isclose(w1.statistic, w2.statistic, rel_tol=1e-9)
+
+
+def test_pair_statistic_invariant_at_small_scale():
+    # scaling the values by 1e-4 scales the intercept variances by 1e-8 and
+    # det V far below any absolute singularity threshold; the statistics
+    # stay put
+    t = simulate_joint(BarParams(0.5, 0.3, -0.4, 0.7), NoiseParams(1.0, 0.5), FULL, 12, seed=2)
+    est = estimate_theta(t, 12)
+    small = estimate_theta(type(t)(mask=t.mask, values=[1e-4 * v for v in t.values]), 12)
+    for name in ("pair", "intercept", "slope"):
+        w1, w2 = wald_test(est, name), wald_test(small, name)
+        assert math.isclose(w1.statistic, w2.statistic, rel_tol=1e-8)
+
+
+def test_forest_wald_matches_solve_oracle():
+    # closed-form statistics against a dense solve of each replicate's
+    # restricted system; the small trees give some degenerate replicates
+    est = _fit(BarParams(0.5, 0.3, -0.4, 0.7), NoiseParams(1.0, 0.5), depth=4,
+               seed=list(range(60)), law=MISSING)
+    rho = np.nan_to_num(est.rho_hat)
+    d = est.design
+    contrasts = {"pair": [[1, 0, -1, 0], [0, 1, 0, -1]], "intercept": [[1, 0, -1, 0]],
+                 "slope": [[0, 1, 0, -1]]}
+    for name, r in contrasts.items():
+        r = np.array(r, dtype=float)
+        want = np.full(60, np.nan)
+        for i in range(60):
+            cov = _sandwich_oracle(d.s0[i], d.s1[i], d.s01[i], est.sigma2_hat[i], rho[i])
+            gap = r @ est.theta_hat[i]
+            try:
+                stat = 0.0 if not gap.any() else gap @ np.linalg.solve(r @ cov @ r.T, gap)
+            except np.linalg.LinAlgError:
+                continue
+            if 0.0 <= stat < np.inf:
+                want[i] = stat
+        got = wald_test(est, name).statistic
+        assert np.isnan(want).any() and np.array_equal(np.isnan(got), np.isnan(want))
+        np.testing.assert_allclose(got, want, rtol=1e-9, atol=0.0)
 
 
 def test_p_values_uniform_under_null():

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.linalg import block_diag
 
 from bartree import (
     BarParams,
@@ -151,18 +152,19 @@ def test_pair_limits_dual_implementation():
 def test_block_structure_and_symmetry():
     lm = limit_matrices(GENERIC_BAR, GENERIC_NOISE, MISSING)
     l0, l1, l01 = design_limits(GENERIC_BAR, GENERIC_NOISE, MISSING)
-    assert np.array_equal(lm.design_block[:2, :2], l0)
-    assert np.array_equal(lm.design_block[2:, 2:], l1)
-    assert np.array_equal(lm.design_block[:2, 2:], np.zeros((2, 2)))
-    assert np.array_equal(lm.score_block[:2, 2:], GENERIC_NOISE.rho * l01)
-    assert np.allclose(lm.theta_cov, lm.theta_cov.T, atol=1e-12)
+    inv0, inv1 = np.linalg.inv(l0), np.linalg.inv(l1)
+    assert np.allclose(lm.theta_cov[:2, :2], GENERIC_NOISE.sigma2 * inv0, rtol=1e-12, atol=0)
+    assert np.allclose(lm.theta_cov[2:, 2:], GENERIC_NOISE.sigma2 * inv1, rtol=1e-12, atol=0)
+    assert np.allclose(lm.theta_cov[:2, 2:], GENERIC_NOISE.rho * inv0 @ l01 @ inv1, rtol=1e-12)
+    assert np.array_equal(lm.theta_cov, lm.theta_cov.T)
     assert np.linalg.eigvalsh(lm.theta_cov).min() > -1e-12
 
 
 def test_uncorrelated_noise_collapses_sandwich():
     noise = NoiseParams(1.0, 0.0)
     lm = limit_matrices(GENERIC_BAR, noise, MISSING)
-    inv = np.linalg.inv(lm.design_block)
+    l0, l1, _ = design_limits(GENERIC_BAR, noise, MISSING)
+    inv = np.linalg.inv(block_diag(l0, l1))
     assert np.allclose(lm.theta_cov, noise.sigma2 * inv, atol=1e-12)
 
 

@@ -244,6 +244,25 @@ def test_clt_correlated_noise_omits_independence_check():
     assert not [c for c in report.checks if c.name == "block_independence"]
 
 
+def test_clt_report_holds_no_nan():
+    # sample variances need two values: one survivor is an error, and the
+    # rho variance needs two survivors with sister pairs (seed 2 has one,
+    # seed 22 two); no report holds NaN
+    law = ReproductionLaw.from_tables({"11": 0.7, "10": 0.15, "01": 0.15},
+                                      {"11": 0.7, "10": 0.15, "01": 0.15})
+    with pytest.raises(DegenerateModelError, match="2 surviving replicates at depth 3, got 1"):
+        mc_clt(_cfg(law=law, depths=(3,), replicates=1))
+    sparse = ReproductionLaw.from_tables({"10": 0.6, "01": 0.3, "11": 0.1},
+                                         {"10": 0.6, "01": 0.3, "11": 0.1})
+    noise = NoiseParams(1.0, 0.5)
+    for seed, pairs in ((2, 1), (22, 2)):
+        report = mc_clt(_cfg(law=sparse, depths=(3,), replicates=4, seed=seed, noise=noise))
+        cols = report.replicates[3][1]
+        assert (~np.isnan(cols["rho_stat"][cols["survived"]])).sum() == pairs
+        assert any(c.name == "rho_clt_variance" for c in report.checks) == (pairs >= 2)
+        json.dumps(report.to_dict(), allow_nan=False)
+
+
 # ---------------------------------------------------------------------------
 # variance-bias experiment
 
