@@ -56,29 +56,23 @@ class BarParams:
 class NoiseMoments(NamedTuple):
     tau4: float
     nu2: float
-    kappa8: float
-    lambda4: float
 
 
 @dataclass(frozen=True)
 class NoiseParams:
     """Sister-noise law: variance, within-pair covariance and moments.
 
-    The only family is the bivariate Gaussian (``family="gaussian"``),
-    for which the fourth and eighth moments have closed forms.  ``rho``
-    may reach ``sigma2`` in absolute value (perfectly correlated
-    sisters), and ``sigma2 = 0`` gives the deterministic zero-noise
-    model used by exact-recovery fixtures.
+    The law is the bivariate Gaussian, whose fourth moments have closed
+    forms.  ``rho`` may reach ``sigma2`` in absolute value (perfectly
+    correlated sisters), and ``sigma2 = 0`` gives the deterministic
+    zero-noise model used by exact-recovery fixtures.
     """
 
     sigma2: float
     rho: float = 0.0
-    family: str = "gaussian"
     rho_prime: float = field(init=False)
 
     def __post_init__(self):
-        if self.family != "gaussian":
-            raise ValidationError(f"unsupported noise family {self.family!r}")
         if not math.isfinite(self.sigma2) or self.sigma2 < 0.0:
             raise ValidationError(f"sigma2 must be >= 0, got {self.sigma2}")
         if abs(self.rho) > self.sigma2 + _COV_TOL:
@@ -92,18 +86,14 @@ class NoiseParams:
 def noise_moments(noise: NoiseParams) -> NoiseMoments:
     """Closed-form higher moments of the sister-noise law.
 
-    Fourth moment ``3 sigma^4``, squared-pair moment
-    ``sigma^4 (1 + 2 rho'^2)``, eighth moment ``105 sigma^8`` and
-    fourth-pair moment ``sigma^8 (9 + 72 rho'^2 + 24 rho'^4)``,
-    reported through the ``nu2``/``lambda4`` ratios.
+    Fourth moment ``3 sigma^4`` and squared-pair moment
+    ``sigma^4 (1 + 2 rho'^2)``, reported through the ``nu2`` ratio.
     """
     s2 = noise.sigma2
     rp2 = noise.rho_prime**2
     tau4 = 3.0 * s2 * s2
     nu2 = (1.0 + 2.0 * rp2) / 3.0
-    kappa8 = 105.0 * s2**4
-    lambda4 = (9.0 + 72.0 * rp2 + 24.0 * rp2 * rp2) / 105.0
-    return NoiseMoments(tau4, nu2, kappa8, lambda4)
+    return NoiseMoments(tau4, nu2)
 
 
 @dataclass(frozen=True)

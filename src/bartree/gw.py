@@ -56,20 +56,14 @@ class ReproductionLaw:
 
     @classmethod
     def from_tables(cls, type0, type1) -> "ReproductionLaw":
-        """Build from two mappings keyed by ``(j0, j1)`` pairs or ``"j0j1"`` strings."""
+        """Build from two mappings keyed by ``"j0j1"`` outcome strings (``"10"``: even child only)."""
+        keys = [f"{j0}{j1}" for j0, j1 in OUTCOMES]
         rows = []
         for table in (type0, type1):
-            norm = {}
-            for key, value in table.items():
-                if isinstance(key, str):
-                    if len(key) != 2 or any(ch not in "01" for ch in key):
-                        raise ValidationError(f"bad offspring outcome key {key!r}")
-                    key = (int(key[0]), int(key[1]))
-                norm[tuple(key)] = float(value)
-            unknown = set(norm) - set(OUTCOMES)
+            unknown = set(table) - set(keys)
             if unknown:
                 raise ValidationError(f"unknown offspring outcomes {sorted(unknown)}")
-            rows.append([norm.get(o, 0.0) for o in OUTCOMES])
+            rows.append([float(table.get(k, 0.0)) for k in keys])
         return cls(np.array(rows))
 
     @classmethod

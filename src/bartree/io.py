@@ -42,7 +42,7 @@ def format_real(x: float) -> str:
 
 
 # ---------------------------------------------------------------------------
-# lineage files
+# lineage and mask files
 
 
 def _write_rows(path, header: list[str], rows: str) -> None:
@@ -67,6 +67,11 @@ def write_lineage(tree: ObservedTree, path) -> None:
     header.append(f"# root_type: {tree.mask.root_type}")
     header.append(f"# depth: {tree.depth}")
     _write_rows(path, header, _format_pairs(tree.mask.ids(), np.concatenate(tree.values)))
+
+
+def write_mask(mask: ObservationMask, path) -> None:
+    header = ["# bartree mask v1", f"# root_type: {mask.root_type}", f"# depth: {mask.depth}"]
+    _write_rows(path, header, "\n".join(map(str, mask.ids().tolist())))
 
 
 def write_noise_sidecar(tree: ObservedTree, path) -> None:
@@ -130,17 +135,18 @@ _MASK_BYTES = b"0123456789\n"
 _LINEAGE_ROW = np.dtype([("id", np.int64), ("value", np.float64)])
 
 
-def _fast_table(text: str, allowed: bytes, dtype):
-    """``(table, meta)`` parsed by numpy, or None when the row loop must read the file.
+def _fast_table(text: str, lineage: bool):
+    """``(ids, values, meta)`` parsed by numpy, or None when the row loop must read the file.
 
     The header is the leading ``#`` lines; the body after it must hold
-    only ``allowed`` bytes and parse without error or warning.
+    only the format's bytes and parse without error or warning.  A mask
+    has no values (None).
     """
     end = 0
     while text.startswith("#", end):
         end = text.find("\n", end) + 1 or len(text)
     header, body = text[:end], text[end:]
-    if body.encode().translate(None, allowed):
+    if body.encode().translate(None, _LINEAGE_BYTES if lineage else _MASK_BYTES):
         return None
     entries, meta = _data_lines(header)
     if entries:  # a line break other than \n inside the header
@@ -148,18 +154,27 @@ def _fast_table(text: str, allowed: bytes, dtype):
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            table = np.loadtxt(StringIO(body), delimiter=",", dtype=dtype, ndmin=1)
+            table = np.loadtxt(StringIO(body), delimiter=",", ndmin=1,
+                               dtype=_LINEAGE_ROW if lineage else np.int64)
     except (ValueError, OverflowError, Warning):
         return None
-    return table, meta
-
-
-def _ascending(ids: np.ndarray) -> bool:
-    return bool(np.all(ids[1:] > ids[:-1]))
+    if not lineage:
+        return table, None, meta
+    return np.ascontiguousarray(table["id"]), np.ascontiguousarray(table["value"]), meta
 
 
 def parse_lineage(path) -> ObservedTree:
-    """Read and validate a lineage file into a data-mode observed tree.
+    """Read and validate a lineage file into a data-mode observed tree."""
+    return _parse(path, lineage=True)
+
+
+def parse_mask(path) -> ObservationMask:
+    """Read and validate a mask file: a lineage file without its value column."""
+    return _parse(path, lineage=False)
+
+
+def _parse(path, lineage: bool):
+    """The tree (``lineage``) or mask that a file lists.
 
     Violations (duplicate ids, orphan observations, a missing root,
     malformed numbers) are reported with their line number.  numpy reads
@@ -167,105 +182,58 @@ def parse_lineage(path) -> ObservedTree:
     the row loop, which names the offending line.
     """
     text = _read_text(path)
-    fast = _fast_table(text, _LINEAGE_BYTES, _LINEAGE_ROW)
+    fast = _fast_table(text, lineage)
     if fast is not None:
-        table, meta = fast
-        ids = np.ascontiguousarray(table["id"])
-        if _ascending(ids):
+        ids, values, meta = fast
+        if np.all(ids[1:] > ids[:-1]):
             try:
-                return ObservedTree.from_arrays(
-                    ids,
-                    np.ascontiguousarray(table["value"]),
-                    root_type=_meta_int(meta, "root_type", 0),
-                    depth=_meta_int(meta, "depth"),
-                )
+                return _build(ids, values, meta)
             except ValidationError:
                 pass
-    return _lineage_rows(text)
+    return _rows(text, lineage)
 
 
-def _lineage_rows(text: str) -> ObservedTree:
-    """The row-by-row lineage parser: every error names its line."""
-    records: dict[int, float] = {}
-    lines: dict[int, int] = {}
+def _rows(text: str, lineage: bool):
+    """The row-by-row parser of both formats: every error names its line."""
+    lines: dict[int, int] = {}  # node id -> its line, in file order
+    values: list[float] = []
     entries, meta = _data_lines(text)
     for lineno, line in entries:
-        parts = line.split(",")
-        if len(parts) != 2:
+        parts = line.split(",") if lineage else [line]
+        if lineage and len(parts) != 2:
             raise LineageFormatError(f"expected 'node_id,value', got {line!r}", lineno)
         try:
             k = int(parts[0])
         except ValueError:
             raise LineageFormatError(f"malformed node id {parts[0]!r}", lineno) from None
-        try:
-            x = float(parts[1])
-        except ValueError:
-            raise LineageFormatError(f"malformed value {parts[1]!r}", lineno) from None
-        if not math.isfinite(x):
-            raise LineageFormatError(f"non-finite value {parts[1]!r}", lineno)
-        _check_node(k, lineno, lines)
-        records[k] = x
-    if not records:
-        raise LineageFormatError("no data rows found")
-    if 1 not in records:
-        raise LineageFormatError("node 1 (the root) is missing")
-    for k in sorted(records):
-        if k >= 2 and k // 2 not in records:
-            raise LineageFormatError(
-                f"orphan observation: node {k} has no observed mother {k // 2}",
-                lines[k],
-            )
-    return ObservedTree.from_arrays(
-        np.fromiter(records, np.int64, len(records)),
-        np.fromiter(records.values(), np.float64, len(records)),
-        root_type=_meta_int(meta, "root_type", 0),
-        depth=_meta_int(meta, "depth"),
-    )
-
-
-# ---------------------------------------------------------------------------
-# mask files
-
-
-def write_mask(mask: ObservationMask, path) -> None:
-    header = ["# bartree mask v1", f"# root_type: {mask.root_type}", f"# depth: {mask.depth}"]
-    _write_rows(path, header, "\n".join(map(str, mask.ids().tolist())))
-
-
-def parse_mask(path) -> ObservationMask:
-    """Read a mask file; like :func:`parse_lineage`, numpy reads ascending ids."""
-    text = _read_text(path)
-    fast = _fast_table(text, _MASK_BYTES, np.int64)
-    if fast is not None:
-        ids, meta = fast
-        if _ascending(ids):
+        if lineage:
             try:
-                return ObservationMask.from_ids(
-                    ids, depth=_meta_int(meta, "depth"), root_type=_meta_int(meta, "root_type", 0)
-                )
-            except ValidationError:
-                pass
-    return _mask_rows(text)
+                x = float(parts[1])
+            except ValueError:
+                raise LineageFormatError(f"malformed value {parts[1]!r}", lineno) from None
+            if not math.isfinite(x):
+                raise LineageFormatError(f"non-finite value {parts[1]!r}", lineno)
+            values.append(x)
+        _check_node(k, lineno, lines)
+    if not lines:
+        raise LineageFormatError("no data rows found")
+    if 1 not in lines:
+        raise LineageFormatError("node 1 (the root) is missing")
+    for k in sorted(lines):
+        if k >= 2 and k // 2 not in lines:
+            raise LineageFormatError(
+                f"orphan observation: node {k} has no observed mother {k // 2}", lines[k]
+            )
+    ids = np.fromiter(lines, np.int64, len(lines))
+    return _build(ids, np.array(values) if lineage else None, meta)
 
 
-def _mask_rows(text: str) -> ObservationMask:
-    """The row-by-row mask parser: every row error names its line."""
-    seen: dict[int, int] = {}
-    entries, meta = _data_lines(text)
-    for lineno, line in entries:
-        try:
-            k = int(line)
-        except ValueError:
-            raise LineageFormatError(f"malformed node id {line!r}", lineno) from None
-        _check_node(k, lineno, seen)
-    if not seen:
-        raise LineageFormatError("no node ids found")
-    root_type = _meta_int(meta, "root_type", 0)
-    depth = _meta_int(meta, "depth")
-    try:
-        return ObservationMask.from_ids(list(seen), depth=depth, root_type=root_type)
-    except ValidationError as exc:
-        raise LineageFormatError(str(exc)) from exc
+def _build(ids: np.ndarray, values: np.ndarray | None, meta: dict):
+    """The tree of ``ids`` and ``values``, or the mask of ``ids`` when there are no values."""
+    root_type, depth = _meta_int(meta, "root_type", 0), _meta_int(meta, "depth")
+    if values is None:
+        return ObservationMask.from_ids(ids, depth=depth, root_type=root_type)
+    return ObservedTree.from_arrays(ids, values, root_type=root_type, depth=depth)
 
 
 # ---------------------------------------------------------------------------
@@ -298,18 +266,22 @@ def _json_list(value, what: str) -> list:
     return value
 
 
+def _json_object(value, what: str) -> dict:
+    if not isinstance(value, dict):
+        raise ValidationError(f"{what} must be a JSON object, got {json.dumps(value)}")
+    return value
+
+
 def _law_table(law_doc: dict, name: str) -> dict:
     """One parent type's offspring table, its probabilities checked as JSON numbers."""
-    table = _require(law_doc, name, "law")
-    if not isinstance(table, dict):
-        raise ValidationError(f"law {name} must be a JSON object, got {json.dumps(table)}")
+    table = _json_object(_require(law_doc, name, "law"), f"law {name}")
     return {k: _json_number(p, f"law {name} probability of {k!r}") for k, p in table.items()}
 
 
 def _model_from_dict(doc: dict, where: str):
-    bar_doc = _require(doc, "bar", where)
-    noise_doc = _require(doc, "noise", where)
-    law_doc = _require(doc, "law", where)
+    bar_doc, noise_doc, law_doc = (
+        _json_object(_require(doc, key, where), key) for key in ("bar", "noise", "law")
+    )
     allow_unstable = bar_doc.get("allow_unstable", False)
     if not isinstance(allow_unstable, bool):
         raise ValidationError(
@@ -320,27 +292,31 @@ def _model_from_dict(doc: dict, where: str):
             *(_json_number(_require(bar_doc, k, "bar"), k) for k in "abcd"),
             allow_unstable=allow_unstable,
         )
-        noise = NoiseParams(
-            _json_number(_require(noise_doc, "sigma2", "noise"), "sigma2"),
-            _json_number(noise_doc.get("rho", 0.0), "rho"),
-            family=noise_doc.get("family", "gaussian"),
-        )
+        sigma2 = _json_number(_require(noise_doc, "sigma2", "noise"), "sigma2")
+        rho = _json_number(noise_doc.get("rho", 0.0), "rho")
+        if (family := noise_doc.get("family", "gaussian")) != "gaussian":
+            raise ValidationError(f"unsupported noise family {family!r}")
+        noise = NoiseParams(sigma2, rho)
         law = ReproductionLaw.from_tables(*(_law_table(law_doc, t) for t in ("type0", "type1")))
     except (TypeError, ValueError) as exc:
         raise ValidationError(f"malformed model parameters: {exc}") from exc
     return bar, noise, law
 
 
-def load_model_config(path) -> dict:
-    """Simulation configuration: model point plus depth/seed defaults."""
+def _load_doc(path, schema: str) -> dict:
+    """The JSON object at ``path``, which must name ``schema`` in its ``schema`` field."""
     try:
         doc = json.loads(_read_text(path))
     except json.JSONDecodeError as exc:
         raise ValidationError(f"invalid JSON in {path}: {exc}") from exc
-    if doc.get("schema") != MODEL_SCHEMA:
-        raise ValidationError(
-            f"expected schema {MODEL_SCHEMA!r}, got {doc.get('schema')!r}"
-        )
+    if _json_object(doc, str(path)).get("schema") != schema:
+        raise ValidationError(f"expected schema {schema!r}, got {doc.get('schema')!r}")
+    return doc
+
+
+def load_model_config(path) -> dict:
+    """Simulation configuration: model point plus depth/seed defaults."""
+    doc = _load_doc(path, MODEL_SCHEMA)
     bar, noise, law = _model_from_dict(doc, "model config")
     return {
         "bar": bar,
@@ -355,17 +331,12 @@ def load_model_config(path) -> dict:
 
 def load_mc_config(path) -> tuple[McConfig, list[str]]:
     """Experiment configuration: model, budgets and the checks to run."""
-    try:
-        doc = json.loads(_read_text(path))
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"invalid JSON in {path}: {exc}") from exc
-    if doc.get("schema") != MC_SCHEMA:
-        raise ValidationError(f"expected schema {MC_SCHEMA!r}, got {doc.get('schema')!r}")
+    doc = _load_doc(path, MC_SCHEMA)
     if doc.get("condition_on_survival", True) is not True:
         raise ValidationError(
             "condition_on_survival must be true: extinct replicates are always discarded"
         )
-    model = _require(doc, "model", "mc config")
+    model = _json_object(_require(doc, "model", "mc config"), "model")
     bar, noise, law = _model_from_dict(model, "mc config model")
     depths = _json_list(_require(doc, "depths", "mc config"), "depths")
     cfg = McConfig(

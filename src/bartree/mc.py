@@ -80,11 +80,7 @@ class McConfig:
     def describe(self) -> dict:
         return {
             "bar": {"a": self.bar.a, "b": self.bar.b, "c": self.bar.c, "d": self.bar.d},
-            "noise": {
-                "sigma2": self.noise.sigma2,
-                "rho": self.noise.rho,
-                "family": self.noise.family,
-            },
+            "noise": {"sigma2": self.noise.sigma2, "rho": self.noise.rho, "family": "gaussian"},
             "law": {
                 f"type{i}": {f"{j0}{j1}": float(p) for (j0, j1), p in zip(OUTCOMES, row)}
                 for i, row in enumerate(self.law.probs)
@@ -222,6 +218,24 @@ def _blocks(cfg: McConfig, depth: int, seeds: list[int]) -> list[list[int]]:
     count = -(-len(seeds) // per_block)
     edges = [len(seeds) * k // count for k in range(count + 1)]
     return [seeds[a:b] for a, b in zip(edges[:-1], edges[1:])]
+
+
+def _relative_check(name, depth, empirical, target, rel, detail):
+    """``empirical`` held to ``target`` at ``rel`` relative, or at ``_ZERO_TOL`` absolute when it is 0."""
+    if target == 0.0:
+        kind, tol, bound = "absolute (zero target)", _ZERO_TOL, _ZERO_TOL
+    else:
+        kind, tol, bound = "relative", rel, rel * abs(target)
+    return StatCheck(
+        name=name,
+        depth=depth,
+        empirical=empirical,
+        target=target,
+        tolerance=tol,
+        tolerance_kind=kind,
+        passed=abs(empirical - target) <= bound,
+        detail=detail,
+    )
 
 
 def _entrywise_check(name, depth, median, target, rows):
@@ -448,10 +462,6 @@ def _qsl(cfg: McConfig) -> _Part:
     target = 4.0 * cfg.noise.sigma2
     pi = spectrum.growth_rate
     printed = float(target * (pi - 1.0) / pi)
-    if target == 0.0:
-        kind, tol, bound = "absolute (zero target)", _ZERO_TOL, _ZERO_TOL
-    else:
-        kind, tol, bound = "relative", 0.15, 0.15 * target
 
     def reduce(results):
         fitted = results[depth]["levels"] > 0  # a survivor with every level ridged has no term
@@ -461,22 +471,12 @@ def _qsl(cfg: McConfig) -> _Part:
 
         def check(name, key):
             values = alive[key]
-            mean = float(np.mean(values))
-            return StatCheck(
-                name=name,
-                depth=depth,
-                empirical=mean,
-                target=target,
-                tolerance=tol,
-                tolerance_kind=kind,
-                passed=abs(mean - target) <= bound,
-                detail={
-                    "median": float(np.median(values)),
-                    "tail_levels_mean": float(np.mean(alive[key + "_tail"])),
-                    "printed_constant": printed,
-                    "surviving": len(values),
-                },
-            )
+            return _relative_check(name, depth, float(np.mean(values)), target, 0.15, {
+                "median": float(np.median(values)),
+                "tail_levels_mean": float(np.mean(alive[key + "_tail"])),
+                "printed_constant": printed,
+                "surviving": len(values),
+            })
 
         return [check("qsl_mean", "qsl"), check("qsl_mean_limit_design", "qsl_limit_design")]
 
@@ -546,32 +546,18 @@ def _clt(cfg: McConfig) -> _Part:
             detail={"per_coefficient": coverage, "surviving": n_alive},
         ))
 
-        emp_var = float(np.var(alive["sigma_stat"], ddof=1))
-        checks.append(StatCheck(
-            name="sigma2_clt_variance",
-            depth=depth,
-            empirical=emp_var,
-            target=lm.sigma2_clt_var,
-            tolerance=0.15,
-            tolerance_kind="relative",
-            passed=abs(emp_var - lm.sigma2_clt_var) <= 0.15 * lm.sigma2_clt_var,
-            detail={"sigma_ci_coverage": float(np.mean(alive["sigma_cover"]))},
+        checks.append(_relative_check(
+            "sigma2_clt_variance", depth, float(np.var(alive["sigma_stat"], ddof=1)),
+            lm.sigma2_clt_var, 0.15, {"sigma_ci_coverage": float(np.mean(alive["sigma_cover"]))},
         ))
 
         with_pairs = ~np.isnan(alive["rho_stat"])
         if with_pairs.sum() >= 2:
             rho_stats = alive["rho_stat"][with_pairs]
-            emp_var_rho = float(np.var(rho_stats, ddof=1))
-            checks.append(StatCheck(
-                name="rho_clt_variance",
-                depth=depth,
-                empirical=emp_var_rho,
-                target=lm.rho_clt_var,
-                tolerance=0.15,
-                tolerance_kind="relative",
-                passed=abs(emp_var_rho - lm.rho_clt_var) <= 0.15 * lm.rho_clt_var,
-                detail={"rho_ci_coverage": float(np.mean(alive["rho_cover"][with_pairs])),
-                        "with_pairs": len(rho_stats)},
+            checks.append(_relative_check(
+                "rho_clt_variance", depth, float(np.var(rho_stats, ddof=1)), lm.rho_clt_var, 0.15,
+                {"rho_ci_coverage": float(np.mean(alive["rho_cover"][with_pairs])),
+                 "with_pairs": len(rho_stats)},
             ))
 
         if cfg.noise.rho == 0.0:
@@ -600,23 +586,10 @@ def _variance_estimators(cfg: McConfig) -> _Part:
 
     def reduce(results):
         alive = results[depth]
-        med_sigma = float(np.median(alive["sigma_bias"]))
         target = 4.0 * (spectrum.growth_rate - 1.0) * cfg.noise.sigma2
-        if target == 0.0:
-            passed = abs(med_sigma) <= _ZERO_TOL
-            kind, tol = "absolute (zero target)", _ZERO_TOL
-        else:
-            passed = abs(med_sigma - target) <= 0.20 * target
-            kind, tol = "relative", 0.20
-        checks = [StatCheck(
-            name="sigma2_bias",
-            depth=depth,
-            empirical=med_sigma,
-            target=target,
-            tolerance=tol,
-            tolerance_kind=kind,
-            passed=passed,
-            detail={"surviving": len(alive["survived"])},
+        checks = [_relative_check(
+            "sigma2_bias", depth, float(np.median(alive["sigma_bias"])), target, 0.20,
+            {"surviving": len(alive["survived"])},
         )]
 
         rho_vals = alive["rho_bias"][~np.isnan(alive["rho_bias"])]

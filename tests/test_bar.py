@@ -65,7 +65,6 @@ def test_gaussian_moments_standard():
     m = noise_moments(NoiseParams(1.0, 0.0))
     assert m.tau4 == 3.0
     assert abs(m.nu2 - 1.0 / 3.0) < 1e-15
-    assert m.kappa8 == 105.0
 
 
 def test_gaussian_moments_shared_noise():
@@ -97,15 +96,6 @@ def test_gaussian_moments_sampling_oracle(sigma2, rho):
     pair = e1**2 * e2**2
     se = pair.std() / math.sqrt(n)
     assert abs(pair.mean() - m.nu2 * m.tau4) < 3 * se
-
-    x8 = x4 * x4
-    se = x8.std() / math.sqrt(n)
-    assert abs(x8.mean() - m.kappa8) < 3 * se
-
-
-def test_unsupported_family():
-    with pytest.raises(ValidationError):
-        noise_moments(NoiseParams(1.0, 0.0, family="laplace"))
 
 
 # ---------------------------------------------------------------------------

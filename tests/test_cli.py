@@ -100,14 +100,19 @@ def test_parse_minimal_lineage(tmp_path):
     assert [v.tolist() for v in tree.values] == [[1.0], [3.0, 2.0]]
 
 
-def test_parse_orphan_names_node_and_line(tmp_path):
+# a mask file is a lineage file without its value column: one reader, one set of messages
+BOTH_FORMATS = pytest.mark.parametrize(
+    "parse,row", [(parse_lineage, "{},1.0"), (parse_mask, "{}")], ids=["lineage", "mask"]
+)
+
+
+@BOTH_FORMATS
+def test_parse_orphan_names_node_and_line(tmp_path, parse, row):
     p = tmp_path / "t.csv"
-    p.write_text("1,1.0\n5,2.0\n")
+    p.write_text(f"{row.format(1)}\n{row.format(5)}\n")
     with pytest.raises(LineageFormatError) as err:
-        parse_lineage(p)
-    assert "node 5" in str(err.value)
-    assert "mother 2" in str(err.value)
-    assert "line 2" in str(err.value)
+        parse(p)
+    assert str(err.value) == "line 2: orphan observation: node 5 has no observed mother 2"
 
 
 def test_parse_duplicate_id(tmp_path):
@@ -118,12 +123,16 @@ def test_parse_duplicate_id(tmp_path):
     assert "duplicate" in str(err.value) and "line 3" in str(err.value)
 
 
-def test_parse_missing_root(tmp_path):
+@BOTH_FORMATS
+def test_parse_missing_root(tmp_path, parse, row):
     p = tmp_path / "t.csv"
-    p.write_text("2,1.0\n3,2.0\n")
+    p.write_text(f"{row.format(2)}\n{row.format(3)}\n")
     with pytest.raises(LineageFormatError) as err:
-        parse_lineage(p)
-    assert "root" in str(err.value)
+        parse(p)
+    assert str(err.value) == "node 1 (the root) is missing"
+    p.write_text("# depth: 3\n")
+    with pytest.raises(LineageFormatError, match="^no data rows found$"):
+        parse(p)
 
 
 def test_parse_malformed_number(tmp_path):
@@ -452,6 +461,15 @@ def test_bad_config_schema(tmp_path):
     assert run_cli(["simulate", "--config", str(p2), "--output", str(tmp_path / "o.csv")]) == 2
 
 
+def test_config_that_is_not_an_object_exits_2(tmp_path, capsys):
+    p = tmp_path / "list.json"
+    for text in ("[1]", '"bartree-model-v1"', "null", "3"):
+        p.write_text(text)
+        for argv in (["simulate", "--config", str(p), "--output", str(tmp_path / "o.csv")],
+                     ["verify", "--config", str(p)]):
+            assert f"{p} must be a JSON object, got {text}" in _one_line_exit_2(argv, capsys)
+
+
 def test_verify_subcommand(tmp_path):
     doc = {
         "schema": "bartree-mc-v1",
@@ -555,6 +573,7 @@ def test_verify_rejects_mistyped_config_fields(tmp_path, capsys):
         "depths": [[5.9], 6, ["6"], [True]],
         "checks": ["clt", [1], [["qsl"]]],
         "level": ["high", None],
+        "model": [[1], "bar noise law"],
     }
     path = tmp_path / "bad.json"
     for key, values in bad.items():
@@ -579,6 +598,7 @@ def test_simulate_rejects_mistyped_config_fields(tmp_path, capsys):
     docs += [("type0", model_doc(law={"type0": {"11": v}, "type1": {"11": 1.0}}))
              for v in ("1.0", True, None)]
     docs += [("type1", model_doc(law={"type0": {"11": 1.0}, "type1": [1.0]}))]
+    docs += [(key, model_doc(**{key: v})) for key in ("bar", "noise", "law") for v in ([1], "a")]
     path = tmp_path / "bad.json"
     for key, doc in docs:
         path.write_text(json.dumps(doc))

@@ -47,7 +47,7 @@ def test_law_rejects_negative():
 
 
 def test_law_rejects_unknown_outcome():
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match=r"unknown offspring outcomes \['21'\]"):
         ReproductionLaw.from_tables({"21": 1.0}, {"11": 1.0})
 
 

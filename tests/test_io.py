@@ -1,10 +1,12 @@
 """Lineage and mask file boundary: the numpy reader against the row loop.
 
-``parse_lineage`` and ``parse_mask`` read a file with numpy when its body
-passes a byte gate, and leave every other file, and every error, to the
-row loop (``_lineage_rows`` / ``_mask_rows``).  These tests hold the two
-paths to the same results and errors, keep the writers' bytes, and make
-sure files the program writes take the numpy path.
+A mask file is a lineage file without its value column, and both go
+through one reader.  ``parse_lineage`` and ``parse_mask`` read a file
+with numpy when its body passes the format's byte gate, and leave every
+other file, and every error, to the one row loop (``_rows``), which names
+the offending line.  These tests hold the two paths to the same results
+and errors for both formats, keep the writers' bytes, and make sure files
+the program writes take the numpy path.
 """
 
 import dataclasses
@@ -131,7 +133,7 @@ def test_lineage_fast_path_matches_row_loop(text, fuzz_dir):
     path = fuzz_dir / "lineage.csv"
     path.write_text(text)
     fast = _outcome(io.parse_lineage, path)
-    slow = _outcome(io._lineage_rows, path.read_text())
+    slow = _outcome(lambda text: io._rows(text, lineage=True), path.read_text())
     assert _same(fast, slow), (fast, slow)
     _cli_contained("estimate", path)
 
@@ -146,7 +148,7 @@ def test_mask_fast_path_matches_row_loop(text, fuzz_dir):
     path = fuzz_dir / "mask.csv"
     path.write_text(text)
     fast = _outcome(io.parse_mask, path)
-    slow = _outcome(io._mask_rows, path.read_text())
+    slow = _outcome(lambda text: io._rows(text, lineage=False), path.read_text())
     assert _same(fast, slow), (fast, slow)
     _cli_contained("gw", path)
 
@@ -214,11 +216,10 @@ def test_writers_keep_their_bytes(tmp_path, case):
 
 
 def test_written_files_take_the_fast_path(tmp_path, monkeypatch):
-    def row_loop(text):
+    def row_loop(text, lineage):
         raise AssertionError("a program-written file fell back to the row loop")
 
-    monkeypatch.setattr(io, "_lineage_rows", row_loop)
-    monkeypatch.setattr(io, "_mask_rows", row_loop)
+    monkeypatch.setattr(io, "_rows", row_loop)
     config = tmp_path / "model.json"
     config.write_text(json.dumps({
         "schema": "bartree-model-v1",

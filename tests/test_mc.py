@@ -18,6 +18,7 @@ from bartree import (
     mc_qsl,
     mc_variance_estimators,
 )
+from bartree import mc
 from bartree.mc import CHECKS, run_checks, worker_count
 
 FULL = ReproductionLaw.full_observation()
@@ -79,6 +80,20 @@ def test_worker_count_env(monkeypatch):
         worker_count()
     monkeypatch.delenv("BARTREE_THREADS")
     assert worker_count() >= 1
+
+
+def test_check_tables_name_the_same_checks():
+    # the CLI validates names against CHECKS and run_checks dispatches on _PARTS
+    assert sorted(mc.CHECKS) == sorted(mc._PARTS)
+
+
+def test_relative_check_holds_a_zero_target_absolute():
+    zero = mc._relative_check("s", 4, 5e-13, 0.0, 0.15, {})
+    assert (zero.tolerance_kind, zero.tolerance, zero.passed) == ("absolute (zero target)", 1e-12, True)
+    assert not mc._relative_check("s", 4, 2e-12, 0.0, 0.15, {}).passed
+    rel = mc._relative_check("s", 4, 2.29, 2.0, 0.15, {"k": 1})
+    assert (rel.tolerance_kind, rel.tolerance, rel.passed, rel.detail) == ("relative", 0.15, True, {"k": 1})
+    assert not mc._relative_check("s", 4, 2.31, 2.0, 0.15, {}).passed
 
 
 def test_subcritical_law_rejected_before_simulation():
