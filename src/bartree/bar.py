@@ -214,6 +214,8 @@ def simulate_joint(
     ``simulate_joint(seed=seeds[i])`` bit for bit.
     """
     tree.check_depth(depth)
+    if not math.isfinite(x1):
+        raise ValidationError(f"x1 must be a finite number, got {x1}")
     mask = simulate_mask(law, depth, root_type=root_type, seed=seed)
     seeds = seed if mask.forest else [seed]
     n_rep = mask.replicates

@@ -2,11 +2,14 @@
 
 Everything here is driven by per-generation sufficient statistics: one
 pass over the observed mother/daughter pairs of each generation yields
-the design-matrix and right-hand-side increments, and exact (correctly
-rounded) prefix sums across generations give the cumulative objects at
-every level.  The estimator decouples into two 2x2 systems (even and
-odd daughters), solved in closed form; near-singular designs are ridged
-by adding the identity, which the asymptotic theory makes harmless.
+the design-matrix and right-hand-side increments, and one sequential
+running sum across generations (``np.cumsum`` along the generation axis)
+gives the cumulative objects at every level.  That fixed left-to-right
+order makes a level's statistics independent of later generations and
+of the replicates summed beside it.  The estimator decouples into two
+2x2 systems (even and odd daughters), solved in closed form;
+near-singular designs are ridged by adding the identity, which the
+asymptotic theory makes harmless.
 
 A single tree is a forest of one replicate, so each statistic has one
 implementation, over ``(replicate, generation)`` rows.  The public
@@ -21,7 +24,6 @@ term array.
 from __future__ import annotations
 
 import dataclasses
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,7 +43,6 @@ _TE2, _TEP = 18, 19                  # true-noise square / pair-product sums
 _NCOLS = 20
 
 _RIDGE_RTOL = 1e-10
-_PREFIX_CHUNK = 1 << 14  # table entries summed per numpy pass
 _DET_TOL = 1e-12
 
 
@@ -146,10 +147,10 @@ def _finite(sums: np.ndarray) -> np.ndarray:
 def _statistics(tree, upto: int, levels):
     """Frames, and cumulative statistics ``(R, len(levels), 20)`` over mothers ``0..l``.
 
-    Each cumulative row is the exact (correctly rounded) sum of its
-    generation rows.  The generation rows and the prefixes are memoised
-    on the tree, so every function called on one tree shares one build
-    (one exact-sum cascade gives every prefix through ``upto``); only
+    Each cumulative row is the running sum of its generation rows, in
+    generation order.  The generation rows and their running sums are
+    memoised on the tree, so every function called on one tree shares
+    one build (rebuilt only when a deeper ``upto`` is asked for); only
     the requested levels pass the finite gate.
     """
     frames = _frames(tree, upto)
@@ -160,12 +161,9 @@ def _statistics(tree, upto: int, levels):
             frames[r], mask.bounds[r], mask.forest
         )
         rows.append(np.broadcast_to(row, (mask.replicates, _NCOLS)))
-    prefix = memo.setdefault("prefix", {})
-    levels = list(levels)
-    if not prefix.keys() >= set(levels):  # one cascade gives every prefix through upto
-        cum = _exact_prefix(np.stack(rows[: upto + 1], axis=1), range(upto + 1))
-        prefix.update(enumerate(np.moveaxis(cum, 1, 0)))
-    return frames, _finite(np.stack([prefix[level] for level in levels], axis=1))
+    if "cum" not in memo or memo["cum"].shape[1] <= upto:
+        memo["cum"] = np.cumsum(np.stack(rows[: upto + 1], axis=1), axis=1)
+    return frames, _finite(memo["cum"][:, list(levels)])
 
 
 def _residual_sums(f: _Frame, theta: np.ndarray, bounds: np.ndarray, forest: bool, fourth: bool):
@@ -199,12 +197,12 @@ def _residual_sums(f: _Frame, theta: np.ndarray, bounds: np.ndarray, forest: boo
 
 
 def _residual_totals(frames, mask, thetas: np.ndarray, fourth: bool) -> np.ndarray:
-    """Exact residual sums ``(R, k)`` over the frames; ``thetas[:, r]`` fits generation ``r``."""
+    """Residual sums ``(R, k)`` over the frames; ``thetas[:, r]`` fits generation ``r``."""
     rows = np.zeros((mask.replicates, len(frames), 4 if fourth else 2))
     for r, f in enumerate(frames):
         if f is not None:
             rows[:, r] = _residual_sums(f, thetas[:, r], mask.bounds[r], mask.forest, fourth)
-    return _finite(exact_sum(rows))
+    return _finite(np.cumsum(rows, axis=1)[:, -1])
 
 
 def _per_pair(total: np.ndarray, pairs: np.ndarray) -> np.ndarray:
@@ -499,7 +497,7 @@ def martingale_diagnostics(
     valid = zero | ~singular
     v_path = np.where(zero, 0.0, np.where(singular, np.nan, v))
     seen = np.cumsum(valid, axis=-1)
-    sums = _exact_prefix(np.where(valid, v_path, 0.0)[..., None], range(n))[..., 0]
+    sums = np.cumsum(np.where(valid, v_path, 0.0), axis=-1)
     qsl = np.where(seen > 0, sums / np.maximum(seen, 1), np.nan)
     diagnostics = MartingaleDiagnostics(m_path=m, v_path=v_path, qsl_running=qsl, valid=valid)
     return _per_tree(tree, diagnostics)
@@ -550,7 +548,7 @@ def sequential_variance_functionals(
 
 
 # ---------------------------------------------------------------------------
-# exact sums across generations
+# per-replicate segment sums
 
 
 def _segment_sums(terms: np.ndarray, bounds: np.ndarray) -> np.ndarray:
@@ -565,72 +563,3 @@ def _segment_sums(terms: np.ndarray, bounds: np.ndarray) -> np.ndarray:
     if full.any():
         out[full] = np.add.reduceat(terms, starts[full], axis=1).T
     return out
-
-
-def _exact_prefix(table: np.ndarray, levels) -> np.ndarray:
-    """Correctly rounded prefix sums of ``table (R, G, k)`` along ``G``, at ``levels``.
-
-    Each returned prefix equals ``math.fsum`` of its rows (a level-0
-    prefix is row 0 itself, and an exact zero past it is ``+0.0``).
-    Each of the ``R * k`` columns is summed down its rows as
-    :func:`_prefix_columns` describes, a chunk of columns per numpy pass
-    so that the temporaries stay small.
-    """
-    levels = np.asarray(list(levels))
-    n_rep, _, k = table.shape
-    cols = np.moveaxis(table[:, : levels.max() + 1], 1, 0).reshape(levels.max() + 1, -1)
-    out = np.empty((levels.size, cols.shape[1]))
-    step = max(1, _PREFIX_CHUNK // cols.shape[0])
-    for c in range(0, cols.shape[1], step):
-        out[:, c:c + step] = _prefix_columns(cols[:, c:c + step], levels)
-    out = np.moveaxis(out.reshape(levels.size, n_rep, k), 0, 1)
-    first = levels == 0
-    out[:, ~first] += 0.0  # an exact zero past level 0 is +0.0
-    out[:, first] = table[:, :1]
-    return out
-
-
-def _prefix_columns(x: np.ndarray, levels: np.ndarray) -> np.ndarray:
-    """Correctly rounded prefix sums down the columns of ``x (G, n)``, at ``levels``.
-
-    Running sums come from one pass down the rows; the error of each of
-    their additions is exact (TwoSum), and the errors' own running sums
-    and errors follow, level after level, until no finite error is left
-    (Ogita, Rump and Oishi's cascaded summation).  The prefix at level
-    ``g`` is then the exact sum of a few terms, one per cascade level.
-    Two terms round correctly in one addition; the rare finite prefix
-    with a third nonzero term is ``math.fsum`` of its rows, and one that
-    overflowed keeps the summed terms (NaN).
-    """
-    rows = x
-    # terms[j]: the running sums of cascade level j at each requested
-    # level (0 below j), as each level's first addition is one row on
-    terms = []
-
-    def add_term(errors):
-        s = np.cumsum(errors, axis=0)
-        term = np.zeros((levels.size, errors.shape[1]))
-        have = levels >= len(terms)
-        term[have] = s[levels[have] - len(terms)]
-        terms.append(term)
-        return s
-
-    while x.shape[0]:
-        s = add_term(x)
-        a, b, t = s[:-1], x[1:], s[1:]
-        v = t - a
-        x = (a - (t - v)) + (b - v)
-        if not (np.isfinite(x) & (x != 0.0)).any():
-            break
-    if not np.isfinite(x).all():  # overflow: its NaN errors mark the prefixes it reaches
-        add_term(x)
-    out = sum(terms[1:], terms[0])
-    deep = np.any([term != 0.0 for term in terms[2:]], axis=0) & np.isfinite(out)
-    for g, c in zip(*np.nonzero(deep)):
-        out[g, c] = math.fsum(rows[: levels[g] + 1, c].tolist())
-    return out
-
-
-def exact_sum(table: np.ndarray) -> np.ndarray:
-    """``math.fsum`` along axis 1 of ``table (R, G, k)``, vectorised: ``(R, k)``."""
-    return _exact_prefix(table, [table.shape[1] - 1])[:, 0]

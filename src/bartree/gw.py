@@ -47,7 +47,7 @@ class ReproductionLaw:
         p = np.asarray(self.probs, dtype=float)
         if p.shape != (2, 4):
             raise ValidationError(f"reproduction law needs shape (2, 4), got {p.shape}")
-        if np.any(p < -_PROB_TOL) or np.any(p > 1 + _PROB_TOL):
+        if not np.all((p >= -_PROB_TOL) & (p <= 1 + _PROB_TOL)):  # NaN fails too
             raise ValidationError("offspring probabilities must lie in [0, 1]")
         sums = p.sum(axis=1)
         if np.any(np.abs(sums - 1.0) > _PROB_TOL):

@@ -18,6 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .bar import BarParams, NoiseParams, ObservedTree
+from .distributions import _check_level
 from .errors import CapacityError, LineageFormatError, ValidationError
 from .gw import ObservationMask, ReproductionLaw
 from .mc import PAIR_STATS, McConfig, McReport, jsonable
@@ -254,10 +255,16 @@ def _json_int(value, what: str) -> int:
 
 
 def _json_number(value, what: str) -> float:
-    """``value`` as a float when it is a JSON number (not a bool or string)."""
+    """``value`` as a float when it is a finite JSON number (not a bool, string, NaN or infinity)."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValidationError(f"{what} must be a JSON number, got {json.dumps(value)}")
-    return float(value)
+    try:
+        number = float(value)
+    except OverflowError:  # an integer beyond the float range
+        number = math.inf
+    if not math.isfinite(number):
+        raise ValidationError(f"{what} must be a finite number, got {json.dumps(value)}")
+    return number
 
 
 def _json_list(value, what: str) -> list:
@@ -339,6 +346,8 @@ def load_mc_config(path) -> tuple[McConfig, list[str]]:
     model = _json_object(_require(doc, "model", "mc config"), "model")
     bar, noise, law = _model_from_dict(model, "mc config model")
     depths = _json_list(_require(doc, "depths", "mc config"), "depths")
+    if isinstance(level := doc.get("level", 0.95), float):
+        _check_level(level)  # a NaN level is out of (0, 1), as on the command line
     cfg = McConfig(
         bar=bar,
         noise=noise,
@@ -348,7 +357,7 @@ def load_mc_config(path) -> tuple[McConfig, list[str]]:
         seed=_json_int(_require(doc, "seed", "mc config"), "seed"),
         root_type=_json_int(model.get("root_type", 0), "root_type"),
         x1=_json_number(model.get("x1", 0.0), "x1"),
-        level=_json_number(doc.get("level", 0.95), "level"),
+        level=_json_number(level, "level"),
     )
     checks = _json_list(doc.get("checks", []), "checks")
     if not checks:

@@ -12,13 +12,13 @@ depth any of its checks needs, with one numpy pass per generation.
 Every check then evaluates its statistic on the block at its own depth,
 from the one statistics table the block builds (a tree simulated to a
 depth is a bit-exact prefix of the same seed's deeper tree, and every
-level's statistics are exact prefix sums).  The blocks of all seed sets
-run in one worker pool (``BARTREE_THREADS`` caps the workers) and each
-check is reduced in a fixed order, so a report is a pure function of
-its configuration and seed, whatever the worker count, the block
-layout or the other checks run beside it.  Extinct replicates are
-discarded from the statistics and counted separately: every limit the
-checks exercise holds on the survival event only.
+level's statistics are running sums in generation order).  The blocks
+of all seed sets run in one worker pool (``BARTREE_THREADS`` caps the
+workers) and each check is reduced in a fixed order, so a report is a
+pure function of its configuration and seed, whatever the worker count,
+the block layout or the other checks run beside it.  Extinct replicates
+are discarded from the statistics and counted separately: every limit
+the checks exercise holds on the survival event only.
 """
 
 from __future__ import annotations
@@ -285,9 +285,9 @@ def _rep_qsl(cfg, depth, forest, sigma_lim):
     # the tail is the second half of each replicate's unridged levels
     tail = valid & (np.cumsum(valid, axis=1) > (levels // 2)[:, None])
     terms = np.stack([score, limit], axis=-1)
-    sums = estimation.exact_sum(np.concatenate(
+    sums = np.cumsum(np.concatenate(
         [np.where(valid[..., None], terms, 0.0), np.where(tail[..., None], terms, 0.0)], axis=-1
-    ))
+    ), axis=1)[:, -1]
     with np.errstate(divide="ignore", invalid="ignore"):
         means = sums / np.stack([levels, levels, levels - levels // 2, levels - levels // 2], axis=-1)
     return {

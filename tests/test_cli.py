@@ -391,6 +391,19 @@ def test_non_gaussian_noise_family_exits_2(tmp_path, capsys, no_simulation):
     assert "unsupported noise family 'laplace'" in err
 
 
+def test_non_finite_numbers_exit_2(tmp_path, capsys, no_simulation):
+    # JSON reads NaN and Infinity, argparse reads "nan": neither is a model value
+    path = tmp_path / "mc.json"
+    path.write_text(json.dumps(_verify_doc(model=model_doc(x1=float("nan")))))
+    err = _one_line_exit_2(["verify", "--config", str(path)], capsys)
+    assert "x1 must be a finite number, got NaN" in err
+    path.write_text(json.dumps(model_doc()))
+    out = tmp_path / "o.csv"
+    err = _one_line_exit_2(["simulate", "--config", str(path), "--x1", "nan", "--output", str(out)],
+                           capsys)
+    assert "x1 must be a finite number, got nan" in err and not out.exists()
+
+
 @pytest.mark.parametrize("level", [1.5, 0, -1, float("nan")])
 def test_verify_level_outside_unit_interval_exits_2(tmp_path, capsys, no_simulation, level):
     # rejected at load, whether or not a check reads the level
@@ -587,7 +600,7 @@ def test_verify_rejects_mistyped_config_fields(tmp_path, capsys):
 
 def test_simulate_rejects_mistyped_config_fields(tmp_path, capsys):
     bad = {"seed": ["abc", 1.5, True, -1, 2**64], "depth": ["6", 6.0], "root_type": ["odd"],
-           "x1": ["0"]}
+           "x1": ["0", float("nan"), float("inf")]}
     bad_bar = {"b": ["0.3", None], "allow_unstable": ["false", 0]}
     bad_noise = {"sigma2": ["1"], "rho": [False]}
     docs = [(key, model_doc(**{key: v})) for key, values in bad.items() for v in values]
@@ -596,7 +609,7 @@ def test_simulate_rejects_mistyped_config_fields(tmp_path, capsys):
     docs += [(key, model_doc(noise=dict(model_doc()["noise"], **{key: v})))
              for key, values in bad_noise.items() for v in values]
     docs += [("type0", model_doc(law={"type0": {"11": v}, "type1": {"11": 1.0}}))
-             for v in ("1.0", True, None)]
+             for v in ("1.0", True, None, float("nan"), float("inf"))]
     docs += [("type1", model_doc(law={"type0": {"11": 1.0}, "type1": [1.0]}))]
     docs += [(key, model_doc(**{key: v})) for key in ("bar", "noise", "law") for v in ([1], "a")]
     path = tmp_path / "bad.json"

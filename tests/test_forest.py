@@ -5,7 +5,8 @@ bit for bit.  Its per-generation statistics rows (segment sums) must
 match the tree's (direct reductions) up to summation order, and every
 public estimation statistic of replicate ``i`` must match the same call
 on tree ``i``, and so must every inference result on replicate ``i``'s
-estimate.
+estimate.  Sums across generations run in generation order, so a forest
+simulated deeper gives the same bits at every shallower level.
 """
 
 import dataclasses
@@ -22,6 +23,7 @@ from bartree import (
     ObservationMask,
     ReproductionLaw,
     ValidationError,
+    accumulate_design,
     estimate_theta,
     martingale_diagnostics,
     rng,
@@ -34,7 +36,6 @@ from bartree import (
     wald_test,
 )
 from bartree.estimation import (
-    _exact_prefix,
     _Frame,
     _frames,
     _generation_stats,
@@ -180,8 +181,13 @@ def test_deeper_forest_extends_shallower(law, depth, more, root_type, seeds):
     assert _same_bits(deep.noise[: depth + 1], short.noise)
     if depth == 0:
         return
-    for call in (theta_path, sequential_variance_functionals, true_noise_functionals):
-        got, want = call(deep, depth), call(short, depth)
+    # the running sums across generations: the deep forest sums through its
+    # last level first, as a shared block does, then reads the shallower levels
+    theta_path(deep, depth + more)
+    for call, args in ((theta_path, [depth]), (sequential_variance_functionals, [depth]),
+                       (true_noise_functionals, [depth]), (martingale_diagnostics, [BAR, depth]),
+                       (accumulate_design, [depth - 1])):
+        got, want = call(deep, *args), call(short, *args)
         assert _same_bits([np.asarray(x) for x in _fields(got)],
                           [np.asarray(x) for x in _fields(want)]), call.__name__
     assert _same_bits([estimate_theta(deep, depth).theta_hat], [estimate_theta(short, depth).theta_hat])
@@ -280,29 +286,6 @@ def test_stream_rejects_seeds_outside_the_key_word():
         with pytest.raises(ValidationError, match="seed"):
             shared.at(seed)
     shared.at(2**64 - 1)
-
-
-finite = st.floats(min_value=-1e300, max_value=1e300, allow_nan=False, allow_subnormal=True)
-# sums built to cancel and to land on rounding ties
-tricky = st.builds(lambda m, e: m * 2.0**e, st.integers(-4, 4), st.integers(-120, 120))
-
-
-@settings(deadline=None, max_examples=200)
-@given(rows=st.lists(st.lists(st.one_of(finite, tricky), min_size=3, max_size=3),
-                     min_size=1, max_size=12))
-def test_exact_prefix_equals_fsum(rows):
-    table = np.array(rows)[None]
-    got = _exact_prefix(table, range(len(rows)))[0]
-    for g in range(len(rows)):
-        for j in range(3):
-            assert got[g, j] == math.fsum(table[0, : g + 1, j].tolist())
-
-
-def test_exact_prefix_half_way_ties():
-    # 1 + 2^-53 is a tie broken by whatever lies below it
-    for below, want in ((2.0**-80, 1.0 + 2.0**-52), (-(2.0**-80), 1.0), (0.0, 1.0)):
-        table = np.array([[[1.0], [2.0**-53], [below]]])
-        assert _exact_prefix(table, [2])[0, 0, 0] == want == math.fsum([1.0, 2.0**-53, below])
 
 
 def test_segment_sums_empty_segments():

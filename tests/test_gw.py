@@ -46,6 +46,12 @@ def test_law_rejects_negative():
         ReproductionLaw(np.array([[1.2, -0.2, 0.0, 0.0], [0.0, 0.0, 0.0, 1.0]]))
 
 
+@pytest.mark.parametrize("p", [float("nan"), float("inf")])
+def test_law_rejects_non_finite(p):
+    with pytest.raises(ValidationError, match=r"must lie in \[0, 1\]"):
+        ReproductionLaw.from_tables({"11": 1.0, "10": p}, {"11": 1.0})
+
+
 def test_law_rejects_unknown_outcome():
     with pytest.raises(ValidationError, match=r"unknown offspring outcomes \['21'\]"):
         ReproductionLaw.from_tables({"21": 1.0}, {"11": 1.0})

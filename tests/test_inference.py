@@ -164,6 +164,24 @@ def test_degenerate_covariance_raises():
         wald_test(est, "slope")
 
 
+def test_noiseless_fit_gets_no_wald_verdict():
+    # zero noise with symmetric truth on a deep tree: the gap, sigma2_hat
+    # and V are rounding residue, so their ratio is no evidence of asymmetry
+    bar, dense = BarParams(0.3, 0.25, 0.3, 0.25), ReproductionLaw.from_mean_matrix(
+        [[0.95, 0.9], [0.9, 0.95]])
+    est = _fit(bar, NoiseParams(0.0), depth=11, seed=1, law=dense)
+    for name in ("pair", "intercept", "slope"):
+        with pytest.raises(NumericalError):
+            wald_test(est, name)
+    forest = _fit(bar, NoiseParams(0.0), depth=11, seed=[1, 2], law=dense)
+    assert np.isnan(wald_test(forest, "pair").p_value).all()
+    # small noise on large values is still noise: the floor is relative
+    t = simulate_joint(BarParams(7500.0, 0.25, 7500.0, 0.25), NoiseParams(1e-6), dense, 11,
+                       x1=1e4, seed=1)
+    for name in ("pair", "intercept", "slope"):
+        assert 0.0 < wald_test(estimate_theta(t, 11), name).p_value <= 1.0
+
+
 def test_unknown_contrast():
     est = _fit(BarParams(0.5, 0.3, -0.4, 0.7), NoiseParams(1.0, 0.5))
     with pytest.raises(ValidationError):
@@ -212,6 +230,9 @@ def test_forest_wald_matches_solve_oracle():
         for i in range(60):
             cov = _sandwich_oracle(d.s0[i], d.s1[i], d.s01[i], est.sigma2_hat[i], rho[i])
             gap = r @ est.theta_hat[i]
+            mean_square = (d.s0[i, 1, 1] + d.s1[i, 1, 1]) / (d.s0[i, 0, 0] + d.s1[i, 0, 0])
+            if gap.any() and est.sigma2_hat[i] <= 1e-20 * mean_square:
+                continue  # a noiseless fit (an exactly fitted small tree): no verdict
             try:
                 stat = 0.0 if not gap.any() else gap @ np.linalg.solve(r @ cov @ r.T, gap)
             except np.linalg.LinAlgError:

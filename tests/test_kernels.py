@@ -3,8 +3,7 @@
 The mask draw, the noise fill and the frames build each generation from
 its ``(cells, 2)`` offspring flags in one numpy pass.  Here each is
 recomputed cell by cell over node ids, with Python floats, and must
-agree bit for bit.  The cascaded exact prefix sums are held to the
-expansion-growing implementation they replaced, kept below as an oracle.
+agree bit for bit.
 """
 
 import math
@@ -13,7 +12,7 @@ import numpy as np
 from hypothesis import example, given, settings, strategies as st
 
 from bartree import BarParams, NoiseParams, ReproductionLaw, rng, simulate_joint
-from bartree.estimation import _exact_prefix, _frames
+from bartree.estimation import _frames
 from bartree.gw import OUTCOMES
 
 LAWS = {
@@ -105,86 +104,3 @@ def test_kernels_match_per_cell_reference(law, depth, root_type, seeds, forest):
             assert has.tolist() == [kid in v for kid, v, _ in kids]
             assert x.tobytes() == _bits([v.get(kid, 0.0) for kid, v, _ in kids])
             assert eps.tobytes() == _bits([e.get(kid, 0.0) for kid, _, e in kids])
-
-
-# ---------------------------------------------------------------------------
-# exact prefix sums: the cascade against the expansion it replaced
-
-
-def oracle_prefix(table, levels):
-    """Rows added one at a time into a nonoverlapping expansion, rounded at ``levels``."""
-    levels = list(levels)
-    parts, out = [], []
-    for g in range(levels[-1] + 1):
-        x = table[:, g]
-        grown = []
-        for p in parts:
-            hi = x + p
-            v = hi - x
-            grown.append((x - (hi - v)) + (p - v))
-            x = hi
-        grown.append(x)
-        parts = grown
-        if g in levels:
-            out.append(oracle_round(parts))
-    return np.stack(out, axis=1)
-
-
-def oracle_round(parts):
-    """The ``math.fsum`` finish over an expansion of increasing magnitude."""
-    signs = [np.zeros_like(parts[0])]
-    for p in parts[:-1]:
-        signs.append(np.where(p != 0.0, np.sign(p), signs[-1]))
-    hi, lo = parts[-1], np.zeros_like(parts[-1])
-    below = np.zeros_like(hi)
-    live = np.ones(hi.shape, dtype=bool)
-    for k in range(len(parts) - 2, -1, -1):
-        total = hi + parts[k]
-        err = parts[k] - (total - hi)
-        hi = np.where(live, total, hi)
-        stop = live & (err != 0.0)
-        lo = np.where(stop, err, lo)
-        below = np.where(stop, signs[k], below)
-        live &= ~stop
-    y = 2.0 * lo
-    x = hi + y
-    tie = (lo * below > 0.0) & (x - hi == y)
-    return np.where(tie, x, hi)
-
-
-finite = st.floats(min_value=-1e300, max_value=1e300, allow_nan=False, allow_subnormal=True)
-# sums built to cancel and to land on rounding ties
-tricky = st.builds(lambda m, e: m * 2.0**e, st.integers(-4, 4), st.integers(-120, 120))
-edge = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1.7e308, -1.7e308, 2.0**-53, 1.0])
-entries = st.one_of(finite, tricky, edge)
-
-
-@settings(deadline=None, max_examples=300)
-@given(
-    table=st.tuples(st.integers(1, 3), st.integers(1, 14), st.integers(1, 3)).flatmap(
-        lambda shape: st.lists(entries, min_size=math.prod(shape), max_size=math.prod(shape))
-        .map(lambda flat: np.reshape(flat, shape).tolist())
-    ),
-    data=st.data(),
-)
-@example(table=[[[-0.0], [-0.0], [0.0]]], data=None)
-@example(table=[[[1.7e308], [1.7e308], [-1.7e308], [1.0]]], data=None)
-def test_cascade_equals_expansion_oracle(table, data):
-    table = np.array(table, dtype=float)
-    g = table.shape[1]
-    levels = list(range(g))
-    if data is not None:
-        levels = sorted(data.draw(st.sets(st.integers(0, g - 1), min_size=1)))
-    with np.errstate(over="ignore", invalid="ignore"):
-        want = oracle_prefix(table, levels)
-        got = _exact_prefix(table, levels)
-    assert got.tobytes() == want.tobytes()  # signed zeros and overflow NaNs included
-
-
-def test_cascade_zero_prefixes():
-    # level 0 is row 0 itself, -0.0 included, even when the second column's
-    # rounding error gives the cascade a second level; later zeros are +0.0
-    table = np.array([[[-0.0, 1.0], [-0.0, 2.0**-60], [1.0, 0.0], [-1.0, 0.0]]])
-    got = _exact_prefix(table, range(4))[0]
-    assert np.signbit(got[:, 0]).tolist() == [True, False, False, False]
-    assert got[:, 1].tolist() == [1.0, 1.0, 1.0, 1.0]
