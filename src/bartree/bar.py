@@ -211,7 +211,10 @@ def simulate_joint(
     noise stream, ``standard_normal((parents_i, 2))`` with ``parents_i``
     its cells of generations ``0..depth-1``; that equals drawing them
     generation by generation, so each replicate matches
-    ``simulate_joint(seed=seeds[i])`` bit for bit.
+    ``simulate_joint(seed=seeds[i])`` bit for bit.  A forest gathers
+    each generation's pairs from the replicates' stretches; a single
+    tree's pairs already lie in generation order, and each generation
+    reads them as a slice in place.
     """
     tree.check_depth(depth)
     if not math.isfinite(x1):
@@ -219,21 +222,25 @@ def simulate_joint(
     mask = simulate_mask(law, depth, root_type=root_type, seed=seed)
     seeds = seed if mask.forest else [seed]
     n_rep = mask.replicates
-    sizes = np.stack([mask.generation_sizes(r) for r in range(depth + 1)], axis=1)
     # the draws are replicate-major: replicate i's pairs start at row
-    # first[i], and those of its generation-r mothers at first[i] + before[i, r]
-    before = np.cumsum(sizes, axis=1) - sizes
-    parents = sizes[:, :depth].sum(axis=1)
+    # first[i], and those of its generation-r mothers at first[i] + before[r, i]
+    before = [np.zeros(n_rep, dtype=np.int64)] + [mask.cells_through(r) for r in range(depth)]
+    parents = before[-1]
     first = np.cumsum(parents) - parents
     stream = rng.Stream(rng.NOISE_STREAM)
-    draws = np.concatenate([stream.at(s).standard_normal((p, 2)) for s, p in zip(seeds, parents)])
+    draws = [stream.at(s).standard_normal((p, 2)) for s, p in zip(seeds, parents)]
+    draws = draws[0] if n_rep == 1 else np.concatenate(draws)
 
     values: list[np.ndarray] = [np.full(n_rep, float(x1))]
     eps: list[np.ndarray] = [np.array([])]
     for r in range(depth):
         b = mask.bounds[r]
-        rows = np.repeat(first + before[:, r] - b[:-1], sizes[:, r]) + np.arange(b[-1])
-        z = np.take(draws, rows, axis=0)  # several times faster than draws[rows]
+        if n_rep == 1:  # one tree's pairs lie in generation order
+            z = draws[before[r][0]:before[r + 1][0]]
+        else:
+            start = np.repeat(first + before[r] - b[:-1], mask.generation_sizes(r))
+            rows = start + np.arange(b[-1])
+            z = np.take(draws, rows, axis=0)  # several times faster than draws[rows]
         x_next, e_next = _fill_generation(bar, noise, values[r], z, mask.offspring[r])
         values.append(x_next)
         eps.append(e_next)

@@ -438,10 +438,8 @@ def _path(mask, cum: np.ndarray) -> ThetaPath:
     design = np.zeros(cum.shape[:-1] + (4, 4))
     design[..., :2, :2] = _block(cum, _C0, _SX0, _SXX0)
     design[..., 2:, 2:] = _block(cum, _C1, _SX1, _SXX1)
-    sizes = np.stack([mask.generation_sizes(r) for r in range(cum.shape[1])], axis=1)
-    return ThetaPath(
-        theta=thetas, regularized=flags, t_star_parents=np.cumsum(sizes, axis=1), design=design
-    )
+    t_star = np.stack([mask.cells_through(r) for r in range(cum.shape[1])], axis=1)
+    return ThetaPath(theta=thetas, regularized=flags, t_star_parents=t_star, design=design)
 
 
 @np.errstate(over="ignore", invalid="ignore")

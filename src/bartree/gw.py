@@ -320,13 +320,22 @@ class ObservationMask:
         """Number of observed cells up to generation ``n``, summed over the replicates."""
         return int(sum(self.bounds[r][-1] for r in range(n + 1)))
 
+    @functools.cached_property
+    def _sizes(self) -> np.ndarray:
+        # [0] the (depth + 1, R) cells per generation and replicate, [1] their
+        # running totals over generations; read-only, since callers get views
+        sizes = np.diff(np.stack(self.bounds), axis=1)
+        memo = np.stack([sizes, np.cumsum(sizes, axis=0)])
+        memo.flags.writeable = False
+        return memo
+
     def generation_sizes(self, n: int) -> np.ndarray:
-        """Observed cells of generation ``n``, one count per replicate."""
-        return np.diff(self.bounds[n])
+        """Observed cells of generation ``n``, one count per replicate (a read-only view)."""
+        return self._sizes[0, n]
 
     def cells_through(self, n: int) -> np.ndarray:
-        """Observed cells up to generation ``n``, one count per replicate."""
-        return sum(self.generation_sizes(r) for r in range(n + 1))
+        """Observed cells up to generation ``n``, one count per replicate (a read-only view)."""
+        return self._sizes[1, n]
 
     def child_positions(self, r: int):
         """Locate the children of generation ``r`` parents inside generation ``r + 1``.
@@ -365,9 +374,13 @@ def simulate_mask(law: ReproductionLaw, depth: int, root_type: int = 0, seed=0) 
     """Draw one observation mask down to ``depth`` generations.
 
     Each observed cell draws its offspring outcome from the law of its
-    type (label parity; the root uses ``root_type``).  Deterministic in
-    ``(seed, law, depth, root_type)``; the draw stream is independent of
-    the noise stream used by the joint simulator.
+    type (label parity; the root uses ``root_type``), one uniform per
+    cell.  Deterministic in ``(seed, law, depth, root_type)``; the draw
+    stream is independent of the noise stream used by the joint
+    simulator.  A certain law, whose cumulative thresholds all lie
+    outside ``(0, 1)`` (such as :meth:`ReproductionLaw.full_observation`),
+    draws nothing: each cell takes the one outcome its type's uniform
+    would give.
 
     ``seed`` may also be a sequence of seeds; the result is then a
     forest whose replicate ``i`` equals the mask drawn with
@@ -377,8 +390,10 @@ def simulate_mask(law: ReproductionLaw, depth: int, root_type: int = 0, seed=0) 
     ``pos[i]:end[i]`` holds replicate ``i``'s unused draws; since
     ``random(a)`` followed by ``random(b)`` yields the numbers of
     ``random(a + b)``, every replicate draws exactly what it draws alone.
-    One re-keyed generator serves every replicate, so a replicate that
-    runs short re-draws its stream and keeps the numbers past the
+    A forest gathers each generation's uniforms from the replicates'
+    stretches; a single tree reads them as one slice in place.  One
+    re-keyed generator serves every replicate, so a replicate that runs
+    short re-draws its stream and keeps the numbers past the
     ``drawn[i]`` it has already used.
     """
     tree.check_depth(depth)
@@ -388,37 +403,52 @@ def simulate_mask(law: ReproductionLaw, depth: int, root_type: int = 0, seed=0) 
     n_rep = len(seeds)
     if n_rep == 0:
         raise ValidationError("a forest needs at least one seed")
-    stream = rng.Stream(rng.MASK_STREAM)
     cum = law.cumulative()
-    # the largest row sum of the mean matrix bounds the expected growth
-    # per generation; it sizes the top-ups of replicates that run short
-    growth = float(law.mean_matrix.sum(axis=1).max())
-    first = math.ceil(expected_cells(law, depth - 1, root_type)) if depth else 0
-    buf = np.concatenate([stream.at(s).random(first) for s in seeds])
-    pos = np.arange(n_rep) * first
-    end = pos + first
-    drawn = np.full(n_rep, first)
+    # a law whose thresholds all lie outside (0, 1) fixes each type's
+    # outcome: it reads no uniforms, and its flags are a zero uniform's
+    certain = np.all((cum[:, :3] <= 0.0) | (cum[:, :3] >= 1.0))
+    if certain:
+        fixed = _draw_flags(np.zeros(2), np.arange(2), cum)  # row t: a type-t cell's flags
+        for s in seeds:
+            rng.check_seed(s)
+    else:
+        stream = rng.Stream(rng.MASK_STREAM)
+        # the largest row sum of the mean matrix bounds the expected growth
+        # per generation; it sizes the top-ups of replicates that run short
+        growth = float(law.mean_matrix.sum(axis=1).max())
+        first = math.ceil(expected_cells(law, depth - 1, root_type)) if depth else 0
+        buf = [stream.at(s).random(first) for s in seeds]
+        buf = buf[0] if n_rep == 1 else np.concatenate(buf)
+        pos = np.arange(n_rep) * first
+        end = pos + first
+        drawn = np.full(n_rep, first)
 
     offspring, bounds = [], [np.arange(n_rep + 1)]
     types = np.full(n_rep, root_type)
     for r in range(depth):
         b = bounds[r]
-        sizes = np.diff(b)
-        short = np.flatnonzero(pos + sizes > end)
-        if short.size:
-            ahead = sum(growth**k for k in range(depth - r))
-            pieces, top = [buf], buf.size
-            for i in short:
-                more = math.ceil(sizes[i] * ahead)
-                extra = stream.at(seeds[i]).random(drawn[i] + more)[drawn[i]:]
-                drawn[i] += more
-                pieces += [buf[pos[i]:end[i]], extra]
-                pos[i], top = top, top + (end[i] - pos[i]) + extra.size
-                end[i] = top
-            buf = np.concatenate(pieces)
-        u = buf[np.repeat(pos - b[:-1], sizes) + np.arange(b[-1])]
-        pos += sizes
-        flags = _draw_flags(u, types, cum)
+        if certain:
+            flags = np.take(fixed, types, axis=0)
+        else:
+            sizes = np.diff(b)
+            short = np.flatnonzero(pos + sizes > end)
+            if short.size:
+                ahead = sum(growth**k for k in range(depth - r))
+                pieces, top = [buf], buf.size
+                for i in short:
+                    more = math.ceil(sizes[i] * ahead)
+                    extra = stream.at(seeds[i]).random(drawn[i] + more)[drawn[i]:]
+                    drawn[i] += more
+                    pieces += [buf[pos[i]:end[i]], extra]
+                    pos[i], top = top, top + (end[i] - pos[i]) + extra.size
+                    end[i] = top
+                buf = np.concatenate(pieces)
+            if n_rep == 1:  # one tree's uniforms lie in generation order
+                u = buf[pos[0]:pos[0] + b[-1]]
+            else:
+                u = buf[np.repeat(pos - b[:-1], sizes) + np.arange(b[-1])]
+            pos += sizes
+            flags = _draw_flags(u, types, cum)
         offspring.append(flags)
         # flat index 2i + j marks child j of cell i; its type is j, and the
         # children of cells before b[i] are the marks before 2 b[i]

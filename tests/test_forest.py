@@ -193,6 +193,26 @@ def test_deeper_forest_extends_shallower(law, depth, more, root_type, seeds):
     assert _same_bits([estimate_theta(deep, depth).theta_hat], [estimate_theta(short, depth).theta_hat])
 
 
+@pytest.mark.parametrize("law, depth, seed, tops_up", [
+    ("full", 9, 2, False), ("missing", 8, 1, False), ("missing", 8, 0, True), ("dense", 7, 5, False),
+])
+def test_single_tree_matches_its_forest_replicate(law, depth, seed, tops_up):
+    # one tree reads its mask uniforms and normal pairs as slices in place,
+    # and a forest gathers them from interleaved replicates: the tree is its
+    # replicate of any forest bit for bit, a forest of one seed included
+    noise = NoiseParams(1.0, 0.5)
+    tree = simulate_joint(BAR, noise, LAWS[law], depth, root_type=1, x1=0.25, seed=seed)
+    for seeds in ([seed], [7, seed, 2**64 - 1]):
+        forest = simulate_joint(BAR, noise, LAWS[law], depth, root_type=1, x1=0.25, seed=seeds)
+        mask, values, eps = _replicate(forest, seeds.index(seed))
+        assert mask == tree.mask
+        assert _same_bits(values, tree.values)
+        assert _same_bits(eps, tree.noise)
+    # a mask stream tops up when the cells through depth - 1 outrun its first draw
+    first = math.ceil(expected_cells(LAWS[law], depth - 1, 1))
+    assert (tree.mask.cells_through(depth - 1)[0] > first) == tops_up
+
+
 def _replicate_estimate(est, i):
     """Replicate ``i`` of a forest's estimate as a tree's estimate (NaN read as absent)."""
     def one(x):

@@ -15,6 +15,7 @@ from bartree import (
     estimate_pi,
     extinction_probabilities,
     gw,
+    rng,
     renormalized_population,
     simulate_mask,
     spectral,
@@ -158,6 +159,84 @@ def test_full_law_gives_complete_tree():
     for n in range(1, 6):
         assert mask.counts[n, 0] == 2 ** (n - 1)
         assert mask.counts[n, 1] == 2 ** (n - 1)
+
+
+def _stream_reads(monkeypatch):
+    """Seeds that ``rng.Stream.at`` keys, recorded as ``(stream constant, seed)``."""
+    reads = []
+    at = rng.Stream.at
+
+    def spy(self, seed):
+        reads.append((int(self._key[1]), seed))
+        return at(self, seed)
+
+    monkeypatch.setattr(rng.Stream, "at", spy)
+    return reads
+
+
+def _forest_of(tree, replicates):
+    """The forest of ``replicates`` copies of one tree's mask."""
+    return ObservationMask(
+        tree.depth, tree.root_type, [np.tile(f, (replicates, 1)) for f in tree.offspring],
+        [np.arange(replicates + 1) * b[-1] for b in tree.bounds],
+    )
+
+
+def _grown_ids(outcomes, depth, root_type):
+    """Ids of the tree in which a type-``t`` cell always has outcome ``outcomes[t]``."""
+    ids, cells = [1], [(1, root_type)]
+    for _ in range(depth):
+        cells = [(2 * k + j, j) for k, t in cells for j in (0, 1) if outcomes[t][j] == "1"]
+        ids += [k for k, _ in cells]
+    return ids
+
+
+@pytest.mark.parametrize("depth", [0, 1, 7])
+@pytest.mark.parametrize("root_type", [0, 1])
+def test_certain_laws_give_their_one_tree(depth, root_type, monkeypatch):
+    # a law whose every outcome is sure draws no uniform from the mask
+    # stream, and grows the tree its outcomes fix, for any seed
+    reads = _stream_reads(monkeypatch)
+    fixed = ReproductionLaw.from_tables({"10": 1.0}, {"11": 1.0})
+    for law, outcomes in ((ReproductionLaw.full_observation(), ("11", "11")), (fixed, ("10", "11"))):
+        tree = ObservationMask.from_ids(_grown_ids(outcomes, depth, root_type), depth, root_type)
+        for seed in (0, 5, 2**64 - 1):
+            assert simulate_mask(law, depth, root_type, seed=seed) == tree
+        assert simulate_mask(law, depth, root_type, seed=[3, 1, 4]) == _forest_of(tree, 3)
+    assert reads == []
+    if depth:  # a law with a threshold inside (0, 1) reads its stream
+        simulate_mask(missing_law(), depth, root_type, seed=[3, 1])
+        assert reads[:2] == [(rng.MASK_STREAM, 3), (rng.MASK_STREAM, 1)]
+
+
+def test_certain_law_checks_its_seeds():
+    for seed in (-1, 2**64, 1.5, [2, -1]):
+        with pytest.raises(ValidationError, match="seed"):
+            simulate_mask(ReproductionLaw.full_observation(), 3, seed=seed)
+
+
+def test_law_with_a_threshold_just_below_one_draws(monkeypatch):
+    # type 0's last threshold is 1 - 1e-13: no certain law, so the mask
+    # stream is read, though every draw here gives the odd child only
+    law = ReproductionLaw(np.array([[0.0, 0.0, 1 - 1e-13, 1e-13], [0.0, 0.0, 0.0, 1.0]]))
+    reads = _stream_reads(monkeypatch)
+    mask = simulate_mask(law, 6, seed=11)
+    assert reads == [(rng.MASK_STREAM, 11)]
+    assert mask == ObservationMask.from_ids(_grown_ids(("01", "11"), 6, 0), 6, 0)
+
+
+def test_generation_sizes_are_memoised_read_only():
+    mask = simulate_mask(missing_law(), 9, seed=[4, 8, 15, 16])
+    through = 0
+    for n in range(10):
+        sizes = mask.generation_sizes(n)
+        through = through + np.diff(mask.bounds[n])
+        assert np.array_equal(sizes, np.diff(mask.bounds[n]))
+        assert np.array_equal(mask.cells_through(n), through)
+        for got in (sizes, mask.cells_through(n)):
+            with pytest.raises(ValueError):
+                got[0] = 0
+    assert mask.cells_through(9).sum() == mask.total_count(9)
 
 
 def test_mask_determinism():

@@ -316,12 +316,32 @@ def test_report_reproducible_bit_for_bit():
     assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
 
 
+def _pool_entries(monkeypatch):
+    """Worker counts of the pools ``mc`` enters, in order."""
+    entries = []
+
+    class Spy(mc.ProcessPoolExecutor):
+        def __enter__(self):
+            entries.append(self._max_workers)
+            return super().__enter__()
+
+    monkeypatch.setattr(mc, "ProcessPoolExecutor", Spy)
+    return entries
+
+
 def test_report_independent_of_worker_count(monkeypatch):
+    # 24 full depth-9 trees are 24,552 expected cells: six blocks of 4,096
+    # cells, where the default budget would make one block that runs inline
     cfg = _cfg(depths=(9,), replicates=24, noise=NoiseParams(1.0, 0.5), seed=13)
+    monkeypatch.setattr(mc, "BLOCK_CELLS", 4096)
+    assert len(mc._blocks(cfg, 9, list(range(24)))) == 6
+    pools = _pool_entries(monkeypatch)
     monkeypatch.setenv("BARTREE_THREADS", "1")
     serial = json.dumps(mc_qsl(cfg).to_dict(), sort_keys=True)
+    assert pools == []
     monkeypatch.setenv("BARTREE_THREADS", "2")
     pooled = json.dumps(mc_qsl(cfg).to_dict(), sort_keys=True)
+    assert pools == [2]
     assert serial == pooled
 
 
@@ -360,13 +380,16 @@ def test_report_independent_of_block_layout(tmp_path, monkeypatch):
         assert run_cli(["verify", "--config", str(cfg_path), "--output", str(out)]) == 0
         return out.read_bytes()
 
+    pools = _pool_entries(monkeypatch)
     unpatched = report("1")
     cfg = _cfg(law=MISSING, depths=(5, 7), replicates=30)
     assert len(mc._blocks(cfg, 5, list(range(30)))) == 1
     assert len(mc._blocks(cfg, 8, list(range(30)))) == 1
     serial = report("1", budget=150)
     assert 3 <= len(mc._blocks(cfg, 5, list(range(30)))) < len(mc._blocks(cfg, 8, list(range(30))))
+    assert pools == []
     pooled = report("2", budget=150)
+    assert pools == [2]
     assert serial == pooled == unpatched
 
 
@@ -381,6 +404,7 @@ def test_checks_do_not_couple(tmp_path, monkeypatch):
     cfg_path = tmp_path / "mc.json"
     cfg_path.write_text(json.dumps(_missing_doc([4, 6, 7])))
     cfg, names = load_mc_config(cfg_path)
+    pools = _pool_entries(monkeypatch)
     for threads, budget in (("1", None), ("1", 150), ("2", 150)):
         monkeypatch.setenv("BARTREE_THREADS", threads)
         if budget is not None:
@@ -388,6 +412,7 @@ def test_checks_do_not_couple(tmp_path, monkeypatch):
             assert len(mc._blocks(cfg, 7, list(range(30)))) >= 3
         out = tmp_path / f"r{threads}-{budget}.json"
         assert run_cli(["verify", "--config", str(cfg_path), "--output", str(out)]) == 0
+        assert pools == ([2] if threads == "2" else [])
         together = {r["check"]: r for r in json.loads(out.read_text())["reports"]}
         assert sorted(together) == names
         for name in names:
