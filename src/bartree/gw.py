@@ -390,10 +390,8 @@ def simulate_mask(law: ReproductionLaw, depth: int, root_type: int = 0, seed=0) 
     ``pos[i]:end[i]`` holds replicate ``i``'s unused draws; since
     ``random(a)`` followed by ``random(b)`` yields the numbers of
     ``random(a + b)``, every replicate draws exactly what it draws alone.
-    A forest gathers each generation's uniforms from the replicates'
-    stretches; a single tree reads them as one slice in place.  One
-    re-keyed generator serves every replicate, so a replicate that runs
-    short re-draws its stream and keeps the numbers past the
+    One re-keyed generator serves every replicate, so a replicate that
+    runs short re-draws its stream and keeps the numbers past the
     ``drawn[i]`` it has already used.
     """
     tree.check_depth(depth)
@@ -417,8 +415,7 @@ def simulate_mask(law: ReproductionLaw, depth: int, root_type: int = 0, seed=0) 
         # per generation; it sizes the top-ups of replicates that run short
         growth = float(law.mean_matrix.sum(axis=1).max())
         first = math.ceil(expected_cells(law, depth - 1, root_type)) if depth else 0
-        buf = [stream.at(s).random(first) for s in seeds]
-        buf = buf[0] if n_rep == 1 else np.concatenate(buf)
+        buf = np.concatenate([stream.at(s).random(first) for s in seeds])
         pos = np.arange(n_rep) * first
         end = pos + first
         drawn = np.full(n_rep, first)
@@ -443,10 +440,7 @@ def simulate_mask(law: ReproductionLaw, depth: int, root_type: int = 0, seed=0) 
                     pos[i], top = top, top + (end[i] - pos[i]) + extra.size
                     end[i] = top
                 buf = np.concatenate(pieces)
-            if n_rep == 1:  # one tree's uniforms lie in generation order
-                u = buf[pos[0]:pos[0] + b[-1]]
-            else:
-                u = buf[np.repeat(pos - b[:-1], sizes) + np.arange(b[-1])]
+            u = buf[np.repeat(pos - b[:-1], sizes) + np.arange(b[-1])]
             pos += sizes
             flags = _draw_flags(u, types, cum)
         offspring.append(flags)

@@ -197,9 +197,9 @@ def test_deeper_forest_extends_shallower(law, depth, more, root_type, seeds):
     ("full", 9, 2, False), ("missing", 8, 1, False), ("missing", 8, 0, True), ("dense", 7, 5, False),
 ])
 def test_single_tree_matches_its_forest_replicate(law, depth, seed, tops_up):
-    # one tree reads its mask uniforms and normal pairs as slices in place,
-    # and a forest gathers them from interleaved replicates: the tree is its
-    # replicate of any forest bit for bit, a forest of one seed included
+    # one tree reads its normal pairs as slices in place, and a forest
+    # gathers them from interleaved replicates: the tree is its replicate
+    # of any forest bit for bit, a forest of one seed included
     noise = NoiseParams(1.0, 0.5)
     tree = simulate_joint(BAR, noise, LAWS[law], depth, root_type=1, x1=0.25, seed=seed)
     for seeds in ([seed], [7, seed, 2**64 - 1]):
