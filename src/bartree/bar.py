@@ -108,9 +108,9 @@ class ObservedTree:
     replicates' generations and ``seed`` lists their seeds.
 
     A tree is immutable, so the estimation functions memoise what they
-    derive from it (per-generation frames and statistics, and their
-    exact prefixes) in ``_memo``: every function called on one tree
-    shares one build.
+    derive from it (per-generation frames, the generation rows of the
+    statistics table and their running sums across generations) in
+    ``_memo``: every function called on one tree shares one build.
     """
 
     mask: ObservationMask

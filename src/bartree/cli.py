@@ -129,7 +129,7 @@ def _cmd_estimate(args) -> int:
             "observed": est.t_star,
             "observed_parents": est.t_star_parents,
             "pairs": est.pair_parents,
-            "per_generation": [int(g.size) for g in tree.mask.generations],
+            "per_generation": tree.mask.counts.sum(axis=1).tolist(),
         },
         "theta": {
             name: {
@@ -170,7 +170,7 @@ def _cmd_gw(args) -> int:
         "root_type": mask.root_type,
         "counts": {
             "observed": mask.total_count(mask.depth),
-            "per_generation": [int(g.size) for g in mask.generations],
+            "per_generation": mask.counts.sum(axis=1).tolist(),
             "by_type": mask.counts.tolist(),
         },
         "extinct_by_depth": mask.generation_count(mask.depth) == 0,
@@ -184,11 +184,6 @@ def _cmd_gw(args) -> int:
 
 def _cmd_verify(args) -> int:
     cfg, checks = io.load_mc_config(args.config)
-    unknown = [c for c in checks if c not in mc.CHECKS]
-    if unknown:
-        raise ValidationError(
-            f"unknown checks {unknown}; available: {sorted(mc.CHECKS)}"
-        )
     reports = mc.run_checks(cfg, checks)
     doc = {
         "schema": io.REPORT_SCHEMA,

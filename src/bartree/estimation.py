@@ -99,8 +99,11 @@ def _generation_stats(f: _Frame, bounds: np.ndarray, forest: bool) -> np.ndarray
 
     The two layouts part here (and in :func:`_residual_sums`): a forest
     sums segments of the per-cell terms ``(20, cells)``; a single tree
-    reduces each column directly, which is faster, holds no term array,
-    and keeps the bytes its reports have always had.
+    reduces each column directly and holds no term array.  One
+    ``np.add.reduceat`` path for both was measured slower in wall time:
+    by 10-30% on the ``deep_full`` benchmark (one 2M-cell full tree) and
+    about 20% on ``mc_full``; a deep tree then also holds the per-cell
+    terms, 160 B per mother.
     """
     xk, xk2 = f.xk, f.xk * f.xk
     e, o = f.has_e.astype(float), f.has_o.astype(float)

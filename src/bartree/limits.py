@@ -4,8 +4,7 @@ Every quantity the limit theorems mention is computable from the model
 parameters: the per-type limits of the observed value sums solve small
 linear systems driven by the mean matrix, and these assemble into the
 limiting design matrices, the sandwich covariance of the coefficient
-CLT, the variance constants of the noise-estimator CLTs and the
-quadratic-strong-law constant.
+CLT and the variance constants of the noise-estimator CLTs.
 """
 
 from __future__ import annotations
@@ -29,26 +28,26 @@ def _require_supercritical(spectrum: GWSpectral) -> None:
         )
 
 
-def first_moment_limits(bar: BarParams, spectrum: GWSpectral) -> np.ndarray:
-    """Per-type limits of the normalised observed-value sums."""
-    _require_supercritical(spectrum)
-    pi = spectrum.growth_rate
-    pt = spectrum.mean_matrix.T
-    z = spectrum.left_eigenvector
-    shrink = pt @ np.diag([bar.b, bar.d]) / pi
-    rhs = pt @ np.array([bar.a * z[0], bar.c * z[1]])
-    return solve2(np.eye(2) - shrink, rhs, "first-moment limits")
+def design_limits(
+    bar: BarParams, noise: NoiseParams, spectrum: GWSpectral
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The three limiting 2x2 design matrices (even, odd, both-daughters).
 
-
-def second_moment_limits(
-    bar: BarParams, noise: NoiseParams, spectrum: GWSpectral, h: np.ndarray
-) -> np.ndarray:
-    """Per-type limits of the normalised squared observed-value sums."""
+    Per type, ``h`` and ``k`` are the limits of the normalised observed
+    value and squared-value sums; each solves a 2x2 system driven by the
+    mean matrix, ``k``'s through ``h``.  The both-daughters matrix holds
+    the pair fraction and the pair sums' limits, from ``h`` and ``k``.
+    No positive-definiteness gate: degenerate (singular but PSD) limits
+    are legitimate for zero-noise fixtures.
+    """
     _require_supercritical(spectrum)
     pi = spectrum.growth_rate
     pt = spectrum.mean_matrix.T
     z = spectrum.left_eigenvector
     s2 = noise.sigma2
+    shrink = pt @ np.diag([bar.b, bar.d]) / pi
+    rhs = pt @ np.array([bar.a * z[0], bar.c * z[1]])
+    h = solve2(np.eye(2) - shrink, rhs, "first-moment limits")
     shrink = pt @ np.diag([bar.b**2, bar.d**2]) / pi
     rhs = pt @ np.array(
         [
@@ -56,19 +55,7 @@ def second_moment_limits(
             (bar.c**2 + s2) * z[1] + 2.0 * bar.c * bar.d * h[1] / pi,
         ]
     )
-    return solve2(np.eye(2) - shrink, rhs, "second-moment limits")
-
-
-def pair_limits(
-    bar: BarParams,
-    noise: NoiseParams,
-    spectrum: GWSpectral,
-    h: np.ndarray,
-    k: np.ndarray,
-) -> tuple[float, float, float]:
-    """Limits of the both-daughters sums: count, value and squared-value."""
-    pi = spectrum.growth_rate
-    z = spectrum.left_eigenvector
+    k = solve2(np.eye(2) - shrink, rhs, "second-moment limits")
     p0 = spectrum.law.both_children_probability(0)
     p1 = spectrum.law.both_children_probability(1)
     pbar = spectrum.pair_fraction
@@ -76,23 +63,8 @@ def pair_limits(
     k01 = (
         p0 * (bar.a**2 * z[0] + bar.b**2 * k[0] / pi + 2.0 * bar.a * bar.b * h[0] / pi)
         + p1 * (bar.c**2 * z[1] + bar.d**2 * k[1] / pi + 2.0 * bar.c * bar.d * h[1] / pi)
-        + noise.sigma2 * pbar
+        + s2 * pbar
     )
-    return pbar, float(h01), float(k01)
-
-
-def design_limits(
-    bar: BarParams, noise: NoiseParams, spectrum: GWSpectral
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The three limiting 2x2 design matrices (even, odd, both-daughters).
-
-    No positive-definiteness gate: degenerate (singular but PSD) limits
-    are legitimate for zero-noise fixtures.
-    """
-    h = first_moment_limits(bar, spectrum)
-    k = second_moment_limits(bar, noise, spectrum, h)
-    pbar, h01, k01 = pair_limits(bar, noise, spectrum, h, k)
-    pi, z = spectrum.growth_rate, spectrum.left_eigenvector
     l0 = np.array([[pi * z[0], h[0]], [h[0], k[0]]])
     l1 = np.array([[pi * z[1], h[1]], [h[1], k[1]]])
     l01 = np.array([[pbar, h01], [h01, k01]])
@@ -113,29 +85,17 @@ def _inv_sqrt2(m: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class LimitMatrices:
-    """All limit objects of the asymptotic theory at one parameter point.
-
-    ``qsl_constant`` is ``4 sigma^2``, the almost-sure limit of the
-    quadratic-strong-law average (1/n) sum_l M_l' S*_{l-1}^-1 M_l and,
-    by the design law of large numbers, of its displayed form with
-    ``S*_{l-1} / |T*_{l-1}|`` replaced by its limit ``diag(L0, L1)``.
-    Each term has mean ``tr(S*^-1 <M>) = 4 sigma^2`` whatever the growth
-    rate and sister covariance.  The printed ``4 sigma^2 (pi - 1) / pi``
-    is the limit when each level is weighted by ``|G*_{l-1}|`` instead
-    of ``|T*_{l-1}|``, since ``|G*_{l-1}| / |T*_{l-1}| -> (pi - 1) / pi``.
-    """
+    """All limit objects of the asymptotic theory at one parameter point."""
 
     theta_cov: np.ndarray     # sandwich covariance of the coefficient CLT
     sigma2_clt_var: float
     rho_clt_var: float
-    qsl_constant: float
     rho_bias_half_power: float  # trace constant with inverse square roots
     rho_bias_full: float        # trace constant with full inverses
 
 
 def limit_matrices(bar: BarParams, noise: NoiseParams, spectrum: GWSpectral) -> LimitMatrices:
     """Assemble every limit object; rejects non-positive-definite designs."""
-    _require_supercritical(spectrum)
     l0, l1, l01 = design_limits(bar, noise, spectrum)
     _assert_pd(l0, "even-daughter design limit")
     _assert_pd(l1, "odd-daughter design limit")
@@ -156,7 +116,6 @@ def limit_matrices(bar: BarParams, noise: NoiseParams, spectrum: GWSpectral) -> 
         theta_cov=sandwich(inv0, inv1, l01, noise.sigma2, noise.rho),
         sigma2_clt_var=float(sigma2_var),
         rho_clt_var=float(rho_var),
-        qsl_constant=4.0 * noise.sigma2,
         rho_bias_half_power=4.0 * noise.rho * (pi - 1.0) / pi * float(np.trace(half)),
         rho_bias_full=noise.rho * (pi - 1.0) / pbar * float(np.trace(full)),
     )

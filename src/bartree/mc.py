@@ -374,8 +374,12 @@ def run_checks(cfg: McConfig, names) -> list[McReport]:
     anything is simulated.  The tasks of every check are then grouped by
     seed set; each seed set is split into blocks sized for the deepest
     tree its tasks need, and every block is simulated once and serves
-    all of them.  All blocks go to one worker pool.
+    all of them.  All blocks go to one worker pool.  An unknown name is
+    a :class:`ValidationError` naming the available checks.
     """
+    unknown = [name for name in names if name not in _PARTS]
+    if unknown:
+        raise ValidationError(f"unknown checks {unknown}; available: {sorted(_PARTS)}")
     parts = [_PARTS[name](cfg) for name in names]
     sets: dict[int, list[tuple[int, int]]] = {}  # seed set -> (part, depth) tasks
     for k, part in enumerate(parts):

@@ -514,7 +514,7 @@ def test_verify_subcommand(tmp_path):
     assert {line.split(",")[0] for line in lines[1:]} == set(names)
 
 
-def test_verify_unknown_check(tmp_path):
+def test_verify_unknown_check(tmp_path, capsys):
     doc = {
         "schema": "bartree-mc-v1",
         "model": model_doc(),
@@ -525,7 +525,11 @@ def test_verify_unknown_check(tmp_path):
     }
     cfg = tmp_path / "mc.json"
     cfg.write_text(json.dumps(doc))
+    capsys.readouterr()
     assert run_cli(["verify", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith("error: unknown checks ['bogus']; available: [")
 
 
 def test_verify_deterministic(tmp_path):

@@ -15,7 +15,6 @@ from bartree import (
     noise_moments,
     spectral,
 )
-from bartree.limits import first_moment_limits, pair_limits, second_moment_limits
 
 FULL = spectral(ReproductionLaw.full_observation())
 MISSING = spectral(ReproductionLaw.from_mean_matrix([[0.9, 0.4], [0.3, 0.8]]))
@@ -63,31 +62,46 @@ def _oracle_pair(bar, noise, spectrum, h, k):
     return pbar, h01, k01
 
 
+def _h(bar, noise, spectrum):
+    # per-type first-moment limits: the off-diagonals of the type blocks
+    l0, l1, _ = design_limits(bar, noise, spectrum)
+    return np.array([l0[0, 1], l1[0, 1]])
+
+
+def _k(bar, noise, spectrum):
+    # per-type second-moment limits: the lower-right corners
+    l0, l1, _ = design_limits(bar, noise, spectrum)
+    return np.array([l0[1, 1], l1[1, 1]])
+
+
 # ---------------------------------------------------------------------------
 # first moments
 
 
 def test_h_homogeneous_when_intercepts_vanish():
-    h = first_moment_limits(BarParams(0.0, 0.5, 0.0, 0.25), FULL)
+    h = _h(BarParams(0.0, 0.5, 0.0, 0.25), GENERIC_NOISE, FULL)
     assert np.array_equal(h, [0.0, 0.0])
 
 
 def test_h_full_observation_closed_form():
     bar = BarParams(1.0, 0.5, 2.0, 0.25)
-    h = first_moment_limits(bar, FULL)
+    h = _h(bar, GENERIC_NOISE, FULL)
     expected = (bar.a + bar.c) / (2.0 - bar.b - bar.d)
     assert np.allclose(h, [expected, expected], rtol=1e-14)
 
 
 def test_h_generic_against_solver_oracle():
-    h = first_moment_limits(GENERIC_BAR, MISSING)
+    h = _h(GENERIC_BAR, GENERIC_NOISE, MISSING)
     assert np.allclose(h, _oracle_h(GENERIC_BAR, MISSING), rtol=1e-13)
 
 
 def test_h_requires_supercritical():
     sub = spectral(ReproductionLaw.from_mean_matrix([[0.4, 0.4], [0.4, 0.4]]))
-    with pytest.raises(ValidationError):
-        first_moment_limits(GENERIC_BAR, sub)
+    with pytest.raises(ValidationError, match="supercritical") as direct:
+        design_limits(GENERIC_BAR, GENERIC_NOISE, sub)
+    with pytest.raises(ValidationError) as assembled:
+        limit_matrices(GENERIC_BAR, GENERIC_NOISE, sub)
+    assert str(assembled.value) == str(direct.value)
 
 
 # ---------------------------------------------------------------------------
@@ -95,9 +109,7 @@ def test_h_requires_supercritical():
 
 
 def test_k_zero_when_everything_vanishes():
-    bar = BarParams(0.0, 0.5, 0.0, 0.25)
-    h = first_moment_limits(bar, FULL)
-    k = second_moment_limits(bar, NoiseParams(0.0), FULL, h)
+    k = _k(BarParams(0.0, 0.5, 0.0, 0.25), NoiseParams(0.0), FULL)
     assert np.array_equal(k, [0.0, 0.0])
 
 
@@ -105,44 +117,39 @@ def test_k_full_observation_ar_second_moment():
     # centred symmetric case reduces to the scalar autoregression variance
     bar = BarParams(0.0, 0.6, 0.0, 0.6)
     noise = NoiseParams(2.0)
-    h = first_moment_limits(bar, FULL)
-    k = second_moment_limits(bar, noise, FULL, h)
+    k = _k(bar, noise, FULL)
     expected = noise.sigma2 / (1.0 - bar.b**2)
     assert np.allclose(k, [expected, expected], rtol=1e-13)
 
 
 def test_k_generic_against_solver_oracle():
-    h = first_moment_limits(GENERIC_BAR, MISSING)
-    k = second_moment_limits(GENERIC_BAR, GENERIC_NOISE, MISSING, h)
-    assert np.allclose(k, _oracle_k(GENERIC_BAR, GENERIC_NOISE, MISSING, h), rtol=1e-13)
+    k = _k(GENERIC_BAR, GENERIC_NOISE, MISSING)
+    want = _oracle_k(GENERIC_BAR, GENERIC_NOISE, MISSING, _oracle_h(GENERIC_BAR, MISSING))
+    assert np.allclose(k, want, rtol=1e-13)
 
 
 # ---------------------------------------------------------------------------
-# pair limits
+# pair limits: the both-daughters matrix [[pbar, h01], [h01, k01]]
 
 
 def test_pair_fraction_full_observation():
-    h = first_moment_limits(GENERIC_BAR, FULL)
-    k = second_moment_limits(GENERIC_BAR, GENERIC_NOISE, FULL, h)
-    pbar, _, _ = pair_limits(GENERIC_BAR, GENERIC_NOISE, FULL, h, k)
-    assert pbar == 1.0
+    _, _, l01 = design_limits(GENERIC_BAR, GENERIC_NOISE, FULL)
+    assert l01[0, 0] == 1.0
 
 
 def test_pair_limits_vanish_in_degenerate_model():
     bar = BarParams(0.0, 0.5, 0.0, 0.25)
-    noise = NoiseParams(0.0)
-    h = np.zeros(2)
-    k = np.zeros(2)
-    pbar, h01, k01 = pair_limits(bar, noise, FULL, h, k)
-    assert (pbar, h01, k01) == (1.0, 0.0, 0.0)
+    _, _, l01 = design_limits(bar, NoiseParams(0.0), FULL)
+    assert np.array_equal(l01, [[1.0, 0.0], [0.0, 0.0]])
 
 
 def test_pair_limits_dual_implementation():
-    h = first_moment_limits(GENERIC_BAR, MISSING)
-    k = second_moment_limits(GENERIC_BAR, GENERIC_NOISE, MISSING, h)
-    got = pair_limits(GENERIC_BAR, GENERIC_NOISE, MISSING, h, k)
-    want = _oracle_pair(GENERIC_BAR, GENERIC_NOISE, MISSING, h, k)
-    assert got == pytest.approx(want, rel=1e-14)
+    l0, l1, l01 = design_limits(GENERIC_BAR, GENERIC_NOISE, MISSING)
+    h = np.array([l0[0, 1], l1[0, 1]])
+    k = np.array([l0[1, 1], l1[1, 1]])
+    pbar, h01, k01 = _oracle_pair(GENERIC_BAR, GENERIC_NOISE, MISSING, h, k)
+    assert (l01[0, 0], l01[0, 1], l01[1, 1]) == pytest.approx((pbar, h01, k01), rel=1e-14)
+    assert l01[0, 1] == l01[1, 0]
 
 
 # ---------------------------------------------------------------------------
@@ -177,17 +184,6 @@ def test_sigma2_clt_variance_full_observation_example():
 def test_rho_clt_variance_example():
     lm = limit_matrices(GENERIC_BAR, NoiseParams(1.0, 0.5), FULL)
     assert abs(lm.rho_clt_var - 1.25) < 1e-14
-
-
-def test_qsl_constant_positive_and_formula():
-    # 4 sigma2 at every growth rate: each level's score quadratic form
-    # has mean tr(S*^-1 <M>) = 4 sigma2
-    lm = limit_matrices(GENERIC_BAR, GENERIC_NOISE, MISSING)
-    assert lm.qsl_constant == pytest.approx(4.0 * GENERIC_NOISE.sigma2, rel=1e-12)
-    assert lm.qsl_constant == limit_matrices(GENERIC_BAR, GENERIC_NOISE, FULL).qsl_constant
-    scaled = limit_matrices(GENERIC_BAR, NoiseParams(2.5, 1.0), MISSING)
-    assert scaled.qsl_constant == pytest.approx(10.0, rel=1e-12)
-    assert lm.qsl_constant > 0.0
 
 
 def test_rho_bias_constants_dual_implementation():

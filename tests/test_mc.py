@@ -83,8 +83,15 @@ def test_worker_count_env(monkeypatch):
 
 
 def test_check_tables_name_the_same_checks():
-    # the CLI validates names against CHECKS and run_checks dispatches on _PARTS
+    # run_checks validates and dispatches on _PARTS; CHECKS holds the
+    # one-check wrappers under the same names
     assert sorted(mc.CHECKS) == sorted(mc._PARTS)
+
+
+def test_run_checks_rejects_unknown_names():
+    with pytest.raises(ValidationError) as err:
+        run_checks(_cfg(), ["qsl", "bogus"])
+    assert str(err.value) == f"unknown checks ['bogus']; available: {sorted(mc._PARTS)}"
 
 
 def test_relative_check_holds_a_zero_target_absolute():
