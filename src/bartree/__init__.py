@@ -48,15 +48,7 @@ from .inference import (
     wald_test,
 )
 from .limits import LimitMatrices, design_limits, limit_matrices
-from .mc import (
-    McConfig,
-    McReport,
-    mc_clt,
-    mc_consistency_rate,
-    mc_limit_matrices,
-    mc_qsl,
-    mc_variance_estimators,
-)
+from .mc import McConfig, McReport
 
 __version__ = "0.1.0"
 
@@ -91,11 +83,6 @@ __all__ = [
     "extinction_probabilities",
     "limit_matrices",
     "martingale_diagnostics",
-    "mc_clt",
-    "mc_consistency_rate",
-    "mc_limit_matrices",
-    "mc_qsl",
-    "mc_variance_estimators",
     "noise_moments",
     "renormalized_population",
     "sequential_variance_functionals",

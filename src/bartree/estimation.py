@@ -37,10 +37,9 @@ _C0, _SX0, _SXX0 = 0, 1, 2          # even-daughter design sums
 _C1, _SX1, _SXX1 = 3, 4, 5          # odd-daughter design sums
 _CP, _SXP, _SXXP = 6, 7, 8          # both-daughters design sums
 _R0, _R0X, _R1, _R1X = 9, 10, 11, 12  # least-squares right-hand side
-_OBS = 13                            # observed cells in the generation
-_M0, _M0X, _M1, _M1X = 14, 15, 16, 17  # score increments (true noise)
-_TE2, _TEP = 18, 19                  # true-noise square / pair-product sums
-_NCOLS = 20
+_M0, _M0X, _M1, _M1X = 13, 14, 15, 16  # score increments (true noise)
+_TE2, _TEP = 17, 18                  # true-noise square / pair-product sums
+_NCOLS = 19
 
 _RIDGE_RTOL = 1e-10
 _DET_TOL = 1e-12
@@ -95,15 +94,15 @@ def _frames(tree, upto: int) -> list[_Frame | None]:
 
 
 def _generation_stats(f: _Frame, bounds: np.ndarray, forest: bool) -> np.ndarray:
-    """Statistics rows ``(R, 20)`` of one generation: sums over each replicate's mothers.
+    """Statistics rows ``(R, 19)`` of one generation: sums over each replicate's mothers.
 
     The two layouts part here (and in :func:`_residual_sums`): a forest
-    sums segments of the per-cell terms ``(20, cells)``; a single tree
+    sums segments of the per-cell terms ``(19, cells)``; a single tree
     reduces each column directly and holds no term array.  One
     ``np.add.reduceat`` path for both was measured slower in wall time:
     by 10-30% on the ``deep_full`` benchmark (one 2M-cell full tree) and
     about 20% on ``mc_full``; a deep tree then also holds the per-cell
-    terms, 160 B per mother.
+    terms, 152 B per mother.
     """
     xk, xk2 = f.xk, f.xk * f.xk
     e, o = f.has_e.astype(float), f.has_o.astype(float)
@@ -115,7 +114,6 @@ def _generation_stats(f: _Frame, bounds: np.ndarray, forest: bool) -> np.ndarray
         t[_CP], t[_SXP], t[_SXXP] = p, xk * p, xk2 * p
         t[_R0], t[_R0X] = f.xe, xk * f.xe
         t[_R1], t[_R1X] = f.xo, xk * f.xo
-        t[_OBS] = 1.0
         t[_M0], t[_M0X] = f.eps_e, xk * f.eps_e
         t[_M1], t[_M1X] = f.eps_o, xk * f.eps_o
         t[_TE2] = f.eps_e * f.eps_e + f.eps_o * f.eps_o
@@ -127,7 +125,6 @@ def _generation_stats(f: _Frame, bounds: np.ndarray, forest: bool) -> np.ndarray
     row[_CP], row[_SXP], row[_SXXP] = p.sum(), xk @ p, xk2 @ p
     row[_R0], row[_R0X] = f.xe.sum(), xk @ f.xe
     row[_R1], row[_R1X] = f.xo.sum(), xk @ f.xo
-    row[_OBS] = xk.size
     row[_M0], row[_M0X] = f.eps_e.sum(), xk @ f.eps_e
     row[_M1], row[_M1X] = f.eps_o.sum(), xk @ f.eps_o
     row[_TE2] = f.eps_e @ f.eps_e + f.eps_o @ f.eps_o
@@ -148,7 +145,7 @@ def _finite(sums: np.ndarray) -> np.ndarray:
 
 
 def _statistics(tree, upto: int, levels):
-    """Frames, and cumulative statistics ``(R, len(levels), 20)`` over mothers ``0..l``.
+    """Frames, and cumulative statistics ``(R, len(levels), 19)`` over mothers ``0..l``.
 
     Each cumulative row is the running sum of its generation rows, in
     generation order.  The generation rows and their running sums are
@@ -238,7 +235,7 @@ def _per_tree(tree, result):
 
 
 def _block(row: np.ndarray, c: int, sx: int, sxx: int) -> np.ndarray:
-    """Symmetric 2x2 block(s) ``[[c, sx], [sx, sxx]]`` from table row(s) ``(..., 20)``."""
+    """Symmetric 2x2 block(s) ``[[c, sx], [sx, sxx]]`` from table row(s) ``(..., 19)``."""
     return row[..., [[c, sx], [sx, sxx]]]
 
 
@@ -298,7 +295,7 @@ class DesignMatrices:
 
 
 def _design(mask, cum: np.ndarray, n: int, ridge=0.0) -> DesignMatrices:
-    """Design matrices over mothers ``0..n`` from cumulative rows ``(R, 20)``."""
+    """Design matrices over mothers ``0..n`` from cumulative rows ``(R, 19)``."""
     return DesignMatrices(
         s0=_block(cum, _C0, _SX0, _SXX0) + ridge,
         s1=_block(cum, _C1, _SX1, _SXX1) + ridge,
@@ -351,11 +348,11 @@ class ThetaEstimate:
 
 
 def _solve_level(cum_row: np.ndarray):
-    """Solve the two decoupled systems at each cumulative row ``(..., 20)``.
+    """Solve the two decoupled systems at each cumulative row ``(..., 19)``.
 
     A row whose even or odd block is numerically singular gets the
-    identity added to both.  Returns the coefficients ``(..., 4)``, the
-    ridge flags and the relative solve residuals.
+    identity added to both.  Returns the coefficients ``(..., 4)`` and
+    the ridge flags.
     """
     s0 = _block(cum_row, _C0, _SX0, _SXX0)
     s1 = _block(cum_row, _C1, _SX1, _SXX1)
@@ -364,13 +361,7 @@ def _solve_level(cum_row: np.ndarray):
     s0, s1 = s0 + ridge, s1 + ridge
     rhs = cum_row[..., [_R0, _R0X, _R1, _R1X]]
     theta = np.concatenate([solve2(s0, rhs[..., :2]), solve2(s1, rhs[..., 2:])], axis=-1)
-    fitted = np.concatenate(
-        [np.einsum("...ij,...j->...i", s0, theta[..., :2]),
-         np.einsum("...ij,...j->...i", s1, theta[..., 2:])],
-        axis=-1,
-    )
-    rel = np.linalg.norm(fitted - rhs, axis=-1) / (1.0 + np.linalg.norm(rhs, axis=-1))
-    return theta, regularized, rel
+    return theta, regularized
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -385,6 +376,7 @@ def estimate_theta(tree: ObservedTree, n: int, moments: bool = True) -> ThetaEst
     analogues used by the plug-in confidence intervals; ``moments=False``
     skips that residual pass.  A forest's extinct replicates are fitted
     too (a bare root gives a ridged zero fit); callers discard them.
+    ``solve_residual`` is ``|S theta - rhs| / (1 + |rhs|)`` at the ridged design ``S``.
     """
     if n < 1:
         raise ValidationError(f"estimation needs n >= 1, got {n}")
@@ -395,8 +387,15 @@ def estimate_theta(tree: ObservedTree, n: int, moments: bool = True) -> ThetaEst
     if not mask.forest and t_star[0] <= 1:
         raise EstimationError("no observed daughters: the observed tree is the bare root")
 
-    theta, regularized, rel = _solve_level(cum)
+    theta, regularized = _solve_level(cum)
     design = _design(mask, cum, n - 1, np.where(regularized[:, None, None], np.eye(2), 0.0))
+    rhs = cum[:, [_R0, _R0X, _R1, _R1X]]
+    fitted = np.concatenate(
+        [np.einsum("...ij,...j->...i", design.s0, theta[..., :2]),
+         np.einsum("...ij,...j->...i", design.s1, theta[..., 2:])],
+        axis=-1,
+    )
+    rel = np.linalg.norm(fitted - rhs, axis=-1) / (1.0 + np.linalg.norm(rhs, axis=-1))
     pairs = design.t_star_pairs
     residual = dict.fromkeys(("sigma2_hat", "rho_hat", "tau4_hat", "nu2_tau4_hat"))
     if moments:
@@ -435,23 +434,19 @@ class ThetaPath:
     design: np.ndarray       # (n, 4, 4) unridged block-diagonal design S*_{l-1}
 
 
-def _path(mask, cum: np.ndarray) -> ThetaPath:
-    """Fits at every level from cumulative rows ``(R, n, 20)``."""
-    thetas, flags, _ = _solve_level(cum)
-    design = np.zeros(cum.shape[:-1] + (4, 4))
-    design[..., :2, :2] = _block(cum, _C0, _SX0, _SXX0)
-    design[..., 2:, 2:] = _block(cum, _C1, _SX1, _SXX1)
-    t_star = np.stack([mask.cells_through(r) for r in range(cum.shape[1])], axis=1)
-    return ThetaPath(theta=thetas, regularized=flags, t_star_parents=t_star, design=design)
-
-
 @np.errstate(over="ignore", invalid="ignore")
 def theta_path(tree: ObservedTree, n: int) -> ThetaPath:
-    """All level-``l`` coefficient estimates for ``l = 1..n`` in one pass."""
+    """All level-``l`` fits for ``l = 1..n`` in one pass, each ridged as in :func:`estimate_theta`."""
     if n < 1:
         raise ValidationError(f"estimation needs n >= 1, got {n}")
     _, cum = _statistics(tree, n - 1, range(n))
-    return _per_tree(tree, _path(tree.mask, cum))
+    thetas, flags = _solve_level(cum)
+    design = np.zeros(cum.shape[:-1] + (4, 4))
+    design[..., :2, :2] = _block(cum, _C0, _SX0, _SXX0)
+    design[..., 2:, 2:] = _block(cum, _C1, _SX1, _SXX1)
+    t_star = np.stack([tree.mask.cells_through(r) for r in range(n)], axis=1)
+    path = ThetaPath(theta=thetas, regularized=flags, t_star_parents=t_star, design=design)
+    return _per_tree(tree, path)
 
 
 @dataclass(frozen=True)
@@ -539,10 +534,10 @@ def sequential_variance_functionals(
         raise ValidationError(f"estimation needs n >= 1, got {n}")
     mask = tree.mask
     frames, cum = _statistics(tree, n - 1, range(n))
-    path = _path(mask, cum)
+    fits, ridged = _solve_level(cum)
     level = np.maximum(np.arange(n), 1)  # the fit generation r's residuals are taken at
-    level = np.where(path.regularized[:, level - 1], n, level)
-    thetas = np.take_along_axis(path.theta, level[..., None] - 1, axis=1)
+    level = np.where(ridged[:, level - 1], n, level)
+    thetas = np.take_along_axis(fits, level[..., None] - 1, axis=1)
     rss, pair_sum = _residual_totals(frames, mask, thetas, fourth=False).T
     sigma2 = rss / mask.cells_through(n)
     return _per_tree(tree, (sigma2, _per_pair(pair_sum, np.rint(cum[:, -1, _CP]))))

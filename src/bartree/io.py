@@ -179,18 +179,16 @@ def _parse(path, lineage: bool):
 
     Violations (duplicate ids, orphan observations, a missing root,
     malformed numbers) are reported with their line number.  numpy reads
-    a file whose ids ascend; any other file, and every error, is left to
-    the row loop, which names the offending line.
+    every file it can (the builders sort the ids); any other file, and
+    every error, is left to the row loop, which names the offending line.
     """
     text = _read_text(path)
     fast = _fast_table(text, lineage)
     if fast is not None:
-        ids, values, meta = fast
-        if np.all(ids[1:] > ids[:-1]):
-            try:
-                return _build(ids, values, meta)
-            except ValidationError:
-                pass
+        try:
+            return _build(*fast)
+        except ValidationError:
+            pass
     return _rows(text, lineage)
 
 
@@ -294,19 +292,16 @@ def _model_from_dict(doc: dict, where: str):
         raise ValidationError(
             f"allow_unstable must be JSON true or false, got {json.dumps(allow_unstable)}"
         )
-    try:
-        bar = BarParams(
-            *(_json_number(_require(bar_doc, k, "bar"), k) for k in "abcd"),
-            allow_unstable=allow_unstable,
-        )
-        sigma2 = _json_number(_require(noise_doc, "sigma2", "noise"), "sigma2")
-        rho = _json_number(noise_doc.get("rho", 0.0), "rho")
-        if (family := noise_doc.get("family", "gaussian")) != "gaussian":
-            raise ValidationError(f"unsupported noise family {family!r}")
-        noise = NoiseParams(sigma2, rho)
-        law = ReproductionLaw.from_tables(*(_law_table(law_doc, t) for t in ("type0", "type1")))
-    except (TypeError, ValueError) as exc:
-        raise ValidationError(f"malformed model parameters: {exc}") from exc
+    bar = BarParams(
+        *(_json_number(_require(bar_doc, k, "bar"), k) for k in "abcd"),
+        allow_unstable=allow_unstable,
+    )
+    sigma2 = _json_number(_require(noise_doc, "sigma2", "noise"), "sigma2")
+    rho = _json_number(noise_doc.get("rho", 0.0), "rho")
+    if (family := noise_doc.get("family", "gaussian")) != "gaussian":
+        raise ValidationError(f"unsupported noise family {family!r}")
+    noise = NoiseParams(sigma2, rho)
+    law = ReproductionLaw.from_tables(*(_law_table(law_doc, t) for t in ("type0", "type1")))
     return bar, noise, law
 
 

@@ -20,10 +20,6 @@ from bartree import (
     estimate_theta,
     extinction_probabilities,
     martingale_diagnostics,
-    mc_clt,
-    mc_limit_matrices,
-    mc_qsl,
-    mc_variance_estimators,
     simulate_joint,
     simulate_mask,
     spectral,
@@ -32,6 +28,7 @@ from bartree import (
 )
 from bartree.cli import run_cli
 from bartree.io import parse_lineage
+from bartree.mc import run_checks
 
 FULL = ReproductionLaw.full_observation()
 MISSING = ReproductionLaw.from_mean_matrix([[0.9, 0.4], [0.3, 0.8]])
@@ -148,7 +145,7 @@ def test_criterion_05_design_limit_medians():
         bar=TABLE_BAR, noise=UNIT_NOISE, law=MISSING,
         depths=(14,), replicates=450, seed=510_000,
     )
-    report = mc_limit_matrices(cfg)
+    report = run_checks(cfg, ["limit_matrices"])[0]
     surviving = report.surviving[14]
     worst = max(c.empirical for c in report.checks)
     ok = report.passed and surviving >= 200
@@ -165,14 +162,14 @@ def test_criterion_06_qsl_constant():
         bar=GENERIC_BAR, noise=CORR_NOISE, law=FULL,
         depths=(14,), replicates=220, seed=610_000,
     )
-    rep_full = mc_qsl(cfg_full)
+    rep_full = run_checks(cfg_full, ["qsl"])[0]
 
     # missing data at growth rate 1.2
     cfg_miss = McConfig(
         bar=TABLE_BAR, noise=UNIT_NOISE, law=MISSING,
         depths=(16,), replicates=900, seed=620_000,
     )
-    rep_miss = mc_qsl(cfg_miss)
+    rep_miss = run_checks(cfg_miss, ["qsl"])[0]
 
     def by_name(report, name):
         return next(c for c in report.checks if c.name == name)
@@ -203,7 +200,7 @@ def test_criterion_07_ci_coverage():
         bar=GENERIC_BAR, noise=CORR_NOISE, law=FULL,
         depths=(12,), replicates=1000, seed=710_000,
     )
-    report = mc_clt(cfg)
+    report = run_checks(cfg, ["clt"])[0]
     cover = next(c for c in report.checks if c.name == "theta_ci_coverage")
     rates = np.asarray(cover.detail["per_coefficient"])
     ok = bool(np.all((rates >= 0.93) & (rates <= 0.97)))
@@ -219,7 +216,7 @@ def test_criterion_08_variance_clts():
         bar=GENERIC_BAR, noise=CORR_NOISE, law=FULL,
         depths=(14,), replicates=800, seed=810_000,
     )
-    report = mc_clt(cfg)
+    report = run_checks(cfg, ["clt"])[0]
     sig = next(c for c in report.checks if c.name == "sigma2_clt_variance")
     rho = next(c for c in report.checks if c.name == "rho_clt_variance")
     ok = bool(sig.passed and rho.passed)
@@ -262,7 +259,7 @@ def test_criterion_10_variance_bias_statistic():
         bar=GENERIC_BAR, noise=UNIT_NOISE, law=FULL,
         depths=(14,), replicates=250, seed=101_000,
     )
-    report = mc_variance_estimators(cfg)
+    report = run_checks(cfg, ["variance_estimators"])[0]
     check = next(c for c in report.checks if c.name == "sigma2_bias")
     ok = bool(check.passed)
     assert _report(

@@ -532,6 +532,86 @@ def test_verify_unknown_check(tmp_path, capsys):
     assert err.startswith("error: unknown checks ['bogus']; available: [")
 
 
+# ---------------------------------------------------------------------------
+# exits of the remaining command paths, one line each
+
+
+def test_simulate_without_depth_or_seed_exits_2(tmp_path, capsys):
+    path, out = tmp_path / "model.json", tmp_path / "o.csv"
+    for key in ("depth", "seed"):
+        doc = model_doc()
+        del doc[key]
+        path.write_text(json.dumps(doc))
+        err = _one_line_exit_2(["simulate", "--config", str(path), "--output", str(out)], capsys)
+        assert f"error: {key} missing: set it in the config or pass --{key}" in err
+        assert not out.exists()
+
+
+def test_estimate_depth_outside_the_file_exits_2(tmp_path, capsys):
+    path, lineage = tmp_path / "model.json", tmp_path / "t.csv"
+    path.write_text(json.dumps(model_doc(depth=3)))
+    assert run_cli(["simulate", "--config", str(path), "--output", str(lineage)]) == 0
+    for depth in ("0", "9"):
+        err = _one_line_exit_2(["estimate", "--input", str(lineage), "--depth", depth], capsys)
+        assert f"--depth must lie in [1, 3] for this file, got {depth}" in err
+
+
+def test_verify_writes_the_report_to_stdout(tmp_path, capsys):
+    path, out = tmp_path / "mc.json", tmp_path / "r.json"
+    path.write_text(json.dumps(_verify_doc()))
+    capsys.readouterr()
+    assert run_cli(["verify", "--config", str(path)]) == 0
+    stdout = capsys.readouterr().out
+    assert run_cli(["verify", "--config", str(path), "--output", str(out)]) == 0
+    assert capsys.readouterr().out == ""
+    assert stdout.encode() == out.read_bytes()
+
+
+def test_lineage_row_with_three_fields_exits_2(tmp_path, capsys):
+    lineage = tmp_path / "t.csv"
+    lineage.write_text("1,1.0\n2,2.0,3\n")
+    err = _one_line_exit_2(["estimate", "--input", str(lineage)], capsys)
+    assert "line 2: expected 'node_id,value', got '2,2.0,3'" in err
+
+
+def test_model_coefficient_missing_or_beyond_floats_exits_2(tmp_path, capsys):
+    path, out = tmp_path / "model.json", tmp_path / "o.csv"
+    bar = model_doc()["bar"]
+    del bar["d"]
+    path.write_text(json.dumps(model_doc(bar=bar)))
+    err = _one_line_exit_2(["simulate", "--config", str(path), "--output", str(out)], capsys)
+    assert "missing 'd' in bar" in err
+    path.write_text(json.dumps(model_doc(bar=dict(bar, d=0.7, a=10**400 - 1))))
+    err = _one_line_exit_2(["simulate", "--config", str(path), "--output", str(out)], capsys)
+    assert "error: a must be a finite number, got 999" in err and not out.exists()
+
+
+def test_verify_without_checks_exits_2(tmp_path, capsys, no_simulation):
+    path = tmp_path / "mc.json"
+    path.write_text(json.dumps(_verify_doc(checks=[])))
+    err = _one_line_exit_2(["verify", "--config", str(path)], capsys)
+    assert "mc config must name at least one check in 'checks'" in err
+
+
+UNIT_SLOPES = {"a": 0.5, "b": 1.0, "c": -0.4, "d": 1.0, "allow_unstable": True}
+DYING = {"11": 0.3, "10": 0.25, "01": 0.25, "00": 0.2}  # supercritical, yet seed 1 dies out
+
+
+@pytest.mark.parametrize("doc, message", [
+    (_verify_doc(model=model_doc(bar=UNIT_SLOPES)),
+     "singular system while computing first-moment limits"),
+    (_verify_doc(depths=[6], replicates=1, seed=1,
+                 model=model_doc(law={"type0": DYING, "type1": DYING})),
+     "all 1 replicates extinct at depth 6"),
+], ids=["singular", "extinct"])
+def test_verify_degenerate_experiments_exit_3(tmp_path, capsys, doc, message):
+    path = tmp_path / "mc.json"
+    path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert run_cli(["verify", "--config", str(path)]) == 3
+    assert capsys.readouterr().err == f"numerical error: {message}\n"
+
+
 def test_verify_deterministic(tmp_path):
     doc = {
         "schema": "bartree-mc-v1",

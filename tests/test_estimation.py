@@ -41,7 +41,7 @@ def _zero_noise_tree(depth=4, a=1.0, b=0.5, c=2.0, d=0.25, x1=0.0):
 
 
 def test_design_single_mother_both_children():
-    t = ObservedTree.from_pairs([(1, 1.0), (2, 3.0), (3, 2.0)])
+    t = ObservedTree.from_arrays([1, 2, 3], [1.0, 3.0, 2.0])
     d = accumulate_design(t, 0)
     one = np.ones((2, 2))
     assert np.array_equal(d.s0, one)
@@ -52,7 +52,7 @@ def test_design_single_mother_both_children():
 
 
 def test_design_single_mother_missing_odd_child():
-    t = ObservedTree.from_pairs([(1, 1.0), (2, 3.0)], depth=1)
+    t = ObservedTree.from_arrays([1, 2], [1.0, 3.0], depth=1)
     d = accumulate_design(t, 0)
     assert np.array_equal(d.s0, np.ones((2, 2)))
     assert np.array_equal(d.s1, np.zeros((2, 2)))
@@ -115,7 +115,7 @@ def test_zero_noise_exact_recovery():
 
 def test_regularized_single_mother_fit():
     # one mother, identical design gram rows: ridged to [[2,1],[1,2]] per block
-    t = ObservedTree.from_pairs([(1, 1.0), (2, 3.0), (3, 2.0)])
+    t = ObservedTree.from_arrays([1, 2, 3], [1.0, 3.0, 2.0])
     est = estimate_theta(t, 1)
     assert est.regularized
     assert np.allclose(est.theta_hat, [1.0, 1.0, 2.0 / 3.0, 2.0 / 3.0], atol=1e-12)
@@ -277,7 +277,7 @@ def test_qsl_running_approaches_score_constant():
 
 
 def test_diagnostics_require_noise():
-    t = ObservedTree.from_pairs([(1, 1.0), (2, 3.0), (3, 2.0)])
+    t = ObservedTree.from_arrays([1, 2, 3], [1.0, 3.0, 2.0])
     with pytest.raises(ValidationError):
         martingale_diagnostics(t, BarParams(0.5, 0.3, -0.4, 0.7), 1)
 

@@ -190,7 +190,7 @@ def _simulated(depth, seed, root_type=0):
 
 def _hand_built():
     edges = [-0.0, 5e-324, 1e300, 1.0 / 3.0, -1e-300, 2.0**53 + 1]
-    tree = ObservedTree.from_pairs(list(zip(range(1, 7), edges)), root_type=1)
+    tree = ObservedTree.from_arrays(range(1, 7), edges, root_type=1)
     noise = [np.array([])] + [v[::-1].copy() for v in tree.values[1:]]
     return dataclasses.replace(tree, noise=noise)
 
@@ -239,3 +239,29 @@ def test_written_files_take_the_fast_path(tmp_path, monkeypatch):
     assert tree.mask == back
     assert run_cli(["estimate", "--input", str(lineage)]) in (0, 3)
     assert run_cli(["gw", "--input", str(mask)]) in (0, 3)
+
+
+def test_shuffled_files_take_the_fast_path(tmp_path, monkeypatch):
+    # numpy reads ids in any order (the builders sort them) and gives the
+    # row loop's tree and mask
+    tree = _simulated(7, 5, root_type=1)
+    lineage, mask = tmp_path / "t.csv", tmp_path / "m.csv"
+    io.write_lineage(tree, lineage)
+    io.write_mask(tree.mask, mask)
+    rng = np.random.default_rng(3)
+    for path in (lineage, mask):
+        lines = path.read_text().splitlines()
+        header = [line for line in lines if line.startswith("#")]
+        body = [line for line in lines if not line.startswith("#")]
+        path.write_text("\n".join(header + list(rng.permutation(body))) + "\n")
+    slow_tree = io._rows(lineage.read_text(), True)
+    slow_mask = io._rows(mask.read_text(), False)
+
+    def row_loop(text, lineage):
+        raise AssertionError("a shuffled file fell back to the row loop")
+
+    monkeypatch.setattr(io, "_rows", row_loop)
+    fast_tree, fast_mask = io.parse_lineage(lineage), io.parse_mask(mask)
+    assert fast_mask == slow_mask == fast_tree.mask == slow_tree.mask == tree.mask
+    for fast, slow, want in zip(fast_tree.values, slow_tree.values, tree.values):
+        assert np.array_equal(fast, slow) and np.array_equal(fast, want)

@@ -12,14 +12,9 @@ from bartree import (
     NoiseParams,
     ReproductionLaw,
     ValidationError,
-    mc_clt,
-    mc_consistency_rate,
-    mc_limit_matrices,
-    mc_qsl,
-    mc_variance_estimators,
 )
 from bartree import mc
-from bartree.mc import CHECKS, run_checks, worker_count
+from bartree.mc import run_checks, worker_count
 
 FULL = ReproductionLaw.full_observation()
 MISSING = ReproductionLaw.from_mean_matrix([[0.9, 0.4], [0.3, 0.8]])
@@ -105,9 +100,9 @@ def test_relative_check_holds_a_zero_target_absolute():
 
 def test_subcritical_law_rejected_before_simulation():
     with pytest.raises(DegenerateModelError):
-        mc_limit_matrices(_cfg(law=SUBCRITICAL))
+        run_checks(_cfg(law=SUBCRITICAL), ["limit_matrices"])
     with pytest.raises(DegenerateModelError):
-        mc_qsl(_cfg(law=SUBCRITICAL))
+        run_checks(_cfg(law=SUBCRITICAL), ["qsl"])
 
 
 # ---------------------------------------------------------------------------
@@ -123,7 +118,7 @@ def test_limit_matrices_zero_noise_deterministic():
         replicates=3,
         x1=2.0,
     )
-    report = mc_limit_matrices(cfg)
+    report = run_checks(cfg, ["limit_matrices"])[0]
     assert report.passed
     for check in report.checks:
         med = np.asarray(check.detail["median"])
@@ -136,7 +131,7 @@ def test_limit_matrices_deviation_shrinks_with_depth():
     # here); deviations must shrink and the deepest depth must be inside
     # tolerance
     cfg = _cfg(depths=(6, 10, 14), replicates=60, noise=NoiseParams(1.0, 0.5))
-    report = mc_limit_matrices(cfg)
+    report = run_checks(cfg, ["limit_matrices"])[0]
     worst = {}
     for check in report.checks:
         worst.setdefault(check.depth, 0.0)
@@ -148,7 +143,7 @@ def test_limit_matrices_deviation_shrinks_with_depth():
 def test_extinction_accounting():
     law = ReproductionLaw.from_tables({"11": 0.75, "00": 0.25}, {"11": 0.75, "00": 0.25})
     cfg = _cfg(law=law, depths=(10,), replicates=600)
-    report = mc_limit_matrices(cfg)
+    report = run_checks(cfg, ["limit_matrices"])[0]
     assert report.extinct[10] + report.surviving[10] == 600
     frac = report.surviving[10] / 600
     se = np.sqrt((2 / 3) * (1 / 3) / 600)
@@ -166,7 +161,7 @@ def test_consistency_rate_zero_noise():
         depths=(4, 6),
         replicates=3,
     )
-    report = mc_consistency_rate(cfg)
+    report = run_checks(cfg, ["consistency_rate"])[0]
     check = _check(report, "consistency_rate_bounded")
     assert check.passed
     assert all(v == 0.0 for v in check.detail["medians_by_depth"].values())
@@ -174,7 +169,7 @@ def test_consistency_rate_zero_noise():
 
 def test_consistency_rate_bounded_proxy():
     cfg = _cfg(depths=(8, 11, 14), replicates=60, noise=NoiseParams(1.0, 0.5))
-    report = mc_consistency_rate(cfg)
+    report = run_checks(cfg, ["consistency_rate"])[0]
     check = _check(report, "consistency_rate_bounded")
     assert check.passed
     meds = check.detail["medians_by_depth"]
@@ -192,7 +187,7 @@ def test_qsl_zero_noise():
         depths=(6,),
         replicates=3,
     )
-    report = mc_qsl(cfg)
+    report = run_checks(cfg, ["qsl"])[0]
     check = _check(report, "qsl_mean")
     assert check.target == 0.0
     assert check.empirical == 0.0
@@ -205,7 +200,7 @@ def test_qsl_report_carries_configured_target_and_oracle_tail():
     # tail-levels means of both forms settle at 4 sigma2 (measured 4.35
     # self-normalised and 4.51 with the limit design)
     cfg = _cfg(depths=(12,), replicates=100, noise=NoiseParams(1.0, 0.5), seed=7)
-    report = mc_qsl(cfg)
+    report = run_checks(cfg, ["qsl"])[0]
     for name in ("qsl_mean", "qsl_mean_limit_design"):
         check = _check(report, name)
         assert check.target == 4.0
@@ -221,7 +216,7 @@ def test_qsl_missing_law_runs_and_reports():
         replicates=120,
         seed=11,
     )
-    report = mc_qsl(cfg)
+    report = run_checks(cfg, ["qsl"])[0]
     check = _check(report, "qsl_mean")
     assert check.target == 4.0
     assert check.detail["printed_constant"] == pytest.approx(4.0 / 6.0, rel=1e-12)
@@ -238,7 +233,7 @@ def test_qsl_counts_extinction_like_the_other_checks():
     fitted = int((qsl.replicates[4][1]["levels"] > 0).sum())
     assert _check(qsl, "qsl_mean").detail["surviving"] == fitted < qsl.surviving[4]
     with pytest.raises(DegenerateModelError, match="unridged level"):
-        mc_qsl(_cfg(depths=(1,)))  # one mother per tree: every level is ridged
+        run_checks(_cfg(depths=(1,)), ["qsl"])  # one mother per tree: every level is ridged
 
 
 # ---------------------------------------------------------------------------
@@ -247,7 +242,7 @@ def test_qsl_counts_extinction_like_the_other_checks():
 
 def test_clt_checks_pass_at_moderate_scale():
     cfg = _cfg(depths=(10,), replicates=800, noise=NoiseParams(1.0, 0.0), seed=3)
-    report = mc_clt(cfg)
+    report = run_checks(cfg, ["clt"])[0]
     assert report.passed  # covariance, shape, coverage and variance checks
     assert _check(report, "theta_clt_covariance").passed
     assert _check(report, "theta_ci_coverage").passed
@@ -262,7 +257,7 @@ def test_clt_checks_pass_at_moderate_scale():
 
 def test_clt_correlated_noise_omits_independence_check():
     cfg = _cfg(depths=(9,), replicates=60, noise=NoiseParams(1.0, 0.5))
-    report = mc_clt(cfg)
+    report = run_checks(cfg, ["clt"])[0]
     assert not [c for c in report.checks if c.name == "block_independence"]
 
 
@@ -273,12 +268,13 @@ def test_clt_report_holds_no_nan():
     law = ReproductionLaw.from_tables({"11": 0.7, "10": 0.15, "01": 0.15},
                                       {"11": 0.7, "10": 0.15, "01": 0.15})
     with pytest.raises(DegenerateModelError, match="2 surviving replicates at depth 3, got 1"):
-        mc_clt(_cfg(law=law, depths=(3,), replicates=1))
+        run_checks(_cfg(law=law, depths=(3,), replicates=1), ["clt"])
     sparse = ReproductionLaw.from_tables({"10": 0.6, "01": 0.3, "11": 0.1},
                                          {"10": 0.6, "01": 0.3, "11": 0.1})
     noise = NoiseParams(1.0, 0.5)
     for seed, pairs in ((2, 1), (22, 2)):
-        report = mc_clt(_cfg(law=sparse, depths=(3,), replicates=4, seed=seed, noise=noise))
+        cfg = _cfg(law=sparse, depths=(3,), replicates=4, seed=seed, noise=noise)
+        report = run_checks(cfg, ["clt"])[0]
         cols = report.replicates[3][1]
         assert (~np.isnan(cols["rho_stat"][cols["survived"]])).sum() == pairs
         assert any(c.name == "rho_clt_variance" for c in report.checks) == (pairs >= 2)
@@ -296,14 +292,14 @@ def test_variance_estimators_zero_noise():
         depths=(6,),
         replicates=3,
     )
-    report = mc_variance_estimators(cfg)
+    report = run_checks(cfg, ["variance_estimators"])[0]
     check = _check(report, "sigma2_bias")
     assert check.target == 0.0 and check.empirical == 0.0 and check.passed
 
 
 def test_variance_estimators_full_observation():
     cfg = _cfg(depths=(12,), replicates=150, seed=5)
-    report = mc_variance_estimators(cfg)
+    report = run_checks(cfg, ["variance_estimators"])[0]
     check = _check(report, "sigma2_bias")
     assert check.target == 4.0
     # informational covariance-bias check rides along
@@ -318,8 +314,8 @@ def test_variance_estimators_full_observation():
 
 def test_report_reproducible_bit_for_bit():
     cfg = _cfg(depths=(9,), replicates=24, noise=NoiseParams(1.0, 0.5), seed=13)
-    a = mc_qsl(cfg).to_dict()
-    b = mc_qsl(cfg).to_dict()
+    a = run_checks(cfg, ["qsl"])[0].to_dict()
+    b = run_checks(cfg, ["qsl"])[0].to_dict()
     assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
 
 
@@ -344,10 +340,10 @@ def test_report_independent_of_worker_count(monkeypatch):
     assert len(mc._blocks(cfg, 9, list(range(24)))) == 6
     pools = _pool_entries(monkeypatch)
     monkeypatch.setenv("BARTREE_THREADS", "1")
-    serial = json.dumps(mc_qsl(cfg).to_dict(), sort_keys=True)
+    serial = json.dumps(run_checks(cfg, ["qsl"])[0].to_dict(), sort_keys=True)
     assert pools == []
     monkeypatch.setenv("BARTREE_THREADS", "2")
-    pooled = json.dumps(mc_qsl(cfg).to_dict(), sort_keys=True)
+    pooled = json.dumps(run_checks(cfg, ["qsl"])[0].to_dict(), sort_keys=True)
     assert pools == [2]
     assert serial == pooled
 
@@ -365,7 +361,7 @@ def _missing_doc(depths):
         "depths": depths,
         "replicates": 30,
         "seed": 21,
-        "checks": sorted(CHECKS),
+        "checks": ["clt", "consistency_rate", "limit_matrices", "qsl", "variance_estimators"],
     }
 
 
@@ -423,7 +419,7 @@ def test_checks_do_not_couple(tmp_path, monkeypatch):
         together = {r["check"]: r for r in json.loads(out.read_text())["reports"]}
         assert sorted(together) == names
         for name in names:
-            alone = json.loads(json.dumps(CHECKS[name](cfg).to_dict()))
+            alone = json.loads(json.dumps(run_checks(cfg, [name])[0].to_dict()))
             assert together[name] == alone, (threads, budget, name)
 
 
@@ -462,7 +458,7 @@ def test_verify_simulates_each_block_once(tmp_path, monkeypatch):
 
 def test_report_serializable_and_self_describing():
     cfg = _cfg(depths=(8,), replicates=20, seed=2)
-    report = mc_qsl(cfg)
+    report = run_checks(cfg, ["qsl"])[0]
     doc = report.to_dict()
     json.dumps(doc)  # must not raise
     assert doc["config"]["seed"] == 2
