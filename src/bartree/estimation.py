@@ -9,7 +9,7 @@ order makes a level's statistics independent of later generations and
 of the replicates summed beside it.  The estimator decouples into two
 2x2 systems (even and odd daughters), solved in closed form;
 near-singular designs are ridged by adding the identity, which the
-asymptotic theory makes harmless.
+asymptotic theory makes harmless; :func:`singular` decides it.
 
 A single tree is a forest of one replicate, so each statistic has one
 implementation, over ``(replicate, generation)`` rows.  The public
@@ -40,9 +40,6 @@ _R0, _R0X, _R1, _R1X = 9, 10, 11, 12  # least-squares right-hand side
 _M0, _M0X, _M1, _M1X = 13, 14, 15, 16  # score increments (true noise)
 _TE2, _TEP = 17, 18                  # true-noise square / pair-product sums
 _NCOLS = 19
-
-_RIDGE_RTOL = 1e-10
-_DET_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -239,18 +236,28 @@ def _block(row: np.ndarray, c: int, sx: int, sxx: int) -> np.ndarray:
     return row[..., [[c, sx], [sx, sxx]]]
 
 
-def _needs_ridge(block: np.ndarray) -> np.ndarray:
-    """Whether each 2x2 block ``(..., 2, 2)`` is numerically singular."""
-    m00, m01, m11 = block[..., 0, 0], block[..., 0, 1], block[..., 1, 1]
-    lam_min = 0.5 * (m00 + m11 - np.hypot(m00 - m11, 2.0 * m01))
-    return lam_min < _RIDGE_RTOL * (1.0 + m00 + m11)
+def conditioning(m: np.ndarray) -> np.ndarray:
+    """``|m00 m11 - m01 m10| / (|m00 m11| + |m01 m10|)`` of each ``m (..., 2, 2)``, in [0, 1].
+
+    No row or column scaling of ``m`` changes it; the zero matrix gives NaN."""
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        diag, off = m[..., 0, 0] * m[..., 1, 1], m[..., 0, 1] * m[..., 1, 0]
+        return np.abs(diag - off) / (np.abs(diag) + np.abs(off))
+
+
+def singular(m: np.ndarray) -> np.ndarray:
+    """Whether each ``m (..., 2, 2)`` has :func:`conditioning` at most 1e-10 or NaN."""
+    return ~(conditioning(m) > 1e-10)
 
 
 def solve2(m: np.ndarray, v: np.ndarray, what: str = "a 2x2 design block") -> np.ndarray:
-    """Cramer's rule for ``m x = v`` over any leading axes: ``m (..., 2, 2)``, ``v (..., 2)``."""
-    det = m[..., 0, 0] * m[..., 1, 1] - m[..., 0, 1] * m[..., 1, 0]
-    if np.any(np.abs(det) <= _DET_TOL):
+    """Cramer's rule for ``m x = v`` over leading axes, ``m (..., 2, 2)``, ``v (..., 2)``.
+
+    Raises :class:`NumericalError` if any ``m`` is :func:`singular`.
+    """
+    if np.any(singular(m)):
         raise NumericalError(f"singular system while computing {what}")
+    det = m[..., 0, 0] * m[..., 1, 1] - m[..., 0, 1] * m[..., 1, 0]
     return np.stack(
         [
             (m[..., 1, 1] * v[..., 0] - m[..., 0, 1] * v[..., 1]) / det,
@@ -350,13 +357,12 @@ class ThetaEstimate:
 def _solve_level(cum_row: np.ndarray):
     """Solve the two decoupled systems at each cumulative row ``(..., 19)``.
 
-    A row whose even or odd block is numerically singular gets the
-    identity added to both.  Returns the coefficients ``(..., 4)`` and
-    the ridge flags.
+    A row whose even or odd block is :func:`singular` gets the identity
+    added to both.  Returns the coefficients ``(..., 4)`` and the ridge flags.
     """
     s0 = _block(cum_row, _C0, _SX0, _SXX0)
     s1 = _block(cum_row, _C1, _SX1, _SXX1)
-    regularized = _needs_ridge(s0) | _needs_ridge(s1)
+    regularized = singular(s0) | singular(s1)
     ridge = np.where(regularized[..., None, None], np.eye(2), 0.0)
     s0, s1 = s0 + ridge, s1 + ridge
     rhs = cum_row[..., [_R0, _R0X, _R1, _R1X]]
@@ -369,8 +375,8 @@ def estimate_theta(tree: ObservedTree, n: int, moments: bool = True) -> ThetaEst
     """Least-squares coefficients from the observed tree through generation ``n``.
 
     Solves the two decoupled 2x2 systems over mothers of generations
-    ``0..n-1``; if either design block is numerically singular the
-    identity is added to the whole design (flagged as ``regularized``).
+    ``0..n-1``; if either design block is :func:`singular` (in any units
+    of the data) the identity is added to the whole design (``regularized``).
     Residuals at the fitted coefficients then give the noise variance
     and sister-covariance estimates together with their fourth-moment
     analogues used by the plug-in confidence intervals; ``moments=False``
@@ -453,8 +459,8 @@ def theta_path(tree: ObservedTree, n: int) -> ThetaPath:
 class MartingaleDiagnostics:
     """Score path, its normalised quadratic forms, and their running mean.
 
-    Levels whose design is singular (always the first one: a lone root
-    cannot identify two coefficients) are excluded from the quadratic
+    Levels whose design is :func:`singular` (always the first one: a lone
+    root cannot identify two coefficients) are excluded from the quadratic
     forms unless the score vanishes there; ``valid`` marks the levels
     entering ``qsl_running``.  For a forest every field carries a
     leading replicate axis.
@@ -480,18 +486,18 @@ def martingale_diagnostics(
     m = cum[..., [_M0, _M0X, _M1, _M1X]]
     s0 = _block(cum, _C0, _SX0, _SXX0)
     s1 = _block(cum, _C1, _SX1, _SXX1)
-    singular = _needs_ridge(s0) | _needs_ridge(s1)
+    ridged = singular(s0) | singular(s1)
     zero = ~m.any(axis=-1)
     # singular levels solve against the identity; their forms are discarded
-    eye = singular[..., None, None]
+    eye = ridged[..., None, None]
     s0, s1 = np.where(eye, np.eye(2), s0), np.where(eye, np.eye(2), s1)
 
     def form(x, s):  # x' s^-1 x; a stacked matmul gives a 2-vector's dot bit for bit
         return np.matmul(x[..., None, :], solve2(s, x)[..., None])[..., 0, 0]
 
     v = form(m[..., :2], s0) + form(m[..., 2:], s1)
-    valid = zero | ~singular
-    v_path = np.where(zero, 0.0, np.where(singular, np.nan, v))
+    valid = zero | ~ridged
+    v_path = np.where(zero, 0.0, np.where(ridged, np.nan, v))
     seen = np.cumsum(valid, axis=-1)
     sums = np.cumsum(np.where(valid, v_path, 0.0), axis=-1)
     qsl = np.where(seen > 0, sums / np.maximum(seen, 1), np.nan)

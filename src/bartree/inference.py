@@ -21,7 +21,7 @@ import numpy as np
 
 from .distributions import chi2_sf, normal_quantile
 from .errors import NumericalError, ValidationError
-from .estimation import ThetaEstimate, inverse2, sandwich
+from .estimation import ThetaEstimate, conditioning, inverse2, sandwich
 
 # the entries of the gap theta_even - theta_odd (intercept, slope) each test reads
 _CONTRASTS = {"pair": [0, 1], "intercept": [0], "slope": [1]}
@@ -112,10 +112,11 @@ def wald_test(est: ThetaEstimate, which: str) -> WaldTest:
     A contrast whose estimate is exactly zero is reported as statistic 0
     with p-value 1 even when the restricted covariance is singular.
     Otherwise a degenerate restricted covariance (a non-finite or
-    negative statistic, or a noiseless fit: ``sigma2_hat`` at most 1e-20
-    times the mothers' mean square, so the gap and ``V`` are rounding
-    residue) raises :class:`NumericalError` for a tree and gives a NaN
-    statistic and p-value for that replicate of a forest.
+    negative statistic, or a noiseless fit: ``sigma2_hat`` times the
+    blocks' smaller ``conditioning`` at most 1e-20 times the mothers'
+    mean square, so the gap and ``V`` are rounding residue) raises
+    :class:`NumericalError` for a tree and gives a NaN statistic and
+    p-value for that replicate of a forest.
     """
     if which not in _CONTRASTS:
         raise ValidationError(f"unknown contrast {which!r}; pick from {sorted(_CONTRASTS)}")
@@ -135,7 +136,8 @@ def wald_test(est: ThetaEstimate, which: str) -> WaldTest:
     df = len(_CONTRASTS[which])
     d = est.design
     mean_square = (d.s0[..., 1, 1] + d.s1[..., 1, 1]) / (d.s0[..., 0, 0] + d.s1[..., 0, 0])
-    noiseless = np.ravel(est.sigma2_hat <= 1e-20 * mean_square)
+    cond = np.minimum(conditioning(d.s0), conditioning(d.s1))  # rounding residue grows as 1/cond
+    noiseless = np.ravel(est.sigma2_hat * cond <= 1e-20 * mean_square)
     statistic[~((statistic >= 0.0) & (statistic < np.inf)) | noiseless] = np.nan
     statistic[~g[:, _CONTRASTS[which]].any(axis=1)] = 0.0
     p_value = np.array([chi2_sf(s, df) if s == s else np.nan for s in statistic.tolist()])

@@ -15,10 +15,8 @@ import numpy as np
 
 from .bar import BarParams, NoiseParams, noise_moments
 from .errors import DegenerateModelError, ValidationError
-from .estimation import inverse2, sandwich, solve2
+from .estimation import inverse2, sandwich, singular, solve2
 from .gw import GWSpectral
-
-_DET_TOL = 1e-12
 
 
 def _require_supercritical(spectrum: GWSpectral) -> None:
@@ -72,9 +70,8 @@ def design_limits(
 
 
 def _assert_pd(m: np.ndarray, name: str) -> None:
-    scale = 1.0 + m[0, 0] + m[1, 1]
-    det = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
-    if m[0, 0] <= _DET_TOL * scale or m[1, 1] <= _DET_TOL * scale or det <= _DET_TOL * scale * scale:
+    # a positive corner and determinant make a symmetric m definite; singular() reads no sign
+    if not (m[0, 0] > 0.0 and m[0, 0] * m[1, 1] > m[0, 1] * m[1, 0]) or singular(m):
         raise DegenerateModelError(f"{name} is not positive definite: parameter pathology")
 
 
@@ -95,7 +92,7 @@ class LimitMatrices:
 
 
 def limit_matrices(bar: BarParams, noise: NoiseParams, spectrum: GWSpectral) -> LimitMatrices:
-    """Assemble every limit object; rejects non-positive-definite designs."""
+    """Assemble every limit object; rejects type designs not positive definite or ``singular``."""
     l0, l1, l01 = design_limits(bar, noise, spectrum)
     _assert_pd(l0, "even-daughter design limit")
     _assert_pd(l1, "odd-daughter design limit")

@@ -1,6 +1,7 @@
 """Least-squares machinery: design accumulation, fits, diagnostics."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from bartree import (
     theta_path,
     true_noise_functionals,
 )
+from bartree.estimation import conditioning, inverse2, singular
 
 FULL = ReproductionLaw.full_observation()
 MISSING = ReproductionLaw.from_mean_matrix([[0.9, 0.4], [0.3, 0.8]])
@@ -111,6 +113,36 @@ def test_zero_noise_exact_recovery():
     assert np.allclose(est.theta_hat, [1.0, 0.5, 2.0, 0.25], atol=1e-10)
     assert abs(est.sigma2_hat) < 1e-20
     assert est.rho_hat is not None and abs(est.rho_hat) < 1e-20
+    # values that settle on their fixed point 0.4 give a nearly collinear
+    # odd-daughter design (conditioning about 2.3e-10), still solved: an
+    # exact fit, not a ridged one
+    bar = BarParams(0.3, 0.25, 0.3, 0.25)
+    for seed in (202, 417):
+        est = estimate_theta(simulate_joint(bar, NoiseParams(0.0), MISSING, 12, seed=seed), 12)
+        assert not est.regularized
+        assert np.abs(est.theta_hat - bar.as_vector()).max() <= 1e-6
+
+
+def test_conditioning_is_scale_free():
+    rng = np.random.default_rng(7)
+    general = rng.standard_normal((20, 2, 2))
+    for m in [*general, *(a @ a.T for a in rng.standard_normal((20, 2, 2)))]:
+        c = conditioning(m)
+        assert 0.0 < c <= 1.0 and not singular(m)
+        for scale in (1e-150, 1e150):
+            for i in range(2):
+                for j in range(2):
+                    scaled = m.copy()
+                    scaled[i] *= scale
+                    scaled[:, j] *= scale
+                    assert math.isclose(conditioning(scaled), c, rel_tol=1e-12)
+                    assert not singular(scaled)
+    # no value, no verdict: both singular, and silently so
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert singular(np.zeros((2, 2))) and singular(np.full((2, 2), np.nan))
+        assert singular(np.array([[1.0, 2.0], [2.0, 4.0]])) and singular(np.ones((2, 2)))
+    np.testing.assert_allclose(inverse2(1e-7 * np.eye(2)), 1e7 * np.eye(2), rtol=1e-15, atol=0.0)
 
 
 def test_regularized_single_mother_fit():

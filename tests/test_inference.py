@@ -25,9 +25,11 @@ from bartree import (
     simulate_joint,
     spectral,
     theta_cis,
+    theta_path,
     wald_test,
 )
 from bartree.distributions import chi2_sf, ks_normal_distance, normal_quantile
+from bartree.estimation import conditioning
 from bartree.inference import _covariance
 
 FULL = ReproductionLaw.full_observation()
@@ -180,6 +182,13 @@ def test_noiseless_fit_gets_no_wald_verdict():
                        x1=1e4, seed=1)
     for name in ("pair", "intercept", "slope"):
         assert 0.0 < wald_test(estimate_theta(t, 11), name).p_value <= 1.0
+    # near-singular small trees too: the floor scales with the design's
+    # condition number (seed 13 fits 10 and 11 cells exactly)
+    for seed, depth in ((202, 12), (417, 12), (13, 9), (13, 12)):
+        est = _fit(bar, NoiseParams(0.0), depth=depth, seed=seed, law=MISSING)
+        for name in ("pair", "intercept", "slope"):
+            with pytest.raises(NumericalError):
+                wald_test(est, name)
 
 
 def test_unknown_contrast():
@@ -201,6 +210,22 @@ def test_rescaling_invariance_of_slope_test():
     w1 = wald_test(est, "slope")
     w2 = wald_test(est2, "slope")
     assert math.isclose(w1.statistic, w2.statistic, rel_tol=1e-9)
+    # the fit is equivariant in any units: c scales intercepts by c and
+    # sigma2_hat by c^2, and no level's ridge decision moves
+    for law, depth in ((FULL, 10), (MISSING, 16)):
+        t = simulate_joint(bar, NoiseParams(1.0), law, depth=depth, seed=3)
+        est, path = estimate_theta(t, depth), theta_path(t, depth)
+        base = [wald_test(est, name) for name in ("pair", "intercept", "slope")]
+        for c in (1e-9, 1e-6, 1e-3, 1e3, 1e6, 1e9):
+            scaled = type(t)(mask=t.mask, values=[c * v for v in t.values])
+            est2 = estimate_theta(scaled, depth)
+            assert np.array_equal(theta_path(scaled, depth).regularized, path.regularized)
+            got = [*est2.theta_hat[[1, 3]], *est2.theta_hat[[0, 2]] / c, est2.sigma2_hat / c**2]
+            want = [*est.theta_hat[[1, 3]], *est.theta_hat[[0, 2]], est.sigma2_hat]
+            for w1, w2 in zip(base, (wald_test(est2, w.name) for w in base)):
+                got += [w2.statistic, w2.p_value]
+                want += [w1.statistic, w1.p_value]
+            np.testing.assert_allclose(got, want, rtol=1e-8, atol=0.0)
 
 
 def test_pair_statistic_invariant_at_small_scale():
@@ -231,7 +256,8 @@ def test_forest_wald_matches_solve_oracle():
             cov = _sandwich_oracle(d.s0[i], d.s1[i], d.s01[i], est.sigma2_hat[i], rho[i])
             gap = r @ est.theta_hat[i]
             mean_square = (d.s0[i, 1, 1] + d.s1[i, 1, 1]) / (d.s0[i, 0, 0] + d.s1[i, 0, 0])
-            if gap.any() and est.sigma2_hat[i] <= 1e-20 * mean_square:
+            cond = min(conditioning(d.s0[i]), conditioning(d.s1[i]))
+            if gap.any() and est.sigma2_hat[i] * cond <= 1e-20 * mean_square:
                 continue  # a noiseless fit (an exactly fitted small tree): no verdict
             try:
                 stat = 0.0 if not gap.any() else gap @ np.linalg.solve(r @ cov @ r.T, gap)

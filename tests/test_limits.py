@@ -15,6 +15,7 @@ from bartree import (
     noise_moments,
     spectral,
 )
+from bartree.limits import _assert_pd
 
 FULL = spectral(ReproductionLaw.full_observation())
 MISSING = spectral(ReproductionLaw.from_mean_matrix([[0.9, 0.4], [0.3, 0.8]]))
@@ -216,6 +217,17 @@ def test_limit_matrices_reject_degenerate_design():
     bar = BarParams(0.0, 0.5, 0.0, 0.5)
     with pytest.raises(DegenerateModelError):
         limit_matrices(bar, NoiseParams(0.0), FULL)
+
+
+def test_pd_gate_reads_sign_not_scale():
+    with pytest.raises(DegenerateModelError):
+        _assert_pd(np.array([[1.0, 2.0], [2.0, 1.0]]), "an indefinite matrix")
+    _assert_pd(1e-14 * np.eye(2), "a small definite matrix")
+    # a model in units of 1e-7: the coefficient covariance does not move
+    unit = limit_matrices(BarParams(0.5, 0.3, -0.4, 0.7), NoiseParams(1.0), FULL)
+    small = limit_matrices(BarParams(5e-8, 0.3, -4e-8, 0.7), NoiseParams(1e-14), FULL)
+    assert small.theta_cov[1, 1] == pytest.approx(unit.theta_cov[1, 1], rel=1e-12)
+    assert round(small.theta_cov[1, 1], 5) == 0.59921
 
 
 def test_continuity_toward_full_observation():
