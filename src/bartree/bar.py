@@ -20,7 +20,7 @@ from . import rng, tree
 from .errors import ValidationError
 from .gw import ObservationMask, ReproductionLaw, simulate_mask
 
-_COV_TOL = 1e-12
+_COV_RTOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -64,7 +64,8 @@ class NoiseParams:
 
     The law is the bivariate Gaussian, whose fourth moments have closed
     forms.  ``rho`` may reach ``sigma2`` in absolute value (perfectly
-    correlated sisters), and ``sigma2 = 0`` gives the deterministic
+    correlated sisters), and pass it by a 1e-12 share of ``sigma2``, a
+    rounding slack with no unit; ``sigma2 = 0`` gives the deterministic
     zero-noise model used by exact-recovery fixtures.
     """
 
@@ -75,7 +76,7 @@ class NoiseParams:
     def __post_init__(self):
         if not math.isfinite(self.sigma2) or self.sigma2 < 0.0:
             raise ValidationError(f"sigma2 must be >= 0, got {self.sigma2}")
-        if abs(self.rho) > self.sigma2 + _COV_TOL:
+        if not abs(self.rho) <= self.sigma2 * (1.0 + _COV_RTOL):  # NaN fails too
             raise ValidationError(
                 f"invalid covariance: |rho| = {abs(self.rho)} exceeds sigma2 = {self.sigma2}"
             )
@@ -110,7 +111,9 @@ class ObservedTree:
     A tree is immutable, so the estimation functions memoise what they
     derive from it (per-generation frames, the generation rows of the
     statistics table and their running sums across generations) in
-    ``_memo``: every function called on one tree shares one build.
+    ``_memo``: every function called on one tree shares one build.  The
+    frame of a generation whose mothers all have both daughters observed
+    holds views of these arrays, not copies.
     """
 
     mask: ObservationMask
@@ -167,7 +170,8 @@ def _fill_generation(bar, noise, xk, z, flags):
     into sister noises with covariance ``[[sigma2, rho], [rho, sigma2]]``.
     Both daughters of every mother are formed as ``(mothers, 2)`` rows;
     the offspring ``flags`` (row-major, the next generation's order)
-    keep the observed ones.
+    keep the observed ones.  When every flag is set the rows already
+    are the next generation, and they are returned flattened, uncopied.
     """
     sig = math.sqrt(noise.sigma2)
     rp = noise.rho_prime
@@ -179,9 +183,12 @@ def _fill_generation(bar, noise, xk, z, flags):
     child[:, 0] = sig * z[:, 0]
     child[:, 1] = sig * (rp * z[:, 0] + mix * z[:, 1])
     child += drift
-    x_next = child[flags]
-    del child  # before the noise compress: it sets a deep tree's peak memory
-    e_next = drift[flags]
+    if flags.all():
+        x_next, e_next = child.reshape(-1), drift.reshape(-1)
+    else:
+        x_next = child[flags]
+        del child  # before the noise compress: it sets a deep tree's peak memory
+        e_next = drift[flags]
     np.subtract(x_next, e_next, out=e_next)
     return x_next, e_next
 

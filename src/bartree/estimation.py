@@ -44,7 +44,12 @@ _NCOLS = 19
 
 @dataclass(frozen=True)
 class _Frame:
-    """Mother values and daughter data of one generation, zero-masked."""
+    """Mother values and daughter data of one generation, zero where unobserved.
+
+    ``full`` marks a generation whose mothers all have both daughters
+    observed; its daughter and noise columns are then strided views of
+    the next generation's arrays.
+    """
 
     xk: np.ndarray
     has_e: np.ndarray
@@ -53,6 +58,7 @@ class _Frame:
     xo: np.ndarray
     eps_e: np.ndarray
     eps_o: np.ndarray
+    full: bool = False
 
 
 def _frame(tree, r: int) -> _Frame | None:
@@ -60,15 +66,21 @@ def _frame(tree, r: int) -> _Frame | None:
 
     The offspring flags lay the next generation out row-major, so
     filling a zeroed ``(mothers, 2)`` array through them puts each
-    daughter beside its mother.  A forest's frame concatenates its
-    replicates' generations.
+    daughter beside its mother; when every flag is set, the next
+    generation reshaped to ``(mothers, 2)`` already is that array, and
+    the frame holds its columns as views.  A forest's frame concatenates
+    its replicates' generations.
     """
     xk = tree.values[r]
     if xk.size == 0:
         return None
     flags = tree.mask.offspring[r]
+    full = bool(flags.all())
 
     def expand(daughters):
+        if full and daughters is not None:
+            pair = daughters.reshape(flags.shape)
+            return pair[:, 0], pair[:, 1]
         pair = np.zeros(flags.shape)
         if daughters is not None:
             pair[flags] = daughters
@@ -76,7 +88,7 @@ def _frame(tree, r: int) -> _Frame | None:
 
     xe, xo = expand(tree.values[r + 1])
     eps_e, eps_o = expand(tree.noise[r + 1] if tree.has_noise else None)
-    return _Frame(xk, flags[:, 0], flags[:, 1], xe, xo, eps_e, eps_o)
+    return _Frame(xk, flags[:, 0], flags[:, 1], xe, xo, eps_e, eps_o, full)
 
 
 def _frames(tree, upto: int) -> list[_Frame | None]:
@@ -93,40 +105,41 @@ def _frames(tree, upto: int) -> list[_Frame | None]:
 def _generation_stats(f: _Frame, bounds: np.ndarray, forest: bool) -> np.ndarray:
     """Statistics rows ``(R, 19)`` of one generation: sums over each replicate's mothers.
 
+    The columns follow the layout above: nine design sums, then ten data sums.
+
     The two layouts part here (and in :func:`_residual_sums`): a forest
-    sums segments of the per-cell terms ``(19, cells)``; a single tree
-    reduces each column directly and holds no term array.  One
-    ``np.add.reduceat`` path for both was measured slower in wall time:
-    by 10-30% on the ``deep_full`` benchmark (one 2M-cell full tree) and
-    about 20% on ``mc_full``; a deep tree then also holds the per-cell
-    terms, 152 B per mother.
+    sums segments of the per-cell terms; a single tree reduces each
+    column directly and holds no term array.  One ``np.add.reduceat``
+    path for both was measured slower in wall time: by 10-30% on the
+    ``deep_full`` benchmark (one 2M-cell full tree) and about 20% on
+    ``mc_full``; a deep tree then also holds the per-cell terms, 152 B
+    per mother.  A full frame's even, odd and both-daughters masks are
+    all ones, so its three design sums are formed once and repeated.
+    A tree's reductions read contiguous copies of the frame's columns:
+    BLAS takes another summation order on strided vectors.
     """
     xk, xk2 = f.xk, f.xk * f.xk
-    e, o = f.has_e.astype(float), f.has_o.astype(float)
-    p = e * o
+    if f.full:
+        masks = [np.ones(xk.size)]
+    else:
+        e, o = f.has_e.astype(float), f.has_o.astype(float)
+        masks = [e, o, e * o]
     if forest:
-        t = np.empty((_NCOLS, xk.size))
-        t[_C0], t[_SX0], t[_SXX0] = e, xk * e, xk2 * e
-        t[_C1], t[_SX1], t[_SXX1] = o, xk * o, xk2 * o
-        t[_CP], t[_SXP], t[_SXXP] = p, xk * p, xk2 * p
-        t[_R0], t[_R0X] = f.xe, xk * f.xe
-        t[_R1], t[_R1X] = f.xo, xk * f.xo
-        t[_M0], t[_M0X] = f.eps_e, xk * f.eps_e
-        t[_M1], t[_M1X] = f.eps_o, xk * f.eps_o
-        t[_TE2] = f.eps_e * f.eps_e + f.eps_o * f.eps_o
-        t[_TEP] = f.eps_e * f.eps_o
-        return _segment_sums(t, bounds)
-    row = np.empty(_NCOLS)
-    row[_C0], row[_SX0], row[_SXX0] = e.sum(), xk @ e, xk2 @ e
-    row[_C1], row[_SX1], row[_SXX1] = o.sum(), xk @ o, xk2 @ o
-    row[_CP], row[_SXP], row[_SXXP] = p.sum(), xk @ p, xk2 @ p
-    row[_R0], row[_R0X] = f.xe.sum(), xk @ f.xe
-    row[_R1], row[_R1X] = f.xo.sum(), xk @ f.xo
-    row[_M0], row[_M0X] = f.eps_e.sum(), xk @ f.eps_e
-    row[_M1], row[_M1X] = f.eps_o.sum(), xk @ f.eps_o
-    row[_TE2] = f.eps_e @ f.eps_e + f.eps_o @ f.eps_o
-    row[_TEP] = f.eps_e @ f.eps_o
-    return row
+        t = np.empty((3 * len(masks) + 10, xk.size))
+        for i, m in enumerate(masks):
+            t[3 * i], t[3 * i + 1], t[3 * i + 2] = m, xk * m, xk2 * m
+        data = t[3 * len(masks):]
+        data[0], data[1], data[2], data[3] = f.xe, xk * f.xe, f.xo, xk * f.xo
+        data[4], data[5], data[6], data[7] = f.eps_e, xk * f.eps_e, f.eps_o, xk * f.eps_o
+        data[8], data[9] = f.eps_e * f.eps_e + f.eps_o * f.eps_o, f.eps_e * f.eps_o
+        sums = _segment_sums(t, bounds)
+    else:
+        xe, xo, eps_e, eps_o = map(np.ascontiguousarray, (f.xe, f.xo, f.eps_e, f.eps_o))
+        sums = np.array([s for m in masks for s in (m.sum(), xk @ m, xk2 @ m)] + [
+            xe.sum(), xk @ xe, xo.sum(), xk @ xo, eps_e.sum(), xk @ eps_e,
+            eps_o.sum(), xk @ eps_o, eps_e @ eps_e + eps_o @ eps_o, eps_e @ eps_o])
+    design = sums[..., :-10]
+    return np.concatenate([design] * (9 // design.shape[-1]) + [sums[..., -10:]], axis=-1)
 
 
 def _finite(sums: np.ndarray) -> np.ndarray:
@@ -176,8 +189,10 @@ def _residual_sums(f: _Frame, theta: np.ndarray, bounds: np.ndarray, forest: boo
         a, b, c, d = np.repeat(theta, np.diff(bounds), axis=0).T
     else:
         a, b, c, d = theta[0]
-    re = np.where(f.has_e, f.xe - (a + b * f.xk), 0.0)
-    ro = np.where(f.has_o, f.xo - (c + d * f.xk), 0.0)
+    re = f.xe - (a + b * f.xk)
+    ro = f.xo - (c + d * f.xk)
+    if not f.full:
+        re, ro = np.where(f.has_e, re, 0.0), np.where(f.has_o, ro, 0.0)
     re2, ro2 = re * re, ro * ro
     if not forest:
         if fourth:

@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
 from typing import Any, Callable
 
@@ -188,6 +187,9 @@ def _map_ordered(fn: Callable, payloads: list) -> list:
     workers = worker_count()
     if workers == 1 or len(payloads) == 1:
         return [fn(p) for p in payloads]
+    # imported here: loading multiprocessing costs every interpreter that imports bartree
+    from concurrent.futures import ProcessPoolExecutor
+
     chunk = max(1, len(payloads) // (4 * workers))
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, payloads, chunksize=chunk))

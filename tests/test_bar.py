@@ -50,6 +50,19 @@ def test_noise_params_covariance_gate():
         NoiseParams(1.0, 1.5)
     with pytest.raises(ValidationError):
         NoiseParams(-1.0, 0.0)
+    with pytest.raises(ValidationError):
+        NoiseParams(1.0, float("nan"))  # it would simulate NaN values
+
+
+def test_noise_params_covariance_gate_is_relative():
+    # |rho| <= sigma2 in any units: an absolute slack admits an indefinite
+    # covariance on a tiny scale and rejects a rounding excess on a large one
+    for sigma2, rho in ((1e-14, 5e-13), (0.0, 1e-13), (1e-14, -1.1e-14)):
+        with pytest.raises(ValidationError, match="invalid covariance"):
+            NoiseParams(sigma2, rho)
+    big = NoiseParams(1e6, 1e6 * (1 + 1e-15))
+    assert big.rho > big.sigma2 and big.rho_prime == 1.0
+    assert NoiseParams(1e-14, -1e-14).rho_prime == -1.0
 
 
 def test_rho_prime_derivation():

@@ -391,6 +391,15 @@ def test_non_gaussian_noise_family_exits_2(tmp_path, capsys, no_simulation):
     assert "unsupported noise family 'laplace'" in err
 
 
+def test_indefinite_noise_covariance_exits_2(tmp_path, capsys):
+    # |rho| > sigma2 on a tiny scale is no perfectly correlated law
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(model_doc(noise={"sigma2": 1e-14, "rho": 5e-13})))
+    out = tmp_path / "o.csv"
+    err = _one_line_exit_2(["simulate", "--config", str(path), "--output", str(out)], capsys)
+    assert "invalid covariance" in err and not out.exists()
+
+
 def test_non_finite_numbers_exit_2(tmp_path, capsys, no_simulation):
     # JSON reads NaN and Infinity, argparse reads "nan": neither is a model value
     path = tmp_path / "mc.json"

@@ -3,16 +3,18 @@
 The mask draw, the noise fill and the frames build each generation from
 its ``(cells, 2)`` offspring flags in one numpy pass.  Here each is
 recomputed cell by cell over node ids, with Python floats, and must
-agree bit for bit.
+agree bit for bit.  A generation whose flags are all set takes views and
+three design sums instead; its statistics must match the zero-filled path.
 """
 
+import dataclasses
 import math
 
 import numpy as np
 from hypothesis import example, given, settings, strategies as st
 
-from bartree import BarParams, NoiseParams, ReproductionLaw, rng, simulate_joint
-from bartree.estimation import _frames
+from bartree import BarParams, NoiseParams, ObservedTree, ReproductionLaw, rng, simulate_joint
+from bartree.estimation import _frames, _generation_stats, _residual_sums
 from bartree.gw import OUTCOMES
 
 LAWS = {
@@ -104,3 +106,46 @@ def test_kernels_match_per_cell_reference(law, depth, root_type, seeds, forest):
             assert has.tolist() == [kid in v for kid, v, _ in kids]
             assert x.tobytes() == _bits([v.get(kid, 0.0) for kid, v, _ in kids])
             assert eps.tobytes() == _bits([e.get(kid, 0.0) for kid, _, e in kids])
+
+
+def _zero_filled(tree, r, f):
+    """Generation ``r``'s frame ``f`` rebuilt on the general path: zero-filled column copies."""
+    flags = tree.mask.offspring[r]
+
+    def expand(daughters):
+        pair = np.zeros(flags.shape)
+        pair[flags] = daughters
+        return pair[:, 0].copy(), pair[:, 1].copy()
+
+    xe, xo = expand(tree.values[r + 1])
+    eps_e, eps_o = expand(tree.noise[r + 1] if tree.has_noise else np.zeros(flags.sum()))
+    return dataclasses.replace(f, xe=xe, xo=xo, eps_e=eps_e, eps_o=eps_o, full=False)
+
+
+@settings(deadline=None, max_examples=30)
+@given(
+    depth=st.integers(min_value=0, max_value=12),
+    noise=st.sampled_from([NoiseParams(0.0), NOISE, NoiseParams(1.0, -0.3)]),
+    seeds=st.lists(st.integers(min_value=0, max_value=2**32 - 1), min_size=1, max_size=3),
+    forest=st.booleans(),
+    x1=st.floats(min_value=-20.0, max_value=20.0).filter(lambda x: x != 0.0),
+)
+@example(depth=12, noise=NOISE, seeds=[3], forest=False, x1=2.5)
+@example(depth=9, noise=NoiseParams(0.0), seeds=[3, 4], forest=True, x1=-1.5)
+def test_full_generation_kernels_match_zero_filled(depth, noise, seeds, forest, x1):
+    seed = seeds if forest else seeds[0]
+    got = simulate_joint(BAR, noise, LAWS["full"], depth, x1=x1, seed=seed)
+    data = ObservedTree(mask=got.mask, values=got.values)  # no recorded noise
+    reps = got.mask.replicates
+    thetas = np.random.default_rng(depth).normal(size=(depth, reps, 4))
+    for tree in (got, data):
+        frames = _frames(tree, depth - 1) if depth else []
+        for r, f in enumerate(frames):
+            assert f.full
+            ref = _zero_filled(tree, r, f)
+            bounds = tree.mask.bounds[r]
+            assert (_generation_stats(f, bounds, forest).tobytes()
+                    == _generation_stats(ref, bounds, forest).tobytes())
+            for fourth in (False, True):
+                assert (_residual_sums(f, thetas[r], bounds, forest, fourth).tobytes()
+                        == _residual_sums(ref, thetas[r], bounds, forest, fourth).tobytes())

@@ -1,5 +1,6 @@
 """Monte Carlo harness: reports, determinism, small-scale theorem checks."""
 
+import concurrent.futures
 import json
 
 import numpy as np
@@ -323,12 +324,12 @@ def _pool_entries(monkeypatch):
     """Worker counts of the pools ``mc`` enters, in order."""
     entries = []
 
-    class Spy(mc.ProcessPoolExecutor):
+    class Spy(concurrent.futures.ProcessPoolExecutor):
         def __enter__(self):
             entries.append(self._max_workers)
             return super().__enter__()
 
-    monkeypatch.setattr(mc, "ProcessPoolExecutor", Spy)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Spy)
     return entries
 
 
