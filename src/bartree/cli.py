@@ -5,8 +5,8 @@ Subcommands: ``simulate`` writes a lineage CSV from a model config,
 noise estimates, confidence intervals, symmetry tests, growth rate),
 ``gw`` reports growth-rate and extinction diagnostics for a mask CSV,
 and ``verify`` runs a Monte Carlo experiment config and writes its
-report.  Exit codes: 0 success, 2 validation problems, 3 numerical
-degeneracies.
+report.  Exit codes: 0 success, 2 validation problems and runs too large
+for the memory, 3 numerical degeneracies.
 """
 
 from __future__ import annotations
@@ -224,6 +224,9 @@ def run_cli(argv: list[str]) -> int:
         return EXIT_NUMERICAL
     except OSError as exc:  # a missing or unreadable path, or a directory
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_VALIDATION
+    except MemoryError as exc:  # a run too large for the memory
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 
 

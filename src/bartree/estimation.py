@@ -92,10 +92,10 @@ def _frame(tree, r: int) -> _Frame | None:
 
 
 def _frames(tree, upto: int) -> list[_Frame | None]:
-    """Frames of the mothers in generations ``0..upto``, memoised on the tree."""
-    if upto + 1 > tree.depth:
+    """Frames of the mothers in generations ``0..upto``, memoised; the one level range check."""
+    if not 0 <= upto < tree.depth:
         raise ValidationError(
-            f"daughters of generation {upto} need tree depth {upto + 1}, have {tree.depth}"
+            f"mothers' generation {upto} is outside 0..{tree.depth - 1} in this depth-{tree.depth} tree"
         )
     frames = tree._memo.setdefault("frames", [])
     frames.extend(_frame(tree, r) for r in range(len(frames), upto + 1))
@@ -316,11 +316,11 @@ class DesignMatrices:
     t_star_pairs: int  # observed cells with both daughters observed
 
 
-def _design(mask, cum: np.ndarray, n: int, ridge=0.0) -> DesignMatrices:
+def _design(mask, cum: np.ndarray, n: int) -> DesignMatrices:
     """Design matrices over mothers ``0..n`` from cumulative rows ``(R, 19)``."""
     return DesignMatrices(
-        s0=_block(cum, _C0, _SX0, _SXX0) + ridge,
-        s1=_block(cum, _C1, _SX1, _SXX1) + ridge,
+        s0=_block(cum, _C0, _SX0, _SXX0),
+        s1=_block(cum, _C1, _SX1, _SXX1),
         s01=_block(cum, _CP, _SXP, _SXXP),
         t_star=mask.cells_through(n),
         t_star_pairs=np.rint(cum[:, _CP]).astype(np.int64),
@@ -372,8 +372,9 @@ class ThetaEstimate:
 def _solve_level(cum_row: np.ndarray):
     """Solve the two decoupled systems at each cumulative row ``(..., 19)``.
 
-    A row whose even or odd block is :func:`singular` gets the identity
-    added to both.  Returns the coefficients ``(..., 4)`` and the ridge flags.
+    The one ridge rule: a row whose even or odd block is :func:`singular`
+    gets the identity added to both.  Returns the coefficients ``(..., 4)``,
+    the ridge flags and the two ridged blocks ``(..., 2, 2)`` it solved.
     """
     s0 = _block(cum_row, _C0, _SX0, _SXX0)
     s1 = _block(cum_row, _C1, _SX1, _SXX1)
@@ -382,7 +383,7 @@ def _solve_level(cum_row: np.ndarray):
     s0, s1 = s0 + ridge, s1 + ridge
     rhs = cum_row[..., [_R0, _R0X, _R1, _R1X]]
     theta = np.concatenate([solve2(s0, rhs[..., :2]), solve2(s1, rhs[..., 2:])], axis=-1)
-    return theta, regularized
+    return theta, regularized, s0, s1
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -399,8 +400,6 @@ def estimate_theta(tree: ObservedTree, n: int, moments: bool = True) -> ThetaEst
     too (a bare root gives a ridged zero fit); callers discard them.
     ``solve_residual`` is ``|S theta - rhs| / (1 + |rhs|)`` at the ridged design ``S``.
     """
-    if n < 1:
-        raise ValidationError(f"estimation needs n >= 1, got {n}")
     mask = tree.mask
     frames, cum = _statistics(tree, n - 1, [n - 1])
     cum = cum[:, 0]
@@ -408,8 +407,8 @@ def estimate_theta(tree: ObservedTree, n: int, moments: bool = True) -> ThetaEst
     if not mask.forest and t_star[0] <= 1:
         raise EstimationError("no observed daughters: the observed tree is the bare root")
 
-    theta, regularized = _solve_level(cum)
-    design = _design(mask, cum, n - 1, np.where(regularized[:, None, None], np.eye(2), 0.0))
+    theta, regularized, s0, s1 = _solve_level(cum)
+    design = dataclasses.replace(_design(mask, cum, n - 1), s0=s0, s1=s1)
     rhs = cum[:, [_R0, _R0X, _R1, _R1X]]
     fitted = np.concatenate(
         [np.einsum("...ij,...j->...i", design.s0, theta[..., :2]),
@@ -458,10 +457,8 @@ class ThetaPath:
 @np.errstate(over="ignore", invalid="ignore")
 def theta_path(tree: ObservedTree, n: int) -> ThetaPath:
     """All level-``l`` fits for ``l = 1..n`` in one pass, each ridged as in :func:`estimate_theta`."""
-    if n < 1:
-        raise ValidationError(f"estimation needs n >= 1, got {n}")
     _, cum = _statistics(tree, n - 1, range(n))
-    thetas, flags = _solve_level(cum)
+    thetas, flags, _, _ = _solve_level(cum)
     design = np.zeros(cum.shape[:-1] + (4, 4))
     design[..., :2, :2] = _block(cum, _C0, _SX0, _SXX0)
     design[..., 2:, 2:] = _block(cum, _C1, _SX1, _SXX1)
@@ -494,18 +491,10 @@ def martingale_diagnostics(
     """Score diagnostics against the true coefficients (simulation mode)."""
     if not tree.has_noise:
         raise ValidationError("martingale diagnostics need recorded true noise")
-    if up_to_n < 1:
-        raise ValidationError(f"need up_to_n >= 1, got {up_to_n}")
-    n = up_to_n
-    _, cum = _statistics(tree, n - 1, range(n))
+    _, cum = _statistics(tree, up_to_n - 1, range(up_to_n))
     m = cum[..., [_M0, _M0X, _M1, _M1X]]
-    s0 = _block(cum, _C0, _SX0, _SXX0)
-    s1 = _block(cum, _C1, _SX1, _SXX1)
-    ridged = singular(s0) | singular(s1)
+    _, ridged, s0, s1 = _solve_level(cum)  # the forms of ridged levels are discarded
     zero = ~m.any(axis=-1)
-    # singular levels solve against the identity; their forms are discarded
-    eye = ridged[..., None, None]
-    s0, s1 = np.where(eye, np.eye(2), s0), np.where(eye, np.eye(2), s1)
 
     def form(x, s):  # x' s^-1 x; a stacked matmul gives a 2-vector's dot bit for bit
         return np.matmul(x[..., None, :], solve2(s, x)[..., None])[..., 0, 0]
@@ -551,11 +540,9 @@ def sequential_variance_functionals(
     covariance is ``None`` (NaN in a forest) when no mother has both
     daughters observed.
     """
-    if n < 1:
-        raise ValidationError(f"estimation needs n >= 1, got {n}")
     mask = tree.mask
     frames, cum = _statistics(tree, n - 1, range(n))
-    fits, ridged = _solve_level(cum)
+    fits, ridged, _, _ = _solve_level(cum)
     level = np.maximum(np.arange(n), 1)  # the fit generation r's residuals are taken at
     level = np.where(ridged[:, level - 1], n, level)
     thetas = np.take_along_axis(fits, level[..., None] - 1, axis=1)

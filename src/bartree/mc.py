@@ -35,6 +35,7 @@ from .bar import BarParams, NoiseParams, simulate_joint
 from .distributions import _check_level, ks_normal_distance
 from .errors import DegenerateModelError, ValidationError
 from .gw import OUTCOMES, ReproductionLaw, expected_cells, spectral
+from .tree import check_depth
 
 _KS_THRESHOLD = 0.05
 _ZERO_TOL = 1e-12
@@ -67,6 +68,8 @@ class McConfig:
         depths = tuple(self.depths)
         if not depths or list(depths) != sorted(set(depths)):
             raise ValidationError("depths must be non-empty and strictly ascending")
+        for depth in depths:
+            check_depth(depth)
         object.__setattr__(self, "depths", depths)
         rng.check_seed(self.seed)
         _check_level(self.level)
@@ -312,9 +315,12 @@ def _rep_clt(cfg, depth, forest):
         sigma_ci, rho_ci, _ = inference.sigma_rho_cis(est, cfg.level)
     sigma2, rho = cfg.noise.sigma2, cfg.noise.rho
     with_pairs = pairs > 0
+    scaled = np.sqrt(est.t_star_parents)[:, None] * (est.theta_hat - truth)
+    cover = np.stack([ci.covers(t) for ci, t in zip(cis.values(), truth)], axis=-1)
+    ridged = est.regularized[:, None]  # NaN marks a ridged fit: it carries the identity's bias
     return {
-        "scaled_theta": np.sqrt(est.t_star_parents)[:, None] * (est.theta_hat - truth),
-        "cover": np.stack([ci.covers(t) for ci, t in zip(cis.values(), truth)], axis=-1),
+        "scaled_theta": np.where(ridged, np.nan, scaled),
+        "cover": np.where(ridged, np.nan, cover),
         "sigma_stat": np.sqrt(est.t_star) * (est.sigma2_hat - sigma2),
         "sigma_cover": sigma_ci.covers(sigma2),
         "rho_stat": np.where(with_pairs, np.sqrt(pairs) * (est.rho_hat - rho), np.nan),
@@ -351,6 +357,7 @@ class _Part:
     reduce: Callable[[dict[int, dict[str, np.ndarray]]], list[StatCheck]]
     extra: tuple = ()
     grown: int = 0
+    least: int = 1  # the least depth the check's statistic is defined at
 
 
 def _run_block(job):
@@ -372,12 +379,12 @@ def _run_block(job):
 def run_checks(cfg: McConfig, names) -> list[McReport]:
     """Run the named checks on shared simulations: one report per name, in order.
 
-    Each check is set up first, so a config it rejects fails before
-    anything is simulated.  The tasks of every check are then grouped by
-    seed set; each seed set is split into blocks sized for the deepest
-    tree its tasks need, and every block is simulated once and serves
-    all of them.  All blocks go to one worker pool.  An unknown name is
-    a :class:`ValidationError` naming the available checks.
+    Each check is set up and held to its least depth first, so a config it
+    rejects fails before anything is simulated.  The tasks of every check
+    are then grouped by seed set; each seed set is split into blocks sized
+    for the deepest tree its tasks need, and every block is simulated once
+    and serves all of them.  All blocks go to one worker pool.  An unknown
+    name is a :class:`ValidationError` naming the available checks.
     """
     unknown = [name for name in names if name not in _PARTS]
     if unknown:
@@ -385,6 +392,8 @@ def run_checks(cfg: McConfig, names) -> list[McReport]:
     parts = [_PARTS[name](cfg) for name in names]
     sets: dict[int, list[tuple[int, int]]] = {}  # seed set -> (part, depth) tasks
     for k, part in enumerate(parts):
+        if part.depths[0] < part.least:
+            raise ValidationError(f"{names[k]} needs depths >= {part.least}, got {part.depths[0]}")
         for j, depth in enumerate(part.depths):
             sets.setdefault(j, []).append((k, depth))
     jobs, owners, seeds = [], [], {}
@@ -431,13 +440,11 @@ def _limit_matrices(cfg: McConfig) -> _Part:
                 ))
         return checks
 
-    return _Part(_rep_design, cfg.depths, reduce, grown=1)
+    return _Part(_rep_design, cfg.depths, reduce, grown=1, least=0)
 
 
 def _consistency_rate(cfg: McConfig) -> _Part:
     _require_supercritical(cfg)
-    if cfg.depths[0] < 2:  # one observed parent: log 1 = 0 scales the rate to infinity
-        raise ValidationError(f"consistency_rate needs depths >= 2, got {cfg.depths[0]}")
 
     def reduce(results):
         medians = {d: float(np.median(results[d]["rate"])) for d in cfg.depths}
@@ -456,7 +463,7 @@ def _consistency_rate(cfg: McConfig) -> _Part:
             )
         ]
 
-    return _Part(_rep_consistency, cfg.depths, reduce)
+    return _Part(_rep_consistency, cfg.depths, reduce, least=2)  # at depth 1 the rate is x / log 1
 
 
 def _qsl(cfg: McConfig) -> _Part:
@@ -497,12 +504,14 @@ def _clt(cfg: McConfig) -> _Part:
     depth = cfg.depths[-1]
 
     def reduce(results):
-        alive = results[depth]
+        fitted = ~np.isnan(results[depth]["scaled_theta"][:, 0])
+        alive = {key: col[fitted] for key, col in results[depth].items()}
         scaled = alive["scaled_theta"]
         n_alive = len(scaled)
         if n_alive < 2:  # sample variances need two values
             raise DegenerateModelError(
-                f"clt needs 2 surviving replicates at depth {depth}, got {n_alive}"
+                f"clt needs 2 surviving replicates at depth {depth}, got {n_alive} unridged "
+                f"({int((~fitted).sum())} ridged fits left out)"
             )
         checks = []
 

@@ -459,6 +459,57 @@ def test_verify_consistency_rate_below_depth_2_exits_2(tmp_path, capsys, no_simu
     assert "consistency_rate needs depths >= 2" in err
 
 
+@pytest.mark.parametrize("checks, depths, message", [
+    (["limit_matrices"], [-1], "generation index must be >= 0, got -1"),
+    (["clt"], [-2, 3], "generation index must be >= 0, got -2"),
+    (["clt"], [41], "generation 41 exceeds the supported depth of 40"),
+    (["qsl"], [0], "qsl needs depths >= 1, got 0"),
+    (["clt"], [0], "clt needs depths >= 1, got 0"),
+    (["variance_estimators"], [0], "variance_estimators needs depths >= 1, got 0"),
+])
+def test_verify_depth_out_of_range_exits_2(tmp_path, capsys, no_simulation, checks, depths,
+                                           message):
+    # every depth is held to the tree capacity, and each check to the least
+    # depth its statistic is defined at, before anything is simulated
+    path = tmp_path / "mc.json"
+    path.write_text(json.dumps(_verify_doc(checks=checks, depths=depths)))
+    assert message in _one_line_exit_2(["verify", "--config", str(path)], capsys)
+
+
+def test_verify_clt_with_only_ridged_fits_exits_3(tmp_path, capsys):
+    # at depth 1 every fit rests on the root alone and is ridged; the clt
+    # leaves ridged fits out, so no NaN from their zero slopes reaches a report
+    law = {"11": 0.85, "10": 0.05, "01": 0.05, "00": 0.05}
+    path = tmp_path / "mc.json"
+    path.write_text(json.dumps(_verify_doc(
+        checks=["clt"], depths=[1], replicates=3, seed=1,
+        model=model_doc(law={"type0": law, "type1": law}),
+    )))
+    capsys.readouterr()
+    assert run_cli(["verify", "--config", str(path)]) == 3
+    assert capsys.readouterr().err == (
+        "numerical error: clt needs 2 surviving replicates at depth 1, "
+        "got 0 unridged (2 ridged fits left out)\n"
+    )
+
+
+def test_out_of_memory_exits_2(tmp_path, capsys, monkeypatch):
+    # clt at depth 40 is a valid config that asks for 151 GiB; the failed
+    # allocation is faked here, never made
+    from bartree import mc
+
+    def simulate(*args, **kwargs):
+        raise MemoryError("Unable to allocate 151. GiB for an array with shape "
+                          "(20266198323167,) and data type float64")
+
+    monkeypatch.setenv("BARTREE_THREADS", "1")
+    monkeypatch.setattr(mc, "simulate_joint", simulate)
+    path = tmp_path / "mc.json"
+    path.write_text(json.dumps(_verify_doc(checks=["clt"], depths=[40], replicates=3)))
+    err = _one_line_exit_2(["verify", "--config", str(path)], capsys)
+    assert err.startswith("error: out of memory: Unable to allocate 151. GiB")
+
+
 def test_validation_exit_codes(tmp_path):
     bad = tmp_path / "bad.csv"
     bad.write_text("1,1.0\n5,2.0\n")

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from scipy.linalg import block_diag
 
+import bartree
 from bartree import (
     BarParams,
     EstimationError,
@@ -89,6 +90,28 @@ def test_design_needs_children_of_level():
     _, t = _zero_noise_tree(depth=3)
     with pytest.raises(ValidationError):
         accumulate_design(t, 3)
+
+
+@pytest.mark.parametrize("forest", [False, True])
+@pytest.mark.parametrize("name, first", [
+    ("accumulate_design", 0),
+    ("estimate_theta", 1),
+    ("theta_path", 1),
+    ("martingale_diagnostics", 1),
+    ("sequential_variance_functionals", 1),
+    ("true_noise_functionals", 1),
+])
+def test_estimators_reject_levels_out_of_range(name, first, forest):
+    # one range check covers every public estimator, on both sides of the
+    # levels a depth-3 tree holds
+    bar = BarParams(0.5, 0.3, -0.4, 0.7)
+    t = simulate_joint(bar, NoiseParams(1.0, 0.5), FULL, depth=3, seed=[1, 2] if forest else 1)
+    args = (bar,) if name == "martingale_diagnostics" else ()
+    estimator = getattr(bartree, name)
+    estimator(t, *args, first + 2)
+    for n in (first - 1, first + 3):
+        with pytest.raises(ValidationError):
+            estimator(t, *args, n)
 
 
 def test_design_psd_and_pair_domination():

@@ -13,6 +13,8 @@ from bartree import (
     NoiseParams,
     ReproductionLaw,
     ValidationError,
+    estimate_theta,
+    simulate_joint,
 )
 from bartree import mc
 from bartree.mc import run_checks, worker_count
@@ -262,24 +264,49 @@ def test_clt_correlated_noise_omits_independence_check():
     assert not [c for c in report.checks if c.name == "block_independence"]
 
 
+SPARSE = ReproductionLaw.from_tables({"10": 0.6, "01": 0.3, "11": 0.1},
+                                     {"10": 0.6, "01": 0.3, "11": 0.1})
+
+
 def test_clt_report_holds_no_nan():
     # sample variances need two values: one survivor is an error, and the
-    # rho variance needs two survivors with sister pairs (seed 2 has one,
-    # seed 22 two); no report holds NaN
+    # rho variance needs two unridged survivors with sister pairs (at depth
+    # 4, seed 0 has one, seed 8 two); no report holds NaN
     law = ReproductionLaw.from_tables({"11": 0.7, "10": 0.15, "01": 0.15},
                                       {"11": 0.7, "10": 0.15, "01": 0.15})
     with pytest.raises(DegenerateModelError, match="2 surviving replicates at depth 3, got 1"):
         run_checks(_cfg(law=law, depths=(3,), replicates=1), ["clt"])
-    sparse = ReproductionLaw.from_tables({"10": 0.6, "01": 0.3, "11": 0.1},
-                                         {"10": 0.6, "01": 0.3, "11": 0.1})
     noise = NoiseParams(1.0, 0.5)
-    for seed, pairs in ((2, 1), (22, 2)):
-        cfg = _cfg(law=sparse, depths=(3,), replicates=4, seed=seed, noise=noise)
+    for seed, pairs in ((0, 1), (8, 2)):
+        cfg = _cfg(law=SPARSE, depths=(4,), replicates=4, seed=seed, noise=noise)
         report = run_checks(cfg, ["clt"])[0]
-        cols = report.replicates[3][1]
-        assert (~np.isnan(cols["rho_stat"][cols["survived"]])).sum() == pairs
+        cols = report.replicates[4][1]
+        fitted = cols["survived"] & ~np.isnan(cols["scaled_theta"][:, 0])
+        assert (~np.isnan(cols["rho_stat"][fitted])).sum() == pairs
         assert any(c.name == "rho_clt_variance" for c in report.checks) == (pairs >= 2)
         json.dumps(report.to_dict(), allow_nan=False)
+
+
+def test_clt_leaves_ridged_fits_out():
+    # a ridged fit carries the identity's bias, so the clt reduces over the
+    # unridged survivors only: at depth 4, seed 0's four survivors hold one
+    # ridged fit, whose sister pairs would have made a second pair survivor
+    noise = NoiseParams(1.0, 0.5)
+    cfg = _cfg(law=SPARSE, depths=(4,), replicates=4, seed=0, noise=noise)
+    report = run_checks(cfg, ["clt"])[0]
+    cols = report.replicates[4][1]
+    forest = simulate_joint(cfg.bar, noise, SPARSE, 4, seed=[0, 1, 2, 3])
+    ridged = estimate_theta(forest, 4).regularized
+    assert cols["survived"].all() and ridged.sum() == 1
+    for key in ("scaled_theta", "cover"):
+        assert np.array_equal(np.isnan(cols[key]), np.repeat(ridged[:, None], 4, axis=1))
+    assert (~np.isnan(cols["rho_stat"])).sum() == 2
+    assert _check(report, "theta_clt_covariance").detail["surviving"] == 3
+    assert not any(c.name == "rho_clt_variance" for c in report.checks)
+    # at depth 3, seed 2 keeps one unridged survivor of four: too few
+    with pytest.raises(DegenerateModelError,
+                       match=r"depth 3, got 1 unridged \(3 ridged fits left out\)"):
+        run_checks(_cfg(law=SPARSE, depths=(3,), replicates=4, seed=2, noise=noise), ["clt"])
 
 
 # ---------------------------------------------------------------------------
