@@ -211,17 +211,22 @@ def simulate_joint(
     re-derived as ``x_child - (a_i + b_i x_mother)`` so the recursion
     holds exactly in floating point.
 
+    Each tree draws its normal pairs from its own noise stream, one
+    pair per mother in generation order.  A single tree draws each
+    generation's pairs just before filling it, with
+    ``standard_normal(out=...)`` into one buffer sized to its widest
+    generation: successive draws continue the stream, so these are the
+    pairs of one ``standard_normal((parents, 2))`` draw over its cells of
+    generations ``0..depth-1``, and the tree holds at most one
+    generation's pairs at a time.
+
     ``seed`` may also be a sequence of seeds; the result is then a
     forest whose replicate ``i`` equals the tree simulated with
     ``seed=seeds[i]``, filled with one numpy pass per generation.
-    Replicate ``i`` draws all its normal pairs at once from its own
-    noise stream, ``standard_normal((parents_i, 2))`` with ``parents_i``
-    its cells of generations ``0..depth-1``; that equals drawing them
-    generation by generation, so each replicate matches
-    ``simulate_joint(seed=seeds[i])`` bit for bit.  A forest gathers
-    each generation's pairs from the replicates' stretches; a single
-    tree's pairs already lie in generation order, and each generation
-    reads them as a slice in place.
+    Replicate ``i`` draws all its normal pairs at once,
+    ``standard_normal((parents_i, 2))``, and each generation gathers its
+    pairs from the replicates' stretches, so each replicate matches
+    ``simulate_joint(seed=seeds[i])`` bit for bit.
     """
     tree.check_depth(depth)
     if not math.isfinite(x1):
@@ -229,21 +234,24 @@ def simulate_joint(
     mask = simulate_mask(law, depth, root_type=root_type, seed=seed)
     seeds = seed if mask.forest else [seed]
     n_rep = mask.replicates
-    # the draws are replicate-major: replicate i's pairs start at row
-    # first[i], and those of its generation-r mothers at first[i] + before[r, i]
-    before = [np.zeros(n_rep, dtype=np.int64)] + [mask.cells_through(r) for r in range(depth)]
-    parents = before[-1]
-    first = np.cumsum(parents) - parents
     stream = rng.Stream(rng.NOISE_STREAM)
-    draws = [stream.at(s).standard_normal((p, 2)) for s, p in zip(seeds, parents)]
-    draws = draws[0] if n_rep == 1 else np.concatenate(draws)
+    if n_rep == 1:
+        normal = stream.at(seeds[0])
+        buf = np.empty((max((mask.generation_count(r) for r in range(depth)), default=0), 2))
+    else:
+        # the draws are replicate-major: replicate i's pairs start at row
+        # first[i], and those of its generation-r mothers at first[i] + before[r, i]
+        before = [np.zeros(n_rep, dtype=np.int64)] + [mask.cells_through(r) for r in range(depth)]
+        parents = before[-1]
+        first = np.cumsum(parents) - parents
+        draws = np.concatenate([stream.at(s).standard_normal((p, 2)) for s, p in zip(seeds, parents)])
 
     values: list[np.ndarray] = [np.full(n_rep, float(x1))]
     eps: list[np.ndarray] = [np.array([])]
     for r in range(depth):
         b = mask.bounds[r]
-        if n_rep == 1:  # one tree's pairs lie in generation order
-            z = draws[before[r][0]:before[r + 1][0]]
+        if n_rep == 1:
+            z = normal.standard_normal(out=buf[:b[-1]])
         else:
             start = np.repeat(first + before[r] - b[:-1], mask.generation_sizes(r))
             rows = start + np.arange(b[-1])

@@ -116,7 +116,10 @@ def _generation_stats(f: _Frame, bounds: np.ndarray, forest: bool) -> np.ndarray
     per mother.  A full frame's even, odd and both-daughters masks are
     all ones, so its three design sums are formed once and repeated.
     A tree's reductions read contiguous copies of the frame's columns:
-    BLAS takes another summation order on strided vectors.
+    BLAS takes another summation order on strided vectors.  To keep a
+    deep tree's peak low, a tree takes its design sums first and drops
+    ``xk**2`` and the masks, then copies one column at a time (the two
+    noise columns together, for their cross product).
     """
     xk, xk2 = f.xk, f.xk * f.xk
     if f.full:
@@ -134,10 +137,15 @@ def _generation_stats(f: _Frame, bounds: np.ndarray, forest: bool) -> np.ndarray
         data[8], data[9] = f.eps_e * f.eps_e + f.eps_o * f.eps_o, f.eps_e * f.eps_o
         sums = _segment_sums(t, bounds)
     else:
-        xe, xo, eps_e, eps_o = map(np.ascontiguousarray, (f.xe, f.xo, f.eps_e, f.eps_o))
-        sums = np.array([s for m in masks for s in (m.sum(), xk @ m, xk2 @ m)] + [
-            xe.sum(), xk @ xe, xo.sum(), xk @ xo, eps_e.sum(), xk @ eps_e,
-            eps_o.sum(), xk @ eps_o, eps_e @ eps_e + eps_o @ eps_o, eps_e @ eps_o])
+        sums = [s for m in masks for s in (m.sum(), xk @ m, xk2 @ m)]
+        del xk2, masks
+        for col in (f.xe, f.xo):
+            col = np.ascontiguousarray(col)
+            sums += [col.sum(), xk @ col]
+        del col
+        eps_e, eps_o = np.ascontiguousarray(f.eps_e), np.ascontiguousarray(f.eps_o)
+        sums = np.array(sums + [eps_e.sum(), xk @ eps_e, eps_o.sum(), xk @ eps_o,
+                                eps_e @ eps_e + eps_o @ eps_o, eps_e @ eps_o])
     design = sums[..., :-10]
     return np.concatenate([design] * (9 // design.shape[-1]) + [sums[..., -10:]], axis=-1)
 
@@ -183,21 +191,33 @@ def _residual_sums(f: _Frame, theta: np.ndarray, bounds: np.ndarray, forest: boo
     with ``fourth`` the fourth powers and the squared sister products.
     As in :func:`_generation_stats`, a single tree reduces directly;
     its plain fit and its sequential functionals keep the RSS
-    reductions they have always used.
+    reductions they have always used.  A tree forms its two residual
+    columns in place and squares them in place once their cross product
+    is taken, so it holds two columns and no other temporary.
     """
-    if forest:
-        a, b, c, d = np.repeat(theta, np.diff(bounds), axis=0).T
-    else:
+    if not forest:
         a, b, c, d = theta[0]
+        cols = []
+        for x, icpt, slope, has in ((f.xe, a, b, f.has_e), (f.xo, c, d, f.has_o)):
+            col = np.multiply(f.xk, slope)
+            col += icpt
+            np.subtract(x, col, out=col)
+            if not f.full:
+                np.copyto(col, 0.0, where=~has)
+            cols.append(col)
+        re, ro = cols
+        cross = re @ ro
+        if not fourth:
+            return np.array([re @ re + ro @ ro, cross])
+        np.square(re, out=re)
+        np.square(ro, out=ro)
+        return np.array([re.sum() + ro.sum(), cross, re @ re + ro @ ro, re @ ro])
+    a, b, c, d = np.repeat(theta, np.diff(bounds), axis=0).T
     re = f.xe - (a + b * f.xk)
     ro = f.xo - (c + d * f.xk)
     if not f.full:
         re, ro = np.where(f.has_e, re, 0.0), np.where(f.has_o, ro, 0.0)
     re2, ro2 = re * re, ro * ro
-    if not forest:
-        if fourth:
-            return np.array([re2.sum() + ro2.sum(), re @ ro, re2 @ re2 + ro2 @ ro2, re2 @ ro2])
-        return np.array([re @ re + ro @ ro, re @ ro])
     terms = [re2, ro2, re * ro]
     if fourth:
         terms += [re2 * re2, ro2 * ro2, re2 * ro2]

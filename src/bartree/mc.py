@@ -33,9 +33,9 @@ import numpy as np
 from . import estimation, inference, limits, rng
 from .bar import BarParams, NoiseParams, simulate_joint
 from .distributions import _check_level, ks_normal_distance
-from .errors import DegenerateModelError, ValidationError
+from .errors import CapacityError, DegenerateModelError, ValidationError
 from .gw import OUTCOMES, ReproductionLaw, expected_cells, spectral
-from .tree import check_depth
+from .tree import MAX_DEPTH, check_depth
 
 _KS_THRESHOLD = 0.05
 _ZERO_TOL = 1e-12
@@ -379,8 +379,9 @@ def _run_block(job):
 def run_checks(cfg: McConfig, names) -> list[McReport]:
     """Run the named checks on shared simulations: one report per name, in order.
 
-    Each check is set up and held to its least depth first, so a config it
-    rejects fails before anything is simulated.  The tasks of every check
+    Each check is set up and held to its least depth, and the deepest
+    generation it reads to the capacity, first, so a config it rejects
+    fails before anything is simulated.  The tasks of every check
     are then grouped by seed set; each seed set is split into blocks sized
     for the deepest tree its tasks need, and every block is simulated once
     and serves all of them.  All blocks go to one worker pool.  An unknown
@@ -394,6 +395,11 @@ def run_checks(cfg: McConfig, names) -> list[McReport]:
     for k, part in enumerate(parts):
         if part.depths[0] < part.least:
             raise ValidationError(f"{names[k]} needs depths >= {part.least}, got {part.depths[0]}")
+        if part.depths[-1] + part.grown > MAX_DEPTH:
+            raise CapacityError(
+                f"{names[k]} at depth {part.depths[-1]} reads generation "
+                f"{part.depths[-1] + part.grown}, past the supported depth of {MAX_DEPTH}"
+            )
         for j, depth in enumerate(part.depths):
             sets.setdefault(j, []).append((k, depth))
     jobs, owners, seeds = [], [], {}

@@ -466,11 +466,15 @@ def test_verify_consistency_rate_below_depth_2_exits_2(tmp_path, capsys, no_simu
     (["qsl"], [0], "qsl needs depths >= 1, got 0"),
     (["clt"], [0], "clt needs depths >= 1, got 0"),
     (["variance_estimators"], [0], "variance_estimators needs depths >= 1, got 0"),
+    # limit_matrices reads trees one generation past its depths
+    (["limit_matrices"], [39, 40],
+     "limit_matrices at depth 40 reads generation 41, past the supported depth of 40"),
 ])
 def test_verify_depth_out_of_range_exits_2(tmp_path, capsys, no_simulation, checks, depths,
                                            message):
-    # every depth is held to the tree capacity, and each check to the least
-    # depth its statistic is defined at, before anything is simulated
+    # every depth, and every generation a check reads, is held to the tree
+    # capacity, and each check to the least depth its statistic is defined
+    # at, before anything is simulated
     path = tmp_path / "mc.json"
     path.write_text(json.dumps(_verify_doc(checks=checks, depths=depths)))
     assert message in _one_line_exit_2(["verify", "--config", str(path)], capsys)

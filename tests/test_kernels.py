@@ -5,16 +5,20 @@ its ``(cells, 2)`` offspring flags in one numpy pass.  Here each is
 recomputed cell by cell over node ids, with Python floats, and must
 agree bit for bit.  A generation whose flags are all set takes views and
 three design sums instead; its statistics must match the zero-filled path.
+A single tree's kernels also hold their temporaries to a few bytes per cell.
 """
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 from hypothesis import example, given, settings, strategies as st
 
 from bartree import BarParams, NoiseParams, ObservedTree, ReproductionLaw, rng, simulate_joint
-from bartree.estimation import _frames, _generation_stats, _residual_sums
+from bartree.estimation import (
+    _frames, _generation_stats, _residual_sums, estimate_theta, sequential_variance_functionals,
+)
 from bartree.gw import OUTCOMES
 
 LAWS = {
@@ -149,3 +153,27 @@ def test_full_generation_kernels_match_zero_filled(depth, noise, seeds, forest, 
             for fourth in (False, True):
                 assert (_residual_sums(f, thetas[r], bounds, forest, fourth).tobytes()
                         == _residual_sums(ref, thetas[r], bounds, forest, fourth).tobytes())
+
+
+def test_single_tree_memory_floor():
+    # a depth-16 full tree (131,071 cells): simulating and fitting it holds
+    # at most 9 B per cell beyond the tree's own values, noise and flags
+    depth, args = 16, (BAR, NOISE, LAWS["full"])
+    small = simulate_joint(*args, 2, seed=3)  # lazy imports stay out of the trace
+    estimate_theta(small, 2)
+    sequential_variance_functionals(small, 2)
+    peaks = {}
+    tracemalloc.start()
+    try:
+        tree = simulate_joint(*args, depth, seed=3)
+        peaks["simulate_joint"] = tracemalloc.get_traced_memory()[1]
+        for fit in (estimate_theta, sequential_variance_functionals):
+            tracemalloc.reset_peak()
+            fit(tree, depth)
+            peaks[fit.__name__] = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    own = sum(a.nbytes for a in tree.values + tree.noise + tree.mask.offspring)
+    cells = tree.mask.total_count(depth)
+    excess = {name: round((peak - own) / cells, 2) for name, peak in peaks.items()}
+    assert max(excess.values()) <= 9.0, f"bytes per cell above the tree's arrays: {excess}"

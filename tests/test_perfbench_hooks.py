@@ -4,7 +4,9 @@
 counts simulated cells from what ``bar.simulate_joint`` returns, and
 ``perfbench/workloads.py`` drives bartree's public API.  These tests load
 both files as they are, so a rename, a deleted attribute or a changed
-return type in bartree fails here instead of in a benchmark run.
+return type in bartree fails here instead of in a benchmark run.  The
+smoke passes must also reproduce the output digests of the benchmark's
+self-test, so a change that moves an output bit fails here too.
 """
 
 import importlib
@@ -13,6 +15,7 @@ import sys
 from collections import defaultdict
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import bartree.cli  # noqa: F401  (loads every bartree module the tracer patches)
@@ -88,3 +91,29 @@ def test_workload_smoke_pass(workloads, name, tmp_path, monkeypatch):
     workload.setup()
     out = workload.run()
     assert workload.check(out) == []
+
+
+# the self-test's seed-7 smoke digests (``perfbench/run.py --seed 7 --smoke``);
+# a change that moves output bits updates them and declares the move
+SMOKE_DIGESTS = {
+    "mc_missing": "004e37cbf711efc58b331b1f7a0cd9db555c7bc56a72419e13ebea72f2bb2f43",
+    "mc_full": "f09c887b5c07a4617c53322dc154ad703ce17fb3d3f573b3bc8977fa41a27edd",
+    "deep_full": "086d461d92e8ffee97a8285e9cc29b500fbd7f2f5352abe321104da3e42ed811",
+    "cli_dense": "ade57d07ffbfaea2c33ee719938b728986e06a7c90203a048165bc41486173fc",
+}
+
+
+@pytest.mark.parametrize("name", sorted(SMOKE_DIGESTS))
+def test_smoke_digests_repeat(workloads, name, tmp_path, monkeypatch):
+    # the mc reports embed the config path, so the workdir is the relative
+    # one the benchmark uses, under a fresh working directory
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("BARTREE_THREADS", "1")
+    workload = workloads.make(name, 7, True, Path(".bench_out") / f"work-{name}")
+    workload.setup()
+    digest = workload.digest(workload.run())
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    assert digest == SMOKE_DIGESTS[name], (
+        f"{name}: smoke digest {digest}, expected {SMOKE_DIGESTS[name]} "
+        f"(numpy {np.__version__}, BLAS {blas.get('name')} {blas.get('version')})"
+    )
