@@ -398,8 +398,8 @@ def simulate_mask(law: ReproductionLaw, depth: int, root_type: int = 0, seed=0) 
     ``random(a)`` followed by ``random(b)`` yields the numbers of
     ``random(a + b)``, every replicate draws exactly what it draws alone.
     One re-keyed generator serves every replicate, so a replicate that
-    runs short re-draws its stream and keeps the numbers past the
-    ``drawn[i]`` it has already used.
+    runs short resumes its stream past the ``drawn[i]`` numbers it has
+    already drawn.
     """
     tree.check_depth(depth)
     _check_root_type(root_type)
@@ -441,7 +441,7 @@ def simulate_mask(law: ReproductionLaw, depth: int, root_type: int = 0, seed=0) 
                 pieces, top = [buf], buf.size
                 for i in short:
                     more = math.ceil(sizes[i] * ahead)
-                    extra = stream.at(seeds[i]).random(drawn[i] + more)[drawn[i]:]
+                    extra = stream.at(seeds[i], drawn[i]).random(more)
                     drawn[i] += more
                     pieces += [buf[pos[i]:end[i]], extra]
                     pos[i], top = top, top + (end[i] - pos[i]) + extra.size
@@ -452,10 +452,14 @@ def simulate_mask(law: ReproductionLaw, depth: int, root_type: int = 0, seed=0) 
             flags = _draw_flags(u, types, cum)
         offspring.append(flags)
         # flat index 2i + j marks child j of cell i; its type is j, and the
-        # children of cells before b[i] are the marks before 2 b[i]
+        # children of cells before b[i] are the marks before 2 b[i].  One
+        # tree's bounds are [0, kids.size], which ObservationMask rebuilds.
         kids = np.flatnonzero(flags)
-        types = kids & 1
-        bounds.append(np.searchsorted(kids, 2 * b))
+        if forest:
+            bounds.append(np.searchsorted(kids, 2 * b))
+        else:
+            bounds.append(np.array([0, kids.size]))
+        types = np.bitwise_and(kids, 1, out=kids)
     return ObservationMask(depth, root_type, offspring, bounds if forest else None)
 
 

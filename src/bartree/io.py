@@ -72,7 +72,8 @@ def write_lineage(tree: ObservedTree, path) -> None:
 
 def write_mask(mask: ObservationMask, path) -> None:
     header = ["# bartree mask v1", f"# root_type: {mask.root_type}", f"# depth: {mask.depth}"]
-    _write_rows(path, header, "\n".join(map(str, mask.ids().tolist())))
+    ids = mask.ids()
+    _write_rows(path, header, ("%d\n" * ids.size % tuple(ids.tolist()))[:-1])
 
 
 def write_noise_sidecar(tree: ObservedTree, path) -> None:

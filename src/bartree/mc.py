@@ -13,18 +13,23 @@ Every check then evaluates its statistic on the block at its own depth,
 from the one statistics table the block builds (a tree simulated to a
 depth is a bit-exact prefix of the same seed's deeper tree, and every
 level's statistics are running sums in generation order).  The blocks
-of all seed sets run in one worker pool (``BARTREE_THREADS`` caps the
-workers) and each check is reduced in a fixed order, so a report is a
-pure function of its configuration and seed, whatever the worker count,
-the block layout or the other checks run beside it.  Extinct replicates
-are discarded from the statistics and counted separately: every limit
-the checks exercise holds on the survival event only.
+of all seed sets are claimed from one queue by the calling process and
+up to ``BARTREE_THREADS - 1`` forked children (on Linux; elsewhere every
+block runs inline), and each check is reduced in a fixed order, so a
+report is a pure function of its configuration and seed, whatever the
+worker count, the block layout or the other checks run beside it.
+Extinct replicates are discarded from the statistics and counted
+separately: every limit the checks exercise holds on the survival event
+only.
 """
 
 from __future__ import annotations
 
 import math
 import os
+import pickle
+import signal
+import sys
 from dataclasses import asdict, dataclass, field
 from typing import Any, Callable
 
@@ -40,9 +45,14 @@ from .tree import MAX_DEPTH, check_depth
 _KS_THRESHOLD = 0.05
 _ZERO_TOL = 1e-12
 # Expected cells per forest block: bounds a block's memory, and with it
-# the pool workers' peak resident size, while amortising the per-generation
-# numpy calls over many replicates.
+# each forked child's peak resident size, while amortising the
+# per-generation numpy calls over many replicates.
 BLOCK_CELLS = 1 << 16
+# A claim is one native uint32, the first block of a run.  All claims are
+# written before any child is forked, so they must fit PIPE_BUF (4096
+# bytes, the least a Linux pipe holds) and the write cannot block.
+_CLAIM_BYTES = 4
+_CLAIMS = 4096 // _CLAIM_BYTES
 # Statistics of sister pairs: NaN for a replicate with no mother whose
 # two daughters are both observed.
 PAIR_STATS = ("rho_stat", "rho_cover", "rho_bias")
@@ -171,7 +181,10 @@ def jsonable(obj: Any) -> Any:
 
 
 def worker_count() -> int:
-    """Worker processes to use, capped by ``BARTREE_THREADS``."""
+    """Processes that compute a Monte Carlo run at once, the caller included.
+
+    One per CPU, capped by ``BARTREE_THREADS``.
+    """
     cpus = os.cpu_count() or 1
     raw = os.environ.get("BARTREE_THREADS")
     if raw is None:
@@ -186,16 +199,106 @@ def worker_count() -> int:
 
 
 def _map_ordered(fn: Callable, payloads: list) -> list:
-    """``[fn(p) for p in payloads]``; several payloads go to one worker pool."""
-    workers = worker_count()
-    if workers == 1 or len(payloads) == 1:
-        return [fn(p) for p in payloads]
-    # imported here: loading multiprocessing costs every interpreter that imports bartree
-    from concurrent.futures import ProcessPoolExecutor
+    """``[fn(p) for p in payloads]``, computed by the caller and forked children.
 
-    chunk = max(1, len(payloads) // (4 * workers))
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, payloads, chunksize=chunk))
+    With ``w = min(worker_count(), len(payloads)) > 1`` on Linux, one
+    claim per block (a run of consecutive blocks when there are more than
+    ``_CLAIMS`` blocks) is written into a pipe before ``w - 1`` children
+    are forked, so no child is forked for less than one block.  Every
+    process, the caller included, then reads claims until the pipe is
+    empty.  A child pickles its results to its own pipe once, after the
+    last claim, and leaves by ``os._exit``.  Results come back in block
+    order; if blocks raise, the exception of the lowest-index one is
+    raised, as a serial run would raise it.  A child that ends without
+    its results is a :class:`ChildProcessError`.  Elsewhere, and with
+    one process, every block runs inline.
+    """
+    workers = min(worker_count(), len(payloads))
+    if workers == 1 or sys.platform != "linux":
+        return [fn(p) for p in payloads]
+    span = -(-len(payloads) // _CLAIMS)
+    claims, feed = os.pipe()
+    try:
+        os.write(feed, np.arange(0, len(payloads), span, dtype=np.uint32).tobytes())
+    finally:
+        os.close(feed)
+    live: dict[int, int] = {}  # child pid -> read end of its result pipe
+    try:
+        for _ in range(workers - 1):
+            out, into = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:  # no process to spare: the running ones take every claim
+                os.close(out)
+                os.close(into)
+                break
+            if pid == 0:
+                os.close(out)
+                _child(fn, payloads, span, claims, into)
+            os.close(into)
+            live[pid] = out
+        outcomes = _claim_blocks(fn, payloads, span, claims)
+        for pid in list(live):
+            with open(live[pid], "rb", closefd=False) as pipe:
+                sent = pipe.read()
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            os.close(live.pop(pid))
+            if code:
+                how = (f"was killed by {signal.Signals(-code).name}" if code < 0
+                       else f"exited with status {code}")
+                raise ChildProcessError(f"worker process {pid} {how} before sending its results")
+            outcomes += pickle.loads(sent)
+    except BaseException:
+        for pid in live:
+            os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        os.close(claims)
+        for pid, out in live.items():
+            os.close(out)
+            os.waitpid(pid, 0)
+    outcomes.sort(key=lambda outcome: outcome[0])
+    for _, ok, value in outcomes:
+        if not ok:
+            raise value
+    return [value for _, _, value in outcomes]
+
+
+def _claim_blocks(fn: Callable, payloads: list, span: int, claims: int) -> list:
+    """Run ``fn`` on the ``span`` blocks of each claim read from fd ``claims``, to its end.
+
+    Gives ``(index, True, result)`` per block, or ``(index, False,
+    exception)`` for a block that raised.  A process stops claiming at its
+    first failure: claims are read in block order, so every lower block
+    is claimed already and still runs.
+    """
+    done = []
+    while claim := os.read(claims, _CLAIM_BYTES):
+        first = int.from_bytes(claim, sys.byteorder)
+        for i in range(first, min(first + span, len(payloads))):
+            try:
+                done.append((i, True, fn(payloads[i])))
+            except Exception as exc:
+                done.append((i, False, exc))
+                return done
+    return done
+
+
+def _child(fn: Callable, payloads: list, span: int, claims: int, into: int):
+    """A forked child's whole life: claim blocks, send the pickled outcomes once, and exit.
+
+    ``os._exit`` ends every path, so none of the parent's cleanup or
+    buffered output runs a second time; a child that fails exits 1
+    without sending anything.
+    """
+    status = 1
+    try:
+        sent = pickle.dumps(_claim_blocks(fn, payloads, span, claims), pickle.HIGHEST_PROTOCOL)
+        with open(into, "wb") as pipe:
+            pipe.write(sent)
+        status = 0
+    finally:
+        os._exit(status)
 
 
 def _require_supercritical(cfg: McConfig):
@@ -260,9 +363,9 @@ def _entrywise_check(name, depth, median, target, rows):
 
 
 # ---------------------------------------------------------------------------
-# block evaluators (top level, so that block jobs pickle for the pool).  Each
-# takes ``(cfg, depth, forest, ...)``, a forest block simulated to ``depth``
-# or deeper, and returns its statistics columns (see McReport) but ``survived``.
+# block evaluators.  Each takes ``(cfg, depth, forest, ...)``, a forest block
+# simulated to ``depth`` or deeper, and returns its statistics columns (see
+# McReport) but ``survived``.
 
 
 def _rep_design(cfg, depth, forest):
@@ -384,8 +487,8 @@ def run_checks(cfg: McConfig, names) -> list[McReport]:
     fails before anything is simulated.  The tasks of every check
     are then grouped by seed set; each seed set is split into blocks sized
     for the deepest tree its tasks need, and every block is simulated once
-    and serves all of them.  All blocks go to one worker pool.  An unknown
-    name is a :class:`ValidationError` naming the available checks.
+    and serves all of them.  All blocks go to :func:`_map_ordered`.  An
+    unknown name is a :class:`ValidationError` naming the available checks.
     """
     unknown = [name for name in names if name not in _PARTS]
     if unknown:

@@ -39,8 +39,12 @@ class Stream:
 
     ``at(seed)`` returns the generator keyed by ``(seed, stream)`` with
     counter 0 and an empty buffer, so it draws exactly what a fresh
-    ``Generator(Philox(key=[seed, stream]))`` draws.  The generator is
-    shared: a re-key restarts it, and earlier seeds' positions are lost.
+    ``Generator(Philox(key=[seed, stream]))`` draws.  ``at(seed, offset)``
+    resumes that stream past its first ``offset`` uniforms in
+    O(1): Philox makes four 64-bit words per counter step and a uniform
+    reads one word, so the counter advances by ``offset // 4`` and
+    ``offset % 4`` uniforms are discarded.  The generator is shared: a
+    re-key restarts it, and earlier seeds' positions are lost.
     """
 
     def __init__(self, stream: int):
@@ -56,7 +60,10 @@ class Stream:
         self._bits = np.random.Philox(key=self._key)
         self._generator = np.random.Generator(self._bits)
 
-    def at(self, seed) -> np.random.Generator:
+    def at(self, seed, offset: int = 0) -> np.random.Generator:
         self._key[0] = check_seed(seed)
         self._bits.state = self._fresh
+        if offset:
+            self._bits.advance(int(offset) // 4)
+            self._generator.random(offset % 4)
         return self._generator

@@ -293,11 +293,28 @@ def test_rekeyed_stream_draws_as_a_fresh_generator(seeds, stream, drawn, extra):
     for seed in seeds:
         alone = fresh(seed)
         assert shared.at(seed).random(drawn).tobytes() == alone.random(drawn).tobytes()
-        # a top-up after other seeds were drawn re-draws and skips what is used
+        # a top-up after other seeds were drawn resumes past what is used
         shared.at(seeds[0]).random(3)
-        assert shared.at(seed).random(drawn + extra)[drawn:].tobytes() == alone.random(extra).tobytes()
+        assert shared.at(seed, drawn).random(extra).tobytes() == alone.random(extra).tobytes()
         assert (shared.at(seed).standard_normal((drawn, 2)).tobytes()
                 == fresh(seed).standard_normal((drawn, 2)).tobytes())
+
+
+@pytest.mark.parametrize("stream", [rng.MASK_STREAM, rng.NOISE_STREAM])
+def test_resumed_stream_equals_the_redraw(stream):
+    # at(seed, offset) advances Philox by offset // 4 counter steps and
+    # discards offset % 4 uniforms: the numbers a redraw keeps past offset
+    shared = rng.Stream(stream)
+    for seed in (0, 1, 12345, 2**64 - 1):
+        redraw = shared.at(seed).random(64)
+        for offset in range(10):
+            assert shared.at(seed, offset).random(9).tobytes() == redraw[offset:offset + 9].tobytes()
+        # across top-ups: draw 5, key another seed, then resume twice
+        drawn = [shared.at(seed).random(5)]
+        shared.at(7).random(3)
+        drawn.append(shared.at(seed, 5).random(9))
+        drawn.append(shared.at(seed, 14).random(50))
+        assert np.concatenate(drawn).tobytes() == redraw.tobytes()
 
 
 def test_stream_rejects_seeds_outside_the_key_word():

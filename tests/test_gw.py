@@ -166,9 +166,9 @@ def _stream_reads(monkeypatch):
     reads = []
     at = rng.Stream.at
 
-    def spy(self, seed):
+    def spy(self, seed, offset=0):
         reads.append((int(self._key[1]), seed))
-        return at(self, seed)
+        return at(self, seed, offset)
 
     monkeypatch.setattr(rng.Stream, "at", spy)
     return reads

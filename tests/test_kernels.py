@@ -19,7 +19,7 @@ from bartree import BarParams, NoiseParams, ObservedTree, ReproductionLaw, rng, 
 from bartree.estimation import (
     _frames, _generation_stats, _residual_sums, estimate_theta, sequential_variance_functionals,
 )
-from bartree.gw import OUTCOMES
+from bartree.gw import OUTCOMES, simulate_mask
 
 LAWS = {
     "full": ReproductionLaw.full_observation(),
@@ -177,3 +177,19 @@ def test_single_tree_memory_floor():
     cells = tree.mask.total_count(depth)
     excess = {name: round((peak - own) / cells, 2) for name, peak in peaks.items()}
     assert max(excess.values()) <= 9.0, f"bytes per cell above the tree's arrays: {excess}"
+
+
+def test_mask_memory_floor():
+    # a depth-16 full-law mask (131,071 cells) peaks at most 8 B per cell,
+    # its own 1 B of flags included: one int64 per daughter of the newest
+    # generation, and nothing else that grows with the tree
+    depth, law = 16, LAWS["full"]
+    simulate_mask(law, 2)  # lazy imports stay out of the trace
+    tracemalloc.start()
+    try:
+        mask = simulate_mask(law, depth)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    per_cell = peak / mask.total_count(depth)
+    assert per_cell <= 8.0, f"simulate_mask peaks at {per_cell:.2f} B per cell"

@@ -1,7 +1,9 @@
 """Monte Carlo harness: reports, determinism, small-scale theorem checks."""
 
-import concurrent.futures
 import json
+import os
+import signal
+import time
 
 import numpy as np
 import pytest
@@ -11,6 +13,7 @@ from bartree import (
     DegenerateModelError,
     McConfig,
     NoiseParams,
+    NumericalError,
     ReproductionLaw,
     ValidationError,
     estimate_theta,
@@ -347,17 +350,19 @@ def test_report_reproducible_bit_for_bit():
     assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
 
 
-def _pool_entries(monkeypatch):
-    """Worker counts of the pools ``mc`` enters, in order."""
-    entries = []
+def _forked_children(monkeypatch):
+    """Pids of the children ``mc`` forks, in order."""
+    children = []
+    fork = os.fork
 
-    class Spy(concurrent.futures.ProcessPoolExecutor):
-        def __enter__(self):
-            entries.append(self._max_workers)
-            return super().__enter__()
+    def spy():
+        pid = fork()
+        if pid:
+            children.append(pid)
+        return pid
 
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Spy)
-    return entries
+    monkeypatch.setattr(os, "fork", spy)
+    return children
 
 
 def test_report_independent_of_worker_count(monkeypatch):
@@ -366,13 +371,13 @@ def test_report_independent_of_worker_count(monkeypatch):
     cfg = _cfg(depths=(9,), replicates=24, noise=NoiseParams(1.0, 0.5), seed=13)
     monkeypatch.setattr(mc, "BLOCK_CELLS", 4096)
     assert len(mc._blocks(cfg, 9, list(range(24)))) == 6
-    pools = _pool_entries(monkeypatch)
+    children = _forked_children(monkeypatch)
     monkeypatch.setenv("BARTREE_THREADS", "1")
     serial = json.dumps(run_checks(cfg, ["qsl"])[0].to_dict(), sort_keys=True)
-    assert pools == []
+    assert children == []
     monkeypatch.setenv("BARTREE_THREADS", "2")
     pooled = json.dumps(run_checks(cfg, ["qsl"])[0].to_dict(), sort_keys=True)
-    assert pools == [2]
+    assert len(children) == 1
     assert serial == pooled
 
 
@@ -395,8 +400,8 @@ def _missing_doc(depths):
 
 def test_report_independent_of_block_layout(tmp_path, monkeypatch):
     # a small cell budget splits each depth into several forest blocks, which
-    # run inline at one worker and in the pool at two; every layout and
-    # worker count must give the same report bytes
+    # run inline at one worker and in the caller and a forked child at two;
+    # every layout and worker count must give the same report bytes
     from bartree import mc
     from bartree.cli import run_cli
 
@@ -411,16 +416,16 @@ def test_report_independent_of_block_layout(tmp_path, monkeypatch):
         assert run_cli(["verify", "--config", str(cfg_path), "--output", str(out)]) == 0
         return out.read_bytes()
 
-    pools = _pool_entries(monkeypatch)
+    children = _forked_children(monkeypatch)
     unpatched = report("1")
     cfg = _cfg(law=MISSING, depths=(5, 7), replicates=30)
     assert len(mc._blocks(cfg, 5, list(range(30)))) == 1
     assert len(mc._blocks(cfg, 8, list(range(30)))) == 1
     serial = report("1", budget=150)
     assert 3 <= len(mc._blocks(cfg, 5, list(range(30)))) < len(mc._blocks(cfg, 8, list(range(30))))
-    assert pools == []
+    assert children == []
     pooled = report("2", budget=150)
-    assert pools == [2]
+    assert len(children) == 1
     assert serial == pooled == unpatched
 
 
@@ -435,7 +440,7 @@ def test_checks_do_not_couple(tmp_path, monkeypatch):
     cfg_path = tmp_path / "mc.json"
     cfg_path.write_text(json.dumps(_missing_doc([4, 6, 7])))
     cfg, names = load_mc_config(cfg_path)
-    pools = _pool_entries(monkeypatch)
+    children = _forked_children(monkeypatch)
     for threads, budget in (("1", None), ("1", 150), ("2", 150)):
         monkeypatch.setenv("BARTREE_THREADS", threads)
         if budget is not None:
@@ -443,12 +448,117 @@ def test_checks_do_not_couple(tmp_path, monkeypatch):
             assert len(mc._blocks(cfg, 7, list(range(30)))) >= 3
         out = tmp_path / f"r{threads}-{budget}.json"
         assert run_cli(["verify", "--config", str(cfg_path), "--output", str(out)]) == 0
-        assert pools == ([2] if threads == "2" else [])
+        assert len(children) == (1 if threads == "2" else 0)
         together = {r["check"]: r for r in json.loads(out.read_text())["reports"]}
         assert sorted(together) == names
         for name in names:
             alone = json.loads(json.dumps(run_checks(cfg, [name])[0].to_dict()))
             assert together[name] == alone, (threads, budget, name)
+
+
+def _verify(tmp_path, monkeypatch, capsys, threads):
+    """``verify`` on a MISSING config split into several blocks: exit code and stderr lines."""
+    from bartree.cli import run_cli
+
+    monkeypatch.setenv("BARTREE_THREADS", threads)
+    monkeypatch.setattr(mc, "BLOCK_CELLS", 150)
+    cfg_path = tmp_path / "mc.json"
+    cfg_path.write_text(json.dumps(_missing_doc([5, 7])))
+    capsys.readouterr()
+    code = run_cli(["verify", "--config", str(cfg_path), "--output", str(tmp_path / "r.json")])
+    return code, capsys.readouterr().err.splitlines()
+
+
+def _child_starts_first(monkeypatch, tmp_path, run):
+    """Make ``mc._run_block`` call ``run``; the caller starts none of its blocks before a forked child starts one."""
+    caller, mark = os.getpid(), tmp_path / "child-started"
+
+    def block(job):
+        if os.getpid() != caller:
+            mark.touch()
+        else:
+            deadline = time.monotonic() + 30
+            while not mark.exists() and time.monotonic() < deadline:
+                time.sleep(0.002)
+        return run(job)
+
+    monkeypatch.setattr(mc, "_run_block", block)
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_forked_block_error_is_the_serial_one(tmp_path, monkeypatch, capsys):
+    # every block but the first raises, naming its first seed: a forked
+    # child pickles its failure back, and the lowest failing block's error
+    # is raised, the one a serial run raises
+    run_block = mc._run_block
+
+    def failing(job):
+        if job[2][0] != 21:  # the first block of seed set 0 starts at the config's seed
+            raise NumericalError(f"block from seed {job[2][0]} failed")
+        return run_block(job)
+
+    monkeypatch.setattr(mc, "_run_block", failing)
+    code, serial = _verify(tmp_path, monkeypatch, capsys, "1")
+    assert code == 3
+    assert len(serial) == 1 and serial[0].startswith("numerical error: block from seed ")
+    children = _forked_children(monkeypatch)
+    _child_starts_first(monkeypatch, tmp_path, failing)
+    assert _verify(tmp_path, monkeypatch, capsys, "2") == (3, serial)
+    assert len(children) == 1
+    _no_child_left()
+
+
+@pytest.mark.parametrize("death, how", [
+    (lambda: os._exit(9), "exited with status 9"),
+    (lambda: os.kill(os.getpid(), signal.SIGKILL), "was killed by SIGKILL"),
+])
+def test_dead_child_exits_2_with_one_line(tmp_path, monkeypatch, capsys, death, how):
+    caller, run_block = os.getpid(), mc._run_block
+    children = _forked_children(monkeypatch)
+    _child_starts_first(monkeypatch, tmp_path,
+                        lambda job: run_block(job) if os.getpid() == caller else death())
+    code, err = _verify(tmp_path, monkeypatch, capsys, "2")
+    assert code == 2
+    assert err == [f"error: worker process {children[0]} {how} before sending its results"]
+    _no_child_left()
+
+
+def test_interrupted_caller_kills_its_children(monkeypatch):
+    # the caller is interrupted while a child would compute for a minute:
+    # the child is killed and reaped, not waited for
+    monkeypatch.setenv("BARTREE_THREADS", "2")
+    caller, start = os.getpid(), time.monotonic()
+
+    def block(_):
+        if os.getpid() != caller:
+            time.sleep(60)
+        raise KeyboardInterrupt
+
+    with pytest.raises(KeyboardInterrupt):
+        mc._map_ordered(block, [0, 1])
+    assert time.monotonic() - start < 30
+    _no_child_left()
+
+
+def test_map_ordered_keeps_order_past_one_claim_per_block(monkeypatch):
+    # 20,000 blocks are more claims than one pipe write holds, so each
+    # claim names a run of consecutive blocks
+    monkeypatch.setenv("BARTREE_THREADS", "2")
+    children = _forked_children(monkeypatch)
+    assert mc._map_ordered(int, range(20_000)) == list(range(20_000))
+    assert len(children) == 1
+    _no_child_left()
+
+    def no_fork():
+        raise BlockingIOError("no process to spare")
+
+    # a fork that fails leaves every claim to the caller
+    monkeypatch.setattr(os, "fork", no_fork)
+    assert mc._map_ordered(int, range(20_000)) == list(range(20_000))
 
 
 def test_verify_simulates_each_block_once(tmp_path, monkeypatch):
