@@ -452,13 +452,9 @@ def simulate_mask(law: ReproductionLaw, depth: int, root_type: int = 0, seed=0) 
             flags = _draw_flags(u, types, cum)
         offspring.append(flags)
         # flat index 2i + j marks child j of cell i; its type is j, and the
-        # children of cells before b[i] are the marks before 2 b[i].  One
-        # tree's bounds are [0, kids.size], which ObservationMask rebuilds.
+        # children of cells before b[i] are the marks before 2 b[i]
         kids = np.flatnonzero(flags)
-        if forest:
-            bounds.append(np.searchsorted(kids, 2 * b))
-        else:
-            bounds.append(np.array([0, kids.size]))
+        bounds.append(np.searchsorted(kids, 2 * b))
         types = np.bitwise_and(kids, 1, out=kids)
     return ObservationMask(depth, root_type, offspring, bounds if forest else None)
 

@@ -226,17 +226,21 @@ def _map_ordered(fn: Callable, payloads: list) -> list:
     try:
         for _ in range(workers - 1):
             out, into = os.pipe()
+            # the child keeps every signal blocked until it is inside
+            # _child's try, so an interrupt there ends in os._exit and never
+            # unwinds through the caller's handlers
+            mask = signal.pthread_sigmask(signal.SIG_BLOCK, signal.valid_signals())
             try:
                 pid = os.fork()
+                if pid == 0:
+                    _child(fn, payloads, span, claims, out, into, mask)
+                live[pid] = out
             except OSError:  # no process to spare: the running ones take every claim
                 os.close(out)
-                os.close(into)
                 break
-            if pid == 0:
-                os.close(out)
-                _child(fn, payloads, span, claims, into)
-            os.close(into)
-            live[pid] = out
+            finally:
+                os.close(into)
+                signal.pthread_sigmask(signal.SIG_SETMASK, mask)
         outcomes = _claim_blocks(fn, payloads, span, claims)
         for pid in list(live):
             with open(live[pid], "rb", closefd=False) as pipe:
@@ -244,7 +248,7 @@ def _map_ordered(fn: Callable, payloads: list) -> list:
             code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
             os.close(live.pop(pid))
             if code:
-                how = (f"was killed by {signal.Signals(-code).name}" if code < 0
+                how = (f"was killed by signal {-code} ({signal.strsignal(-code)})" if code < 0
                        else f"exited with status {code}")
                 raise ChildProcessError(f"worker process {pid} {how} before sending its results")
             outcomes += pickle.loads(sent)
@@ -284,15 +288,19 @@ def _claim_blocks(fn: Callable, payloads: list, span: int, claims: int) -> list:
     return done
 
 
-def _child(fn: Callable, payloads: list, span: int, claims: int, into: int):
+def _child(fn: Callable, payloads: list, span: int, claims: int, out: int, into: int,
+           mask: set):
     """A forked child's whole life: claim blocks, send the pickled outcomes once, and exit.
 
-    ``os._exit`` ends every path, so none of the parent's cleanup or
-    buffered output runs a second time; a child that fails exits 1
-    without sending anything.
+    The child starts with every signal blocked and restores ``mask``
+    only inside its ``try``.  ``os._exit`` ends every path, so none of
+    the parent's cleanup or buffered output runs a second time; a child
+    that fails exits 1 without sending anything.
     """
     status = 1
     try:
+        os.close(out)
+        signal.pthread_sigmask(signal.SIG_SETMASK, mask)
         sent = pickle.dumps(_claim_blocks(fn, payloads, span, claims), pickle.HIGHEST_PROTOCOL)
         with open(into, "wb") as pipe:
             pipe.write(sent)

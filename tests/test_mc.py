@@ -514,8 +514,11 @@ def test_forked_block_error_is_the_serial_one(tmp_path, monkeypatch, capsys):
 
 @pytest.mark.parametrize("death, how", [
     (lambda: os._exit(9), "exited with status 9"),
-    (lambda: os.kill(os.getpid(), signal.SIGKILL), "was killed by SIGKILL"),
-])
+    (lambda: os.kill(os.getpid(), signal.SIGKILL), "was killed by signal 9 (Killed)"),
+    # a real-time signal has no name in signal.Signals
+    (lambda: os.kill(os.getpid(), signal.SIGRTMIN + 1),
+     f"was killed by signal {signal.SIGRTMIN + 1} ({signal.strsignal(signal.SIGRTMIN + 1)})"),
+], ids=["exit", "sigkill", "realtime"])
 def test_dead_child_exits_2_with_one_line(tmp_path, monkeypatch, capsys, death, how):
     caller, run_block = os.getpid(), mc._run_block
     children = _forked_children(monkeypatch)
@@ -541,6 +544,25 @@ def test_interrupted_caller_kills_its_children(monkeypatch):
     with pytest.raises(KeyboardInterrupt):
         mc._map_ordered(block, [0, 1])
     assert time.monotonic() - start < 30
+    _no_child_left()
+
+
+def test_interrupt_at_fork_ends_the_child(monkeypatch):
+    # an interrupt that reaches a child as it is forked waits until the
+    # child is inside _child's try, so it exits 1 and never unwinds
+    # through the caller's handlers
+    monkeypatch.setenv("BARTREE_THREADS", "2")
+    fork = os.fork
+
+    def interrupted_fork():
+        pid = fork()
+        if pid == 0:
+            os.kill(os.getpid(), signal.SIGINT)
+        return pid
+
+    monkeypatch.setattr(os, "fork", interrupted_fork)
+    with pytest.raises(ChildProcessError, match="exited with status 1 before"):
+        mc._map_ordered(int, range(4))
     _no_child_left()
 
 
