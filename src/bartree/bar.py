@@ -106,14 +106,16 @@ class ObservedTree:
     realised noise of every observed non-root cell so that estimator
     diagnostics can be compared against the truth.  On a forest mask
     (see :class:`~bartree.gw.ObservationMask`) the arrays concatenate the
-    replicates' generations and ``seed`` lists their seeds.
+    replicates' generations and ``seed`` lists their seeds.  A simulated
+    tree's ``values[r]`` and ``noise[r]`` are slices of one values and
+    one noise array, generation after generation.
 
     A tree is immutable, so the estimation functions memoise what they
-    derive from it (per-generation frames, the generation rows of the
-    statistics table and their running sums across generations) in
-    ``_memo``: every function called on one tree shares one build.  The
-    frame of a generation whose mothers all have both daughters observed
-    holds views of these arrays, not copies.
+    derive from it (frames, the generation rows of the statistics table
+    and their running sums across generations) in ``_memo``: every
+    function called on one tree shares one build.  The frame of
+    generations whose mothers all have both daughters observed holds
+    views of these arrays, not copies.
     """
 
     mask: ObservationMask
@@ -163,34 +165,33 @@ class ObservedTree:
         return cls(mask=mask, values=np.split(vals, cuts))
 
 
-def _fill_generation(bar, noise, xk, z, flags):
-    """Daughter values and realised noises of one generation's mothers.
+def _fill_generation(bar, noise, xk, z, flags, x_next, e_next):
+    """Write the daughter values and realised noises of one generation's mothers.
 
     ``z`` holds one standard normal pair per mother; the pair is mixed
     into sister noises with covariance ``[[sigma2, rho], [rho, sigma2]]``.
     Both daughters of every mother are formed as ``(mothers, 2)`` rows;
     the offspring ``flags`` (row-major, the next generation's order)
-    keep the observed ones.  When every flag is set the rows already
-    are the next generation, and they are returned flattened, uncopied.
+    keep the observed ones, which are compressed into ``x_next`` and
+    ``e_next``.  When every flag is set the rows already are the next
+    generation, and they are formed in ``x_next`` and ``e_next`` themselves.
     """
     sig = math.sqrt(noise.sigma2)
     rp = noise.rho_prime
     mix = math.sqrt(max(1.0 - rp * rp, 0.0))
-    drift = np.empty(flags.shape)
+    full = x_next.size == flags.size
+    drift = e_next.reshape(flags.shape) if full else np.empty(flags.shape)
     drift[:, 0] = bar.a + bar.b * xk
     drift[:, 1] = bar.c + bar.d * xk
-    child = np.empty(flags.shape)
+    child = x_next.reshape(flags.shape) if full else np.empty(flags.shape)
     child[:, 0] = sig * z[:, 0]
     child[:, 1] = sig * (rp * z[:, 0] + mix * z[:, 1])
     child += drift
-    if flags.all():
-        x_next, e_next = child.reshape(-1), drift.reshape(-1)
-    else:
-        x_next = child[flags]
-        del child  # before the noise compress: it sets a deep tree's peak memory
-        e_next = drift[flags]
+    if not full:
+        kept = np.flatnonzero(flags)
+        np.take(child.reshape(-1), kept, out=x_next, mode="clip")
+        np.take(drift.reshape(-1), kept, out=e_next, mode="clip")
     np.subtract(x_next, e_next, out=e_next)
-    return x_next, e_next
 
 
 def simulate_joint(
@@ -211,6 +212,10 @@ def simulate_joint(
     re-derived as ``x_child - (a_i + b_i x_mother)`` so the recursion
     holds exactly in floating point.
 
+    Once the mask is drawn, the tree gets one values and one noise
+    array, and ``values[r]`` and ``noise[r]`` are views of their
+    generation-``r`` slices; each generation is filled in place.
+
     Each tree draws its normal pairs from its own noise stream, one
     pair per mother in generation order.  A single tree draws each
     generation's pairs just before filling it, with
@@ -222,11 +227,12 @@ def simulate_joint(
 
     ``seed`` may also be a sequence of seeds; the result is then a
     forest whose replicate ``i`` equals the tree simulated with
-    ``seed=seeds[i]``, filled with one numpy pass per generation.
-    Replicate ``i`` draws all its normal pairs at once,
-    ``standard_normal((parents_i, 2))``, and each generation gathers its
-    pairs from the replicates' stretches, so each replicate matches
-    ``simulate_joint(seed=seeds[i])`` bit for bit.
+    ``seed=seeds[i]``, filled with one numpy pass per generation into
+    one values and one noise array for the whole forest.  Replicate
+    ``i`` draws all its normal pairs at once, with
+    ``standard_normal(out=...)`` into its stretch of one buffer, and
+    each generation gathers its pairs from the replicates' stretches, so
+    each replicate matches ``simulate_joint(seed=seeds[i])`` bit for bit.
     """
     tree.check_depth(depth)
     if not math.isfinite(x1):
@@ -234,29 +240,37 @@ def simulate_joint(
     mask = simulate_mask(law, depth, root_type=root_type, seed=seed)
     seeds = seed if mask.forest else [seed]
     n_rep = mask.replicates
+    # one values and one noise array for the whole tree or forest, with each
+    # generation a slice of them (the roots carry no noise)
+    ends = np.cumsum([mask.generation_count(r) for r in range(depth + 1)])
+    flat_x, flat_e = np.empty(ends[-1]), np.empty(ends[-1] - n_rep)
+    values = [flat_x[:n_rep]] + [flat_x[a:b] for a, b in zip(ends[:-1], ends[1:])]
+    eps = [flat_e[:0]] + [flat_e[a - n_rep:b - n_rep] for a, b in zip(ends[:-1], ends[1:])]
+    values[0][:] = x1
+    buf = np.empty((max((mask.generation_count(r) for r in range(depth)), default=0), 2))
     stream = rng.Stream(rng.NOISE_STREAM)
     if n_rep == 1:
         normal = stream.at(seeds[0])
-        buf = np.empty((max((mask.generation_count(r) for r in range(depth)), default=0), 2))
     else:
         # the draws are replicate-major: replicate i's pairs start at row
         # first[i], and those of its generation-r mothers at first[i] + before[r, i]
         before = [np.zeros(n_rep, dtype=np.int64)] + [mask.cells_through(r) for r in range(depth)]
         parents = before[-1]
         first = np.cumsum(parents) - parents
-        draws = np.concatenate([stream.at(s).standard_normal((p, 2)) for s, p in zip(seeds, parents)])
+        draws = np.empty((parents.sum(), 2))
+        for s, a, p in zip(seeds, first, parents):
+            stream.at(s).standard_normal(out=draws[a:a + p])
 
-    values: list[np.ndarray] = [np.full(n_rep, float(x1))]
-    eps: list[np.ndarray] = [np.array([])]
     for r in range(depth):
         b = mask.bounds[r]
+        z = buf[:b[-1]]
         if n_rep == 1:
-            z = normal.standard_normal(out=buf[:b[-1]])
+            normal.standard_normal(out=z)
         else:
             start = np.repeat(first + before[r] - b[:-1], mask.generation_sizes(r))
             rows = start + np.arange(b[-1])
-            z = np.take(draws, rows, axis=0)  # several times faster than draws[rows]
-        x_next, e_next = _fill_generation(bar, noise, values[r], z, mask.offspring[r])
-        values.append(x_next)
-        eps.append(e_next)
+            # several times faster than draws[rows]; "clip" (every row is in
+            # range) writes straight into z, where "raise" would buffer
+            np.take(draws, rows, axis=0, out=z, mode="clip")
+        _fill_generation(bar, noise, values[r], z, mask.offspring[r], values[r + 1], eps[r + 1])
     return ObservedTree(mask=mask, values=values, noise=eps, seed=seed)

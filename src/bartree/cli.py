@@ -12,6 +12,7 @@ for the memory, 3 numerical degeneracies.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from . import estimation, gw, inference, io, mc
@@ -23,6 +24,7 @@ EXIT_VALIDATION = 2
 EXIT_NUMERICAL = 3
 
 
+@functools.cache  # built once per process: parsing leaves the parser as it was
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="bartree",
@@ -68,6 +70,7 @@ def _cmd_simulate(args) -> int:
         raise ValidationError("seed missing: set it in the config or pass --seed")
     root_type = args.root_type if args.root_type is not None else cfg["root_type"]
     x1 = args.x1 if args.x1 is not None else cfg["x1"]
+    gw._check_budget(cfg["law"], depth, root_type)
     tree = simulate_joint(
         cfg["bar"], cfg["noise"], cfg["law"], depth,
         root_type=root_type, x1=x1, seed=seed,

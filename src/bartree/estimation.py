@@ -16,9 +16,11 @@ implementation, over ``(replicate, generation)`` rows.  The public
 functions accept a tree or a forest (the replicates of a Monte Carlo
 block, see :class:`~bartree.gw.ObservationMask`) and return a forest's
 results with a leading replicate axis and a tree's as plain values.  A
-forest sums each replicate's segment of per-cell terms; a single tree
-keeps plain ``.sum()`` and ``@`` reductions, which need no per-cell
-term array.
+forest works one pass per generation group: it forms the per-cell terms
+of a run of consecutive generations at once and sums each (generation,
+replicate) segment of them.  A single tree keeps one pass per
+generation of plain ``.sum()`` and ``@`` reductions, which need no
+per-cell term array.
 """
 
 from __future__ import annotations
@@ -44,13 +46,19 @@ _NCOLS = 19
 
 @dataclass(frozen=True)
 class _Frame:
-    """Mother values and daughter data of one generation, zero where unobserved.
+    """Mother values and daughter data of generations ``first..stop - 1``, zero where unobserved.
 
-    ``full`` marks a generation whose mothers all have both daughters
-    observed; its daughter and noise columns are then strided views of
-    the next generation's arrays.
+    A single tree's frame holds one generation.  A forest's frame holds
+    a run of consecutive generations, laid out as the forest's arrays
+    are: by generation, and within a generation by replicate, so
+    ``bounds`` (length ``(stop - first) R + 1``) cut it into one segment
+    per (generation, replicate).  ``full`` marks a frame whose mothers
+    all have both daughters observed; its daughter and noise columns are
+    then strided views of the next generations' arrays.
     """
 
+    first: int
+    stop: int
     xk: np.ndarray
     has_e: np.ndarray
     has_o: np.ndarray
@@ -58,23 +66,43 @@ class _Frame:
     xo: np.ndarray
     eps_e: np.ndarray
     eps_o: np.ndarray
-    full: bool = False
+    full: bool
+    bounds: np.ndarray | None = None
 
 
-def _frame(tree, r: int) -> _Frame | None:
-    """Generation ``r``'s mothers and their daughters, ``None`` if it has no cells.
+def _span(arrays: list) -> np.ndarray:
+    """Consecutive generations' arrays as one: a view when they lie back to back in one buffer.
+
+    A simulated tree's generations are slices of one values and one
+    noise array (see :func:`~bartree.bar.simulate_joint`); other arrays
+    are concatenated.
+    """
+    if len(arrays) == 1:
+        return arrays[0]
+    base = arrays[0].base
+    if isinstance(base, np.ndarray) and base.ndim == 1:
+        start = at = (arrays[0].ctypes.data - base.ctypes.data) // base.itemsize
+        for a in arrays:
+            if (a.base is not base or a.strides != base.strides
+                    or a.ctypes.data != base.ctypes.data + at * base.itemsize):
+                break
+            at += a.size
+        else:
+            return base[start:at]
+    return np.concatenate(arrays)
+
+
+def _frame(tree, first: int, stop: int) -> _Frame:
+    """The mothers of generations ``first..stop - 1`` and their daughters.
 
     The offspring flags lay the next generation out row-major, so
     filling a zeroed ``(mothers, 2)`` array through them puts each
     daughter beside its mother; when every flag is set, the next
-    generation reshaped to ``(mothers, 2)`` already is that array, and
-    the frame holds its columns as views.  A forest's frame concatenates
-    its replicates' generations.
+    generations reshaped to ``(mothers, 2)`` already are that array, and
+    the frame holds its columns as views.
     """
-    xk = tree.values[r]
-    if xk.size == 0:
-        return None
-    flags = tree.mask.offspring[r]
+    mask = tree.mask
+    flags = _span(mask.offspring[first:stop])
     full = bool(flags.all())
 
     def expand(daughters):
@@ -86,68 +114,135 @@ def _frame(tree, r: int) -> _Frame | None:
             pair[flags] = daughters
         return pair[:, 0].copy(), pair[:, 1].copy()
 
-    xe, xo = expand(tree.values[r + 1])
-    eps_e, eps_o = expand(tree.noise[r + 1] if tree.has_noise else None)
-    return _Frame(xk, flags[:, 0], flags[:, 1], xe, xo, eps_e, eps_o, full)
+    xe, xo = expand(_span(tree.values[first + 1:stop + 1]))
+    eps_e, eps_o = expand(_span(tree.noise[first + 1:stop + 1]) if tree.has_noise else None)
+    bounds = None
+    if mask.forest:
+        sizes = np.concatenate([mask.generation_sizes(r) for r in range(first, stop)])
+        bounds = np.concatenate([[0], np.cumsum(sizes)])
+    return _Frame(first, stop, _span(tree.values[first:stop]), flags[:, 0], flags[:, 1],
+                  xe, xo, eps_e, eps_o, full, bounds)
 
 
-def _frames(tree, upto: int) -> list[_Frame | None]:
-    """Frames of the mothers in generations ``0..upto``, memoised; the one level range check."""
+def _runs(mask, lo: int, hi: int) -> list[tuple[int, int]]:
+    """Runs ``(first, stop)`` of consecutive generations covering ``lo..hi - 1``.
+
+    A single tree's runs are its generations.  A forest's each hold at
+    most as many cells as its widest generation in the range, so a
+    forest's per-cell temporaries stay within one generation's.
+    """
+    if not mask.forest:
+        return [(r, r + 1) for r in range(lo, hi)]
+    sizes = [mask.generation_count(r) for r in range(lo, hi)]
+    widest, runs, first, cells = max(sizes), [], lo, 0
+    for r, size in enumerate(sizes, lo):
+        if cells + size > widest:
+            runs.append((first, r))
+            first, cells = r, 0
+        cells += size
+    return runs + [(first, hi)]
+
+
+def _frames(tree, upto: int) -> list[_Frame]:
+    """Frames of the mothers in generations ``0..upto``, memoised; the one level range check.
+
+    A memoised forest frame that runs past ``upto`` is cut there.
+    """
     if not 0 <= upto < tree.depth:
         raise ValidationError(
             f"mothers' generation {upto} is outside 0..{tree.depth - 1} in this depth-{tree.depth} tree"
         )
     frames = tree._memo.setdefault("frames", [])
-    frames.extend(_frame(tree, r) for r in range(len(frames), upto + 1))
-    return frames[: upto + 1]
+    built = frames[-1].stop if frames else 0
+    if built <= upto:
+        frames.extend(_frame(tree, *run) for run in _runs(tree.mask, built, upto + 1))
+    kept = [f for f in frames if f.first <= upto]
+    last = kept[-1]
+    if last.stop > upto + 1:
+        cut = (upto + 1 - last.first) * tree.mask.replicates
+        cells = last.bounds[cut]
+        columns = ("xk", "has_e", "has_o", "xe", "xo", "eps_e", "eps_o")
+        kept[-1] = dataclasses.replace(last, stop=upto + 1, bounds=last.bounds[:cut + 1],
+                                       **{k: getattr(last, k)[:cells] for k in columns})
+    return kept
 
 
-def _generation_stats(f: _Frame, bounds: np.ndarray, forest: bool) -> np.ndarray:
-    """Statistics rows ``(R, 19)`` of one generation: sums over each replicate's mothers.
+def _widen(sums: np.ndarray) -> np.ndarray:
+    """Statistics rows ``(..., 19)`` from column sums: a full frame's three design sums repeated."""
+    design = sums[..., :-10]
+    return np.concatenate([design] * (9 // design.shape[-1]) + [sums[..., -10:]], axis=-1)
+
+
+def _generation_stats(f: _Frame) -> np.ndarray:
+    """Statistics row ``(19,)`` of a single tree's generation: sums over its mothers.
 
     The columns follow the layout above: nine design sums, then ten data sums.
 
-    The two layouts part here (and in :func:`_residual_sums`): a forest
-    sums segments of the per-cell terms; a single tree reduces each
-    column directly and holds no term array.  One ``np.add.reduceat``
-    path for both was measured slower in wall time: by 10-30% on the
-    ``deep_full`` benchmark (one 2M-cell full tree) and about 20% on
-    ``mc_full``; a deep tree then also holds the per-cell terms, 152 B
-    per mother.  A full frame's even, odd and both-daughters masks are
-    all ones, so its three design sums are formed once and repeated.
-    A tree's reductions read contiguous copies of the frame's columns:
-    BLAS takes another summation order on strided vectors.  To keep a
-    deep tree's peak low, a tree takes its design sums first and drops
-    ``xk**2`` and the masks, then copies one column at a time (the two
-    noise columns together, for their cross product).
+    A single tree reduces each column directly and holds no term array
+    (and so does :func:`_residual_sums`); a forest sums segments of the
+    per-cell terms instead (:func:`_forest_stats`).  One
+    ``np.add.reduceat`` path for both was measured slower in wall time:
+    by 10-30% on the ``deep_full`` benchmark (one 2M-cell full tree); a
+    deep tree then also holds the per-cell terms, 152 B per mother.  A
+    full frame's even, odd and both-daughters masks are all ones, so its
+    three design sums are formed once and repeated.  The reductions read
+    contiguous copies of the frame's columns: BLAS takes another
+    summation order on strided vectors.  To keep a deep tree's peak low,
+    a tree takes its design sums first and drops ``xk**2`` and the
+    masks, then copies one column at a time (the two noise columns
+    together, for their cross product).
     """
     xk, xk2 = f.xk, f.xk * f.xk
     if f.full:
         masks = [np.ones(xk.size)]
+    else:  # held by the list alone, so that dropping it frees them
+        masks = [f.has_e.astype(float), f.has_o.astype(float)]
+        masks.append(masks[0] * masks[1])
+    sums = [s for m in masks for s in (m.sum(), xk @ m, xk2 @ m)]
+    del xk2, masks
+    for col in (f.xe, f.xo):
+        col = np.ascontiguousarray(col)
+        sums += [col.sum(), xk @ col]
+    del col
+    eps_e, eps_o = np.ascontiguousarray(f.eps_e), np.ascontiguousarray(f.eps_o)
+    return _widen(np.array(sums + [eps_e.sum(), xk @ eps_e, eps_o.sum(), xk @ eps_o,
+                                   eps_e @ eps_e + eps_o @ eps_o, eps_e @ eps_o]))
+
+
+def _forest_stats(f: _Frame) -> np.ndarray:
+    """Statistics rows ``(G R, 19)`` of a forest frame: one per (generation, replicate) segment.
+
+    Every per-cell term of the frame's generations is formed in one
+    numpy pass and one ``np.add.reduceat`` sums the segments.  A
+    segment's sum depends only on its own terms, so each row is the one
+    a pass over its generation alone gives, bit for bit.  The design
+    rows are the even, odd and both-daughters masks ``m`` (one mask, all
+    ones, for a full frame) with ``xk m`` and ``xk**2 m``, formed in the
+    term array itself with no other temporary.  The term array is a
+    Monte Carlo block's largest allocation, and glibc trims the heap
+    whenever more than twice that is free at its top; a block that
+    stays under it reuses its pages instead of faulting them in afresh.
+    """
+    xk = f.xk
+    masks = 1 if f.full else 3
+    t = np.empty((3 * masks + 10, xk.size))
+    if f.full:
+        t[0] = 1.0
     else:
-        e, o = f.has_e.astype(float), f.has_o.astype(float)
-        masks = [e, o, e * o]
-    if forest:
-        t = np.empty((3 * len(masks) + 10, xk.size))
-        for i, m in enumerate(masks):
-            t[3 * i], t[3 * i + 1], t[3 * i + 2] = m, xk * m, xk2 * m
-        data = t[3 * len(masks):]
-        data[0], data[1], data[2], data[3] = f.xe, xk * f.xe, f.xo, xk * f.xo
-        data[4], data[5], data[6], data[7] = f.eps_e, xk * f.eps_e, f.eps_o, xk * f.eps_o
-        data[8], data[9] = f.eps_e * f.eps_e + f.eps_o * f.eps_o, f.eps_e * f.eps_o
-        sums = _segment_sums(t, bounds)
-    else:
-        sums = [s for m in masks for s in (m.sum(), xk @ m, xk2 @ m)]
-        del xk2, masks
-        for col in (f.xe, f.xo):
-            col = np.ascontiguousarray(col)
-            sums += [col.sum(), xk @ col]
-        del col
-        eps_e, eps_o = np.ascontiguousarray(f.eps_e), np.ascontiguousarray(f.eps_o)
-        sums = np.array(sums + [eps_e.sum(), xk @ eps_e, eps_o.sum(), xk @ eps_o,
-                                eps_e @ eps_e + eps_o @ eps_o, eps_e @ eps_o])
-    design = sums[..., :-10]
-    return np.concatenate([design] * (9 // design.shape[-1]) + [sums[..., -10:]], axis=-1)
+        t[0], t[3] = f.has_e, f.has_o
+        np.multiply(t[0], t[3], out=t[6])
+    np.multiply(xk, xk, out=t[2])
+    for i in reversed(range(masks)):  # row 2 holds xk**2 until it is the last one formed
+        np.multiply(xk, t[3 * i], out=t[3 * i + 1])
+        np.multiply(t[2], t[3 * i], out=t[3 * i + 2])
+    data = t[-10:]
+    for k, col in enumerate((f.xe, f.xo, f.eps_e, f.eps_o)):
+        data[2 * k] = col
+        np.multiply(xk, col, out=data[2 * k + 1])
+    np.multiply(f.eps_e, f.eps_e, out=data[8])
+    data[8] += f.eps_o * f.eps_o
+    np.multiply(f.eps_e, f.eps_o, out=data[9])
+    return _widen(_segment_sums(t, f.bounds))
 
 
 def _finite(sums: np.ndarray) -> np.ndarray:
@@ -162,8 +257,8 @@ def _finite(sums: np.ndarray) -> np.ndarray:
     return sums
 
 
-def _statistics(tree, upto: int, levels):
-    """Frames, and cumulative statistics ``(R, len(levels), 19)`` over mothers ``0..l``.
+def _statistics(tree, upto: int, levels) -> np.ndarray:
+    """Cumulative statistics ``(R, len(levels), 19)`` over mothers ``0..l``.
 
     Each cumulative row is the running sum of its generation rows, in
     generation order.  The generation rows and their running sums are
@@ -171,69 +266,91 @@ def _statistics(tree, upto: int, levels):
     one build (rebuilt only when a deeper ``upto`` is asked for); only
     the requested levels pass the finite gate.
     """
-    frames = _frames(tree, upto)
     mask, memo = tree.mask, tree._memo
     rows = memo.setdefault("rows", [])
-    for r in range(len(rows), upto + 1):
-        row = np.zeros(_NCOLS) if frames[r] is None else _generation_stats(
-            frames[r], mask.bounds[r], mask.forest
-        )
-        rows.append(np.broadcast_to(row, (mask.replicates, _NCOLS)))
+    for f in _frames(tree, upto):
+        if f.first != len(rows):  # tabled already
+            continue
+        if mask.forest:
+            rows.extend(_forest_stats(f).reshape(f.stop - f.first, mask.replicates, _NCOLS))
+        else:
+            rows.append((_generation_stats(f) if f.xk.size else np.zeros(_NCOLS))[None])
     if "cum" not in memo or memo["cum"].shape[1] <= upto:
         memo["cum"] = np.cumsum(np.stack(rows[: upto + 1], axis=1), axis=1)
-    return frames, _finite(memo["cum"][:, list(levels)])
+    return _finite(memo["cum"][:, list(levels)])
 
 
-def _residual_sums(f: _Frame, theta: np.ndarray, bounds: np.ndarray, forest: bool, fourth: bool):
-    """Per-replicate residual sums ``(R, k)`` of one generation at coefficients ``theta (R, 4)``.
+def _residual_columns(f: _Frame, a, b, c, d) -> list[np.ndarray]:
+    """The even and odd residuals ``x - (icpt + slope xk)`` of a frame, zero where unobserved.
+
+    The coefficients are numbers (a tree) or per-cell arrays (a forest).
+    Each column is formed in place, so only the two columns are held.
+    """
+    cols = []
+    for x, icpt, slope, has in ((f.xe, a, b, f.has_e), (f.xo, c, d, f.has_o)):
+        col = np.multiply(f.xk, slope)
+        col += icpt
+        np.subtract(x, col, out=col)
+        if not f.full:
+            np.copyto(col, 0.0, where=~has)
+        cols.append(col)
+    return cols
+
+
+def _residual_sums(f: _Frame, theta: np.ndarray, fourth: bool) -> np.ndarray:
+    """Residual sums ``(k,)`` of a single tree's generation at coefficients ``theta (4,)``.
 
     Columns: the residual sum of squares and the sister products, and
     with ``fourth`` the fourth powers and the squared sister products.
-    As in :func:`_generation_stats`, a single tree reduces directly;
-    its plain fit and its sequential functionals keep the RSS
-    reductions they have always used.  A tree forms its two residual
-    columns in place and squares them in place once their cross product
-    is taken, so it holds two columns and no other temporary.
+    As in :func:`_generation_stats`, a single tree reduces directly; its
+    plain fit and its sequential functionals keep the RSS reductions
+    they have always used.  It squares its two residual columns in place
+    once their cross product is taken, so it holds no other temporary.
     """
-    if not forest:
-        a, b, c, d = theta[0]
-        cols = []
-        for x, icpt, slope, has in ((f.xe, a, b, f.has_e), (f.xo, c, d, f.has_o)):
-            col = np.multiply(f.xk, slope)
-            col += icpt
-            np.subtract(x, col, out=col)
-            if not f.full:
-                np.copyto(col, 0.0, where=~has)
-            cols.append(col)
-        re, ro = cols
-        cross = re @ ro
-        if not fourth:
-            return np.array([re @ re + ro @ ro, cross])
-        np.square(re, out=re)
-        np.square(ro, out=ro)
-        return np.array([re.sum() + ro.sum(), cross, re @ re + ro @ ro, re @ ro])
-    a, b, c, d = np.repeat(theta, np.diff(bounds), axis=0).T
-    re = f.xe - (a + b * f.xk)
-    ro = f.xo - (c + d * f.xk)
-    if not f.full:
-        re, ro = np.where(f.has_e, re, 0.0), np.where(f.has_o, ro, 0.0)
-    re2, ro2 = re * re, ro * ro
-    terms = [re2, ro2, re * ro]
+    re, ro = _residual_columns(f, *theta)
+    cross = re @ ro
+    if not fourth:
+        return np.array([re @ re + ro @ ro, cross])
+    np.square(re, out=re)
+    np.square(ro, out=ro)
+    return np.array([re.sum() + ro.sum(), cross, re @ re + ro @ ro, re @ ro])
+
+
+def _forest_residuals(f: _Frame, thetas: np.ndarray, fourth: bool) -> np.ndarray:
+    """Residual sums ``(G R, k)`` of a forest frame, one row per segment, at ``thetas (G R, 4)``.
+
+    The columns are :func:`_residual_sums`'s, each a segment sum of
+    per-cell terms formed in one numpy pass over the frame.
+    """
+    re, ro = _residual_columns(f, *np.repeat(thetas, np.diff(f.bounds), axis=0).T)
+    t = np.empty((6 if fourth else 3, re.size))
+    np.multiply(re, re, out=t[0])
+    np.multiply(ro, ro, out=t[1])
+    np.multiply(re, ro, out=t[2])
+    del re, ro
     if fourth:
-        terms += [re2 * re2, ro2 * ro2, re2 * ro2]
-    s = _segment_sums(np.stack(terms), bounds)
+        np.multiply(t[0], t[0], out=t[3])
+        np.multiply(t[1], t[1], out=t[4])
+        np.multiply(t[0], t[1], out=t[5])
+    s = _segment_sums(t, f.bounds)
     cols = [s[:, 0] + s[:, 1], s[:, 2]]
     if fourth:
         cols += [s[:, 3] + s[:, 4], s[:, 5]]
     return np.stack(cols, axis=-1)
 
 
-def _residual_totals(frames, mask, thetas: np.ndarray, fourth: bool) -> np.ndarray:
-    """Residual sums ``(R, k)`` over the frames; ``thetas[:, r]`` fits generation ``r``."""
-    rows = np.zeros((mask.replicates, len(frames), 4 if fourth else 2))
-    for r, f in enumerate(frames):
-        if f is not None:
-            rows[:, r] = _residual_sums(f, thetas[:, r], mask.bounds[r], mask.forest, fourth)
+def _residual_totals(tree, thetas: np.ndarray, fourth: bool) -> np.ndarray:
+    """Residual sums ``(R, k)`` over mothers ``0..n - 1``; ``thetas[:, r]`` fits generation r."""
+    mask = tree.mask
+    reps, n = thetas.shape[:2]
+    rows = np.zeros((reps, n, 4 if fourth else 2))
+    for f in _frames(tree, n - 1):
+        if mask.forest:
+            fits = thetas[:, f.first:f.stop].swapaxes(0, 1).reshape(-1, 4)
+            sums = _forest_residuals(f, fits, fourth).reshape(f.stop - f.first, reps, -1)
+            rows[:, f.first:f.stop] = sums.swapaxes(0, 1)
+        else:
+            rows[:, f.first] = _residual_sums(f, thetas[0, f.first], fourth)
     return _finite(np.cumsum(rows, axis=1)[:, -1])
 
 
@@ -353,7 +470,7 @@ def accumulate_design(tree: ObservedTree, n: int) -> DesignMatrices:
 
     Needs the daughters of generation ``n``, hence tree depth ``n + 1``.
     """
-    _, cum = _statistics(tree, n, [n])
+    cum = _statistics(tree, n, [n])
     return _per_tree(tree, _design(tree.mask, cum[:, 0], n))
 
 
@@ -421,8 +538,7 @@ def estimate_theta(tree: ObservedTree, n: int, moments: bool = True) -> ThetaEst
     ``solve_residual`` is ``|S theta - rhs| / (1 + |rhs|)`` at the ridged design ``S``.
     """
     mask = tree.mask
-    frames, cum = _statistics(tree, n - 1, [n - 1])
-    cum = cum[:, 0]
+    cum = _statistics(tree, n - 1, [n - 1])[:, 0]
     t_star = mask.cells_through(n)
     if not mask.forest and t_star[0] <= 1:
         raise EstimationError("no observed daughters: the observed tree is the bare root")
@@ -440,7 +556,7 @@ def estimate_theta(tree: ObservedTree, n: int, moments: bool = True) -> ThetaEst
     residual = dict.fromkeys(("sigma2_hat", "rho_hat", "tau4_hat", "nu2_tau4_hat"))
     if moments:
         thetas = np.broadcast_to(theta[:, None], (theta.shape[0], n, 4))
-        rss, pair_sum, fourth, pair_sq = _residual_totals(frames, mask, thetas, fourth=True).T
+        rss, pair_sum, fourth, pair_sq = _residual_totals(tree, thetas, fourth=True).T
         residual = dict(
             sigma2_hat=rss / t_star,
             rho_hat=_per_pair(pair_sum, pairs),
@@ -477,7 +593,7 @@ class ThetaPath:
 @np.errstate(over="ignore", invalid="ignore")
 def theta_path(tree: ObservedTree, n: int) -> ThetaPath:
     """All level-``l`` fits for ``l = 1..n`` in one pass, each ridged as in :func:`estimate_theta`."""
-    _, cum = _statistics(tree, n - 1, range(n))
+    cum = _statistics(tree, n - 1, range(n))
     thetas, flags, _, _ = _solve_level(cum)
     design = np.zeros(cum.shape[:-1] + (4, 4))
     design[..., :2, :2] = _block(cum, _C0, _SX0, _SXX0)
@@ -511,7 +627,7 @@ def martingale_diagnostics(
     """Score diagnostics against the true coefficients (simulation mode)."""
     if not tree.has_noise:
         raise ValidationError("martingale diagnostics need recorded true noise")
-    _, cum = _statistics(tree, up_to_n - 1, range(up_to_n))
+    cum = _statistics(tree, up_to_n - 1, range(up_to_n))
     m = cum[..., [_M0, _M0X, _M1, _M1X]]
     _, ridged, s0, s1 = _solve_level(cum)  # the forms of ridged levels are discarded
     zero = ~m.any(axis=-1)
@@ -538,7 +654,7 @@ def true_noise_functionals(tree: ObservedTree, n: int) -> tuple[float, float | N
     """
     if not tree.has_noise:
         raise ValidationError("true-noise functionals need recorded noise")
-    _, cum = _statistics(tree, n - 1, [n - 1])
+    cum = _statistics(tree, n - 1, [n - 1])
     last = cum[:, 0]
     sigma2 = last[:, _TE2] / tree.mask.cells_through(n)
     return _per_tree(tree, (sigma2, _per_pair(last[:, _TEP], np.rint(last[:, _CP]))))
@@ -561,12 +677,12 @@ def sequential_variance_functionals(
     daughters observed.
     """
     mask = tree.mask
-    frames, cum = _statistics(tree, n - 1, range(n))
+    cum = _statistics(tree, n - 1, range(n))
     fits, ridged, _, _ = _solve_level(cum)
     level = np.maximum(np.arange(n), 1)  # the fit generation r's residuals are taken at
     level = np.where(ridged[:, level - 1], n, level)
     thetas = np.take_along_axis(fits, level[..., None] - 1, axis=1)
-    rss, pair_sum = _residual_totals(frames, mask, thetas, fourth=False).T
+    rss, pair_sum = _residual_totals(tree, thetas, fourth=False).T
     sigma2 = rss / mask.cells_through(n)
     return _per_tree(tree, (sigma2, _per_pair(pair_sum, np.rint(cum[:, -1, _CP]))))
 

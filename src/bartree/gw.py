@@ -19,7 +19,7 @@ import numpy as np
 
 from . import rng, tree
 from .distributions import normal_quantile
-from .errors import ExtinctionError, NumericalError, ValidationError
+from .errors import CapacityError, ExtinctionError, NumericalError, ValidationError
 
 # Offspring outcomes (even count, odd count), fixed column order.
 OUTCOMES = ((0, 0), (1, 0), (0, 1), (1, 1))
@@ -31,6 +31,10 @@ _SIDES = np.array([0, 1])
 _PROB_TOL = 1e-12
 _EXTINCTION_TOL = 1e-12  # stopping rule of the extinction fixed-point iteration
 _EXTINCTION_MAX_ITER = 10**6
+# Most expected observed cells one simulation may hold, summed over its
+# trees (a full tree to depth 23).  At the tens of bytes per cell that
+# simulating and fitting hold, a run within it stays well inside a few GB.
+_CELL_BUDGET = 1 << 24
 
 
 @dataclass(frozen=True)
@@ -377,6 +381,23 @@ def expected_cells(law: ReproductionLaw, depth: int, root_type: int = 0) -> floa
     return float(total)
 
 
+def _check_budget(law: ReproductionLaw, depth: int, root_type: int = 0, trees: int = 1) -> None:
+    """Raise :class:`CapacityError` if ``trees`` trees to ``depth`` expect too many cells.
+
+    Checked before anything is allocated, so a run too large for the
+    memory exits with this one line instead of failing part way.
+    """
+    tree.check_depth(depth)
+    cells = trees * expected_cells(law, depth, root_type)
+    if cells > _CELL_BUDGET:
+        growth = float(np.abs(np.linalg.eigvals(law.mean_matrix)).max())
+        what = "a tree" if trees == 1 else f"a block of {trees} trees"
+        raise CapacityError(
+            f"{what} to depth {depth} at growth rate {growth:.6g} expects {cells:.6g} "
+            f"observed cells, past the budget of {_CELL_BUDGET} cells"
+        )
+
+
 def simulate_mask(law: ReproductionLaw, depth: int, root_type: int = 0, seed=0) -> ObservationMask:
     """Draw one observation mask down to ``depth`` generations.
 
@@ -399,7 +420,9 @@ def simulate_mask(law: ReproductionLaw, depth: int, root_type: int = 0, seed=0) 
     ``random(a + b)``, every replicate draws exactly what it draws alone.
     One re-keyed generator serves every replicate, so a replicate that
     runs short resumes its stream past the ``drawn[i]`` numbers it has
-    already drawn.
+    already drawn.  Its top-up goes into spare capacity at the end of
+    the buffer, which grows geometrically, and only its unused tail
+    moves there with it.
     """
     tree.check_depth(depth)
     _check_root_type(root_type)
@@ -422,9 +445,12 @@ def simulate_mask(law: ReproductionLaw, depth: int, root_type: int = 0, seed=0) 
         # per generation; it sizes the top-ups of replicates that run short
         growth = float(law.mean_matrix.sum(axis=1).max())
         first = math.ceil(expected_cells(law, depth - 1, root_type)) if depth else 0
-        buf = np.concatenate([stream.at(s).random(first) for s in seeds])
+        buf = np.empty(n_rep * first)
+        for i, s in enumerate(seeds):
+            stream.at(s).random(out=buf[i * first:(i + 1) * first])
         pos = np.arange(n_rep) * first
         end = pos + first
+        top = buf.size  # buf[top:] is spare capacity
         drawn = np.full(n_rep, first)
 
     offspring, bounds = [], [np.arange(n_rep + 1)]
@@ -438,15 +464,20 @@ def simulate_mask(law: ReproductionLaw, depth: int, root_type: int = 0, seed=0) 
             short = np.flatnonzero(pos + sizes > end)
             if short.size:
                 ahead = sum(growth**k for k in range(depth - r))
-                pieces, top = [buf], buf.size
                 for i in short:
                     more = math.ceil(sizes[i] * ahead)
-                    extra = stream.at(seeds[i], drawn[i]).random(more)
+                    # the unused tail moves to the top and the new draws
+                    # follow it, in spare capacity that grows geometrically
+                    tail = end[i] - pos[i]
+                    if top + tail + more > buf.size:
+                        grown = np.empty(max(2 * buf.size, top + tail + more))
+                        grown[:top] = buf[:top]
+                        buf = grown
+                    buf[top:top + tail] = buf[pos[i]:end[i]]
+                    pos[i], top = top, top + tail
+                    stream.at(seeds[i], drawn[i]).random(out=buf[top:top + more])
                     drawn[i] += more
-                    pieces += [buf[pos[i]:end[i]], extra]
-                    pos[i], top = top, top + (end[i] - pos[i]) + extra.size
-                    end[i] = top
-                buf = np.concatenate(pieces)
+                    top = end[i] = top + more
             u = buf[np.repeat(pos - b[:-1], sizes) + np.arange(b[-1])]
             pos += sizes
             flags = _draw_flags(u, types, cum)

@@ -93,7 +93,12 @@ class LimitMatrices:
 
 def limit_matrices(bar: BarParams, noise: NoiseParams, spectrum: GWSpectral) -> LimitMatrices:
     """Assemble every limit object; rejects type designs not positive definite or ``singular``."""
-    l0, l1, l01 = design_limits(bar, noise, spectrum)
+    return _limit_matrices(bar, noise, spectrum, design_limits(bar, noise, spectrum))
+
+
+def _limit_matrices(bar, noise, spectrum, design) -> LimitMatrices:
+    """:func:`limit_matrices` from the three :func:`design_limits` already derived."""
+    l0, l1, l01 = design
     _assert_pd(l0, "even-daughter design limit")
     _assert_pd(l1, "odd-daughter design limit")
 

@@ -25,6 +25,7 @@ only.
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 import pickle
@@ -39,7 +40,7 @@ from . import estimation, inference, limits, rng
 from .bar import BarParams, NoiseParams, simulate_joint
 from .distributions import _check_level, ks_normal_distance
 from .errors import CapacityError, DegenerateModelError, ValidationError
-from .gw import OUTCOMES, ReproductionLaw, expected_cells, spectral
+from .gw import OUTCOMES, ReproductionLaw, _check_budget, expected_cells, spectral
 from .tree import MAX_DEPTH, check_depth
 
 _KS_THRESHOLD = 0.05
@@ -309,13 +310,32 @@ def _child(fn: Callable, payloads: list, span: int, claims: int, out: int, into:
         os._exit(status)
 
 
-def _require_supercritical(cfg: McConfig):
-    spectrum = spectral(cfg.law)
-    if not spectrum.supercritical:
-        raise DegenerateModelError(
-            f"experiment requires a supercritical law, growth rate {spectrum.growth_rate}"
-        )
-    return spectrum
+class _Limits:
+    """The closed-form objects of one config, each derived when first read and then kept.
+
+    One instance serves every check of a :func:`run_checks` call.
+    """
+
+    def __init__(self, cfg: McConfig):
+        self.cfg = cfg
+
+    @functools.cached_property
+    def spectrum(self):
+        """The law's spectrum; a law not supercritical is a :class:`DegenerateModelError`."""
+        spectrum = spectral(self.cfg.law)
+        if not spectrum.supercritical:
+            raise DegenerateModelError(
+                f"experiment requires a supercritical law, growth rate {spectrum.growth_rate}"
+            )
+        return spectrum
+
+    @functools.cached_property
+    def design(self):
+        return limits.design_limits(self.cfg.bar, self.cfg.noise, self.spectrum)
+
+    @functools.cached_property
+    def matrices(self):
+        return limits._limit_matrices(self.cfg.bar, self.cfg.noise, self.spectrum, self.design)
 
 
 def _rep_seed(cfg: McConfig, depth_index: int, i: int) -> int:
@@ -327,13 +347,16 @@ def _blocks(cfg: McConfig, depth: int, seeds: list[int]) -> list[list[int]]:
     """Split a seed set, in order, into forest blocks of near-equal size.
 
     A block holds about ``BLOCK_CELLS`` expected cells of trees simulated
-    to ``depth``.  Results do not depend on the split: every replicate
-    is computed from its own rows only.
+    to ``depth``, and at least one tree; a block past the cell budget is
+    a :class:`CapacityError`.  Results do not depend on the split: every
+    replicate is computed from its own rows only.
     """
     per_block = max(1, int(BLOCK_CELLS // expected_cells(cfg.law, depth, cfg.root_type)))
     count = -(-len(seeds) // per_block)
     edges = [len(seeds) * k // count for k in range(count + 1)]
-    return [seeds[a:b] for a, b in zip(edges[:-1], edges[1:])]
+    blocks = [seeds[a:b] for a, b in zip(edges[:-1], edges[1:])]
+    _check_budget(cfg.law, depth, cfg.root_type, trees=max(map(len, blocks)))
+    return blocks
 
 
 def _relative_check(name, depth, empirical, target, rel, detail):
@@ -501,7 +524,8 @@ def run_checks(cfg: McConfig, names) -> list[McReport]:
     unknown = [name for name in names if name not in _PARTS]
     if unknown:
         raise ValidationError(f"unknown checks {unknown}; available: {sorted(_PARTS)}")
-    parts = [_PARTS[name](cfg) for name in names]
+    derived = _Limits(cfg)
+    parts = [_PARTS[name](cfg, derived) for name in names]
     sets: dict[int, list[tuple[int, int]]] = {}  # seed set -> (part, depth) tasks
     for k, part in enumerate(parts):
         if part.depths[0] < part.least:
@@ -541,9 +565,8 @@ def run_checks(cfg: McConfig, names) -> list[McReport]:
     return reports
 
 
-def _limit_matrices(cfg: McConfig) -> _Part:
-    spectrum = _require_supercritical(cfg)
-    l0, l1, l01 = limits.design_limits(cfg.bar, cfg.noise, spectrum)
+def _limit_matrices(cfg: McConfig, derived: _Limits) -> _Part:
+    l0, l1, l01 = derived.design
 
     def reduce(results):
         checks = []
@@ -560,8 +583,8 @@ def _limit_matrices(cfg: McConfig) -> _Part:
     return _Part(_rep_design, cfg.depths, reduce, grown=1, least=0)
 
 
-def _consistency_rate(cfg: McConfig) -> _Part:
-    _require_supercritical(cfg)
+def _consistency_rate(cfg: McConfig, derived: _Limits) -> _Part:
+    derived.spectrum  # supercritical, or raise
 
     def reduce(results):
         medians = {d: float(np.median(results[d]["rate"])) for d in cfg.depths}
@@ -583,9 +606,9 @@ def _consistency_rate(cfg: McConfig) -> _Part:
     return _Part(_rep_consistency, cfg.depths, reduce, least=2)  # at depth 1 the rate is x / log 1
 
 
-def _qsl(cfg: McConfig) -> _Part:
-    spectrum = _require_supercritical(cfg)
-    l0, l1, _ = limits.design_limits(cfg.bar, cfg.noise, spectrum)
+def _qsl(cfg: McConfig, derived: _Limits) -> _Part:
+    spectrum = derived.spectrum
+    l0, l1, _ = derived.design
     sigma_lim = np.zeros((4, 4))
     sigma_lim[:2, :2], sigma_lim[2:, 2:] = l0, l1
     depth = cfg.depths[-1]
@@ -613,11 +636,11 @@ def _qsl(cfg: McConfig) -> _Part:
     return _Part(_rep_qsl, (depth,), reduce, extra=(sigma_lim,))
 
 
-def _clt(cfg: McConfig) -> _Part:
-    spectrum = _require_supercritical(cfg)
+def _clt(cfg: McConfig, derived: _Limits) -> _Part:
+    derived.spectrum  # supercritical, or raise
     if cfg.noise.sigma2 == 0.0:  # a zero covariance target scales every deviation to infinity
         raise ValidationError("clt needs sigma2 > 0: without noise the CLT covariance is zero")
-    lm = limits.limit_matrices(cfg.bar, cfg.noise, spectrum)
+    lm = derived.matrices
     depth = cfg.depths[-1]
 
     def reduce(results):
@@ -712,8 +735,8 @@ def _clt(cfg: McConfig) -> _Part:
     return _Part(_rep_clt, (depth,), reduce)
 
 
-def _variance_estimators(cfg: McConfig) -> _Part:
-    spectrum = _require_supercritical(cfg)
+def _variance_estimators(cfg: McConfig, derived: _Limits) -> _Part:
+    spectrum = derived.spectrum
     depth = cfg.depths[-1]
 
     def reduce(results):
@@ -726,7 +749,7 @@ def _variance_estimators(cfg: McConfig) -> _Part:
 
         rho_vals = alive["rho_bias"][~np.isnan(alive["rho_bias"])]
         if rho_vals.size and cfg.noise.sigma2 > 0.0:
-            lm = limits.limit_matrices(cfg.bar, cfg.noise, spectrum)
+            lm = derived.matrices
             checks.append(StatCheck(
                 name="rho_bias",
                 depth=depth,
@@ -743,7 +766,7 @@ def _variance_estimators(cfg: McConfig) -> _Part:
     return _Part(_rep_variance, (depth,), reduce)
 
 
-_PARTS: dict[str, Callable[[McConfig], _Part]] = {
+_PARTS: dict[str, Callable[[McConfig, _Limits], _Part]] = {
     "limit_matrices": _limit_matrices,
     "consistency_rate": _consistency_rate,
     "qsl": _qsl,

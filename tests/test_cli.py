@@ -498,8 +498,8 @@ def test_verify_clt_with_only_ridged_fits_exits_3(tmp_path, capsys):
 
 
 def test_out_of_memory_exits_2(tmp_path, capsys, monkeypatch):
-    # clt at depth 40 is a valid config that asks for 151 GiB; the failed
-    # allocation is faked here, never made
+    # clt at depth 23 (2^24 - 1 cells per tree) is the largest full-law
+    # config the cell budget lets through; a failed allocation is faked here
     from bartree import mc
 
     def simulate(*args, **kwargs):
@@ -509,9 +509,57 @@ def test_out_of_memory_exits_2(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("BARTREE_THREADS", "1")
     monkeypatch.setattr(mc, "simulate_joint", simulate)
     path = tmp_path / "mc.json"
-    path.write_text(json.dumps(_verify_doc(checks=["clt"], depths=[40], replicates=3)))
+    path.write_text(json.dumps(_verify_doc(checks=["clt"], depths=[23], replicates=3)))
     err = _one_line_exit_2(["verify", "--config", str(path)], capsys)
     assert err.startswith("error: out of memory: Unable to allocate 151. GiB")
+
+
+@pytest.mark.parametrize("checks, depths, blocked, message", [
+    (["clt"], [40], None, "a tree to depth 40 at growth rate 2 expects 2.19902e+12 observed cells"),
+    (["clt"], [24], None, "a tree to depth 24 at growth rate 2 expects 3.35544e+07 observed cells"),
+    # limit_matrices reads trees one generation past its depth
+    (["limit_matrices"], [23], None, "a tree to depth 24 at growth rate 2 expects 3.35544e+07 observed cells"),
+    # the budget holds per block: ten 2M-cell trees in one block are past it
+    (["clt"], [20], 1 << 30,
+     "a block of 10 trees to depth 20 at growth rate 2 expects 2.09715e+07 observed cells"),
+])
+def test_verify_past_the_cell_budget_exits_2(tmp_path, capsys, monkeypatch, no_simulation, checks,
+                                             depths, blocked, message):
+    # each block's expected cells are held to the budget before anything is allocated
+    from bartree import mc
+
+    if blocked:
+        monkeypatch.setattr(mc, "BLOCK_CELLS", blocked)
+    path = tmp_path / "mc.json"
+    path.write_text(json.dumps(_verify_doc(checks=checks, depths=depths, replicates=10)))
+    err = _one_line_exit_2(["verify", "--config", str(path)], capsys)
+    assert err == f"error: {message}, past the budget of 16777216 cells\n"
+
+
+@pytest.fixture
+def no_tree(monkeypatch):
+    """Make ``simulate`` fail the test if it simulates anything."""
+    from bartree import cli
+
+    def simulate(*args, **kwargs):
+        raise AssertionError("simulate simulated before rejecting its config")
+
+    monkeypatch.setattr(cli, "simulate_joint", simulate)
+
+
+@pytest.mark.parametrize("law, depth, message", [
+    (FULL_LAW, 24, "a tree to depth 24 at growth rate 2 expects 3.35544e+07 observed cells"),
+    ({"type0": {"11": 0.9025, "10": 0.0475, "01": 0.0475, "00": 0.0025},
+      "type1": {"11": 0.9025, "10": 0.0475, "01": 0.0475, "00": 0.0025}}, 25,
+     "a tree to depth 25 at growth rate 1.9 expects 1.96495e+07 observed cells"),
+])
+def test_simulate_past_the_cell_budget_exits_2(tmp_path, capsys, no_tree, law, depth, message):
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(model_doc(law=law)))
+    out = tmp_path / "o.csv"
+    err = _one_line_exit_2(["simulate", "--config", str(path), "--depth", str(depth),
+                            "--output", str(out)], capsys)
+    assert err == f"error: {message}, past the budget of 16777216 cells\n" and not out.exists()
 
 
 def test_validation_exit_codes(tmp_path):

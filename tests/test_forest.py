@@ -36,10 +36,12 @@ from bartree import (
     wald_test,
 )
 from bartree.estimation import (
-    _Frame,
+    _forest_stats,
     _frames,
     _generation_stats,
+    _residual_totals,
     _segment_sums,
+    _statistics,
 )
 from bartree.gw import expected_cells
 
@@ -66,8 +68,8 @@ def _same_bits(a, b):
 
 
 def _abs_frame(f):
-    return _Frame(np.abs(f.xk), f.has_e, f.has_o, np.abs(f.xe), np.abs(f.xo),
-                  np.abs(f.eps_e), np.abs(f.eps_o))
+    return dataclasses.replace(f, xk=np.abs(f.xk), xe=np.abs(f.xe), xo=np.abs(f.xo),
+                               eps_e=np.abs(f.eps_e), eps_o=np.abs(f.eps_o))
 
 
 def _nan(x):
@@ -108,16 +110,15 @@ def test_forest_matches_single_tree_path(law, depth, root_type, rho, seeds):
 
     # statistics rows: multi-segment sums against single-segment reductions,
     # within 1e-12 of each column's sum of absolute terms
-    frames = _frames(forest, depth - 1)
+    rows = np.concatenate([_forest_stats(f).reshape(f.stop - f.first, len(seeds), -1)
+                           for f in _frames(forest, depth - 1)])
     for i, tree in enumerate(trees):
         for r, f in enumerate(_frames(tree, depth - 1)):
-            if f is None:
+            if f.xk.size == 0:
                 continue
-            bounds = tree.mask.bounds[r]
-            multi = _generation_stats(frames[r], forest.mask.bounds[r], forest=True)[i]
-            single = _generation_stats(f, bounds, forest=False)
-            scale = _generation_stats(_abs_frame(f), bounds, forest=False)
-            assert np.all(np.abs(multi - single) <= 1e-12 * scale)
+            single = _generation_stats(f)
+            scale = _generation_stats(_abs_frame(f))
+            assert np.all(np.abs(rows[r, i] - single) <= 1e-12 * scale)
 
     # every public statistic of replicate i against the same call on tree i;
     # rounding differences in the rows grow at most with the design's condition
@@ -329,3 +330,91 @@ def test_segment_sums_empty_segments():
     terms = np.arange(1.0, 6.0)[None]
     bounds = np.array([0, 0, 2, 2, 5, 5])
     assert _segment_sums(terms, bounds)[:, 0].tolist() == [0.0, 3.0, 0.0, 12.0, 0.0]
+
+
+def _segments(terms, bounds):
+    """One ``np.add.reduceat`` over a generation's replicate segments; an empty one sums to 0."""
+    out = np.zeros((bounds.size - 1, len(terms)))
+    filled = bounds[:-1] < bounds[1:]
+    if filled.any():
+        out[filled] = np.add.reduceat(terms, bounds[:-1][filled], axis=1).T
+    return out
+
+
+def _generation_frames(forest):
+    """Each generation's mothers and zero-filled daughter columns, one generation at a time."""
+    for r in range(forest.depth):
+        flags = forest.mask.offspring[r]
+
+        def expand(daughters):
+            pair = np.zeros(flags.shape)
+            pair[flags] = daughters
+            return pair[:, 0].copy(), pair[:, 1].copy()
+
+        yield (r, forest.values[r], flags[:, 0], flags[:, 1], *expand(forest.values[r + 1]),
+               *expand(forest.noise[r + 1]))
+
+
+def _reference_statistics(forest):
+    """Cumulative statistics rows ``(R, depth, 19)``: one pass and one segment sum per generation."""
+    rows = np.zeros((forest.mask.replicates, forest.depth, 19))
+    for r, xk, has_e, has_o, xe, xo, eps_e, eps_o in _generation_frames(forest):
+        e, o = has_e.astype(float), has_o.astype(float)
+        xk2 = xk * xk
+        terms = [s for m in (e, o, e * o) for s in (m, xk * m, xk2 * m)]
+        terms += [xe, xk * xe, xo, xk * xo, eps_e, xk * eps_e, eps_o, xk * eps_o,
+                  eps_e * eps_e + eps_o * eps_o, eps_e * eps_o]
+        rows[:, r] = _segments(np.array(terms), forest.mask.bounds[r])
+    return np.cumsum(rows, axis=1)
+
+
+def _reference_residuals(forest, thetas, fourth):
+    """Residual totals ``(R, k)`` at ``thetas (R, depth, 4)``: one segment sum per generation."""
+    rows = np.zeros((forest.mask.replicates, forest.depth, 4 if fourth else 2))
+    for r, xk, has_e, has_o, xe, xo, _, _ in _generation_frames(forest):
+        bounds = forest.mask.bounds[r]
+        a, b, c, d = np.repeat(thetas[:, r], np.diff(bounds), axis=0).T
+        re = np.where(has_e, xe - (a + b * xk), 0.0)
+        ro = np.where(has_o, xo - (c + d * xk), 0.0)
+        re2, ro2 = re * re, ro * ro
+        terms = [re2, ro2, re * ro] + ([re2 * re2, ro2 * ro2, re2 * ro2] if fourth else [])
+        s = _segments(np.array(terms), bounds)
+        cols = [s[:, 0] + s[:, 1], s[:, 2]] + ([s[:, 3] + s[:, 4], s[:, 5]] if fourth else [])
+        rows[:, r] = np.stack(cols, axis=-1)
+    return np.cumsum(rows, axis=1)[:, -1]
+
+
+@pytest.mark.parametrize("law", sorted(LAWS))
+@pytest.mark.parametrize("sigma2", [0.0, 1.0])
+def test_batched_sums_equal_the_per_generation_reference(law, sigma2):
+    # a forest fits runs of generations with one segment sum each; every
+    # statistics row and residual total is the per-generation pass's, bit for
+    # bit.  Under the missing-data law seeds 1, 6 and 295 die at the root and
+    # seed 2 by generation 3, which leaves generations with no cell at all;
+    # seed 295 also dies at the root under the dense law.
+    noise = NoiseParams(sigma2, 0.5 * sigma2)
+    for depth in (1, 2, 5, 9):
+        for seeds in ([0, 1, 3, 4, 5, 7, 8, 9, 10, 11], [1, 2, 6, 295]):
+            forest = simulate_joint(BAR, noise, LAWS[law], depth, x1=2.0, seed=seeds)
+            for i, s in enumerate(seeds):  # the contiguous layout keeps each replicate's bits
+                tree = simulate_joint(BAR, noise, LAWS[law], depth, x1=2.0, seed=s)
+                _, values, eps = _replicate(forest, i)
+                assert _same_bits(values, tree.values) and _same_bits(eps, tree.noise)
+            want = _reference_statistics(forest)
+            assert np.array_equal(_statistics(forest, depth - 1, range(depth)), want)
+            thetas = np.random.default_rng(depth).normal(size=(len(seeds), depth, 4))
+            for fourth in (False, True):
+                got = _residual_totals(forest, thetas, fourth)
+                assert np.array_equal(got, _reference_residuals(forest, thetas, fourth))
+            # the two passes at the estimators' own coefficients
+            est = estimate_theta(forest, depth)
+            final = np.broadcast_to(est.theta_hat[:, None], (len(seeds), depth, 4))
+            rss = _reference_residuals(forest, final, True)[:, 0]
+            assert np.array_equal(est.sigma2_hat, rss / forest.mask.cells_through(depth))
+            path = theta_path(forest, depth)
+            level = np.maximum(np.arange(depth), 1)
+            level = np.where(path.regularized[:, level - 1], depth, level)
+            sequential = np.take_along_axis(path.theta, level[..., None] - 1, axis=1)
+            rss = _reference_residuals(forest, sequential, False)[:, 0]
+            got = sequential_variance_functionals(forest, depth)[0]
+            assert np.array_equal(got, rss / forest.mask.cells_through(depth))

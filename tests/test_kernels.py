@@ -1,11 +1,13 @@
 """The per-generation kernels against plain per-cell references.
 
 The mask draw, the noise fill and the frames build each generation from
-its ``(cells, 2)`` offspring flags in one numpy pass.  Here each is
-recomputed cell by cell over node ids, with Python floats, and must
-agree bit for bit.  A generation whose flags are all set takes views and
-three design sums instead; its statistics must match the zero-filled path.
-A single tree's kernels also hold their temporaries to a few bytes per cell.
+its ``(cells, 2)`` offspring flags in one numpy pass (a forest's frames
+a run of generations at once).  Here each is recomputed cell by cell
+over node ids, with Python floats, and must agree bit for bit.  A frame
+whose flags are all set takes views and three design sums instead; its
+statistics must match the zero-filled path.  A single tree's kernels
+also hold their temporaries to a few bytes per cell, and a forest
+block's to a bound per cell.
 """
 
 import dataclasses
@@ -13,11 +15,13 @@ import math
 import tracemalloc
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from bartree import BarParams, NoiseParams, ObservedTree, ReproductionLaw, rng, simulate_joint
 from bartree.estimation import (
-    _frames, _generation_stats, _residual_sums, estimate_theta, sequential_variance_functionals,
+    _forest_residuals, _forest_stats, _frames, _generation_stats, _residual_sums, estimate_theta,
+    sequential_variance_functionals, theta_path,
 )
 from bartree.gw import OUTCOMES, simulate_mask
 
@@ -99,11 +103,11 @@ def test_kernels_match_per_cell_reference(law, depth, root_type, seeds, forest):
         assert flags.tolist() == [list(w) for w in want]
     if depth == 0:
         return
-    for r, f in enumerate(_frames(got, depth - 1)):
-        cells = [(k, v, e) for gens, v, e in refs for k in gens[r]]
-        if not cells:
-            assert f is None
-            continue
+    frames = _frames(got, depth - 1)
+    assert [f.first for f in frames] + [depth] == [0] + [f.stop for f in frames]
+    for f in frames:
+        # a frame's mothers run by generation, and within one by replicate
+        cells = [(k, v, e) for r in range(f.first, f.stop) for gens, v, e in refs for k in gens[r]]
         assert f.xk.tobytes() == _bits([v[k] for k, v, _ in cells])
         for side, has, x, eps in ((0, f.has_e, f.xe, f.eps_e), (1, f.has_o, f.xo, f.eps_o)):
             kids = [(2 * k + side, v, e) for k, v, e in cells]
@@ -112,17 +116,18 @@ def test_kernels_match_per_cell_reference(law, depth, root_type, seeds, forest):
             assert eps.tobytes() == _bits([e.get(kid, 0.0) for kid, _, e in kids])
 
 
-def _zero_filled(tree, r, f):
-    """Generation ``r``'s frame ``f`` rebuilt on the general path: zero-filled column copies."""
-    flags = tree.mask.offspring[r]
+def _zero_filled(tree, f):
+    """The frame ``f`` rebuilt on the general path: zero-filled column copies."""
+    flags = np.concatenate(tree.mask.offspring[f.first:f.stop])
 
     def expand(daughters):
         pair = np.zeros(flags.shape)
-        pair[flags] = daughters
+        pair[flags] = np.concatenate(daughters)
         return pair[:, 0].copy(), pair[:, 1].copy()
 
-    xe, xo = expand(tree.values[r + 1])
-    eps_e, eps_o = expand(tree.noise[r + 1] if tree.has_noise else np.zeros(flags.sum()))
+    kids = slice(f.first + 1, f.stop + 1)
+    xe, xo = expand(tree.values[kids])
+    eps_e, eps_o = expand(tree.noise[kids] if tree.has_noise else [np.zeros(flags.sum())])
     return dataclasses.replace(f, xe=xe, xo=xo, eps_e=eps_e, eps_o=eps_o, full=False)
 
 
@@ -140,19 +145,20 @@ def test_full_generation_kernels_match_zero_filled(depth, noise, seeds, forest, 
     seed = seeds if forest else seeds[0]
     got = simulate_joint(BAR, noise, LAWS["full"], depth, x1=x1, seed=seed)
     data = ObservedTree(mask=got.mask, values=got.values)  # no recorded noise
-    reps = got.mask.replicates
-    thetas = np.random.default_rng(depth).normal(size=(depth, reps, 4))
+    thetas = np.random.default_rng(depth).normal(size=(depth, got.mask.replicates, 4))
     for tree in (got, data):
-        frames = _frames(tree, depth - 1) if depth else []
-        for r, f in enumerate(frames):
+        for f in _frames(tree, depth - 1) if depth else []:
             assert f.full
-            ref = _zero_filled(tree, r, f)
-            bounds = tree.mask.bounds[r]
-            assert (_generation_stats(f, bounds, forest).tobytes()
-                    == _generation_stats(ref, bounds, forest).tobytes())
-            for fourth in (False, True):
-                assert (_residual_sums(f, thetas[r], bounds, forest, fourth).tobytes()
-                        == _residual_sums(ref, thetas[r], bounds, forest, fourth).tobytes())
+            ref = _zero_filled(tree, f)
+            if forest:
+                fits = thetas[f.first:f.stop].reshape(-1, 4)
+                calls = [lambda g: _forest_stats(g)]
+                calls += [lambda g, k=k: _forest_residuals(g, fits, k) for k in (False, True)]
+            else:
+                calls = [lambda g: _generation_stats(g)]
+                calls += [lambda g, k=k: _residual_sums(g, thetas[f.first, 0], k) for k in (False, True)]
+            for call in calls:
+                assert call(f).tobytes() == call(ref).tobytes()
 
 
 def test_single_tree_memory_floor():
@@ -177,6 +183,37 @@ def test_single_tree_memory_floor():
     cells = tree.mask.total_count(depth)
     excess = {name: round((peak - own) / cells, 2) for name, peak in peaks.items()}
     assert max(excess.values()) <= 9.0, f"bytes per cell above the tree's arrays: {excess}"
+
+
+@pytest.mark.parametrize("law, depth, trees, bound", [
+    ("full", 12, 8, 32.0),        # an mc_full block
+    ("missing", 16, 300, 142.0),  # an mc_missing block
+])
+def test_forest_block_memory_floor(law, depth, trees, bound):
+    # simulating and fitting a Monte Carlo block holds at most `bound` B per
+    # cell beyond the forest's own values, noise and flags: the memoised
+    # frames and statistics table (one row per replicate and generation,
+    # which dominates the small trees of the missing-data block) and one
+    # generation group's per-cell terms
+    args, fits = (BAR, NOISE, LAWS[law]), (estimate_theta, sequential_variance_functionals, theta_path)
+    small = simulate_joint(*args, 2, seed=[1, 2])  # lazy imports stay out of the trace
+    for fit in fits:
+        fit(small, 2)
+    peaks = {}
+    tracemalloc.start()
+    try:
+        forest = simulate_joint(*args, depth, seed=list(range(trees)))
+        peaks["simulate_joint"] = tracemalloc.get_traced_memory()[1]
+        for fit in fits:
+            tracemalloc.reset_peak()
+            fit(forest, depth)
+            peaks[fit.__name__] = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    own = sum(a.nbytes for a in forest.values + forest.noise + forest.mask.offspring)
+    cells = forest.mask.total_count(depth)
+    excess = {name: round((peak - own) / cells, 2) for name, peak in peaks.items()}
+    assert max(excess.values()) <= bound, f"bytes per cell above the forest's arrays: {excess}"
 
 
 def test_mask_memory_floor():
