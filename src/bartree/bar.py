@@ -248,7 +248,7 @@ def simulate_joint(
     eps = [flat_e[:0]] + [flat_e[a - n_rep:b - n_rep] for a, b in zip(ends[:-1], ends[1:])]
     values[0][:] = x1
     buf = np.empty((max((mask.generation_count(r) for r in range(depth)), default=0), 2))
-    stream = rng.Stream(rng.NOISE_STREAM)
+    stream = rng.Stream.shared(rng.NOISE_STREAM)
     if n_rep == 1:
         normal = stream.at(seeds[0])
     else:

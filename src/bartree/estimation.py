@@ -64,8 +64,8 @@ class _Frame:
     has_o: np.ndarray
     xe: np.ndarray
     xo: np.ndarray
-    eps_e: np.ndarray
-    eps_o: np.ndarray
+    eps_e: np.ndarray | None  # None without recorded noise
+    eps_o: np.ndarray | None
     full: bool
     bounds: np.ndarray | None = None
 
@@ -106,16 +106,15 @@ def _frame(tree, first: int, stop: int) -> _Frame:
     full = bool(flags.all())
 
     def expand(daughters):
-        if full and daughters is not None:
+        if full:
             pair = daughters.reshape(flags.shape)
             return pair[:, 0], pair[:, 1]
         pair = np.zeros(flags.shape)
-        if daughters is not None:
-            pair[flags] = daughters
+        pair[flags] = daughters
         return pair[:, 0].copy(), pair[:, 1].copy()
 
     xe, xo = expand(_span(tree.values[first + 1:stop + 1]))
-    eps_e, eps_o = expand(_span(tree.noise[first + 1:stop + 1]) if tree.has_noise else None)
+    eps_e, eps_o = expand(_span(tree.noise[first + 1:stop + 1])) if tree.has_noise else (None, None)
     bounds = None
     if mask.forest:
         sizes = np.concatenate([mask.generation_sizes(r) for r in range(first, stop)])
@@ -161,7 +160,7 @@ def _frames(tree, upto: int) -> list[_Frame]:
     if last.stop > upto + 1:
         cut = (upto + 1 - last.first) * tree.mask.replicates
         cells = last.bounds[cut]
-        columns = ("xk", "has_e", "has_o", "xe", "xo", "eps_e", "eps_o")
+        columns = ("xk", "has_e", "has_o", "xe", "xo") + (("eps_e", "eps_o") if tree.has_noise else ())
         kept[-1] = dataclasses.replace(last, stop=upto + 1, bounds=last.bounds[:cut + 1],
                                        **{k: getattr(last, k)[:cells] for k in columns})
     return kept
@@ -204,6 +203,8 @@ def _generation_stats(f: _Frame) -> np.ndarray:
         col = np.ascontiguousarray(col)
         sums += [col.sum(), xk @ col]
     del col
+    if f.eps_e is None:  # no recorded noise: zero noise sums
+        return _widen(np.array(sums + [0.0] * 6))
     eps_e, eps_o = np.ascontiguousarray(f.eps_e), np.ascontiguousarray(f.eps_o)
     return _widen(np.array(sums + [eps_e.sum(), xk @ eps_e, eps_o.sum(), xk @ eps_o,
                                    eps_e @ eps_e + eps_o @ eps_o, eps_e @ eps_o]))
@@ -223,9 +224,9 @@ def _forest_stats(f: _Frame) -> np.ndarray:
     whenever more than twice that is free at its top; a block that
     stays under it reuses its pages instead of faulting them in afresh.
     """
-    xk = f.xk
+    xk, noise = f.xk, f.eps_e is not None
     masks = 1 if f.full else 3
-    t = np.empty((3 * masks + 10, xk.size))
+    t = (np.empty if noise else np.zeros)((3 * masks + 10, xk.size))  # no noise: zero noise terms
     if f.full:
         t[0] = 1.0
     else:
@@ -236,12 +237,13 @@ def _forest_stats(f: _Frame) -> np.ndarray:
         np.multiply(xk, t[3 * i], out=t[3 * i + 1])
         np.multiply(t[2], t[3 * i], out=t[3 * i + 2])
     data = t[-10:]
-    for k, col in enumerate((f.xe, f.xo, f.eps_e, f.eps_o)):
+    for k, col in enumerate((f.xe, f.xo, f.eps_e, f.eps_o)[:4 if noise else 2]):
         data[2 * k] = col
         np.multiply(xk, col, out=data[2 * k + 1])
-    np.multiply(f.eps_e, f.eps_e, out=data[8])
-    data[8] += f.eps_o * f.eps_o
-    np.multiply(f.eps_e, f.eps_o, out=data[9])
+    if noise:
+        np.multiply(f.eps_e, f.eps_e, out=data[8])
+        data[8] += f.eps_o * f.eps_o
+        np.multiply(f.eps_e, f.eps_o, out=data[9])
     return _widen(_segment_sums(t, f.bounds))
 
 

@@ -440,7 +440,7 @@ def simulate_mask(law: ReproductionLaw, depth: int, root_type: int = 0, seed=0) 
         for s in seeds:
             rng.check_seed(s)
     else:
-        stream = rng.Stream(rng.MASK_STREAM)
+        stream = rng.Stream.shared(rng.MASK_STREAM)
         # the largest row sum of the mean matrix bounds the expected growth
         # per generation; it sizes the top-ups of replicates that run short
         growth = float(law.mean_matrix.sum(axis=1).max())

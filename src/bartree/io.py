@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import math
 import warnings
-from io import StringIO
+from io import BytesIO, TextIOWrapper
 from pathlib import Path
 
 import numpy as np
@@ -29,10 +29,10 @@ MC_SCHEMA = "bartree-mc-v1"
 REPORT_SCHEMA = "bartree-report-v1"
 
 
-def _read_text(path) -> str:
-    """The text of ``path``, which must be UTF-8; other bytes exit as a validation error."""
+def _read_text(path, raw: bytes | None = None) -> str:
+    """The UTF-8 text of ``path``, or of ``raw``, its bytes; other bytes exit as a validation error."""
     try:
-        return Path(path).read_text(encoding="utf-8")
+        return Path(path).read_text(encoding="utf-8") if raw is None else raw.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise ValidationError(f"{path}: not UTF-8 text (byte {exc.start})") from None
 
@@ -46,43 +46,44 @@ def format_real(x: float) -> str:
 # lineage and mask files
 
 
-def _write_rows(path, header: list[str], rows: str) -> None:
-    """Header lines, then the data rows (already joined), one per line."""
-    Path(path).write_text("\n".join(header + [rows] if rows else header) + "\n")
+_CHUNK_ROWS = 1 << 14  # rows per write, so that no writer holds the whole body as text
 
 
-def _format_pairs(ids: np.ndarray, vals: np.ndarray) -> str:
-    """``node_id,value`` rows; ``%.17g`` gives the bytes of :func:`format_real`.
+def _write_rows(path, header: list[str], ids: list, values: list | None = None) -> None:
+    """Header lines, then a ``node_id,value`` row (``node_id`` without values) per id.
 
-    One ``%`` template formats every row of the interleaved ids and values.
+    ``ids`` and ``values`` hold one array per generation; ``%.17g`` gives :func:`format_real`'s bytes.
     """
-    rows = [None] * (2 * ids.size)
-    rows[0::2], rows[1::2] = ids.tolist(), vals.tolist()
-    return ("%d,%.17g\n" * ids.size % tuple(rows))[:-1]
+    template = "%d\n" if values is None else "%d,%.17g\n"
+    with open(path, "w") as out:
+        out.write("".join(line + "\n" for line in header))
+        for r, gen in enumerate(ids):
+            for a in range(0, gen.size, _CHUNK_ROWS):
+                args = chunk = gen[a:a + _CHUNK_ROWS].tolist()
+                if values is not None:
+                    args = [None] * (2 * len(chunk))
+                    args[0::2], args[1::2] = chunk, values[r][a:a + len(chunk)].tolist()
+                out.write(template * len(chunk) % tuple(args))
 
 
 def write_lineage(tree: ObservedTree, path) -> None:
-    header = ["# bartree lineage v1", "# columns: node_id,value"]
-    if tree.seed is not None:
-        header.append(f"# seed: {tree.seed}")
-    header.append(f"# root_type: {tree.mask.root_type}")
-    header.append(f"# depth: {tree.depth}")
-    _write_rows(path, header, _format_pairs(tree.mask.ids(), np.concatenate(tree.values)))
+    seed = [] if tree.seed is None else [f"# seed: {tree.seed}"]
+    header = ["# bartree lineage v1", "# columns: node_id,value", *seed,
+              f"# root_type: {tree.mask.root_type}", f"# depth: {tree.depth}"]
+    _write_rows(path, header, tree.mask.generations, tree.values)
 
 
 def write_mask(mask: ObservationMask, path) -> None:
     header = ["# bartree mask v1", f"# root_type: {mask.root_type}", f"# depth: {mask.depth}"]
-    ids = mask.ids()
-    _write_rows(path, header, ("%d\n" * ids.size % tuple(ids.tolist()))[:-1])
+    _write_rows(path, header, mask.generations)
 
 
 def write_noise_sidecar(tree: ObservedTree, path) -> None:
     if not tree.has_noise:
         raise ValidationError("tree carries no recorded noise to export")
     # the roots carry no noise
-    ids = tree.mask.ids()[tree.mask.generation_count(0):]
-    rows = _format_pairs(ids, np.concatenate([np.empty(0), *tree.noise[1:]]))
-    _write_rows(path, ["# bartree noise v1", "# columns: node_id,noise"], rows)
+    _write_rows(path, ["# bartree noise v1", "# columns: node_id,noise"],
+                tree.mask.generations[1:], tree.noise[1:])
 
 
 def _data_lines(text: str):
@@ -130,36 +131,43 @@ def _check_node(k: int, lineno: int, seen: dict[int, int]) -> None:
     seen[k] = lineno
 
 
-# Bytes a body may hold to be read by numpy; numpy reads these tokens as
-# int() and float() do, and any other file goes to the row loop.
-_LINEAGE_BYTES = b"0123456789,.+-eE\n"
-_MASK_BYTES = b"0123456789\n"
+# Bytes a body may hold to be read by numpy, with universal newlines; numpy
+# reads these tokens as int() and float() do, and other files go to the row loop.
+_LINEAGE_BYTES = b"0123456789,.+-eE\r\n"
+_MASK_BYTES = b"0123456789\r\n"
 _LINEAGE_ROW = np.dtype([("id", np.int64), ("value", np.float64)])
 
 
-def _fast_table(text: str, lineage: bool):
+def _fast_table(stream, lineage: bool):
     """``(ids, values, meta)`` parsed by numpy, or None when the row loop must read the file.
 
-    The header is the leading ``#`` lines; the body after it must hold
-    only the format's bytes and parse without error or warning.  A mask
-    has no values (None).
+    The header is the leading ``#`` lines of the binary, seekable ``stream``.
+    The body after it must hold only the format's bytes, checked a block at
+    a time, and parse without error or warning through a text stream, so no
+    copy of the whole file is held.  A mask has no values (None).
     """
-    end = 0
-    while text.startswith("#", end):
-        end = text.find("\n", end) + 1 or len(text)
-    header, body = text[:end], text[end:]
-    if body.encode().translate(None, _LINEAGE_BYTES if lineage else _MASK_BYTES):
-        return None
-    entries, meta = _data_lines(header)
-    if entries:  # a line break other than \n inside the header
-        return None
-    try:
+    header = []
+    while (line := stream.readline()).startswith(b"#"):
+        header.append(line)
+    header = b"".join(header)
+    stream.seek(len(header))
+    while block := stream.read(1 << 16):
+        if block.translate(None, _LINEAGE_BYTES if lineage else _MASK_BYTES):
+            return None
+    stream.seek(len(header))
+    body = TextIOWrapper(stream, encoding="ascii")
+    try:  # a UnicodeDecodeError is a ValueError: the row loop names the byte
+        entries, meta = _data_lines(header.decode("utf-8"))
+        if entries:  # a line break other than \n inside the header
+            return None
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            table = np.loadtxt(StringIO(body), delimiter=",", ndmin=1,
+            table = np.loadtxt(body, delimiter=",", ndmin=1,
                                dtype=_LINEAGE_ROW if lineage else np.int64)
     except (ValueError, OverflowError, Warning):
         return None
+    finally:
+        body.detach()  # and the file stays open for the row loop
     if not lineage:
         return table, None, meta
     return np.ascontiguousarray(table["id"]), np.ascontiguousarray(table["value"]), meta
@@ -182,15 +190,18 @@ def _parse(path, lineage: bool):
     malformed numbers) are reported with their line number.  numpy reads
     every file it can (the builders sort the ids); any other file, and
     every error, is left to the row loop, which names the offending line.
+    A pipe is read once, into memory; a file in place, and again for the row loop.
     """
-    text = _read_text(path)
-    fast = _fast_table(text, lineage)
-    if fast is not None:
-        try:
-            return _build(*fast)
-        except ValidationError:
-            pass
-    return _rows(text, lineage)
+    with open(path, "rb") as file:
+        stream = file if file.seekable() else BytesIO(file.read())
+        fast = _fast_table(stream, lineage)
+        if fast is not None:
+            try:
+                return _build(*fast)
+            except ValidationError:
+                pass
+        stream.seek(0)
+        return _rows(_read_text(path, stream.read()), lineage)
 
 
 def _rows(text: str, lineage: bool):

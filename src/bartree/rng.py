@@ -47,6 +47,8 @@ class Stream:
     re-key restarts it, and earlier seeds' positions are lost.
     """
 
+    _made: dict = {}  # stream constant -> this process's shared Stream
+
     def __init__(self, stream: int):
         self._key = np.array([0, stream], dtype=np.uint64)
         self._fresh = {
@@ -67,3 +69,8 @@ class Stream:
             self._bits.advance(int(offset) // 4)
             self._generator.random(offset % 4)
         return self._generator
+
+    @classmethod
+    def shared(cls, stream: int) -> "Stream":
+        """The process's one ``Stream(stream)``: ``at`` restarts it, so callers taking turns share it."""
+        return cls._made.get(stream) or cls._made.setdefault(stream, cls(stream))

@@ -5,14 +5,21 @@ through one reader.  ``parse_lineage`` and ``parse_mask`` read a file
 with numpy when its body passes the format's byte gate, and leave every
 other file, and every error, to the one row loop (``_rows``), which names
 the offending line.  These tests hold the two paths to the same results
-and errors for both formats, keep the writers' bytes, and make sure files
-the program writes take the numpy path.
+and errors for both formats, keep the writers' bytes, make sure files
+the program writes take the numpy path, hold the reader's edge cases
+(file names, a pipe, undecodable bytes, a BOM, CRLF and CR line ends) and bound
+the memory of reading and writing.
 """
 
 import dataclasses
 import json
+import os
+import subprocess
+import sys
+import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 from io import StringIO
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -196,19 +203,155 @@ def _hand_built():
 
 
 @pytest.mark.parametrize("case", ["depth0", "depth5", "depth9", "hand"])
-def test_writers_keep_their_bytes(tmp_path, case):
+def test_writers_keep_their_bytes(tmp_path, monkeypatch, case):
     tree = {
         "depth0": lambda: _simulated(0, 2),
         "depth5": lambda: _simulated(5, 4, root_type=1),
         "depth9": lambda: _simulated(9, 7),
         "hand": _hand_built,
     }[case]()
+    # the writers' own chunks, then chunks of 3 rows, which put rows on both
+    # sides of chunk boundaries (the depth-0 sidecar has no rows at all)
+    for chunk in (io._CHUNK_ROWS, 3):
+        monkeypatch.setattr(io, "_CHUNK_ROWS", chunk)
+        io.write_lineage(tree, tmp_path / "t.csv")
+        io.write_noise_sidecar(tree, tmp_path / "e.csv")
+        io.write_mask(tree.mask, tmp_path / "m.csv")
+        assert (tmp_path / "t.csv").read_text() == _reference_lineage(tree)
+        assert (tmp_path / "e.csv").read_text() == _reference_noise(tree)
+        assert (tmp_path / "m.csv").read_text() == _reference_mask(tree.mask)
+
+
+def test_io_memory_floor(tmp_path):
+    # a 101,500-row dense-law tree: each writer and reader peaks below its
+    # bound in bytes per row.  A writer holds the mask's ids, which it
+    # builds once, and one chunk of formatted rows; a reader holds numpy's
+    # table and the builders' temporaries, and no copy of the whole file
+    # (its bytes, their text or a StringIO of it)
+    bounds = {"write_lineage": 40.0, "write_mask": 20.0, "parse_lineage": 52.0, "parse_mask": 42.0}
+    law = ReproductionLaw.from_mean_matrix([[0.95, 0.9], [0.9, 0.95]])  # growth rate 1.85
+    tree = simulate_joint(BarParams(0.5, 0.3, -0.4, 0.7), NoiseParams(1.0, 0.5), law, depth=18, seed=1)
+    rows = tree.mask.total_count(tree.depth)
+    assert rows >= 100_000
+    lineage, mask = tmp_path / "t.csv", tmp_path / "m.csv"
+    small = _simulated(3, 1)  # lazy imports stay out of the trace
+    io.write_lineage(small, lineage)
+    io.write_mask(small.mask, mask)
+    io.parse_lineage(lineage)
+    io.parse_mask(mask)
+    calls = {
+        "write_lineage": lambda: io.write_lineage(tree, lineage),
+        "write_mask": lambda: io.write_mask(tree.mask, mask),
+        "parse_lineage": lambda: io.parse_lineage(lineage),
+        "parse_mask": lambda: io.parse_mask(mask),
+    }
+    per_row = {}
+    for name, call in calls.items():
+        tracemalloc.start()
+        try:
+            result = call()
+            per_row[name] = round(tracemalloc.get_traced_memory()[1] / rows, 1)
+        finally:
+            tracemalloc.stop()
+        del result
+    over = {name: (peak, bounds[name]) for name, peak in per_row.items() if peak > bounds[name]}
+    assert not over, f"bytes per row (peak, bound) above the bound: {over}; all peaks {per_row}"
+
+
+# ---------------------------------------------------------------------------
+# reader edge cases, written as bytes
+
+
+@pytest.fixture
+def written(tmp_path):
+    """A simulated tree and the bytes of its lineage and mask files."""
+    tree = _simulated(7, 5, root_type=1)
     io.write_lineage(tree, tmp_path / "t.csv")
-    io.write_noise_sidecar(tree, tmp_path / "e.csv")
     io.write_mask(tree.mask, tmp_path / "m.csv")
-    assert (tmp_path / "t.csv").read_text() == _reference_lineage(tree)
-    assert (tmp_path / "e.csv").read_text() == _reference_noise(tree)
-    assert (tmp_path / "m.csv").read_text() == _reference_mask(tree.mask)
+    return tree, (tmp_path / "t.csv").read_bytes(), (tmp_path / "m.csv").read_bytes()
+
+
+@pytest.mark.parametrize("name", ["lineage.csv.gz", "lineage.csv.xz", "lineage.gz", "lineage.bz2"])
+def test_compressed_suffixes_are_read_as_text(tmp_path, written, name):
+    # plain text is read as text whatever the name says
+    tree, lineage, mask = written
+    (tmp_path / name).write_bytes(lineage)
+    (tmp_path / ("mask" + name[7:])).write_bytes(mask)
+    assert _same(io.parse_lineage(tmp_path / name), tree)
+    assert io.parse_mask(tmp_path / ("mask" + name[7:])) == tree.mask
+
+
+def _run_module(argv, **kwargs):
+    path = [str(Path(io.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    return subprocess.run([sys.executable, "-m", "bartree.cli", *argv], env=env,
+                          capture_output=True, **kwargs)
+
+
+def test_estimate_reads_stdin_once(tmp_path, written):
+    # /dev/stdin fed from a file, and from a pipe, which can be read only
+    # once: the report is the file's, with the input named as given
+    _, lineage, _ = written
+    path = tmp_path / "t.csv"
+    path.write_bytes(lineage)
+    out = StringIO()
+    with redirect_stdout(out):
+        assert run_cli(["estimate", "--input", str(path)]) == 0
+    want = json.loads(out.getvalue())
+    want["input"] = "/dev/stdin"
+    with open(path, "rb") as stdin:
+        from_file = _run_module(["estimate", "--input", "/dev/stdin"], stdin=stdin)
+    piped = _run_module(["estimate", "--input", "/dev/stdin"], input=lineage)
+    for run in (from_file, piped):
+        assert run.returncode == 0, run.stderr
+        assert json.loads(run.stdout) == want
+
+
+@pytest.mark.parametrize("lineage", [True, False])
+@pytest.mark.parametrize("where", ["header", "body"])
+def test_undecodable_byte_is_one_error(tmp_path, written, lineage, where):
+    # a byte that is not UTF-8 gives one line naming the file and the byte,
+    # in the header as in the body
+    _, text, mask = written
+    data = text if lineage else mask
+    at = data.index(b"\n") - 1 if where == "header" else len(data) - 2
+    path = tmp_path / "bad.csv"
+    path.write_bytes(data[:at] + b"\xff" + data[at + 1:])
+    with pytest.raises(BartreeError) as exc:
+        (io.parse_lineage if lineage else io.parse_mask)(path)
+    assert str(exc.value) == f"{path}: not UTF-8 text (byte {at})"
+    err = StringIO()
+    with redirect_stderr(err), redirect_stdout(StringIO()):
+        assert run_cli(["estimate" if lineage else "gw", "--input", str(path)]) == 2
+    assert err.getvalue() == f"error: {path}: not UTF-8 text (byte {at})\n"
+
+
+@pytest.mark.parametrize("data, lineage, message", [
+    (b"\xef\xbb\xbf# bartree lineage v1\n1,0.5\n2,1.5\n", True,
+     "line 1: expected 'node_id,value', got '\\ufeff# bartree lineage v1'"),
+    (b"\xef\xbb\xbf1,0.5\n2,1.5\n", True, "line 1: malformed node id '\\ufeff1'"),
+    (b"\xef\xbb\xbf1\n2\n", False, "line 1: malformed node id '\\ufeff1'"),
+])
+def test_byte_order_mark_is_not_skipped(tmp_path, data, lineage, message):
+    # a UTF-8 BOM is a character of the first line, which then is no
+    # header and no row
+    path = tmp_path / "bom.csv"
+    path.write_bytes(data)
+    with pytest.raises(BartreeError) as exc:
+        (io.parse_lineage if lineage else io.parse_mask)(path)
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("end", [b"\r\n", b"\r"])
+def test_crlf_files_read_as_lf(tmp_path, written, end):
+    # CRLF or CR line ends, and a last line without one, give the tree and
+    # mask of the LF file
+    tree, lineage, mask = written
+    for name, data in (("t.csv", lineage), ("m.csv", mask), ("u.csv", lineage[:-1])):
+        (tmp_path / name).write_bytes(data.replace(b"\n", end))
+    assert _same(io.parse_lineage(tmp_path / "t.csv"), tree)
+    assert _same(io.parse_lineage(tmp_path / "u.csv"), tree)
+    assert io.parse_mask(tmp_path / "m.csv") == tree.mask
 
 
 # ---------------------------------------------------------------------------

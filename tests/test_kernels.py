@@ -117,7 +117,10 @@ def test_kernels_match_per_cell_reference(law, depth, root_type, seeds, forest):
 
 
 def _zero_filled(tree, f):
-    """The frame ``f`` rebuilt on the general path: zero-filled column copies."""
+    """The frame ``f`` rebuilt on the general path: zero-filled column copies.
+
+    A tree without recorded noise has no noise columns on either path.
+    """
     flags = np.concatenate(tree.mask.offspring[f.first:f.stop])
 
     def expand(daughters):
@@ -127,7 +130,7 @@ def _zero_filled(tree, f):
 
     kids = slice(f.first + 1, f.stop + 1)
     xe, xo = expand(tree.values[kids])
-    eps_e, eps_o = expand(tree.noise[kids] if tree.has_noise else [np.zeros(flags.sum())])
+    eps_e, eps_o = expand(tree.noise[kids]) if tree.has_noise else (None, None)
     return dataclasses.replace(f, xe=xe, xo=xo, eps_e=eps_e, eps_o=eps_o, full=False)
 
 
@@ -149,6 +152,7 @@ def test_full_generation_kernels_match_zero_filled(depth, noise, seeds, forest, 
     for tree in (got, data):
         for f in _frames(tree, depth - 1) if depth else []:
             assert f.full
+            assert (f.eps_e is None) == (f.eps_o is None) == (not tree.has_noise)
             ref = _zero_filled(tree, f)
             if forest:
                 fits = thetas[f.first:f.stop].reshape(-1, 4)
