@@ -110,12 +110,12 @@ class ObservedTree:
     tree's ``values[r]`` and ``noise[r]`` are slices of one values and
     one noise array, generation after generation.
 
-    A tree is immutable, so the estimation functions memoise what they
-    derive from it (frames, the generation rows of the statistics table
-    and their running sums across generations) in ``_memo``: every
-    function called on one tree shares one build.  The frame of
-    generations whose mothers all have both daughters observed holds
-    views of these arrays, not copies.
+    A tree is immutable, so the estimation functions memoise the running
+    sums of its statistics table across generations in ``_memo``: every
+    function called on one tree shares one build, and a deeper level
+    extends it.  The frames a pass reads are built for it and dropped;
+    the frame of generations whose mothers all have both daughters
+    observed holds views of these arrays, not copies.
     """
 
     mask: ObservationMask

@@ -4,12 +4,13 @@ Everything here is driven by per-generation sufficient statistics: one
 pass over the observed mother/daughter pairs of each generation yields
 the design-matrix and right-hand-side increments, and one sequential
 running sum across generations (``np.cumsum`` along the generation axis)
-gives the cumulative objects at every level.  That fixed left-to-right
-order makes a level's statistics independent of later generations and
-of the replicates summed beside it.  The estimator decouples into two
-2x2 systems (even and odd daughters), solved in closed form;
-near-singular designs are ridged by adding the identity, which the
-asymptotic theory makes harmless; :func:`singular` decides it.
+gives the cumulative objects at every level, the one thing a tree
+memoises (a pass builds its frames and drops them).  That fixed
+left-to-right order makes a level's statistics independent of later
+generations and of the replicates summed beside it.  The estimator
+decouples into two 2x2 systems (even and odd daughters), solved in
+closed form; near-singular designs are ridged by adding the identity,
+which the asymptotic theory makes harmless; :func:`singular` decides it.
 
 A single tree is a forest of one replicate, so each statistic has one
 implementation, over ``(replicate, generation)`` rows.  The public
@@ -54,7 +55,8 @@ class _Frame:
     ``bounds`` (length ``(stop - first) R + 1``) cut it into one segment
     per (generation, replicate).  ``full`` marks a frame whose mothers
     all have both daughters observed; its daughter and noise columns are
-    then strided views of the next generations' arrays.
+    then views of the next generations' arrays.  Frames are built per
+    pass (:func:`_frames`) and not kept.
     """
 
     first: int
@@ -81,10 +83,11 @@ def _span(arrays: list) -> np.ndarray:
         return arrays[0]
     base = arrays[0].base
     if isinstance(base, np.ndarray) and base.ndim == 1:
-        start = at = (arrays[0].ctypes.data - base.ctypes.data) // base.itemsize
+        origin = base.ctypes.data  # each .ctypes read costs microseconds
+        start = at = (arrays[0].ctypes.data - origin) // base.itemsize
         for a in arrays:
             if (a.base is not base or a.strides != base.strides
-                    or a.ctypes.data != base.ctypes.data + at * base.itemsize):
+                    or a.ctypes.data != origin + at * base.itemsize):
                 break
             at += a.size
         else:
@@ -96,22 +99,22 @@ def _frame(tree, first: int, stop: int) -> _Frame:
     """The mothers of generations ``first..stop - 1`` and their daughters.
 
     The offspring flags lay the next generation out row-major, so
-    filling a zeroed ``(mothers, 2)`` array through them puts each
-    daughter beside its mother; when every flag is set, the next
-    generations reshaped to ``(mothers, 2)`` already are that array, and
-    the frame holds its columns as views.
+    filling a zeroed array of two slots per mother at the set flags'
+    positions puts each daughter beside its mother; when every flag is
+    set, the next generations already are that array.  Either way the
+    frame holds its columns as strided views of it.
     """
     mask = tree.mask
     flags = _span(mask.offspring[first:stop])
     full = bool(flags.all())
+    slots = None if full else np.flatnonzero(flags)
 
     def expand(daughters):
-        if full:
-            pair = daughters.reshape(flags.shape)
-            return pair[:, 0], pair[:, 1]
-        pair = np.zeros(flags.shape)
-        pair[flags] = daughters
-        return pair[:, 0].copy(), pair[:, 1].copy()
+        pair = daughters
+        if not full:
+            pair = np.zeros(flags.size)
+            pair[slots] = daughters
+        return pair[0::2], pair[1::2]
 
     xe, xo = expand(_span(tree.values[first + 1:stop + 1]))
     eps_e, eps_o = expand(_span(tree.noise[first + 1:stop + 1])) if tree.has_noise else (None, None)
@@ -142,28 +145,14 @@ def _runs(mask, lo: int, hi: int) -> list[tuple[int, int]]:
     return runs + [(first, hi)]
 
 
-def _frames(tree, upto: int) -> list[_Frame]:
-    """Frames of the mothers in generations ``0..upto``, memoised; the one level range check.
+def _frames(tree, lo: int, hi: int):
+    """Frames of the mothers in generations ``lo..hi - 1``, one per run, each built as it is read.
 
-    A memoised forest frame that runs past ``upto`` is cut there.
+    No frame is kept: the statistics pass and each residual pass build
+    their own, so a tree holds only its running sums (:func:`_statistics`).
     """
-    if not 0 <= upto < tree.depth:
-        raise ValidationError(
-            f"mothers' generation {upto} is outside 0..{tree.depth - 1} in this depth-{tree.depth} tree"
-        )
-    frames = tree._memo.setdefault("frames", [])
-    built = frames[-1].stop if frames else 0
-    if built <= upto:
-        frames.extend(_frame(tree, *run) for run in _runs(tree.mask, built, upto + 1))
-    kept = [f for f in frames if f.first <= upto]
-    last = kept[-1]
-    if last.stop > upto + 1:
-        cut = (upto + 1 - last.first) * tree.mask.replicates
-        cells = last.bounds[cut]
-        columns = ("xk", "has_e", "has_o", "xe", "xo") + (("eps_e", "eps_o") if tree.has_noise else ())
-        kept[-1] = dataclasses.replace(last, stop=upto + 1, bounds=last.bounds[:cut + 1],
-                                       **{k: getattr(last, k)[:cells] for k in columns})
-    return kept
+    for run in _runs(tree.mask, lo, hi):
+        yield _frame(tree, *run)
 
 
 def _widen(sums: np.ndarray) -> np.ndarray:
@@ -260,25 +249,36 @@ def _finite(sums: np.ndarray) -> np.ndarray:
 
 
 def _statistics(tree, upto: int, levels) -> np.ndarray:
-    """Cumulative statistics ``(R, len(levels), 19)`` over mothers ``0..l``.
+    """Cumulative statistics ``(R, len(levels), 19)`` over mothers ``0..l``; the one level range check.
 
     Each cumulative row is the running sum of its generation rows, in
-    generation order.  The generation rows and their running sums are
-    memoised on the tree, so every function called on one tree shares
-    one build (rebuilt only when a deeper ``upto`` is asked for); only
-    the requested levels pass the finite gate.
+    generation order.  The running sums are the tree's one memo, so
+    every function called on one tree shares one build.  A deeper
+    ``upto`` builds the rows of generations ``built..upto`` only, adds
+    the last cumulative row into the first of them and appends their
+    ``np.cumsum``: the same additions in the same order as one running
+    sum over every row, so the same bits.  Only the requested levels
+    pass the finite gate.
     """
+    if not 0 <= upto < tree.depth:
+        raise ValidationError(
+            f"mothers' generation {upto} is outside 0..{tree.depth - 1} in this depth-{tree.depth} tree"
+        )
     mask, memo = tree.mask, tree._memo
-    rows = memo.setdefault("rows", [])
-    for f in _frames(tree, upto):
-        if f.first != len(rows):  # tabled already
-            continue
-        if mask.forest:
-            rows.extend(_forest_stats(f).reshape(f.stop - f.first, mask.replicates, _NCOLS))
-        else:
-            rows.append((_generation_stats(f) if f.xk.size else np.zeros(_NCOLS))[None])
-    if "cum" not in memo or memo["cum"].shape[1] <= upto:
-        memo["cum"] = np.cumsum(np.stack(rows[: upto + 1], axis=1), axis=1)
+    cum = memo.get("cum")
+    built = 0 if cum is None else cum.shape[1]
+    if built <= upto:
+        rows = []
+        for f in _frames(tree, built, upto + 1):
+            if mask.forest:
+                rows.extend(_forest_stats(f).reshape(f.stop - f.first, mask.replicates, _NCOLS))
+            else:
+                rows.append((_generation_stats(f) if f.xk.size else np.zeros(_NCOLS))[None])
+        new = np.stack(rows, axis=1)
+        if cum is not None:
+            new[:, 0] += cum[:, -1]
+        new = np.cumsum(new, axis=1)
+        memo["cum"] = new if cum is None else np.concatenate([cum, new], axis=1)
     return _finite(memo["cum"][:, list(levels)])
 
 
@@ -346,7 +346,7 @@ def _residual_totals(tree, thetas: np.ndarray, fourth: bool) -> np.ndarray:
     mask = tree.mask
     reps, n = thetas.shape[:2]
     rows = np.zeros((reps, n, 4 if fourth else 2))
-    for f in _frames(tree, n - 1):
+    for f in _frames(tree, 0, n):
         if mask.forest:
             fits = thetas[:, f.first:f.stop].swapaxes(0, 1).reshape(-1, 4)
             sums = _forest_residuals(f, fits, fourth).reshape(f.stop - f.first, reps, -1)

@@ -313,9 +313,6 @@ class ObservationMask:
     def replicates(self) -> int:
         return self.bounds[0].size - 1
 
-    def ids(self) -> np.ndarray:
-        return np.concatenate(self.generations)
-
     def generation_count(self, n: int) -> int:
         """Number of observed cells in generation ``n``, summed over the replicates."""
         return int(self.bounds[n][-1])
@@ -512,6 +509,8 @@ def estimate_pi(mask: ObservationMask, level: float = 0.95) -> GrowthRateEstimat
     the per-parent offspring counts (a heuristic: the exact interval
     construction for this estimator is not pinned down here).
     """
+    if mask.forest:
+        raise ValidationError("estimate_pi takes one tree, not a forest of replicates")
     n = mask.depth
     if n < 1 or mask.generation_count(1) == 0:
         raise ExtinctionError("mask is extinct at the root's children")
@@ -519,9 +518,9 @@ def estimate_pi(mask: ObservationMask, level: float = 0.95) -> GrowthRateEstimat
     pi_hat = float(growth_rate_ratio(mask, n)[0])
 
     # per-parent offspring counts y in {0, 1, 2} drive the CI width: their
-    # sum is every cell but the roots, and y^2 = y + 2 [both children observed]
+    # sum is every cell but the root, and y^2 = y + 2 [both children observed]
     both = sum(np.count_nonzero(flags[:, 0] & flags[:, 1]) for flags in mask.offspring)
-    sq_sum = mask.total_count(n) - mask.replicates + 2 * int(both)
+    sq_sum = mask.total_count(n) - 1 + 2 * int(both)
     var = max(sq_sum / parents_total - pi_hat * pi_hat, 0.0)
     se = math.sqrt(var / parents_total)
     z = normal_quantile(level)

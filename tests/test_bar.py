@@ -20,7 +20,7 @@ FULL = ReproductionLaw.full_observation()
 
 def _value_map(tree):
     """``{node id: value}`` read from the mask's ids and the value arrays."""
-    return dict(zip(tree.mask.ids().tolist(), np.concatenate(tree.values).tolist()))
+    return dict(zip(np.concatenate(tree.mask.generations).tolist(), np.concatenate(tree.values).tolist()))
 
 
 def _noise_map(tree):

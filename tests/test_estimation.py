@@ -31,7 +31,7 @@ MISSING = ReproductionLaw.from_mean_matrix([[0.9, 0.4], [0.3, 0.8]])
 
 def _value_map(tree):
     """``{node id: value}`` read from the mask's ids and the value arrays."""
-    return dict(zip(tree.mask.ids().tolist(), np.concatenate(tree.values).tolist()))
+    return dict(zip(np.concatenate(tree.mask.generations).tolist(), np.concatenate(tree.values).tolist()))
 
 
 def _zero_noise_tree(depth=4, a=1.0, b=0.5, c=2.0, d=0.25, x1=0.0):
@@ -412,10 +412,13 @@ def _arrays(result):
     return [np.asarray(result, dtype=float if result is None else None)]
 
 
-def test_functions_on_one_tree_share_one_statistics_build(monkeypatch):
-    # the frames, generation rows and prefixes are memoised on the tree: each
-    # generation's statistics are built once, and every result is the one a
-    # call on a fresh tree gives, whichever calls came before it
+@pytest.mark.parametrize("seed", [8, list(range(40))], ids=["tree", "forest"])
+def test_functions_on_one_tree_share_one_statistics_build(monkeypatch, seed):
+    # the running sums are the tree's one memo, extended when a deeper level
+    # is asked for: each generation's statistics rows are built once (a
+    # forest's in runs of generations, one row per replicate), and every
+    # result is the one a call on a fresh tree gives, whichever calls came
+    # before it
     from bartree import estimation
 
     bar = BarParams(0.5, 0.3, -0.4, 0.7)
@@ -431,15 +434,27 @@ def test_functions_on_one_tree_share_one_statistics_build(monkeypatch):
     ]
 
     def fresh():
-        return simulate_joint(bar, NoiseParams(1.0, 0.5), MISSING, depth=9, seed=8)
+        return simulate_joint(bar, NoiseParams(1.0, 0.5), MISSING, depth=9, seed=seed)
 
-    built = []
-    build = estimation._generation_stats
-    monkeypatch.setattr(estimation, "_generation_stats",
-                        lambda *args: built.append(args[0]) or build(*args))
+    built = []  # the generation of every statistics row built
+
+    def counted(build):
+        def wrapper(f):
+            rows = build(f)
+            per_generation = len(np.atleast_2d(rows)) // (f.stop - f.first)
+            built.extend(np.repeat(np.arange(f.first, f.stop), per_generation).tolist())
+            return rows
+        return wrapper
+
+    for name in ("_generation_stats", "_forest_stats"):
+        monkeypatch.setattr(estimation, name, counted(getattr(estimation, name)))
     tree = fresh()
     shared = [call(tree) for call in calls]
-    assert len(built) == sum(tree.mask.generation_count(r) > 0 for r in range(9))
+    if tree.mask.forest:  # a forest tables every generation, a row per replicate
+        assert built == [r for r in range(9) for _ in range(40)]
+    else:  # a tree skips the generations with no mothers
+        assert built == [r for r in range(9) if tree.mask.generation_count(r) > 0]
+    assert list(tree._memo) == ["cum"]
     for call, got in zip(calls, shared):
         want = call(fresh())
         assert [a.tobytes() for a in _arrays(got)] == [a.tobytes() for a in _arrays(want)]

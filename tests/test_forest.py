@@ -111,9 +111,9 @@ def test_forest_matches_single_tree_path(law, depth, root_type, rho, seeds):
     # statistics rows: multi-segment sums against single-segment reductions,
     # within 1e-12 of each column's sum of absolute terms
     rows = np.concatenate([_forest_stats(f).reshape(f.stop - f.first, len(seeds), -1)
-                           for f in _frames(forest, depth - 1)])
+                           for f in _frames(forest, 0, depth)])
     for i, tree in enumerate(trees):
-        for r, f in enumerate(_frames(tree, depth - 1)):
+        for r, f in enumerate(_frames(tree, 0, depth)):
             if f.xk.size == 0:
                 continue
             single = _generation_stats(f)

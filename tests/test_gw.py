@@ -252,10 +252,10 @@ def test_mask_equality():
     law = missing_law()
     a = simulate_mask(law, 10, seed=42)
     assert a == simulate_mask(law, 10, seed=42)
-    assert a == ObservationMask.from_ids(a.ids(), a.depth, a.root_type)
+    assert a == ObservationMask.from_ids(np.concatenate(a.generations), a.depth, a.root_type)
     assert a != simulate_mask(law, 10, seed=43)
-    assert a != ObservationMask.from_ids(a.ids(), a.depth + 1, a.root_type)
-    assert a != ObservationMask.from_ids(a.ids(), a.depth, 1 - a.root_type)
+    assert a != ObservationMask.from_ids(np.concatenate(a.generations), a.depth + 1, a.root_type)
+    assert a != ObservationMask.from_ids(np.concatenate(a.generations), a.depth, 1 - a.root_type)
     assert (a == "mask") is False
 
 
@@ -263,7 +263,7 @@ def test_mask_prefix_closure_and_counts():
     law = missing_law()
     for seed in range(25):
         mask = simulate_mask(law, 8, seed=seed)
-        observed = set(mask.ids().tolist())
+        observed = set(np.concatenate(mask.generations).tolist())
         for k in observed:
             if k >= 2:
                 assert k // 2 in observed
@@ -348,7 +348,7 @@ MASK_LAWS = {
 )
 def test_offspring_flags_match_ids(law, depth, root_type, seed, data):
     mask = simulate_mask(MASK_LAWS[law], depth, root_type=root_type, seed=seed)
-    back = ObservationMask.from_ids(mask.ids(), mask.depth, mask.root_type)
+    back = ObservationMask.from_ids(np.concatenate(mask.generations), mask.depth, mask.root_type)
     assert len(back.offspring) == len(mask.offspring) == depth
     assert all(np.array_equal(a, b) for a, b in zip(mask.offspring, back.offspring))
     assert all(np.array_equal(a, b) for a, b in zip(mask.generations, back.generations))
@@ -364,7 +364,7 @@ def test_offspring_flags_match_ids(law, depth, root_type, seed, data):
             assert np.array_equal(pos[has], np.searchsorted(kids, child[has]))
 
     # dropping observed mothers leaves orphans; the smallest one is named
-    ids = set(mask.ids().tolist())
+    ids = set(np.concatenate(mask.generations).tolist())
     mothers = sorted(k for k in ids if k >= 2 and (2 * k in ids or 2 * k + 1 in ids))
     if len(mothers) >= 2:
         dropped = data.draw(st.sets(st.sampled_from(mothers), min_size=2))
@@ -378,7 +378,7 @@ def test_offspring_flags_match_ids(law, depth, root_type, seed, data):
 def test_pair_count():
     # cells with both children observed, counted from the flags and from the ids
     mask = ObservationMask.from_ids([1, 2, 3, 6, 7])
-    ids = set(mask.ids().tolist())
+    ids = set(np.concatenate(mask.generations).tolist())
     pairs = np.cumsum([np.count_nonzero(f.all(axis=1)) for f in mask.offspring])
     assert pairs.tolist() == [1, 2]  # the root has both children; then node 3, not node 2
     assert pairs[-1] == sum(2 * k in ids and 2 * k + 1 in ids for k in ids)
@@ -417,6 +417,17 @@ def test_estimate_pi_childless_root():
     mask = simulate_mask(law, 4, root_type=0, seed=0)
     with pytest.raises(ExtinctionError):
         estimate_pi(mask)
+
+
+def test_estimate_pi_rejects_a_forest():
+    # one tree's estimator: a forest's replicates are not pooled, even when
+    # the first is extinct or the forest holds a single replicate
+    law = missing_law()
+    for seeds in ([1, 2, 3], [2]):
+        with pytest.raises(ValidationError, match="^estimate_pi takes one tree, not a forest"):
+            estimate_pi(simulate_mask(law, 8, seed=seeds))
+    with pytest.raises(ExtinctionError):
+        estimate_pi(simulate_mask(law, 8, seed=1))
 
 
 def test_estimate_pi_monte_carlo_mean():

@@ -183,7 +183,7 @@ def _reference_noise(tree):
 
 def _reference_mask(mask):
     lines = ["# bartree mask v1", f"# root_type: {mask.root_type}", f"# depth: {mask.depth}"]
-    lines += [str(int(k)) for k in mask.ids()]
+    lines += [str(int(k)) for k in np.concatenate(mask.generations)]
     return "\n".join(lines) + "\n"
 
 

@@ -103,7 +103,7 @@ def test_kernels_match_per_cell_reference(law, depth, root_type, seeds, forest):
         assert flags.tolist() == [list(w) for w in want]
     if depth == 0:
         return
-    frames = _frames(got, depth - 1)
+    frames = list(_frames(got, 0, depth))
     assert [f.first for f in frames] + [depth] == [0] + [f.stop for f in frames]
     for f in frames:
         # a frame's mothers run by generation, and within one by replicate
@@ -150,7 +150,7 @@ def test_full_generation_kernels_match_zero_filled(depth, noise, seeds, forest, 
     data = ObservedTree(mask=got.mask, values=got.values)  # no recorded noise
     thetas = np.random.default_rng(depth).normal(size=(depth, got.mask.replicates, 4))
     for tree in (got, data):
-        for f in _frames(tree, depth - 1) if depth else []:
+        for f in _frames(tree, 0, depth) if depth else []:
             assert f.full
             assert (f.eps_e is None) == (f.eps_o is None) == (not tree.has_noise)
             ref = _zero_filled(tree, f)
@@ -191,14 +191,15 @@ def test_single_tree_memory_floor():
 
 @pytest.mark.parametrize("law, depth, trees, bound", [
     ("full", 12, 8, 32.0),        # an mc_full block
-    ("missing", 16, 300, 142.0),  # an mc_missing block
+    ("missing", 16, 300, 95.0),   # an mc_missing block
 ])
 def test_forest_block_memory_floor(law, depth, trees, bound):
     # simulating and fitting a Monte Carlo block holds at most `bound` B per
     # cell beyond the forest's own values, noise and flags: the memoised
-    # frames and statistics table (one row per replicate and generation,
-    # which dominates the small trees of the missing-data block) and one
-    # generation group's per-cell terms
+    # running sums of the statistics table (one row per replicate and
+    # generation, which dominates the small trees of the missing-data
+    # block), the frames of the pass under way and one generation group's
+    # per-cell terms
     args, fits = (BAR, NOISE, LAWS[law]), (estimate_theta, sequential_variance_functionals, theta_path)
     small = simulate_joint(*args, 2, seed=[1, 2])  # lazy imports stay out of the trace
     for fit in fits:
