@@ -165,31 +165,33 @@ class ObservedTree:
         return cls(mask=mask, values=np.split(vals, cuts))
 
 
-def _fill_generation(bar, noise, xk, z, flags, x_next, e_next):
+def _fill_generation(bar, noise, xk, z, drift, flags, x_next, e_next):
     """Write the daughter values and realised noises of one generation's mothers.
 
     ``z`` holds one standard normal pair per mother; the pair is mixed
     into sister noises with covariance ``[[sigma2, rho], [rho, sigma2]]``.
-    Both daughters of every mother are formed as ``(mothers, 2)`` rows;
-    the offspring ``flags`` (row-major, the next generation's order)
-    keep the observed ones, which are compressed into ``x_next`` and
-    ``e_next``.  When every flag is set the rows already are the next
-    generation, and they are formed in ``x_next`` and ``e_next`` themselves.
+    Both daughters of every mother are formed as ``(mothers, 2)`` rows in
+    ``z`` itself, with ``drift`` as scratch; the offspring ``flags``
+    (row-major, the next generation's order) keep the observed ones,
+    which are compressed into ``x_next`` and ``e_next``.  When every flag
+    is set, ``z`` and ``drift`` must be ``x_next`` and ``e_next`` as rows.
     """
     sig = math.sqrt(noise.sigma2)
     rp = noise.rho_prime
     mix = math.sqrt(max(1.0 - rp * rp, 0.0))
-    full = x_next.size == flags.size
-    drift = e_next.reshape(flags.shape) if full else np.empty(flags.shape)
-    drift[:, 0] = bar.a + bar.b * xk
-    drift[:, 1] = bar.c + bar.d * xk
-    child = x_next.reshape(flags.shape) if full else np.empty(flags.shape)
-    child[:, 0] = sig * z[:, 0]
-    child[:, 1] = sig * (rp * z[:, 0] + mix * z[:, 1])
-    child += drift
-    if not full:
+    d0, d1 = drift.T
+    np.multiply(rp, z[:, 0], out=d1)  # the sisters' noises, formed as sig * (rp z0 + mix z1)
+    np.multiply(mix, z[:, 1], out=d0)
+    np.add(d1, d0, out=z[:, 1])
+    np.multiply(sig, z, out=z)
+    np.multiply(bar.b, xk, out=d0)  # the drifts, formed as a + b xk and c + d xk
+    np.add(bar.a, d0, out=d0)
+    np.multiply(bar.d, xk, out=d1)
+    np.add(bar.c, d1, out=d1)
+    np.add(z, drift, out=z)
+    if x_next.size != flags.size:
         kept = np.flatnonzero(flags)
-        np.take(child.reshape(-1), kept, out=x_next, mode="clip")
+        np.take(z.reshape(-1), kept, out=x_next, mode="clip")
         np.take(drift.reshape(-1), kept, out=e_next, mode="clip")
     np.subtract(x_next, e_next, out=e_next)
 
@@ -219,11 +221,11 @@ def simulate_joint(
     Each tree draws its normal pairs from its own noise stream, one
     pair per mother in generation order.  A single tree draws each
     generation's pairs just before filling it, with
-    ``standard_normal(out=...)`` into one buffer sized to its widest
-    generation: successive draws continue the stream, so these are the
-    pairs of one ``standard_normal((parents, 2))`` draw over its cells of
-    generations ``0..depth-1``, and the tree holds at most one
-    generation's pairs at a time.
+    ``standard_normal(out=...)``: successive draws continue the stream,
+    so these are the pairs of one ``standard_normal((parents, 2))`` draw
+    over its cells of generations ``0..depth-1``.  A generation whose
+    mothers all have both daughters observed has one daughter slot per
+    normal, and its pairs land there; the others share one scratch.
 
     ``seed`` may also be a sequence of seeds; the result is then a
     forest whose replicate ``i`` equals the tree simulated with
@@ -247,7 +249,8 @@ def simulate_joint(
     values = [flat_x[:n_rep]] + [flat_x[a:b] for a, b in zip(ends[:-1], ends[1:])]
     eps = [flat_e[:0]] + [flat_e[a - n_rep:b - n_rep] for a, b in zip(ends[:-1], ends[1:])]
     values[0][:] = x1
-    buf = np.empty((max((mask.generation_count(r) for r in range(depth)), default=0), 2))
+    width = max([v.size for v, w in zip(values, values[1:]) if 2 * v.size != w.size], default=0)
+    scratch = np.empty((2, width, 2))  # pairs and drifts where some daughter is unobserved
     stream = rng.Stream.shared(rng.NOISE_STREAM)
     if n_rep == 1:
         normal = stream.at(seeds[0])
@@ -263,7 +266,10 @@ def simulate_joint(
 
     for r in range(depth):
         b = mask.bounds[r]
-        z = buf[:b[-1]]
+        if 2 * b[-1] == values[r + 1].size:  # formed in the daughters' own slots
+            z, drift = values[r + 1].reshape(-1, 2), eps[r + 1].reshape(-1, 2)
+        else:
+            z, drift = scratch[:, :b[-1]]
         if n_rep == 1:
             normal.standard_normal(out=z)
         else:
@@ -272,5 +278,5 @@ def simulate_joint(
             # several times faster than draws[rows]; "clip" (every row is in
             # range) writes straight into z, where "raise" would buffer
             np.take(draws, rows, axis=0, out=z, mode="clip")
-        _fill_generation(bar, noise, values[r], z, mask.offspring[r], values[r + 1], eps[r + 1])
+        _fill_generation(bar, noise, values[r], z, drift, mask.offspring[r], values[r + 1], eps[r + 1])
     return ObservedTree(mask=mask, values=values, noise=eps, seed=seed)

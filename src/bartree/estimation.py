@@ -501,7 +501,6 @@ class ThetaEstimate:
     nu2_tau4_hat: float | None
     pbar_hat: float
     pi_hat: float
-    solve_residual: float
 
     @property
     def rho_absent_reason(self) -> str | None:
@@ -537,7 +536,6 @@ def estimate_theta(tree: ObservedTree, n: int, moments: bool = True) -> ThetaEst
     analogues used by the plug-in confidence intervals; ``moments=False``
     skips that residual pass.  A forest's extinct replicates are fitted
     too (a bare root gives a ridged zero fit); callers discard them.
-    ``solve_residual`` is ``|S theta - rhs| / (1 + |rhs|)`` at the ridged design ``S``.
     """
     mask = tree.mask
     cum = _statistics(tree, n - 1, [n - 1])[:, 0]
@@ -547,13 +545,6 @@ def estimate_theta(tree: ObservedTree, n: int, moments: bool = True) -> ThetaEst
 
     theta, regularized, s0, s1 = _solve_level(cum)
     design = dataclasses.replace(_design(mask, cum, n - 1), s0=s0, s1=s1)
-    rhs = cum[:, [_R0, _R0X, _R1, _R1X]]
-    fitted = np.concatenate(
-        [np.einsum("...ij,...j->...i", design.s0, theta[..., :2]),
-         np.einsum("...ij,...j->...i", design.s1, theta[..., 2:])],
-        axis=-1,
-    )
-    rel = np.linalg.norm(fitted - rhs, axis=-1) / (1.0 + np.linalg.norm(rhs, axis=-1))
     pairs = design.t_star_pairs
     residual = dict.fromkeys(("sigma2_hat", "rho_hat", "tau4_hat", "nu2_tau4_hat"))
     if moments:
@@ -574,7 +565,6 @@ def estimate_theta(tree: ObservedTree, n: int, moments: bool = True) -> ThetaEst
         pair_parents=pairs,
         pbar_hat=pairs / design.t_star,
         pi_hat=growth_rate_ratio(mask, n),
-        solve_residual=rel,
         **residual,
     ))
 

@@ -277,18 +277,18 @@ class ObservationMask:
                 f"declared depth {depth} is below the deepest listed node (generation {max_gen})"
             )
         tree.check_depth(depth)
-        # prefix closure: every listed node's mother is listed
-        kids = arr[1:]
-        mothers = kids // 2
-        pos = np.searchsorted(arr, mothers)  # a mother sorts before its child
-        orphans = arr[pos] != mothers
-        if orphans.any():
-            k = int(kids[np.argmax(orphans)])
-            raise ValidationError(
-                f"orphan observation: node {k} is listed but its mother {k // 2} is not"
-            )
+        # prefix closure: every listed node's mother is listed, checked (and
+        # flagged) 2^14 nodes at a time so that no temporary spans the ids
         flags = np.zeros((arr.size, 2), dtype=bool)
-        flags[pos, kids & 1] = True
+        for a in range(1, arr.size, 1 << 14):
+            k = arr[a:a + (1 << 14)]
+            pos = np.searchsorted(arr, k >> 1)  # a mother sorts before its child
+            orphans = arr[pos] != k >> 1
+            if orphans.any():
+                k = int(k[np.argmax(orphans)])
+                raise ValidationError(f"orphan observation: node {k} is listed but its"
+                                      f" mother {k // 2} is not")
+            flags[pos, k & 1] = True
         starts = np.searchsorted(arr, [tree.generation_range(r)[0] for r in range(depth + 1)])
         offspring = [flags[starts[r]:starts[r + 1]] for r in range(depth)]
         return cls(depth=depth, root_type=root_type, offspring=offspring)
@@ -479,11 +479,15 @@ def simulate_mask(law: ReproductionLaw, depth: int, root_type: int = 0, seed=0) 
             pos += sizes
             flags = _draw_flags(u, types, cum)
         offspring.append(flags)
-        # flat index 2i + j marks child j of cell i; its type is j, and the
-        # children of cells before b[i] are the marks before 2 b[i]
-        kids = np.flatnonzero(flags)
-        bounds.append(np.searchsorted(kids, 2 * b))
-        types = np.bitwise_and(kids, 1, out=kids)
+        if forest:
+            # flat index 2i + j marks child j of cell i; its type is j, and the
+            # children of cells before b[i] are the marks before 2 b[i]
+            kids = np.flatnonzero(flags)
+            bounds.append(np.searchsorted(kids, 2 * b))
+            types = np.bitwise_and(kids, 1, out=kids)
+        else:  # a daughter's type is its flag's column, kept in one byte
+            types = np.tile([False, True], b[-1])[flags.ravel()]
+            bounds.append(np.array([0, types.size]))
     return ObservationMask(depth, root_type, offspring, bounds if forest else None)
 
 

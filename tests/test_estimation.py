@@ -181,7 +181,17 @@ def test_solver_residual_invariant():
         BarParams(0.5, 0.3, -0.4, 0.7), NoiseParams(1.0, 0.5), MISSING, depth=10, seed=11
     )
     est = estimate_theta(t, 10)
-    assert est.solve_residual < 1e-10
+    # the right-hand sides (sum x_i, sum x_mother x_i) over the daughters of
+    # each side i, and |S theta - rhs| / (1 + |rhs|) at the design S solved
+    ids, x = np.concatenate(t.mask.generations), np.concatenate(t.values)
+    kids = ids[1:]
+    mother = x[np.searchsorted(ids, kids // 2)]
+    rhs = np.concatenate([[x[1:][side].sum(), (mother * x[1:])[side].sum()]
+                          for side in (kids % 2 == 0, kids % 2 == 1)])
+    theta, design = est.theta_hat, est.design
+    fitted = np.concatenate([np.einsum("ij,j->i", design.s0, theta[:2]),
+                             np.einsum("ij,j->i", design.s1, theta[2:])])
+    assert np.sqrt(np.sum((fitted - rhs) ** 2)) / (1.0 + np.sqrt(np.sum(rhs**2))) < 1e-10
 
 
 def test_even_block_ignores_odd_children():

@@ -25,7 +25,9 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from bartree import BarParams, NoiseParams, ObservedTree, ReproductionLaw, simulate_joint
+from bartree import (
+    BarParams, NoiseParams, ObservationMask, ObservedTree, ReproductionLaw, simulate_joint,
+)
 from bartree import io
 from bartree.errors import BartreeError
 from bartree.cli import run_cli
@@ -227,8 +229,10 @@ def test_io_memory_floor(tmp_path):
     # bound in bytes per row.  A writer holds the mask's ids, which it
     # builds once, and one chunk of formatted rows; a reader holds numpy's
     # table and the builders' temporaries, and no copy of the whole file
-    # (its bytes, their text or a StringIO of it)
-    bounds = {"write_lineage": 40.0, "write_mask": 20.0, "parse_lineage": 52.0, "parse_mask": 42.0}
+    # (its bytes, their text or a StringIO of it).  The readers' mask
+    # builder, given the ids, holds their flags and one chunk's temporaries
+    bounds = {"write_lineage": 40.0, "write_mask": 20.0, "parse_lineage": 41.0, "parse_mask": 21.0,
+              "from_ids": 8.0}
     law = ReproductionLaw.from_mean_matrix([[0.95, 0.9], [0.9, 0.95]])  # growth rate 1.85
     tree = simulate_joint(BarParams(0.5, 0.3, -0.4, 0.7), NoiseParams(1.0, 0.5), law, depth=18, seed=1)
     rows = tree.mask.total_count(tree.depth)
@@ -239,7 +243,9 @@ def test_io_memory_floor(tmp_path):
     io.write_mask(small.mask, mask)
     io.parse_lineage(lineage)
     io.parse_mask(mask)
+    ids = np.concatenate(dataclasses.replace(tree.mask).generations)  # the writers build their own
     calls = {
+        "from_ids": lambda: ObservationMask.from_ids(ids, tree.depth),
         "write_lineage": lambda: io.write_lineage(tree, lineage),
         "write_mask": lambda: io.write_mask(tree.mask, mask),
         "parse_lineage": lambda: io.parse_lineage(lineage),
