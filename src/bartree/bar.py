@@ -101,35 +101,34 @@ def noise_moments(noise: NoiseParams) -> NoiseMoments:
 class ObservedTree:
     """Values (and, in simulation mode, true noises) on an observation mask.
 
-    ``values[r]`` is aligned with ``mask.generations[r]``.  ``noise`` is
-    ``None`` for trees read from data files; simulated trees record the
-    realised noise of every observed non-root cell so that estimator
-    diagnostics can be compared against the truth.  On a forest mask
-    (see :class:`~bartree.gw.ObservationMask`) the arrays concatenate the
-    replicates' generations and ``seed`` lists their seeds.  A simulated
-    tree's ``values[r]`` and ``noise[r]`` are slices of one values and
-    one noise array, generation after generation.
+    ``x`` holds one value per observed cell, in the mask's layout (see
+    :class:`~bartree.gw.ObservationMask`), so generation ``r``'s values
+    are ``x[starts[r]:starts[r + 1]]``.  ``eps`` is ``None`` for trees
+    read from data files; simulated trees record the realised noise of
+    every observed cell in the same layout (0 at the roots, which have
+    no mother) so that estimator diagnostics can be compared against the
+    truth.  ``values[r]`` and ``noise[r]`` are generation ``r``'s views
+    of them, built when read.  On a forest mask ``seed`` lists the
+    replicates' seeds.
 
     A tree is immutable, so the estimation functions memoise the running
     sums of its statistics table across generations in ``_memo``: every
     function called on one tree shares one build, and a deeper level
     extends it.  The frames a pass reads are built for it and dropped;
-    the frame of generations whose mothers all have both daughters
-    observed holds views of these arrays, not copies.
+    they slice ``x`` and ``eps``, and the frame of generations whose
+    mothers all have both daughters observed holds only views of them.
     """
 
     mask: ObservationMask
-    values: list[np.ndarray]
-    noise: list[np.ndarray] | None = None
+    x: np.ndarray
+    eps: np.ndarray | None = None
     seed: int | list[int] | None = None
     _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if len(self.values) != self.mask.depth + 1:
-            raise ValidationError("one value array per generation is required")
-        for r, (bounds, vals) in enumerate(zip(self.mask.bounds, self.values)):
-            if bounds[-1] != np.asarray(vals).size:
-                raise ValidationError(f"generation {r}: values misaligned with mask")
+        cells = (self.mask.total_count(self.depth),)
+        if any(getattr(a, "shape", None) != cells for a in (self.x, self.eps)[:1 + self.has_noise]):
+            raise ValidationError("values or noise misaligned with mask: one per observed cell")
 
     @property
     def depth(self) -> int:
@@ -137,7 +136,16 @@ class ObservedTree:
 
     @property
     def has_noise(self) -> bool:
-        return self.noise is not None
+        return self.eps is not None
+
+    @property
+    def values(self) -> list[np.ndarray]:
+        return [self.x[a:b] for a, b in zip(self.mask.starts[:-1], self.mask.starts[1:])]
+
+    @property
+    def noise(self) -> list[np.ndarray] | None:
+        s = self.mask.starts
+        return None if self.eps is None else [self.eps[a:b] for a, b in zip(s[:-1], s[1:])]
 
     @classmethod
     def from_pairs(cls, pairs, root_type: int = 0, depth: int | None = None) -> "ObservedTree":
@@ -159,10 +167,8 @@ class ObservedTree:
             ids, vals = ids[order], vals[order]
         if not np.isfinite(vals).all():
             raise ValidationError(f"non-finite value at node {int(ids[~np.isfinite(vals)][0])}")
-        mask = ObservationMask.from_ids(ids, depth=depth, root_type=root_type)
-        # the mask's generations concatenate to the sorted ids
-        cuts = np.cumsum([b[-1] for b in mask.bounds])[:-1]
-        return cls(mask=mask, values=np.split(vals, cuts))
+        # the mask lays its cells out as the sorted ids
+        return cls(mask=ObservationMask.from_ids(ids, depth=depth, root_type=root_type), x=vals)
 
 
 def _fill_generation(bar, noise, xk, z, drift, flags, x_next, e_next):
@@ -212,11 +218,9 @@ def simulate_joint(
     covariance ``[[sigma2, rho], [rho, sigma2]]`` within a pair) and
     values are filled only along observed lineages.  Recorded noises are
     re-derived as ``x_child - (a_i + b_i x_mother)`` so the recursion
-    holds exactly in floating point.
-
-    Once the mask is drawn, the tree gets one values and one noise
-    array, and ``values[r]`` and ``noise[r]`` are views of their
-    generation-``r`` slices; each generation is filled in place.
+    holds exactly in floating point.  The tree is built on empty arrays
+    once the mask is drawn, and each generation is filled in place
+    through its views ``values[r]`` and ``noise[r]``.
 
     Each tree draws its normal pairs from its own noise stream, one
     pair per mother in generation order.  A single tree draws each
@@ -229,9 +233,8 @@ def simulate_joint(
 
     ``seed`` may also be a sequence of seeds; the result is then a
     forest whose replicate ``i`` equals the tree simulated with
-    ``seed=seeds[i]``, filled with one numpy pass per generation into
-    one values and one noise array for the whole forest.  Replicate
-    ``i`` draws all its normal pairs at once, with
+    ``seed=seeds[i]``, filled with one numpy pass per generation.
+    Replicate ``i`` draws all its normal pairs at once, with
     ``standard_normal(out=...)`` into its stretch of one buffer, and
     each generation gathers its pairs from the replicates' stretches, so
     each replicate matches ``simulate_joint(seed=seeds[i])`` bit for bit.
@@ -242,13 +245,10 @@ def simulate_joint(
     mask = simulate_mask(law, depth, root_type=root_type, seed=seed)
     seeds = seed if mask.forest else [seed]
     n_rep = mask.replicates
-    # one values and one noise array for the whole tree or forest, with each
-    # generation a slice of them (the roots carry no noise)
-    ends = np.cumsum([mask.generation_count(r) for r in range(depth + 1)])
-    flat_x, flat_e = np.empty(ends[-1]), np.empty(ends[-1] - n_rep)
-    values = [flat_x[:n_rep]] + [flat_x[a:b] for a, b in zip(ends[:-1], ends[1:])]
-    eps = [flat_e[:0]] + [flat_e[a - n_rep:b - n_rep] for a, b in zip(ends[:-1], ends[1:])]
-    values[0][:] = x1
+    cells = mask.total_count(depth)
+    out = ObservedTree(mask=mask, x=np.empty(cells), eps=np.empty(cells), seed=seed)
+    values, eps, offspring = out.values, out.noise, mask.offspring
+    values[0][:], eps[0][:] = x1, 0.0  # the roots carry no noise
     width = max([v.size for v, w in zip(values, values[1:]) if 2 * v.size != w.size], default=0)
     scratch = np.empty((2, width, 2))  # pairs and drifts where some daughter is unobserved
     stream = rng.Stream.shared(rng.NOISE_STREAM)
@@ -278,5 +278,5 @@ def simulate_joint(
             # several times faster than draws[rows]; "clip" (every row is in
             # range) writes straight into z, where "raise" would buffer
             np.take(draws, rows, axis=0, out=z, mode="clip")
-        _fill_generation(bar, noise, values[r], z, drift, mask.offspring[r], values[r + 1], eps[r + 1])
-    return ObservedTree(mask=mask, values=values, noise=eps, seed=seed)
+        _fill_generation(bar, noise, values[r], z, drift, offspring[r], values[r + 1], eps[r + 1])
+    return out

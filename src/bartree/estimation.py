@@ -12,16 +12,17 @@ decouples into two 2x2 systems (even and odd daughters), solved in
 closed form; near-singular designs are ridged by adding the identity,
 which the asymptotic theory makes harmless; :func:`singular` decides it.
 
-A single tree is a forest of one replicate, so each statistic has one
-implementation, over ``(replicate, generation)`` rows.  The public
-functions accept a tree or a forest (the replicates of a Monte Carlo
-block, see :class:`~bartree.gw.ObservationMask`) and return a forest's
-results with a leading replicate axis and a tree's as plain values.  A
-forest works one pass per generation group: it forms the per-cell terms
-of a run of consecutive generations at once and sums each (generation,
-replicate) segment of them.  A single tree keeps one pass per
-generation of plain ``.sum()`` and ``@`` reductions, which need no
-per-cell term array.
+The public functions accept a tree or a forest (the replicates of a
+Monte Carlo block, see :class:`~bartree.gw.ObservationMask`) and return
+a forest's results with a leading replicate axis and a tree's as plain
+values; both fill the same ``(replicate, generation)`` rows, through two
+kernel families.  A forest works one pass per generation group: it forms
+the per-cell terms of a run of consecutive generations at once and sums
+each (generation, replicate) segment with ``np.add.reduceat``.  A single
+tree keeps one pass per generation of plain ``.sum()`` and ``@``
+reductions, which need no per-cell term array: one full depth-20 tree
+took 44 ms and an 8 MB ``tracemalloc`` peak to fit this way, against
+173 ms and 57 MB as a one-replicate forest.
 """
 
 from __future__ import annotations
@@ -50,13 +51,14 @@ class _Frame:
     """Mother values and daughter data of generations ``first..stop - 1``, zero where unobserved.
 
     A single tree's frame holds one generation.  A forest's frame holds
-    a run of consecutive generations, laid out as the forest's arrays
-    are: by generation, and within a generation by replicate, so
-    ``bounds`` (length ``(stop - first) R + 1``) cut it into one segment
-    per (generation, replicate).  ``full`` marks a frame whose mothers
-    all have both daughters observed; its daughter and noise columns are
-    then views of the next generations' arrays.  Frames are built per
-    pass (:func:`_frames`) and not kept.
+    a run of consecutive generations, in the mask's layout: by
+    generation, and within a generation by replicate, so ``bounds``
+    (length ``(stop - first) R + 1``) cut it into one segment per
+    (generation, replicate).  Its mother and flag columns are views of
+    the tree's ``x`` and the mask's ``flags``.  ``full`` marks a frame
+    whose mothers all have both daughters observed; its daughter and
+    noise columns are then views of ``x`` and ``eps`` too.  Frames are
+    built per pass (:func:`_frames`) and not kept.
     """
 
     first: int
@@ -72,40 +74,20 @@ class _Frame:
     bounds: np.ndarray | None = None
 
 
-def _span(arrays: list) -> np.ndarray:
-    """Consecutive generations' arrays as one: a view when they lie back to back in one buffer.
-
-    A simulated tree's generations are slices of one values and one
-    noise array (see :func:`~bartree.bar.simulate_joint`); other arrays
-    are concatenated.
-    """
-    if len(arrays) == 1:
-        return arrays[0]
-    base = arrays[0].base
-    if isinstance(base, np.ndarray) and base.ndim == 1:
-        origin = base.ctypes.data  # each .ctypes read costs microseconds
-        start = at = (arrays[0].ctypes.data - origin) // base.itemsize
-        for a in arrays:
-            if (a.base is not base or a.strides != base.strides
-                    or a.ctypes.data != origin + at * base.itemsize):
-                break
-            at += a.size
-        else:
-            return base[start:at]
-    return np.concatenate(arrays)
-
-
 def _frame(tree, first: int, stop: int) -> _Frame:
     """The mothers of generations ``first..stop - 1`` and their daughters.
 
-    The offspring flags lay the next generation out row-major, so
-    filling a zeroed array of two slots per mother at the set flags'
-    positions puts each daughter beside its mother; when every flag is
-    set, the next generations already are that array.  Either way the
-    frame holds its columns as strided views of it.
+    Consecutive generations lie back to back in the mask's and the
+    tree's arrays, so each column is one slice of them, cut at the
+    mask's ``starts``.  The offspring flags lay the next generations out
+    row-major, so filling a zeroed array of two slots per mother at the
+    set flags' positions puts each daughter beside its mother; when
+    every flag is set, the next generations' slice already is that
+    array.  Either way the daughter columns are strided views of it.
     """
     mask = tree.mask
-    flags = _span(mask.offspring[first:stop])
+    s = mask.starts
+    flags = mask.flags[s[first]:s[stop]]
     full = bool(flags.all())
     slots = None if full else np.flatnonzero(flags)
 
@@ -116,13 +98,13 @@ def _frame(tree, first: int, stop: int) -> _Frame:
             pair[slots] = daughters
         return pair[0::2], pair[1::2]
 
-    xe, xo = expand(_span(tree.values[first + 1:stop + 1]))
-    eps_e, eps_o = expand(_span(tree.noise[first + 1:stop + 1])) if tree.has_noise else (None, None)
+    kids = slice(s[first + 1], s[stop + 1])
+    xe, xo = expand(tree.x[kids])
+    eps_e, eps_o = expand(tree.eps[kids]) if tree.has_noise else (None, None)
     bounds = None
-    if mask.forest:
-        sizes = np.concatenate([mask.generation_sizes(r) for r in range(first, stop)])
-        bounds = np.concatenate([[0], np.cumsum(sizes)])
-    return _Frame(first, stop, _span(tree.values[first:stop]), flags[:, 0], flags[:, 1],
+    if mask.forest:  # one segment per (generation, replicate)
+        bounds = np.concatenate([[0], np.cumsum(np.diff(mask.bounds[first:stop], axis=1))])
+    return _Frame(first, stop, tree.x[s[first]:s[stop]], flags[:, 0], flags[:, 1],
                   xe, xo, eps_e, eps_o, full, bounds)
 
 
@@ -168,11 +150,8 @@ def _generation_stats(f: _Frame) -> np.ndarray:
 
     A single tree reduces each column directly and holds no term array
     (and so does :func:`_residual_sums`); a forest sums segments of the
-    per-cell terms instead (:func:`_forest_stats`).  One
-    ``np.add.reduceat`` path for both was measured slower in wall time:
-    by 10-30% on the ``deep_full`` benchmark (one 2M-cell full tree); a
-    deep tree then also holds the per-cell terms, 152 B per mother.  A
-    full frame's even, odd and both-daughters masks are all ones, so its
+    per-cell terms instead (:func:`_forest_stats`; the module docstring
+    says why both are kept).  A full frame's even, odd and both-daughters masks are all ones, so its
     three design sums are formed once and repeated.  The reductions read
     contiguous copies of the frame's columns: BLAS takes another
     summation order on strided vectors.  To keep a deep tree's peak low,

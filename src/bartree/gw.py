@@ -195,54 +195,54 @@ def _check_root_type(root_type: int) -> int:
 class ObservationMask:
     """Observed cells of a partially observed binary tree, or of a forest of them.
 
-    The stored record is the Galton-Watson datum itself: ``offspring[r]``
-    is a boolean ``(G_r, 2)`` array giving, for each observed cell of
-    generation ``r < depth`` in ascending id order, whether its even
-    and its odd child are observed.  The root (id 1) is always
-    observed, and prefix closure holds by construction.
+    The stored record is the Galton-Watson datum itself, in one array:
+    ``flags`` is a boolean ``(mothers, 2)`` array giving, for each
+    observed cell of generations ``0..depth - 1``, whether its even and
+    its odd child are observed.  Cells lie by generation, then in
+    ascending id order; generation ``r`` holds cells
+    ``starts[r]:starts[r + 1]`` (``depth + 2`` offsets).  The root (id 1)
+    is always observed, and prefix closure holds by construction.
 
-    A forest lays several replicates out generation by generation:
-    ``offspring[r]`` concatenates their generation-``r`` flags in
-    replicate order, and ``bounds[r]`` (length ``R + 1``) holds where
-    each replicate's cells start and end in that layout, for
-    ``r = 0..depth``.  Read row-major, the set flags of ``offspring[r]``
-    are generation ``r + 1`` in order, so a boolean compress or fill
-    through them (one numpy pass per generation, for every replicate)
-    moves data between mothers and daughters.
-    A single tree is the forest of one replicate built without
-    ``bounds``, which are then derived from the flags; ``forest`` tells
-    the two apart, and statistics of a forest keep a leading replicate
-    axis.  Two masks are equal when their depth, root type, flags and
-    bounds are.
+    A forest lays its replicates out within each generation in order,
+    and ``bounds[r]`` (length ``R + 1``) holds where each one's cells of
+    generation ``r`` start and end, counted from ``starts[r]``.  Read
+    row-major, the set flags of a generation are the next one in order,
+    so a boolean compress or fill through them (one numpy pass per
+    generation, for every replicate) moves data between mothers and
+    daughters.  A single tree is the forest of one replicate built
+    without ``bounds``, which are then derived; ``forest`` tells the two
+    apart, and statistics of a forest keep a leading replicate axis.  Two
+    masks are equal when their depth, root type, flags and bounds are.
 
-    ``generations[r]`` (the ascending observed ids of generation ``r``,
-    concatenated over replicates) and ``counts[r]`` (the per-parity
-    observed counts ``(even, odd)``; the root is booked under its
-    configured reproduction type) are derived from the flags when first
-    read.
+    ``offspring[r]`` and ``generations[r]`` are generation ``r``'s views
+    of ``flags`` and ``ids`` (the observed ids), built when read; ``ids``
+    and ``counts[r]`` (the per-parity counts ``(even, odd)``, the root
+    booked under its configured type) are derived when first read.
     """
 
     depth: int
     root_type: int
-    offspring: list[np.ndarray]
-    bounds: list[np.ndarray] | None = None
+    flags: np.ndarray
+    bounds: np.ndarray | None = None
     forest: bool = field(init=False)
+    starts: np.ndarray = field(init=False)
 
     def __post_init__(self):
         tree.check_depth(self.depth)
         _check_root_type(self.root_type)
-        if len(self.offspring) != self.depth:
-            raise ValidationError("one offspring array per parent generation is required")
+        if getattr(self.flags, "dtype", None) != bool or np.shape(self.flags)[1:] != (2,):
+            raise ValidationError("offspring flags must be a boolean (cells, 2) array")
         self.forest = self.bounds is not None
-        sizes = [self.bounds[0][-1] if self.forest else 1]
-        for r, flags in enumerate(self.offspring):
-            if flags.dtype != bool or flags.shape != (sizes[-1], 2):
-                raise ValidationError(
-                    f"generation {r}: offspring flags must be a boolean (cells, 2) array"
-                )
-            sizes.append(np.count_nonzero(flags))
+        starts = [0, self.bounds[0][-1] if self.forest else 1]
+        for r in range(self.depth):
+            if starts[-1] > len(self.flags):
+                raise ValidationError(f"generation {r}: fewer offspring flag rows than cells")
+            starts.append(starts[-1] + np.count_nonzero(self.flags[starts[-2]:starts[-1]]))
+        if len(self.flags) != starts[-2]:
+            raise ValidationError(f"{len(self.flags)} offspring flag rows for {starts[-2]} mothers")
+        self.starts = np.array(starts)
         if not self.forest:  # one replicate, spanning each whole generation
-            self.bounds = [np.array([0, size]) for size in sizes]
+            self.bounds = np.stack([np.zeros(self.depth + 1, np.int64), np.diff(self.starts)], axis=1)
 
     def __eq__(self, other):
         if not isinstance(other, ObservationMask):
@@ -250,10 +250,8 @@ class ObservationMask:
         return (
             self.depth == other.depth
             and self.root_type == other.root_type
-            and all(
-                np.array_equal(a, b)
-                for a, b in zip(self.offspring + self.bounds, other.offspring + other.bounds)
-            )
+            and np.array_equal(self.flags, other.flags)
+            and np.array_equal(self.bounds, other.bounds)
         )
 
     @classmethod
@@ -278,8 +276,8 @@ class ObservationMask:
             )
         tree.check_depth(depth)
         # prefix closure: every listed node's mother is listed, checked (and
-        # flagged) 2^14 nodes at a time so that no temporary spans the ids
-        flags = np.zeros((arr.size, 2), dtype=bool)
+        # flagged, a row per mother) 2^14 nodes at a time so that no temporary spans the ids
+        flags = np.zeros((np.searchsorted(arr, tree.generation_range(depth)[0]), 2), dtype=bool)
         for a in range(1, arr.size, 1 << 14):
             k = arr[a:a + (1 << 14)]
             pos = np.searchsorted(arr, k >> 1)  # a mother sorts before its child
@@ -289,17 +287,23 @@ class ObservationMask:
                 raise ValidationError(f"orphan observation: node {k} is listed but its"
                                       f" mother {k // 2} is not")
             flags[pos, k & 1] = True
-        starts = np.searchsorted(arr, [tree.generation_range(r)[0] for r in range(depth + 1)])
-        offspring = [flags[starts[r]:starts[r + 1]] for r in range(depth)]
-        return cls(depth=depth, root_type=root_type, offspring=offspring)
+        return cls(depth=depth, root_type=root_type, flags=flags)
+
+    @property
+    def offspring(self) -> list[np.ndarray]:
+        return [self.flags[a:b] for a, b in zip(self.starts[:-2], self.starts[1:-1])]
 
     @functools.cached_property
+    def ids(self) -> np.ndarray:
+        s, ids = self.starts, np.ones(self.starts[-1], dtype=np.int64)
+        for r, flags in enumerate(self.offspring):
+            # mothers ascend, so the flagged (2k, 2k + 1) pairs come out sorted
+            ids[s[r + 1]:s[r + 2]] = (2 * ids[s[r]:s[r + 1], None] + _SIDES)[flags]
+        return ids
+
+    @property
     def generations(self) -> list[np.ndarray]:
-        gens = [np.ones(self.replicates, dtype=np.int64)]
-        for flags in self.offspring:
-            # parents ascend, so the flagged (2k, 2k + 1) pairs come out sorted
-            gens.append((2 * gens[-1][:, None] + _SIDES)[flags])
-        return gens
+        return [self.ids[a:b] for a, b in zip(self.starts[:-1], self.starts[1:])]
 
     @functools.cached_property
     def counts(self) -> np.ndarray:
@@ -311,7 +315,7 @@ class ObservationMask:
 
     @property
     def replicates(self) -> int:
-        return self.bounds[0].size - 1
+        return self.bounds.shape[1] - 1
 
     def generation_count(self, n: int) -> int:
         """Number of observed cells in generation ``n``, summed over the replicates."""
@@ -319,13 +323,13 @@ class ObservationMask:
 
     def total_count(self, n: int) -> int:
         """Number of observed cells up to generation ``n``, summed over the replicates."""
-        return int(sum(self.bounds[r][-1] for r in range(n + 1)))
+        return int(self.starts[n + 1])
 
     @functools.cached_property
     def _sizes(self) -> np.ndarray:
         # [0] the (depth + 1, R) cells per generation and replicate, [1] their
         # running totals over generations; read-only, since callers get views
-        sizes = np.diff(np.stack(self.bounds), axis=1)
+        sizes = np.diff(self.bounds, axis=1)
         memo = np.stack([sizes, np.cumsum(sizes, axis=0)])
         memo.flags.writeable = False
         return memo
@@ -450,7 +454,8 @@ def simulate_mask(law: ReproductionLaw, depth: int, root_type: int = 0, seed=0) 
         top = buf.size  # buf[top:] is spare capacity
         drawn = np.full(n_rep, first)
 
-    offspring, bounds = [], [np.arange(n_rep + 1)]
+    gens, bounds = [np.empty((0, 2), bool)], np.empty((depth + 1, n_rep + 1), dtype=np.int64)
+    bounds[0] = np.arange(n_rep + 1)
     types = np.full(n_rep, root_type)
     for r in range(depth):
         b = bounds[r]
@@ -475,20 +480,23 @@ def simulate_mask(law: ReproductionLaw, depth: int, root_type: int = 0, seed=0) 
                     stream.at(seeds[i], drawn[i]).random(out=buf[top:top + more])
                     drawn[i] += more
                     top = end[i] = top + more
-            u = buf[np.repeat(pos - b[:-1], sizes) + np.arange(b[-1])]
+            if n_rep == 1:  # its draws are one slice
+                u = buf[pos[0]:pos[0] + b[-1]]
+            else:
+                u = buf[np.repeat(pos - b[:-1], sizes) + np.arange(b[-1])]
             pos += sizes
             flags = _draw_flags(u, types, cum)
-        offspring.append(flags)
+        gens.append(flags)
         if forest:
             # flat index 2i + j marks child j of cell i; its type is j, and the
             # children of cells before b[i] are the marks before 2 b[i]
             kids = np.flatnonzero(flags)
-            bounds.append(np.searchsorted(kids, 2 * b))
+            bounds[r + 1] = np.searchsorted(kids, 2 * b)
             types = np.bitwise_and(kids, 1, out=kids)
         else:  # a daughter's type is its flag's column, kept in one byte
             types = np.tile([False, True], b[-1])[flags.ravel()]
-            bounds.append(np.array([0, types.size]))
-    return ObservationMask(depth, root_type, offspring, bounds if forest else None)
+            bounds[r + 1] = 0, types.size
+    return ObservationMask(depth, root_type, np.concatenate(gens), bounds if forest else None)
 
 
 def growth_rate_ratio(mask: ObservationMask, n: int) -> np.ndarray:
@@ -523,7 +531,7 @@ def estimate_pi(mask: ObservationMask, level: float = 0.95) -> GrowthRateEstimat
 
     # per-parent offspring counts y in {0, 1, 2} drive the CI width: their
     # sum is every cell but the root, and y^2 = y + 2 [both children observed]
-    both = sum(np.count_nonzero(flags[:, 0] & flags[:, 1]) for flags in mask.offspring)
+    both = np.count_nonzero(mask.flags[:, 0] & mask.flags[:, 1])
     sq_sum = mask.total_count(n) - 1 + 2 * int(both)
     var = max(sq_sum / parents_total - pi_hat * pi_hat, 0.0)
     se = math.sqrt(var / parents_total)

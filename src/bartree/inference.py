@@ -127,7 +127,7 @@ def wald_test(est: ThetaEstimate, which: str) -> WaldTest:
     theta = np.atleast_2d(est.theta_hat)
     g = theta[:, :2] - theta[:, 2:]
     g0, g1 = g.T
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):  # non-finite: degenerate
         statistic = {
             "pair": (v11 * g0**2 - 2.0 * v01 * g0 * g1 + v00 * g1**2) / (v00 * v11 - v01 * v01),
             "intercept": g0**2 / v00,

@@ -49,41 +49,40 @@ def format_real(x: float) -> str:
 _CHUNK_ROWS = 1 << 14  # rows per write, so that no writer holds the whole body as text
 
 
-def _write_rows(path, header: list[str], ids: list, values: list | None = None) -> None:
+def _write_rows(path, header: list[str], ids: np.ndarray, values: np.ndarray | None = None) -> None:
     """Header lines, then a ``node_id,value`` row (``node_id`` without values) per id.
 
-    ``ids`` and ``values`` hold one array per generation; ``%.17g`` gives :func:`format_real`'s bytes.
+    ``values`` align with ``ids``; ``%.17g`` gives :func:`format_real`'s bytes.
     """
     template = "%d\n" if values is None else "%d,%.17g\n"
     with open(path, "w") as out:
         out.write("".join(line + "\n" for line in header))
-        for r, gen in enumerate(ids):
-            for a in range(0, gen.size, _CHUNK_ROWS):
-                args = chunk = gen[a:a + _CHUNK_ROWS].tolist()
-                if values is not None:
-                    args = [None] * (2 * len(chunk))
-                    args[0::2], args[1::2] = chunk, values[r][a:a + len(chunk)].tolist()
-                out.write(template * len(chunk) % tuple(args))
+        for a in range(0, ids.size, _CHUNK_ROWS):
+            args = chunk = ids[a:a + _CHUNK_ROWS].tolist()
+            if values is not None:
+                args = [None] * (2 * len(chunk))
+                args[0::2], args[1::2] = chunk, values[a:a + len(chunk)].tolist()
+            out.write(template * len(chunk) % tuple(args))
 
 
 def write_lineage(tree: ObservedTree, path) -> None:
     seed = [] if tree.seed is None else [f"# seed: {tree.seed}"]
     header = ["# bartree lineage v1", "# columns: node_id,value", *seed,
               f"# root_type: {tree.mask.root_type}", f"# depth: {tree.depth}"]
-    _write_rows(path, header, tree.mask.generations, tree.values)
+    _write_rows(path, header, tree.mask.ids, tree.x)
 
 
 def write_mask(mask: ObservationMask, path) -> None:
     header = ["# bartree mask v1", f"# root_type: {mask.root_type}", f"# depth: {mask.depth}"]
-    _write_rows(path, header, mask.generations)
+    _write_rows(path, header, mask.ids)
 
 
 def write_noise_sidecar(tree: ObservedTree, path) -> None:
     if not tree.has_noise:
         raise ValidationError("tree carries no recorded noise to export")
-    # the roots carry no noise
+    roots = tree.mask.replicates  # which carry no noise
     _write_rows(path, ["# bartree noise v1", "# columns: node_id,noise"],
-                tree.mask.generations[1:], tree.noise[1:])
+                tree.mask.ids[roots:], tree.eps[roots:])
 
 
 def _data_lines(text: str):

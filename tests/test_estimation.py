@@ -200,10 +200,9 @@ def test_even_block_ignores_odd_children():
     # even-block fit
     bar, t = _zero_noise_tree(depth=4)
     est = estimate_theta(t, 4)
-    values = [v.copy() for v in t.values]
-    ids = t.mask.generations[4]
-    values[4][ids % 2 == 1] += 13.5
-    bumped = ObservedTree(mask=t.mask, values=values)
+    x = t.x.copy()
+    x[t.mask.starts[4]:][t.mask.generations[4] % 2 == 1] += 13.5
+    bumped = ObservedTree(mask=t.mask, x=x)
     est2 = estimate_theta(bumped, 4)
     assert np.array_equal(est.theta_hat[:2], est2.theta_hat[:2])
     assert not np.allclose(est.theta_hat[2:], est2.theta_hat[2:])

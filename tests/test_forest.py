@@ -54,12 +54,12 @@ BAR = BarParams(0.5, 0.3, -0.4, 0.7)
 
 
 def _replicate(forest, i):
-    """Replicate ``i`` of a forest as its mask, values and noise."""
+    """Replicate ``i`` of a forest as its mask, and its values and noise by generation."""
     cut = [slice(b[i], b[i + 1]) for b in forest.mask.bounds]
-    flags = [f[c] for f, c in zip(forest.mask.offspring, cut)]
-    mask = ObservationMask(depth=forest.depth, root_type=forest.mask.root_type, offspring=flags)
+    flags = np.concatenate([forest.mask.flags[:0]] + [f[c] for f, c in zip(forest.mask.offspring, cut)])
+    mask = ObservationMask(depth=forest.depth, root_type=forest.mask.root_type, flags=flags)
     values = [v[c] for v, c in zip(forest.values, cut)]
-    noise = [forest.noise[0]] + [e[c] for e, c in zip(forest.noise[1:], cut[1:])]
+    noise = [e[c] for e, c in zip(forest.noise, cut)]
     return mask, values, noise
 
 

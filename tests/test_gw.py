@@ -10,6 +10,7 @@ from bartree import (
     ExtinctionError,
     NumericalError,
     ObservationMask,
+    ObservedTree,
     ReproductionLaw,
     ValidationError,
     estimate_pi,
@@ -176,9 +177,9 @@ def _stream_reads(monkeypatch):
 
 def _forest_of(tree, replicates):
     """The forest of ``replicates`` copies of one tree's mask."""
+    flags = np.concatenate([tree.flags[:0]] + [np.tile(f, (replicates, 1)) for f in tree.offspring])
     return ObservationMask(
-        tree.depth, tree.root_type, [np.tile(f, (replicates, 1)) for f in tree.offspring],
-        [np.arange(replicates + 1) * b[-1] for b in tree.bounds],
+        tree.depth, tree.root_type, flags, np.arange(replicates + 1) * tree.bounds[:, -1:]
     )
 
 
@@ -322,10 +323,19 @@ def test_from_ids_validation():
         ObservationMask.from_ids([1, 5])  # orphan: mother 2 missing
     with pytest.raises(ValidationError, match="duplicate node ids: node 2"):
         ObservationMask.from_ids([1, 3, 2, 2, 3])  # repeated ids are not merged
-    with pytest.raises(ValidationError):
-        ObservationMask(depth=1, root_type=0, offspring=[np.array([[1, 1]])])  # not boolean
-    with pytest.raises(ValidationError):  # generation 1 holds two cells, not one
-        ObservationMask(depth=2, root_type=0, offspring=[np.ones((1, 2), bool)] * 2)
+    for flags in (np.array([[1, 1]]), np.ones(2, bool), np.ones((1, 3), bool), [[True, True]]):
+        with pytest.raises(ValidationError, match="boolean"):  # not boolean (cells, 2) flags
+            ObservationMask(depth=1, root_type=0, flags=flags)
+    with pytest.raises(ValidationError, match="generation 1: fewer offspring flag rows"):
+        ObservationMask(depth=2, root_type=0, flags=np.ones((2, 2), bool))  # one row, two cells
+    with pytest.raises(ValidationError, match="2 offspring flag rows for 1 mothers"):
+        ObservationMask(depth=1, root_type=0, flags=np.ones((2, 2), bool))
+    pair = ObservationMask(depth=1, root_type=0, flags=np.ones((1, 2), bool))
+    for x, eps in ((np.zeros(2), None), (np.zeros((3, 1)), None), ([0.0] * 3, None),
+                   (np.zeros(3), np.zeros(2)), (np.zeros(3), np.zeros((3, 1)))):
+        with pytest.raises(ValidationError, match="misaligned with mask"):
+            ObservedTree(mask=pair, x=x, eps=eps)
+    ObservedTree(mask=pair, x=np.zeros(3), eps=np.zeros(3))
     mask = ObservationMask.from_ids([1, 2, 3, 6], depth=3)
     assert mask.depth == 3
     assert mask.generation_count(2) == 1 and mask.generation_count(3) == 0

@@ -203,7 +203,7 @@ def test_rescaling_invariance_of_slope_test():
     bar = BarParams(0.5, 0.3, -0.4, 0.7)
     t = simulate_joint(bar, NoiseParams(1.0, 0.5), FULL, depth=8, seed=2)
     est = estimate_theta(t, 8)
-    scaled = type(t)(mask=t.mask, values=[3.0 * v for v in t.values])
+    scaled = type(t)(mask=t.mask, x=3.0 * t.x)
     est2 = estimate_theta(scaled, 8)
     assert np.allclose(est2.theta_hat[[1, 3]], est.theta_hat[[1, 3]], rtol=1e-10)
     assert np.allclose(est2.theta_hat[[0, 2]], 3.0 * est.theta_hat[[0, 2]], rtol=1e-10)
@@ -217,7 +217,7 @@ def test_rescaling_invariance_of_slope_test():
         est, path = estimate_theta(t, depth), theta_path(t, depth)
         base = [wald_test(est, name) for name in ("pair", "intercept", "slope")]
         for c in (1e-9, 1e-6, 1e-3, 1e3, 1e6, 1e9):
-            scaled = type(t)(mask=t.mask, values=[c * v for v in t.values])
+            scaled = type(t)(mask=t.mask, x=c * t.x)
             est2 = estimate_theta(scaled, depth)
             assert np.array_equal(theta_path(scaled, depth).regularized, path.regularized)
             got = [*est2.theta_hat[[1, 3]], *est2.theta_hat[[0, 2]] / c, est2.sigma2_hat / c**2]
@@ -234,7 +234,7 @@ def test_pair_statistic_invariant_at_small_scale():
     # stay put
     t = simulate_joint(BarParams(0.5, 0.3, -0.4, 0.7), NoiseParams(1.0, 0.5), FULL, 12, seed=2)
     est = estimate_theta(t, 12)
-    small = estimate_theta(type(t)(mask=t.mask, values=[1e-4 * v for v in t.values]), 12)
+    small = estimate_theta(type(t)(mask=t.mask, x=1e-4 * t.x), 12)
     for name in ("pair", "intercept", "slope"):
         w1, w2 = wald_test(est, name), wald_test(small, name)
         assert math.isclose(w1.statistic, w2.statistic, rel_tol=1e-8)

@@ -138,6 +138,7 @@ def fuzz_dir(tmp_path_factory):
 @example(text="1,1.0\n9223372036854775808,2.0\n")
 @example(text="1,1.0\n2,1e400\n")
 @example(text="# only a header\n")
+@example(text="1,0.0\n3,0.0\n7,0.0\n14,3.3610710249425595e+93\n29,1.0\n58,0.0\n117,9.140285088655805e+60\n")
 def test_lineage_fast_path_matches_row_loop(text, fuzz_dir):
     path = fuzz_dir / "lineage.csv"
     path.write_text(text)
@@ -200,8 +201,8 @@ def _simulated(depth, seed, root_type=0):
 def _hand_built():
     edges = [-0.0, 5e-324, 1e300, 1.0 / 3.0, -1e-300, 2.0**53 + 1]
     tree = ObservedTree.from_arrays(range(1, 7), edges, root_type=1)
-    noise = [np.array([])] + [v[::-1].copy() for v in tree.values[1:]]
-    return dataclasses.replace(tree, noise=noise)
+    noise = np.concatenate([[0.0]] + [v[::-1] for v in tree.values[1:]])
+    return dataclasses.replace(tree, eps=noise)
 
 
 @pytest.mark.parametrize("case", ["depth0", "depth5", "depth9", "hand"])
