@@ -203,46 +203,52 @@ class ObservationMask:
     ``starts[r]:starts[r + 1]`` (``depth + 2`` offsets).  The root (id 1)
     is always observed, and prefix closure holds by construction.
 
-    A forest lays its replicates out within each generation in order,
-    and ``bounds[r]`` (length ``R + 1``) holds where each one's cells of
-    generation ``r`` start and end, counted from ``starts[r]``.  Read
-    row-major, the set flags of a generation are the next one in order,
-    so a boolean compress or fill through them (one numpy pass per
-    generation, for every replicate) moves data between mothers and
-    daughters.  A single tree is the forest of one replicate built
-    without ``bounds``, which are then derived; ``forest`` tells the two
-    apart, and statistics of a forest keep a leading replicate axis.  Two
-    masks are equal when their depth, root type, flags and bounds are.
+    A forest of ``trees`` replicates (``None``: a single tree) lays them
+    out within each generation in order, and ``bounds[r]`` (length
+    ``R + 1``) holds where each one's cells of generation ``r`` start
+    and end, counted from ``starts[r]``.  Read row-major, the set flags
+    of a generation are the next one in order, so a boolean compress or
+    fill through them moves data between mothers and daughters (one
+    numpy pass per generation, for every replicate), and the flags and
+    ``trees`` fix ``starts``, ``bounds`` and ``forest``.  ``forest`` tells
+    a tree from a forest of one; statistics of a forest keep a leading
+    replicate axis.  Masks are equal when depth, root type, flags and trees are.
 
-    ``offspring[r]`` and ``generations[r]`` are generation ``r``'s views
-    of ``flags`` and ``ids`` (the observed ids), built when read; ``ids``
-    and ``counts[r]`` (the per-parity counts ``(even, odd)``, the root
-    booked under its configured type) are derived when first read.
+    ``offspring[r]`` is generation ``r``'s view of ``flags``, built when
+    read; ``ids`` (the observed ids) and ``counts[r]`` (the per-parity
+    counts ``(even, odd)``, the root booked under its configured type)
+    are derived when first read.
     """
 
     depth: int
     root_type: int
     flags: np.ndarray
-    bounds: np.ndarray | None = None
+    trees: int | None = None
     forest: bool = field(init=False)
     starts: np.ndarray = field(init=False)
+    bounds: np.ndarray = field(init=False)
 
     def __post_init__(self):
         tree.check_depth(self.depth)
         _check_root_type(self.root_type)
         if getattr(self.flags, "dtype", None) != bool or np.shape(self.flags)[1:] != (2,):
             raise ValidationError("offspring flags must be a boolean (cells, 2) array")
-        self.forest = self.bounds is not None
-        starts = [0, self.bounds[0][-1] if self.forest else 1]
+        self.forest = self.trees is not None
+        if self.forest and not (isinstance(self.trees, (int, np.integer)) and self.trees >= 1):
+            raise ValidationError(f"a forest needs a whole number of trees >= 1, got {self.trees!r}")
+        bounds = np.empty((self.depth + 1, (self.trees or 1) + 1), dtype=np.int64)
+        bounds[0] = np.arange(bounds.shape[1])
+        starts = [0, bounds[0, -1]]
         for r in range(self.depth):
             if starts[-1] > len(self.flags):
                 raise ValidationError(f"generation {r}: fewer offspring flag rows than cells")
-            starts.append(starts[-1] + np.count_nonzero(self.flags[starts[-2]:starts[-1]]))
+            gen = self.flags[starts[-2]:starts[-1]]  # flat index 2i + j marks child j of cell i
+            bounds[r + 1] = (np.searchsorted(np.flatnonzero(gen), 2 * bounds[r]) if self.forest
+                             else (0, np.count_nonzero(gen)))
+            starts.append(starts[-1] + bounds[r + 1, -1])
         if len(self.flags) != starts[-2]:
             raise ValidationError(f"{len(self.flags)} offspring flag rows for {starts[-2]} mothers")
-        self.starts = np.array(starts)
-        if not self.forest:  # one replicate, spanning each whole generation
-            self.bounds = np.stack([np.zeros(self.depth + 1, np.int64), np.diff(self.starts)], axis=1)
+        self.starts, self.bounds = np.array(starts), bounds
 
     def __eq__(self, other):
         if not isinstance(other, ObservationMask):
@@ -251,7 +257,7 @@ class ObservationMask:
             self.depth == other.depth
             and self.root_type == other.root_type
             and np.array_equal(self.flags, other.flags)
-            and np.array_equal(self.bounds, other.bounds)
+            and self.trees == other.trees
         )
 
     @classmethod
@@ -301,10 +307,6 @@ class ObservationMask:
             ids[s[r + 1]:s[r + 2]] = (2 * ids[s[r]:s[r + 1], None] + _SIDES)[flags]
         return ids
 
-    @property
-    def generations(self) -> list[np.ndarray]:
-        return [self.ids[a:b] for a, b in zip(self.starts[:-1], self.starts[1:])]
-
     @functools.cached_property
     def counts(self) -> np.ndarray:
         counts = np.zeros((self.depth + 1, 2), dtype=np.int64)
@@ -346,8 +348,8 @@ class ObservationMask:
         """Locate the children of generation ``r`` parents inside generation ``r + 1``.
 
         Returns ``(has_even, pos_even, has_odd, pos_odd)`` aligned with
-        ``generations[r]``: boolean observation flags and positions into
-        ``generations[r + 1]`` (valid only where the flag is set).  The
+        generation ``r``: boolean observation flags and positions into
+        generation ``r + 1`` (valid only where the flag is set).  The
         simulator and the estimators work on the flags directly.
         """
         flags = self.offspring[r]
@@ -412,8 +414,8 @@ def simulate_mask(law: ReproductionLaw, depth: int, root_type: int = 0, seed=0) 
     would give.
 
     ``seed`` may also be a sequence of seeds; the result is then a
-    forest whose replicate ``i`` equals the mask drawn with
-    ``seed=seeds[i]``, all drawn with one numpy pass per generation.
+    forest, even of one tree, whose replicate ``i`` equals the mask drawn
+    with ``seed=seeds[i]``, all drawn with one numpy pass per generation.
     Replicate ``i`` reads its uniforms from its own Philox stream, in
     generation order.  They are drawn ahead into one flat buffer, where
     ``pos[i]:end[i]`` holds replicate ``i``'s unused draws; since
@@ -454,11 +456,9 @@ def simulate_mask(law: ReproductionLaw, depth: int, root_type: int = 0, seed=0) 
         top = buf.size  # buf[top:] is spare capacity
         drawn = np.full(n_rep, first)
 
-    gens, bounds = [np.empty((0, 2), bool)], np.empty((depth + 1, n_rep + 1), dtype=np.int64)
-    bounds[0] = np.arange(n_rep + 1)
+    gens, b = [np.empty((0, 2), bool)], np.arange(n_rep + 1)  # b: this generation's bounds
     types = np.full(n_rep, root_type)
     for r in range(depth):
-        b = bounds[r]
         if certain:
             flags = np.take(fixed, types, axis=0)
         else:
@@ -491,12 +491,12 @@ def simulate_mask(law: ReproductionLaw, depth: int, root_type: int = 0, seed=0) 
             # flat index 2i + j marks child j of cell i; its type is j, and the
             # children of cells before b[i] are the marks before 2 b[i]
             kids = np.flatnonzero(flags)
-            bounds[r + 1] = np.searchsorted(kids, 2 * b)
+            b = np.searchsorted(kids, 2 * b)
             types = np.bitwise_and(kids, 1, out=kids)
         else:  # a daughter's type is its flag's column, kept in one byte
             types = np.tile([False, True], b[-1])[flags.ravel()]
-            bounds[r + 1] = 0, types.size
-    return ObservationMask(depth, root_type, np.concatenate(gens), bounds if forest else None)
+            b = np.array([0, types.size])
+    return ObservationMask(depth, root_type, np.concatenate(gens), n_rep if forest else None)
 
 
 def growth_rate_ratio(mask: ObservationMask, n: int) -> np.ndarray:

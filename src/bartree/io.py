@@ -21,7 +21,7 @@ from .bar import BarParams, NoiseParams, ObservedTree
 from .distributions import _check_level
 from .errors import CapacityError, LineageFormatError, ValidationError
 from .gw import ObservationMask, ReproductionLaw
-from .mc import PAIR_STATS, McConfig, McReport, jsonable
+from .mc import PAIR_STATS, McConfig, McReport
 from .tree import MAX_DEPTH
 
 MODEL_SCHEMA = "bartree-model-v1"
@@ -379,7 +379,7 @@ def load_mc_config(path) -> tuple[McConfig, list[str]]:
 
 def dump_report(doc: dict, path=None) -> str:
     """Serialise a report deterministically; write it when a path is given."""
-    text = json.dumps(jsonable(doc), indent=2, sort_keys=True) + "\n"
+    text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
     if path is not None:
         Path(path).write_text(text)
     return text

@@ -20,12 +20,12 @@ FULL = ReproductionLaw.full_observation()
 
 def _value_map(tree):
     """``{node id: value}`` read from the mask's ids and the value arrays."""
-    return dict(zip(np.concatenate(tree.mask.generations).tolist(), np.concatenate(tree.values).tolist()))
+    return dict(zip(tree.mask.ids.tolist(), np.concatenate(tree.values).tolist()))
 
 
 def _noise_map(tree):
     """``{node id: noise}`` over the non-root cells, from the ids and the noise arrays."""
-    ids = np.concatenate(tree.mask.generations[1:])
+    ids = tree.mask.ids[tree.mask.starts[1]:]
     return dict(zip(ids.tolist(), np.concatenate(tree.noise[1:]).tolist()))
 
 
@@ -152,10 +152,7 @@ def test_mask_independent_of_noise_parameters():
     bar = BarParams(0.5, 0.3, -0.4, 0.7)
     t1 = simulate_joint(bar, NoiseParams(1.0, 0.0), law, depth=8, seed=17)
     t2 = simulate_joint(bar, NoiseParams(9.0, -4.0), law, depth=8, seed=17)
-    assert all(
-        np.array_equal(x, y)
-        for x, y in zip(t1.mask.generations, t2.mask.generations)
-    )
+    assert np.array_equal(t1.mask.ids, t2.mask.ids)
 
 
 def test_recursion_residual_exact():
@@ -212,9 +209,7 @@ def test_mask_noise_independence():
     for seed in range(10):
         t = simulate_joint(bar, NoiseParams(1.0, 0.0), law, depth=15, seed=seed)
         eps = _noise_map(t)
-        observed = set()
-        for gen in t.mask.generations:
-            observed.update(int(k) for k in gen)
+        observed = set(t.mask.ids.tolist())
         for k, e in eps.items():
             flags.append(1.0 if 2 * k in observed else 0.0)
             mags.append(abs(e))
@@ -228,8 +223,8 @@ def test_values_only_on_observed_lineages():
     law = ReproductionLaw.from_mean_matrix([[0.9, 0.4], [0.3, 0.8]])
     bar = BarParams(0.5, 0.3, -0.4, 0.7)
     t = simulate_joint(bar, NoiseParams(1.0, 0.0), law, depth=8, seed=2)
-    for ids, vals in zip(t.mask.generations, t.values):
-        assert ids.size == vals.size
+    for r, vals in enumerate(t.values):
+        assert t.mask.ids[t.mask.starts[r]:t.mask.starts[r + 1]].size == vals.size
 
 
 def test_from_pairs_round_trip():

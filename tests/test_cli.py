@@ -69,7 +69,7 @@ def test_lineage_round_trip_exact(tmp_path):
     write_lineage(tree, path)
     back = parse_lineage(path)
     assert back.depth == tree.depth
-    assert np.array_equal(np.concatenate(back.mask.generations), np.concatenate(tree.mask.generations))
+    assert np.array_equal(back.mask.ids, tree.mask.ids)
     assert np.array_equal(np.concatenate(back.values), np.concatenate(tree.values))
 
 
@@ -85,7 +85,7 @@ def test_mask_round_trip(tmp_path):
     write_mask(tree.mask, path)
     back = parse_mask(path)
     assert back.depth == tree.mask.depth
-    assert np.array_equal(np.concatenate(back.generations), np.concatenate(tree.mask.generations))
+    assert np.array_equal(back.ids, tree.mask.ids)
 
 
 # ---------------------------------------------------------------------------
@@ -96,7 +96,7 @@ def test_parse_minimal_lineage(tmp_path):
     p = tmp_path / "t.csv"
     p.write_text("1,1.0\n2,3.0\n3,2.0\n")
     tree = parse_lineage(p)
-    assert np.concatenate(tree.mask.generations).tolist() == [1, 2, 3]
+    assert tree.mask.ids.tolist() == [1, 2, 3]
     assert [v.tolist() for v in tree.values] == [[1.0], [3.0, 2.0]]
 
 
@@ -216,7 +216,7 @@ def test_from_pairs_rejects_duplicates_and_non_finite_values():
 def test_parse_comments_and_blank_lines(tmp_path):
     p = tmp_path / "t.csv"
     p.write_text("# header\n\n1,1.0\n# mid comment\n2,3.0\n3,2.0\n")
-    assert np.concatenate(parse_lineage(p).mask.generations).tolist() == [1, 2, 3]
+    assert parse_lineage(p).mask.ids.tolist() == [1, 2, 3]
 
 
 def test_paper_scale_fixture(tmp_path):

@@ -31,7 +31,7 @@ MISSING = ReproductionLaw.from_mean_matrix([[0.9, 0.4], [0.3, 0.8]])
 
 def _value_map(tree):
     """``{node id: value}`` read from the mask's ids and the value arrays."""
-    return dict(zip(np.concatenate(tree.mask.generations).tolist(), np.concatenate(tree.values).tolist()))
+    return dict(zip(tree.mask.ids.tolist(), np.concatenate(tree.values).tolist()))
 
 
 def _zero_noise_tree(depth=4, a=1.0, b=0.5, c=2.0, d=0.25, x1=0.0):
@@ -183,7 +183,7 @@ def test_solver_residual_invariant():
     est = estimate_theta(t, 10)
     # the right-hand sides (sum x_i, sum x_mother x_i) over the daughters of
     # each side i, and |S theta - rhs| / (1 + |rhs|) at the design S solved
-    ids, x = np.concatenate(t.mask.generations), np.concatenate(t.values)
+    ids, x = t.mask.ids, np.concatenate(t.values)
     kids = ids[1:]
     mother = x[np.searchsorted(ids, kids // 2)]
     rhs = np.concatenate([[x[1:][side].sum(), (mother * x[1:])[side].sum()]
@@ -201,7 +201,7 @@ def test_even_block_ignores_odd_children():
     bar, t = _zero_noise_tree(depth=4)
     est = estimate_theta(t, 4)
     x = t.x.copy()
-    x[t.mask.starts[4]:][t.mask.generations[4] % 2 == 1] += 13.5
+    x[t.mask.starts[4]:][t.mask.ids[t.mask.starts[4]:] % 2 == 1] += 13.5
     bumped = ObservedTree(mask=t.mask, x=x)
     est2 = estimate_theta(bumped, 4)
     assert np.array_equal(est.theta_hat[:2], est2.theta_hat[:2])

@@ -1,5 +1,6 @@
 """Observation-process tests: spectral theory, extinction, masks."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -178,9 +179,7 @@ def _stream_reads(monkeypatch):
 def _forest_of(tree, replicates):
     """The forest of ``replicates`` copies of one tree's mask."""
     flags = np.concatenate([tree.flags[:0]] + [np.tile(f, (replicates, 1)) for f in tree.offspring])
-    return ObservationMask(
-        tree.depth, tree.root_type, flags, np.arange(replicates + 1) * tree.bounds[:, -1:]
-    )
+    return ObservationMask(tree.depth, tree.root_type, flags, trees=replicates)
 
 
 def _grown_ids(outcomes, depth, root_type):
@@ -244,33 +243,38 @@ def test_mask_determinism():
     law = missing_law()
     a = simulate_mask(law, 10, seed=42)
     b = simulate_mask(law, 10, seed=42)
-    assert all(np.array_equal(x, y) for x, y in zip(a.generations, b.generations))
+    assert np.array_equal(a.ids, b.ids)
     c = simulate_mask(law, 10, seed=43)
-    assert any(not np.array_equal(x, y) for x, y in zip(a.generations, c.generations))
+    assert not np.array_equal(a.ids, c.ids)
 
 
 def test_mask_equality():
     law = missing_law()
     a = simulate_mask(law, 10, seed=42)
     assert a == simulate_mask(law, 10, seed=42)
-    assert a == ObservationMask.from_ids(np.concatenate(a.generations), a.depth, a.root_type)
+    assert a == ObservationMask.from_ids(a.ids, a.depth, a.root_type)
     assert a != simulate_mask(law, 10, seed=43)
-    assert a != ObservationMask.from_ids(np.concatenate(a.generations), a.depth + 1, a.root_type)
-    assert a != ObservationMask.from_ids(np.concatenate(a.generations), a.depth, 1 - a.root_type)
+    assert a != ObservationMask.from_ids(a.ids, a.depth + 1, a.root_type)
+    assert a != ObservationMask.from_ids(a.ids, a.depth, 1 - a.root_type)
     assert (a == "mask") is False
+    assert simulate_mask(law, 10, seed=[42]) != a  # a forest of one is not its tree
+    for m in (a, simulate_mask(law, 10, seed=[42, 43, 44])):
+        copy = dataclasses.replace(m)  # keeps the tree count, so a tree stays a tree
+        assert copy == m and copy.forest == m.forest
+        assert np.array_equal(copy.bounds, m.bounds) and np.array_equal(copy.starts, m.starts)
 
 
 def test_mask_prefix_closure_and_counts():
     law = missing_law()
     for seed in range(25):
         mask = simulate_mask(law, 8, seed=seed)
-        observed = set(np.concatenate(mask.generations).tolist())
+        observed = set(mask.ids.tolist())
         for k in observed:
             if k >= 2:
                 assert k // 2 in observed
         # counts match a recount of the id arrays by parity
         for n in range(1, 9):
-            ids = mask.generations[n]
+            ids = mask.ids[mask.starts[n]:mask.starts[n + 1]]
             assert mask.counts[n, 0] == np.count_nonzero(ids % 2 == 0)
             assert mask.counts[n, 1] == np.count_nonzero(ids % 2 == 1)
 
@@ -284,7 +288,7 @@ def test_depth_one_outcome_frequencies():
     only_even = 0
     for seed in range(reps):
         mask = simulate_mask(law, 1, root_type=0, seed=seed)
-        kids = mask.generations[1]
+        kids = mask.ids[mask.starts[1]:mask.starts[2]]
         if kids.size == 1 and kids[0] == 2:
             only_even += 1
     se = math.sqrt(0.3 * 0.7 / reps)
@@ -330,6 +334,9 @@ def test_from_ids_validation():
         ObservationMask(depth=2, root_type=0, flags=np.ones((2, 2), bool))  # one row, two cells
     with pytest.raises(ValidationError, match="2 offspring flag rows for 1 mothers"):
         ObservationMask(depth=1, root_type=0, flags=np.ones((2, 2), bool))
+    for trees in (0, -1, 2.5):
+        with pytest.raises(ValidationError, match="a forest needs a whole number of trees"):
+            ObservationMask(depth=1, root_type=0, flags=np.ones((1, 2), bool), trees=trees)
     pair = ObservationMask(depth=1, root_type=0, flags=np.ones((1, 2), bool))
     for x, eps in ((np.zeros(2), None), (np.zeros((3, 1)), None), ([0.0] * 3, None),
                    (np.zeros(3), np.zeros(2)), (np.zeros(3), np.zeros((3, 1)))):
@@ -348,6 +355,20 @@ MASK_LAWS = {
 }
 
 
+@pytest.mark.parametrize("law", sorted(MASK_LAWS))
+@pytest.mark.parametrize("n_seeds", [3, 300])
+def test_forest_bounds_are_running_tree_counts(law, n_seeds):
+    # replicate i's cells of a generation start after those of the trees
+    # before it: the bounds are running sums of each tree's own counts
+    depth, seeds = 9, list(range(100, 100 + n_seeds))
+    forest = simulate_mask(MASK_LAWS[law], depth, seed=seeds)
+    trees = [simulate_mask(MASK_LAWS[law], depth, seed=s) for s in seeds]
+    for r in range(depth + 1):
+        running = np.cumsum([0] + [t.generation_count(r) for t in trees])
+        assert np.array_equal(forest.bounds[r], running)
+        assert forest.starts[r + 1] - forest.starts[r] == running[-1]
+
+
 @settings(deadline=None)
 @given(
     law=st.sampled_from(sorted(MASK_LAWS)),
@@ -358,15 +379,16 @@ MASK_LAWS = {
 )
 def test_offspring_flags_match_ids(law, depth, root_type, seed, data):
     mask = simulate_mask(MASK_LAWS[law], depth, root_type=root_type, seed=seed)
-    back = ObservationMask.from_ids(np.concatenate(mask.generations), mask.depth, mask.root_type)
+    back = ObservationMask.from_ids(mask.ids, mask.depth, mask.root_type)
     assert len(back.offspring) == len(mask.offspring) == depth
     assert all(np.array_equal(a, b) for a, b in zip(mask.offspring, back.offspring))
-    assert all(np.array_equal(a, b) for a, b in zip(mask.generations, back.generations))
+    assert np.array_equal(mask.ids, back.ids)
     assert np.array_equal(mask.counts, back.counts)
 
     # child positions against a search of the next generation's ids
+    s = mask.starts
     for r in range(depth):
-        parents, kids = mask.generations[r], mask.generations[r + 1]
+        parents, kids = mask.ids[s[r]:s[r + 1]], mask.ids[s[r + 1]:s[r + 2]]
         has_e, pos_e, has_o, pos_o = mask.child_positions(r)
         for side, has, pos in ((0, has_e, pos_e), (1, has_o, pos_o)):
             child = 2 * parents + side
@@ -374,7 +396,7 @@ def test_offspring_flags_match_ids(law, depth, root_type, seed, data):
             assert np.array_equal(pos[has], np.searchsorted(kids, child[has]))
 
     # dropping observed mothers leaves orphans; the smallest one is named
-    ids = set(np.concatenate(mask.generations).tolist())
+    ids = set(mask.ids.tolist())
     mothers = sorted(k for k in ids if k >= 2 and (2 * k in ids or 2 * k + 1 in ids))
     if len(mothers) >= 2:
         dropped = data.draw(st.sets(st.sampled_from(mothers), min_size=2))
@@ -388,7 +410,7 @@ def test_offspring_flags_match_ids(law, depth, root_type, seed, data):
 def test_pair_count():
     # cells with both children observed, counted from the flags and from the ids
     mask = ObservationMask.from_ids([1, 2, 3, 6, 7])
-    ids = set(np.concatenate(mask.generations).tolist())
+    ids = set(mask.ids.tolist())
     pairs = np.cumsum([np.count_nonzero(f.all(axis=1)) for f in mask.offspring])
     assert pairs.tolist() == [1, 2]  # the root has both children; then node 3, not node 2
     assert pairs[-1] == sum(2 * k in ids and 2 * k + 1 in ids for k in ids)
@@ -400,9 +422,9 @@ def test_pair_count():
 
 def test_estimate_pi_full_mask_exact():
     mask = simulate_mask(ReproductionLaw.full_observation(), 3, seed=0)
-    est = estimate_pi(mask)
-    assert est.pi_hat == 14 / 7 == 2.0
-    assert est.ci_low <= est.pi_hat <= est.ci_high
+    for est in (estimate_pi(mask), estimate_pi(dataclasses.replace(mask))):
+        assert est.pi_hat == 14 / 7 == 2.0
+        assert est.ci_low <= est.pi_hat <= est.ci_high
 
 
 def test_estimate_pi_matches_per_parent_count_reference():
@@ -434,8 +456,10 @@ def test_estimate_pi_rejects_a_forest():
     # the first is extinct or the forest holds a single replicate
     law = missing_law()
     for seeds in ([1, 2, 3], [2]):
-        with pytest.raises(ValidationError, match="^estimate_pi takes one tree, not a forest"):
-            estimate_pi(simulate_mask(law, 8, seed=seeds))
+        forest = simulate_mask(law, 8, seed=seeds)
+        for mask in (forest, dataclasses.replace(forest)):
+            with pytest.raises(ValidationError, match="^estimate_pi takes one tree, not a forest"):
+                estimate_pi(mask)
     with pytest.raises(ExtinctionError):
         estimate_pi(simulate_mask(law, 8, seed=1))
 

@@ -172,21 +172,20 @@ def _reference_lineage(tree):
     if tree.seed is not None:
         lines.append(f"# seed: {tree.seed}")
     lines += [f"# root_type: {tree.mask.root_type}", f"# depth: {tree.depth}"]
-    for ids, vals in zip(tree.mask.generations, tree.values):
-        lines += [f"{int(k)},{float(x):.17g}" for k, x in zip(ids, vals)]
+    lines += [f"{int(k)},{float(x):.17g}" for k, x in zip(tree.mask.ids, tree.x)]
     return "\n".join(lines) + "\n"
 
 
 def _reference_noise(tree):
     lines = ["# bartree noise v1", "# columns: node_id,noise"]
-    for ids, eps in zip(tree.mask.generations[1:], tree.noise[1:]):
-        lines += [f"{int(k)},{float(e):.17g}" for k, e in zip(ids, eps)]
+    kids = slice(tree.mask.starts[1], None)
+    lines += [f"{int(k)},{float(e):.17g}" for k, e in zip(tree.mask.ids[kids], tree.eps[kids])]
     return "\n".join(lines) + "\n"
 
 
 def _reference_mask(mask):
     lines = ["# bartree mask v1", f"# root_type: {mask.root_type}", f"# depth: {mask.depth}"]
-    lines += [str(int(k)) for k in np.concatenate(mask.generations)]
+    lines += [str(int(k)) for k in mask.ids]
     return "\n".join(lines) + "\n"
 
 
@@ -244,7 +243,7 @@ def test_io_memory_floor(tmp_path):
     io.write_mask(small.mask, mask)
     io.parse_lineage(lineage)
     io.parse_mask(mask)
-    ids = np.concatenate(dataclasses.replace(tree.mask).generations)  # the writers build their own
+    ids = dataclasses.replace(tree.mask).ids  # the writers build their own
     calls = {
         "from_ids": lambda: ObservationMask.from_ids(ids, tree.depth),
         "write_lineage": lambda: io.write_lineage(tree, lineage),

@@ -98,7 +98,7 @@ def test_kernels_match_per_cell_reference(law, depth, root_type, seeds, forest):
             for s in (seeds if forest else seeds[:1])]
     for r in range(depth + 1):
         ids = [k for gens, _, _ in refs for k in gens[r]]
-        assert got.mask.generations[r].tolist() == ids
+        assert got.mask.ids[got.mask.starts[r]:got.mask.starts[r + 1]].tolist() == ids
         assert got.values[r].tobytes() == _bits([v[k] for gens, v, _ in refs for k in gens[r]])
         if r:
             assert got.noise[r].tobytes() == _bits([e[k] for gens, _, e in refs for k in gens[r]])
